@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -41,7 +42,7 @@ from .closedform import (
 from .determinant import det_bareiss, det_cofactor, det_condensation
 from .matgen import MODES, RISING, MatrixQuery, build
 from .sequence import PRESETS, RecurrenceSpec, SequenceCache, preset, symbolic_spec
-from .verify import IDENTITIES, ORACLES, GridSpec, report_json, run_grid
+from .verify import IDENTITIES, ORACLES, GridSpec, check_fibonacci_spec, report_json, run_grid
 
 _ALGORITHMS = {
     "cofactor": det_cofactor,
@@ -222,6 +223,7 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 def _cmd_closed(args: argparse.Namespace) -> int:
     identity = args.identity
+    check_fibonacci_spec(identity, _maybe_spec(args), args.domain)
     if identity == "theorem1":
         _require(args, "r", "d")
         value = theorem1_rhs(args.n, args.r, args.d)
@@ -255,7 +257,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         d=args.d,
         i=args.i,
         j=args.j,
-        spec=None if args.identity in ("theorem1", "prodinger", "carlitz", "vajda") else _maybe_spec(args),
+        spec=_maybe_spec(args),
         domain=args.domain,
         oracle=args.oracle,
         seed=args.seed,
@@ -351,7 +353,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_merge_range_values(argv))
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed early (``| head``): point stdout at devnull so
+        # the flush at interpreter exit cannot fail again, and exit as a
+        # shell reports a writer killed by SIGPIPE (128 + 13), a code no
+        # subcommand uses
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (
         ValueError,
         ZeroDivisionError,

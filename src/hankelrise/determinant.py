@@ -6,6 +6,8 @@ recurrence specialized to the rising-power Hankel family:
   det_cofactor       Laplace expansion along the first row (dim <= 10)
   det_bareiss        fraction-free Gaussian elimination; every division is
                      by the previous pivot and provably exact
+  det_bareiss_minors one such elimination read off at every step: the
+                     determinant of each leading k x k block
   det_condensation   Dodgson condensation dividing by interior entries;
                      a zero interior divisor falls back to det_bareiss on
                      the whole matrix
@@ -19,6 +21,7 @@ counter, so shortcut operations on exact zeros/ones are not charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Tuple
 
 from . import ring
 from .ring import ExactScalar
@@ -29,7 +32,6 @@ COFACTOR = "cofactor"
 BAREISS = "bareiss"
 CONDENSATION = "condensation"
 CONDENSATION_FALLBACK = "condensation-fallback"
-CLOSED_FORM = "closed-form"
 
 _COFACTOR_LIMIT = 10
 
@@ -41,6 +43,20 @@ class ZeroDivisorError(ArithmeticError):
 @dataclass(frozen=True)
 class DetReport:
     value: ExactScalar
+    algorithm: str
+    mul_count: int
+    div_count: int
+    fallback_used: bool = False
+
+
+class MinorsReport(NamedTuple):
+    """values[k-1] is the determinant of the leading k x k block.
+
+    A NamedTuple, not a frozen dataclass like DetReport: it is just as
+    immutable, and defining it adds about a tenth as much to import time.
+    """
+
+    values: Tuple[ExactScalar, ...]
     algorithm: str
     mul_count: int
     div_count: int
@@ -70,22 +86,41 @@ def _cofactor(rows, domain: str) -> ExactScalar:
 
 def det_bareiss(matrix: SquareMatrix) -> DetReport:
     with ring.count_ops() as counter:
-        value = _bareiss(matrix)
+        value = _bareiss_minors(matrix)[-1]
     return DetReport(value, BAREISS, counter.muls, counter.divs)
 
 
-def _bareiss(matrix: SquareMatrix) -> ExactScalar:
+def det_bareiss_minors(matrix: SquareMatrix) -> MinorsReport:
+    """Every leading-block determinant from one fraction-free elimination.
+
+    Each value equals det_bareiss on that block, row swaps included.  The
+    block of size k+2 is finished after step k, and matches the full run
+    unless a pivot search at some step s <= k picked a row p >= k+2: the
+    block's own search stops at row k+1, finds nothing, and returns zero.
+    A failed search at step k likewise zeroes every block beyond k+1.
+    """
+    with ring.count_ops() as counter:
+        values = _bareiss_minors(matrix)
+    return MinorsReport(values, BAREISS, counter.muls, counter.divs)
+
+
+def _bareiss_minors(matrix: SquareMatrix) -> Tuple[ExactScalar, ...]:
     n = matrix.dim
+    zero = ring.zero(matrix.domain)
     rows = [list(row) for row in matrix.rows]
+    values = [rows[0][0]]
     sign_flip = False
+    zero_through = 0  # blocks up to this size are singular
     previous = ring.one(matrix.domain)
     for k in range(n - 1):
         pivot_row = next((i for i in range(k, n) if not rows[i][k].is_zero()), None)
         if pivot_row is None:
-            return ring.zero(matrix.domain)
+            values.extend([zero] * (n - len(values)))
+            break
         if pivot_row != k:
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             sign_flip = not sign_flip
+            zero_through = max(zero_through, pivot_row)
         pivot = rows[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
@@ -94,8 +129,12 @@ def _bareiss(matrix: SquareMatrix) -> ExactScalar:
                 )
                 rows[i][j] = ring.exact_div(numerator, previous)
         previous = pivot
-    value = rows[n - 1][n - 1]
-    return ring.neg(value) if sign_flip else value
+        if k + 2 <= zero_through:
+            values.append(zero)
+        else:
+            value = rows[k + 1][k + 1]
+            values.append(ring.neg(value) if sign_flip else value)
+    return tuple(values)
 
 
 def det_condensation(matrix: SquareMatrix) -> DetReport:
@@ -104,7 +143,7 @@ def det_condensation(matrix: SquareMatrix) -> DetReport:
         value = _condense(matrix)
         if value is None:
             fallback = True
-            value = _bareiss(matrix)
+            value = _bareiss_minors(matrix)[-1]
     algorithm = CONDENSATION_FALLBACK if fallback else CONDENSATION
     return DetReport(value, algorithm, counter.muls, counter.divs, fallback)
 

@@ -10,7 +10,7 @@ so every anti-diagonal is constant and the matrix is symmetric:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from . import ring
 from .ring import ExactScalar
@@ -79,13 +79,9 @@ class SquareMatrix:
 
 def build(spec: RecurrenceSpec, query: MatrixQuery) -> SquareMatrix:
     cache = SequenceCache(spec)
-    rows = []
-    for i in range(query.d):
-        row: Tuple[ExactScalar, ...] = tuple(
-            _entry(cache, query.n + i + j, query) for j in range(query.d)
-        )
-        rows.append(row)
-    return SquareMatrix(rows)
+    # one value per anti-diagonal; row i is the window starting at i
+    diagonal = [_entry(cache, query.n + s, query) for s in range(2 * query.d - 1)]
+    return SquareMatrix([diagonal[i:i + query.d] for i in range(query.d)])
 
 
 def _entry(cache: SequenceCache, index: int, query: MatrixQuery) -> ExactScalar:

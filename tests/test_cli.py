@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -165,6 +166,48 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "--identity", "theorem1", "--n", "0", "--r", "0")
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+def test_verify_rejects_spec_flags_on_fibonacci_identities(capsys):
+    for flags in (("--preset", "lucas"), ("--a", "2", "--b", "1", "--c1", "1", "--c2", "1")):
+        code, out, err = run_cli(
+            capsys, "verify", "--identity", "theorem1", *flags, "--n", "0..1", "--r", "0..1"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "fibonacci" in err
+    code, _, _ = run_cli(capsys, "verify", "--identity", "carlitz", "--preset", "fibonacci", "--n", "0", "--r", "1")
+    assert code == 0
+
+
+def test_closed_rejects_spec_flags_on_fibonacci_identities(capsys):
+    cases = [
+        ("--identity", "vajda", "--preset", "pell", "--n", "0", "--i", "1", "--j", "1"),
+        ("--identity", "theorem1", "--preset", "lucas", "--n", "0", "--r", "1", "--d", "2"),
+        ("--identity", "prodinger", "--a", "0", "--b", "1", "--c1", "2", "--c2", "1", "--n", "0", "--r", "2"),
+        ("--identity", "carlitz", "--domain", "rat", "--preset", "jacobsthal", "--n", "0", "--r", "2"),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, "closed", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "fibonacci" in err
+    code, out, _ = run_cli(capsys, "closed", "--identity", "vajda", "--preset", "fibonacci", "--n", "0", "--i", "1", "--j", "1")
+    assert code == 0 and out.strip() == "-1"
+
+
+def test_bench_into_a_closed_pipe_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "hankelrise", "bench", "--r", "1..3", "--d", "1..3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert result.stderr == ""
+    assert result.returncode == 141
 
 
 def test_verify_domain_gate(capsys):

@@ -7,12 +7,14 @@ from hankelrise.determinant import (
     ZeroDivisorError,
     condense_structured,
     det_bareiss,
+    det_bareiss_minors,
     det_cofactor,
     det_condensation,
 )
 from hankelrise.matgen import MatrixQuery, SquareMatrix, build
 from hankelrise.ring import integer, rational
 from hankelrise.sequence import preset, symbolic_spec
+from hankelrise.verify import Lcg64
 
 ALGORITHMS = [det_cofactor, det_bareiss, det_condensation]
 
@@ -164,3 +166,60 @@ def test_condense_structured_validation():
         condense_structured(spec, 0, -1, 2)
     with pytest.raises(ValueError):
         condense_structured(spec, 0, 1, 0)
+
+
+def _leading(matrix, k):
+    return SquareMatrix(tuple(row[:k] for row in matrix.rows[:k]))
+
+
+def _assert_minors_match_blocks(matrix):
+    report = det_bareiss_minors(matrix)
+    assert len(report.values) == matrix.dim
+    for k in range(1, matrix.dim + 1):
+        assert report.values[k - 1] == det_bareiss(_leading(matrix, k)).value, k
+    return report
+
+
+def test_bareiss_minors_match_every_leading_block():
+    # entries in {-1, 0, 1} force row swaps and singular leading blocks
+    rng = Lcg64(2024)
+    swapped = singular = 0
+    for _ in range(2000):
+        dim = rng.next_int(1, 6)
+        matrix = _int_matrix([[rng.next_int(-1, 1) for _ in range(dim)] for _ in range(dim)])
+        values = _assert_minors_match_blocks(matrix).values
+        if dim <= 4:
+            assert values == tuple(det_cofactor(_leading(matrix, k)).value for k in range(1, dim + 1))
+        swapped += matrix.entry(0, 0).is_zero() and dim > 1
+        singular += any(value.is_zero() for value in values)
+    assert swapped > 100 and singular > 500
+
+
+def test_bareiss_minors_report_fields():
+    report = det_bareiss_minors(_int_matrix([[2, 3], [4, 5]]))
+    assert report.values == (integer(2), integer(-2))
+    assert report.algorithm == "bareiss"
+    assert (report.mul_count, report.div_count) == (2, 0)
+    assert report.fallback_used is False
+
+
+def test_bareiss_minors_swap_zeroes_skipped_blocks():
+    # the first pivot comes from row 2, so the 2x2 block is singular
+    report = _assert_minors_match_blocks(_int_matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+    assert report.values == (integer(0), integer(0), integer(-1))
+
+
+def test_bareiss_minors_on_hankel_builds():
+    # F_0 = 0 zeroes the first pivot at n = 0; d up to r+3 runs through
+    # the rank-zero window, where every block beyond r+1 vanishes
+    fibonacci = preset("fibonacci")
+    for n in (-2, 0, 1):
+        for r in range(0, 6):
+            values = _assert_minors_match_blocks(build(fibonacci, MatrixQuery(n, r, r + 3))).values
+            assert all(value.is_zero() for value in values[r + 1:])
+            assert not values[r].is_zero()
+    lucas = preset("lucas", ring.RATIONAL)
+    _assert_minors_match_blocks(build(lucas, MatrixQuery(-3, 2, 5)))
+    symbolic = _assert_minors_match_blocks(build(symbolic_spec(), MatrixQuery(0, 1, 3))).values
+    assert str(symbolic[1]) == "-b^2 + c1*a*b + c2*a^2"
+    assert symbolic[2].is_zero()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -39,7 +40,8 @@ def test_rising_grid_passes_with_pinned_counts():
     report = run_grid(GridSpec(identity="theorem1", n=(1, 2), r=(1, 2)))
     assert report.passed
     assert report.checked == 10  # d sweeps 1..r+1 inside each (n, r)
-    assert (report.mul_count, report.div_count) == (39, 1)
+    # one build and one elimination per (n, r) row
+    assert (report.mul_count, report.div_count) == (25, 1)
 
 
 def test_reports_are_deterministic_up_to_wall_time():
@@ -118,11 +120,14 @@ def test_degenerate_spec_errors_are_reported_structurally():
     spec = RecurrenceSpec(rational(0), rational(1), rational(1), rational(0))
     report = run_grid(GridSpec(identity="theorem2", spec=spec, domain=ring.RATIONAL, n=(-1, -1), r=(1, 1)))
     assert report.checked == 2
-    assert len(report.mismatches) == 1
-    only = report.mismatches[0]
-    assert only.lhs.startswith("error(ZeroDivisionError")
-    assert only.rhs.startswith("error(ZeroDivisionError")
-    assert only.lhs != only.rhs
+    # both sides fail at d = 1 with the same message; that is still no PASS
+    assert len(report.mismatches) == 2
+    same, different = report.mismatches
+    assert same.point == {"n": -1, "r": 1, "d": 1}
+    assert same.lhs == same.rhs == "error(ZeroDivisionError: exact division by zero)"
+    assert different.lhs.startswith("error(ZeroDivisionError")
+    assert different.rhs.startswith("error(ZeroDivisionError")
+    assert different.lhs != different.rhs
 
 
 def test_rank_zero_windows():
@@ -140,6 +145,24 @@ def test_square_window_clipping():
 def test_cofactor_oracle():
     report = run_grid(GridSpec(identity="theorem1", n=(0, 1), r=(0, 2), oracle="cofactor"))
     assert report.passed and report.checked == 12
+
+
+def test_shared_row_pass_agrees_with_per_point_cofactor():
+    # bareiss reads every d of an (n, r) row off one elimination; cofactor
+    # still evaluates each point on its own
+    degenerate = RecurrenceSpec(rational(0), rational(1), rational(1), rational(0))
+    grids = [
+        GridSpec(identity="theorem1", n=(-3, 3), r=(0, 4)),
+        GridSpec(identity="rank-zero", n=(-3, 3), r=(0, 4)),
+        GridSpec(identity="theorem1", n=(0, 1), r=(1, 4), d=(2, 3)),
+        GridSpec(identity="theorem2", spec=degenerate, domain=ring.RATIONAL, n=(-2, 1), r=(0, 2)),
+    ]
+    for grid in grids:
+        shared = run_grid(grid)
+        alone = run_grid(dataclasses.replace(grid, oracle="cofactor"))
+        assert shared.checked == alone.checked
+        assert shared.mismatches == alone.mismatches
+        assert shared.passed == (grid.spec is None)
 
 
 def test_random_minor_identity():
