@@ -366,6 +366,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (
         ValueError,
         ZeroDivisionError,
+        OverflowError,
         ring.DomainMismatchError,
         ring.InexactDivisionError,
         ring.NotInvertibleError,

@@ -56,9 +56,6 @@ class SquareMatrix:
     def entry(self, i: int, j: int) -> ExactScalar:
         return self.rows[i][j]
 
-    def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(tuple(zip(*self.rows)))
-
     def drop_row_col(self, i: int, j: int) -> "SquareMatrix":
         return SquareMatrix(
             tuple(row[:j] + row[j + 1:] for k, row in enumerate(self.rows) if k != i)

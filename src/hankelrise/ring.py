@@ -5,8 +5,8 @@ An ExactScalar is an immutable tagged value in one of:
   * ``int``  -- arbitrary-precision integers (plain Python int)
   * ``rat``  -- reduced rationals with positive denominator (fractions.Fraction)
   * ``poly`` -- sparse polynomials over the integers in the four variables
-                a, b, c1, c2, stored as a map from exponent vectors
-                (ea, eb, ec1, ec2) to nonzero integer coefficients
+                a, b, c1, c2: a map from monomials to nonzero integer
+                coefficients, each monomial packed into one int key
 
 Arithmetic between different domains is an error, except that an integer
 widens into either other domain as a constant.  Division never rounds:
@@ -19,6 +19,15 @@ no payload arithmetic (an operand that is exactly zero or one, a zero
 dividend, a divisor of one) are not counted; counts are deterministic for
 a given computation.
 
+Polynomial monomials are packed exponent vectors (Monagan & Pearce,
+CASC 2007): the total degree in the top bits, then ea, eb, ec1, ec2 in
+16-bit fields.  Integer order of the keys is then graded lexicographic
+order of (ea, eb, ec1, ec2), and the product of two monomials is the sum
+of their keys.  Total degree is capped at 32767, so no field ever carries
+into its neighbour; a monomial or product beyond the cap raises
+OverflowError rather than wrapping.  The packing stays internal:
+``Poly(terms)`` and ``Poly.terms`` speak (ea, eb, ec1, ec2) tuples.
+
 Polynomials print in a canonical form: monomials in ascending graded
 lexicographic order of their (ea, eb, ec1, ec2) exponent vectors, factors
 inside a monomial in the order c1, c2, a, b.  The discriminant-like
@@ -28,6 +37,7 @@ quantity b*b - c1*a*b - c2*a*a therefore prints as
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -44,7 +54,6 @@ VARIABLES = ("a", "b", "c1", "c2")
 _PRINT_ORDER = (2, 3, 0, 1)
 
 Monomial = Tuple[int, int, int, int]
-_ZERO_MONO: Monomial = (0, 0, 0, 0)
 
 
 class DomainMismatchError(TypeError):
@@ -98,28 +107,98 @@ def _tick_div() -> None:
 
 
 # ---------------------------------------------------------------------------
-# sparse polynomials over Z in (a, b, c1, c2)
+# sparse polynomials over Z in (a, b, c1, c2), keyed by packed exponents
+
+# A monomial is one int: its total degree in the top field, then ea, eb,
+# ec1, ec2 in fields of _FIELD_BITS bits each.  Degrees are capped at
+# _MAX_DEGREE, so every exponent fits its field with the field's top bit
+# clear; exact_div relies on that bit to see a borrow.
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_MAX_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
+_DEGREE_SHIFT = 4 * _FIELD_BITS
+_SHIFTS = (3 * _FIELD_BITS, 2 * _FIELD_BITS, _FIELD_BITS, 0)  # ea, eb, ec1, ec2
+_BORROW_BITS = sum(1 << (shift + _FIELD_BITS - 1) for shift in _SHIFTS)
 
 
-def _grlex(mono: Monomial) -> Tuple[int, Monomial]:
-    return (mono[0] + mono[1] + mono[2] + mono[3], mono)
+def _pack(mono: Monomial) -> int:
+    valid = isinstance(mono, tuple) and len(mono) == 4
+    if not (valid and all(type(e) is int and e >= 0 for e in mono)):
+        raise ValueError(f"monomial {mono!r} is not four non-negative int exponents")
+    degree = sum(mono)
+    if degree > _MAX_DEGREE:
+        raise OverflowError(f"monomial {mono!r} exceeds the packed degree limit {_MAX_DEGREE}")
+    key = degree << _DEGREE_SHIFT
+    for shift, exponent in zip(_SHIFTS, mono):
+        key |= exponent << shift
+    return key
+
+
+def _unpack(key: int) -> Monomial:
+    return tuple((key >> shift) & _FIELD_MASK for shift in _SHIFTS)
+
+
+class _Terms(Mapping):
+    """Read-only view of packed terms keyed by (ea, eb, ec1, ec2) tuples.
+
+    Keys are unpacked as they are read, so ``len`` costs nothing.
+    """
+
+    __slots__ = ("_packed",)
+
+    def __init__(self, packed: Dict[int, int]):
+        self._packed = packed
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return map(_unpack, self._packed)
+
+    def __getitem__(self, mono: Monomial) -> int:
+        try:
+            return self._packed[_pack(mono)]
+        except (ValueError, OverflowError):
+            raise KeyError(mono) from None
 
 
 class Poly:
-    """Sparse integer polynomial keyed by (ea, eb, ec1, ec2) exponents.
+    """Sparse integer polynomial in a, b, c1, c2.
+
+    ``Poly(terms)`` takes a map from (ea, eb, ec1, ec2) tuples of
+    non-negative ints to integer coefficients (ValueError for any other
+    key), and ``terms`` is a read-only view in the same form.  Inside,
+    each monomial is a packed int key (see _pack).  Comparing two keys as
+    ints compares the degrees first and then ea, eb, ec1, ec2 in turn,
+    because each field sits above the next and none overflows; so integer
+    order is graded lexicographic order, and multiplying two monomials is
+    adding their keys.  A monomial of total degree above 32767 does not
+    fit and raises OverflowError, whether given to the constructor or
+    made by a product.
 
     Treated as immutable after construction; zero coefficients are never
     stored.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_packed",)
 
-    def __init__(self, terms: Dict[Monomial, int]):
-        self.terms = {m: c for m, c in terms.items() if c}
+    def __init__(self, terms: Mapping[Monomial, int]):
+        self._packed = {_pack(m): c for m, c in terms.items() if c}
+
+    @classmethod
+    def _wrap(cls, packed: Dict[int, int]) -> "Poly":
+        """A Poly over already packed keys with nonzero coefficients."""
+        poly = cls.__new__(cls)
+        poly._packed = packed
+        return poly
+
+    @property
+    def terms(self) -> Mapping[Monomial, int]:
+        return _Terms(self._packed)
 
     @classmethod
     def const(cls, value: int) -> "Poly":
-        return cls({_ZERO_MONO: value}) if value else cls({})
+        return cls._wrap({0: value} if value else {})
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
@@ -130,93 +209,105 @@ class Poly:
         return cls({tuple(mono): 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def is_one(self) -> bool:
-        return self.terms == {_ZERO_MONO: 1}
+        return self._packed == {0: 1}
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
+        return isinstance(other, Poly) and self._packed == other._packed
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._packed.items()))
 
     def __add__(self, other: "Poly") -> "Poly":
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            total = merged.get(mono, 0) + coeff
+        merged = dict(self._packed)
+        for key, coeff in other._packed.items():
+            total = merged.get(key, 0) + coeff
             if total:
-                merged[mono] = total
+                merged[key] = total
             else:
-                merged.pop(mono, None)
-        return Poly(merged)
+                merged.pop(key, None)
+        return Poly._wrap(merged)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._wrap({key: -c for key, c in self._packed.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: Dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                total = out.get(key, 0) + c1 * c2
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
-        return Poly(out)
+        left, right = self._packed, other._packed
+        if not left or not right:
+            return Poly._wrap({})
+        # every exponent is at most its monomial's degree, so capping the
+        # degree of the product keeps each sum of fields inside its field
+        if (max(left) >> _DEGREE_SHIFT) + (max(right) >> _DEGREE_SHIFT) > _MAX_DEGREE:
+            raise OverflowError(f"product degree exceeds the packed degree limit {_MAX_DEGREE}")
+        out: Dict[int, int] = {}
+        get = out.get
+        for k1, c1 in left.items():
+            for k2, c2 in right.items():
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        return Poly._wrap({key: c for key, c in out.items() if c})
 
     def leading(self) -> Monomial:
-        return max(self.terms, key=_grlex)
+        return _unpack(max(self._packed))
 
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Exact quotient by repeated leading-term elimination.
 
         Raises InexactDivisionError unless divisor divides self exactly
-        (coefficients included: the quotient must stay over Z).
+        (coefficients included: the quotient must stay over Z), and
+        ZeroDivisionError for a zero divisor.
         """
-        lead = divisor.leading()
-        lead_coeff = divisor.terms[lead]
-        remainder = dict(self.terms)
-        quotient: Dict[Monomial, int] = {}
+        if not divisor._packed:
+            raise ZeroDivisionError("exact division by zero")
+        divisor_terms = divisor._packed.items()
+        lead = max(divisor._packed)
+        lead_coeff = divisor._packed[lead]
+        remainder = dict(self._packed)
+        quotient: Dict[int, int] = {}
         while remainder:
-            top = max(remainder, key=_grlex)
-            shift = (top[0] - lead[0], top[1] - lead[1], top[2] - lead[2], top[3] - lead[3])
-            if min(shift) < 0:
+            top = max(remainder)
+            # lead divides top iff no exponent field borrows: a borrow sets
+            # that field's top bit, or turns the difference negative when
+            # the degree field has to lend
+            shift = top - lead
+            if shift < 0 or shift & _BORROW_BITS:
                 raise InexactDivisionError("polynomial division leaves a remainder")
             coeff, residue = divmod(remainder[top], lead_coeff)
             if residue:
                 raise InexactDivisionError("polynomial division leaves a remainder")
             quotient[shift] = coeff
-            for mono, dc in divisor.terms.items():
-                key = (mono[0] + shift[0], mono[1] + shift[1], mono[2] + shift[2], mono[3] + shift[3])
+            for key, dc in divisor_terms:
+                key += shift
                 total = remainder.get(key, 0) - dc * coeff
                 if total:
                     remainder[key] = total
                 else:
                     remainder.pop(key, None)
-        return Poly(quotient)
+        return Poly._wrap(quotient)
 
     def evaluate(self, a: int, b: int, c1: int, c2: int):
         point = (a, b, c1, c2)
         total = 0
-        for mono, coeff in self.terms.items():
+        for key, coeff in self._packed.items():
             term = coeff
-            for position, exponent in enumerate(mono):
+            for value, exponent in zip(point, _unpack(key)):
                 if exponent:
-                    term *= point[position] ** exponent
+                    term *= value ** exponent
             total += term
         return total
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._packed:
             return "0"
         pieces = []
-        for mono in sorted(self.terms, key=_grlex):
-            coeff = self.terms[mono]
+        for key in sorted(self._packed):
+            coeff = self._packed[key]
+            mono = _unpack(key)
             factors = []
             for position in _PRINT_ORDER:
                 exponent = mono[position]

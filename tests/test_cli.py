@@ -75,6 +75,13 @@ def test_det_symbolic(capsys):
     code, out, _ = run_cli(capsys, "det", "--domain", "poly", "--n", "0", "--r", "1", "--d", "2")
     assert code == 0
     assert out.strip() == "-b^2 + c1*a*b + c2*a^2"
+    # c2^40000 is past the polynomial degree cap
+    code, _, err = run_cli(
+        capsys, "closed", "--identity", "theorem2", "--domain", "poly",
+        "--n", "40000", "--r", "1", "--d", "2",
+    )
+    assert code == 2
+    assert err.startswith("error: product degree exceeds")
 
 
 def test_det_condensation_fallback(capsys):

@@ -12,10 +12,10 @@ from hankelrise.closedform import (
     vajda_lhs,
     vajda_rhs,
 )
-from hankelrise.determinant import det_bareiss
+from hankelrise.determinant import det_bareiss, det_bareiss_minors
 from hankelrise.matgen import MatrixQuery, build
 from hankelrise.ring import integer
-from hankelrise.sequence import preset, symbolic_spec
+from hankelrise.sequence import PRESETS, preset, symbolic_spec
 
 
 def _det(spec, n, r, d, mode="rising"):
@@ -80,6 +80,24 @@ def test_general_spec_symbolic():
             for d in range(1, r + 2):
                 assert theorem2_rhs(sym, n, r, d) == _det(sym, n, r, d)
     assert str(theorem2_rhs(sym, 0, 2, 1)) == "a*b"
+
+
+def test_symbolic_theorem2_specializes_to_every_preset():
+    # both sides computed once over the poly domain, then evaluated at each
+    # preset's seeds, must equal the same sides computed over the integers
+    sym = symbolic_spec()
+    checked = 0
+    for n in range(0, 2):
+        for r in range(0, 4):
+            minors = det_bareiss_minors(build(sym, MatrixQuery(n, r, r + 1))).values
+            for d in range(1, r + 2):
+                lhs, rhs = minors[d - 1].value, theorem2_rhs(sym, n, r, d).value
+                for name, seeds in PRESETS.items():
+                    spec = preset(name)
+                    assert lhs.evaluate(*seeds) == _det(spec, n, r, d).value, (name, n, r, d)
+                    assert rhs.evaluate(*seeds) == theorem2_rhs(spec, n, r, d).value, (name, n, r, d)
+                    checked += 1
+    assert checked == 2 * 10 * len(PRESETS)
 
 
 def test_square_case_collapse():

@@ -24,6 +24,7 @@ from hankelrise.ring import (
     widen,
     zero,
 )
+from hankelrise.verify import Lcg64
 
 
 def test_integer_examples():
@@ -173,3 +174,139 @@ def test_pow_counts_are_deterministic():
         pow_signed(integer(3), 13)
     assert first.muls == second.muls > 0
     assert first.divs == second.divs == 0
+
+
+# -- packed-exponent kernel against a tuple-keyed reference ------------------
+
+
+def _grlex(mono):
+    return (sum(mono), mono)
+
+
+def _ref_mul(left, right):
+    out = {}
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            key = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_exact_div(dividend, divisor):
+    lead = max(divisor, key=_grlex)
+    remainder = dict(dividend)
+    quotient = {}
+    while remainder:
+        top = max(remainder, key=_grlex)
+        shift = tuple(t - l for t, l in zip(top, lead))
+        coeff, residue = divmod(remainder[top], divisor[lead])
+        if min(shift) < 0 or residue:
+            raise InexactDivisionError("remainder")
+        quotient[shift] = coeff
+        for mono, dc in divisor.items():
+            key = tuple(e + s for e, s in zip(mono, shift))
+            total = remainder.get(key, 0) - dc * coeff
+            if total:
+                remainder[key] = total
+            else:
+                del remainder[key]
+    return quotient
+
+
+def _ref_str(terms):
+    if not terms:
+        return "0"
+    pieces = []
+    for mono in sorted(terms, key=_grlex):
+        coeff = terms[mono]
+        factors = [
+            name if mono[i] == 1 else f"{name}^{mono[i]}"
+            for i, name in ((2, "c1"), (3, "c2"), (0, "a"), (1, "b"))
+            if mono[i]
+        ]
+        magnitude = abs(coeff)
+        if factors and magnitude == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(magnitude)] + factors)
+        pieces.append(("-" if coeff < 0 else "+", body))
+    text = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+    return text + "".join(f" {sign} {body}" for sign, body in pieces[1:])
+
+
+def _lcg_poly(rng):
+    terms = {}
+    for _ in range(rng.next_int(0, 6)):
+        mono = tuple(rng.next_int(0, 3) for _ in range(4))
+        terms[mono] = rng.next_int(-9, 9)
+    return Poly(terms)
+
+
+def _kernel_cases():
+    rng = Lcg64(31337)
+    symbols = [variable(name).value for name in ring.VARIABLES]
+    a, b, c1, c2 = symbols
+    delta = b * b - c1 * a * b - c2 * a * a
+    fixed = [Poly({}), Poly.const(1), Poly.const(-1), Poly.const(6), delta] + symbols
+    randoms = [_lcg_poly(rng) for _ in range(300)]
+    return [(p, q) for p in fixed for q in fixed] + list(zip(randoms, randoms[1:] + fixed))
+
+
+def test_packed_kernel_matches_tuple_reference():
+    inexact = 0
+    for p, q in _kernel_cases():
+        product = p * q
+        assert product.terms == _ref_mul(p.terms, q.terms)
+        assert str(product) == _ref_str(product.terms)
+        assert str(p) == _ref_str(p.terms)
+        rebuilt = Poly(dict(reversed(list(p.terms.items()))))
+        assert rebuilt == p and hash(rebuilt) == hash(p)
+        assert (p == q) == (p.terms == q.terms)
+        if q.is_zero():
+            continue
+        assert product.exact_div(q) == p
+        assert _ref_exact_div(product.terms, q.terms) == p.terms
+        try:
+            expected = _ref_exact_div(p.terms, q.terms)
+        except InexactDivisionError:
+            inexact += 1
+            with pytest.raises(InexactDivisionError):
+                p.exact_div(q)
+        else:
+            assert p.exact_div(q).terms == expected
+    assert inexact > 200
+
+
+def test_poly_division_by_zero():
+    with pytest.raises(ZeroDivisionError, match="exact division by zero"):
+        Poly.const(3).exact_div(Poly({}))
+
+
+def test_poly_rejects_malformed_monomials():
+    for mono in ((-1, 0, 0, 0), (0, 0, 0), (0, 0, 0, 0, 0), (1.0, 0, 0, 0), ("1", 0, 0, 0), 0, "abcd"):
+        with pytest.raises(ValueError):
+            Poly({mono: 1})
+    limit = 32767  # the documented degree cap
+    assert Poly({(limit, 0, 0, 0): 1}).terms == {(limit, 0, 0, 0): 1}
+    with pytest.raises(OverflowError):
+        Poly({(0, 0, limit + 1, 0): 1})
+    with pytest.raises(OverflowError):
+        Poly({(limit, 1, 0, 0): 1})
+
+
+def test_poly_product_degree_overflow():
+    half = 32767 // 2
+    high = Poly({(half, 0, 0, 0): 1, (0, 0, 0, 0): 1})
+    assert str(high * high).startswith("1 + 2*a^")
+    assert (high * high * Poly.variable("b")).leading() == (2 * half, 1, 0, 0)
+    with pytest.raises(OverflowError):
+        high * high * Poly({(0, 2, 0, 0): 1})
+
+
+def test_poly_terms_view():
+    terms = {(1, 0, 2, 0): 3, (0, 0, 0, 0): -1}
+    view = Poly(terms).terms
+    assert len(view) == 2 and view == terms and dict(view) == terms
+    assert view[(1, 0, 2, 0)] == 3 and (0, 0, 0, 1) not in view
+    assert view.get((-1, 0, 0, 0)) is None and view.get((40000, 0, 0, 0)) is None
+    assert Poly(view) == Poly(terms)
