@@ -23,11 +23,13 @@ from math import comb
 
 from . import ring
 from .ring import ExactScalar
-from .sequence import RecurrenceSpec, SequenceCache, companion_cache, delta, preset
+from .sequence import RecurrenceSpec, SequenceCache, cache_for, companion_cache, delta, preset
+
+_FIBONACCI = preset("fibonacci")
 
 
 def _fib_cache() -> SequenceCache:
-    return SequenceCache(preset("fibonacci"))
+    return cache_for(_FIBONACCI)
 
 
 def _apply_sign(value: ExactScalar, exponent: int) -> ExactScalar:
@@ -73,7 +75,7 @@ def theorem2_rhs(spec: RecurrenceSpec, n: int, r: int, d: int) -> ExactScalar:
     """
     _check_window(r, d)
     pairs = comb(d, 2)
-    cache = SequenceCache(spec)
+    cache = cache_for(spec)
     units = companion_cache(spec)
     total = ring.one(spec.domain)
     c2_exponent = (n + d - 2) * pairs
@@ -144,7 +146,7 @@ def vajda_rhs(n: int, i: int, j: int) -> ExactScalar:
 
 def generalized_vajda_lhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> ExactScalar:
     """W_n * W_{n+i+j} - W_{n+i} * W_{n+j}, evaluated literally."""
-    cache = SequenceCache(spec)
+    cache = cache_for(spec)
     return ring.sub(
         ring.mul(cache.term(n), cache.term(n + i + j)),
         ring.mul(cache.term(n + i), cache.term(n + j)),

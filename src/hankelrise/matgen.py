@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import ring
 from .ring import ExactScalar
-from .sequence import RecurrenceSpec, SequenceCache
+from .sequence import RecurrenceSpec, SequenceCache, cache_for
 
 RISING = "rising"
 POWER = "power"
@@ -75,7 +75,7 @@ class SquareMatrix:
 
 
 def build(spec: RecurrenceSpec, query: MatrixQuery) -> SquareMatrix:
-    cache = SequenceCache(spec)
+    cache = cache_for(spec)
     # one value per anti-diagonal; row i is the window starting at i
     diagonal = [_entry(cache, query.n + s, query) for s in range(2 * query.d - 1)]
     return SquareMatrix([diagonal[i:i + query.d] for i in range(query.d)])

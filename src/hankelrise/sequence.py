@@ -10,13 +10,22 @@ in both directions; negative indices extend backwards through
     W_k = (W_{k+2} - c1 * W_{k+1}) / c2
 
 which needs c2 != 0 and, outside the rational domain, an exact division at
-every step (c2 = +-1 always qualifies).  Caches are single-writer: share a
-spec across workers, not a cache.
+every step (c2 = +-1 always qualifies).
+
+cache_for, companion_cache and delta give one cache (or value) per spec
+value for the life of a shared_sequences() scope, and a new one on every
+call outside a scope.  Caches are single-writer: the scope lives in a
+ContextVar, so each thread or context has its own; share a spec across
+workers, not a cache.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar
 
 from . import ring
 from .ring import ExactScalar
@@ -44,6 +53,17 @@ class RecurrenceSpec:
     @property
     def domain(self) -> str:
         return self.a.domain
+
+    # shared_sequences() looks a spec up on every closed-form call, and
+    # hashing four Fractions was most of a lookup's cost.  The payloads
+    # alone hash the same in every process, so a copied or unpickled spec
+    # may carry the cached value.
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.a.value, self.b.value, self.c1.value, self.c2.value))
 
 
 def preset(name: str, domain: str = ring.INTEGER) -> RecurrenceSpec:
@@ -108,12 +128,55 @@ class SequenceCache:
         return value
 
 
+_SHARED: ContextVar[Optional[Dict[Tuple[str, RecurrenceSpec], object]]] = ContextVar(
+    "shared_sequences", default=None
+)
+
+_T = TypeVar("_T")
+
+
+@contextmanager
+def shared_sequences() -> Iterator[None]:
+    """Share one cache, companion cache and delta per spec until exit.
+
+    Terms computed once stay for the rest of the scope, so their
+    multiplications are counted only where first computed.  Leaving the
+    scope releases everything; a nested scope starts empty.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _shared(kind: str, spec: RecurrenceSpec, make: Callable[[RecurrenceSpec], _T]) -> _T:
+    """The scope's ``kind`` value for spec, made on first use; outside a
+    scope, a new one on every call."""
+    scope = _SHARED.get()
+    if scope is None:
+        return make(spec)
+    key = (kind, spec)
+    value = scope.get(key)
+    if value is None:
+        value = scope[key] = make(spec)
+    return value
+
+
+def cache_for(spec: RecurrenceSpec) -> SequenceCache:
+    return _shared("terms", spec, SequenceCache)
+
+
 def companion_cache(spec: RecurrenceSpec) -> SequenceCache:
-    return SequenceCache(companion(spec))
+    return _shared("companion", spec, lambda spec: SequenceCache(companion(spec)))
 
 
 def delta(spec: RecurrenceSpec) -> ExactScalar:
     """b^2 - c1*a*b - c2*a^2, the quantity controlling degeneracy of the spec."""
+    return _shared("delta", spec, _delta)
+
+
+def _delta(spec: RecurrenceSpec) -> ExactScalar:
     bb = ring.mul(spec.b, spec.b)
     c1ab = ring.mul(spec.c1, ring.mul(spec.a, spec.b))
     c2aa = ring.mul(spec.c2, ring.mul(spec.a, spec.a))

@@ -35,9 +35,12 @@ time.  Points are evaluated sequentially.  With the bareiss oracle, the
 points of one (n, r) row share one build at the top of the row's d window
 and one fraction-free elimination, whose leading minors give every d (a
 row whose shared pass fails a domain gate reports that error for every d);
-the cofactor oracle evaluates each d on its own.  Rows touch only their
-own caches, so the engine is safe to parallelize externally by row if ever
-needed, at the cost of merging operation counts.
+the cofactor oracle evaluates each d on its own.  Every build and closed
+form in one run_grid call reads the same sequence cache, companion cache
+and delta per spec (sequence.shared_sequences), released when the call
+returns.  The scope is per context, so run separate grids in separate
+threads or processes if ever needed, not the rows of one grid, and merge
+their operation counts.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .closedform import (
 from .determinant import det_bareiss, det_bareiss_minors, det_cofactor
 from .matgen import POWER, RISING, MatrixQuery, SquareMatrix, build
 from .ring import ExactScalar
-from .sequence import RecurrenceSpec, preset, symbolic_spec
+from .sequence import RecurrenceSpec, preset, shared_sequences, symbolic_spec
 
 IDENTITIES = (
     "theorem1",
@@ -170,8 +173,6 @@ def _resolve_spec(grid: GridSpec) -> RecurrenceSpec:
 def _validate(grid: GridSpec) -> RecurrenceSpec:
     if grid.identity not in IDENTITIES:
         raise ValueError(f"unknown identity {grid.identity!r}")
-    if grid.oracle not in ORACLES:
-        raise ValueError(f"unknown oracle {grid.oracle!r}")
     spec = _resolve_spec(grid)
     if grid.spec is not None and grid.spec.domain != grid.domain:
         raise ValueError("grid domain does not match the provided spec")
@@ -179,11 +180,7 @@ def _validate(grid: GridSpec) -> RecurrenceSpec:
         raise ValueError(f"{grid.identity} is a numeric Fibonacci identity")
     check_fibonacci_spec(grid.identity, grid.spec, grid.domain)
     if grid.identity == "desnanot-jacobi-random":
-        if not 3 <= grid.dim <= 7:
-            raise ValueError("random minor grids need 3 <= dim <= 7")
-        if grid.count < 1 or grid.bound < 1:
-            raise ValueError("count and bound must be positive")
-        return spec
+        return spec  # run_random_dj checks its own inputs
     needed = {
         "theorem1": ("n", "r"),
         "theorem2": ("n", "r"),
@@ -213,6 +210,8 @@ def check_fibonacci_spec(identity: str, spec: Optional[RecurrenceSpec], domain: 
 
 
 def _oracle_fn(name: str) -> Callable[[SquareMatrix], ExactScalar]:
+    if name not in ORACLES:
+        raise ValueError(f"unknown oracle {name!r}")
     runner = det_cofactor if name == "cofactor" else det_bareiss
     return lambda matrix: runner(matrix).value
 
@@ -233,7 +232,7 @@ def run_grid(grid: GridSpec) -> VerifyReport:
     started = time.perf_counter_ns()
     checked = 0
     mismatches: List[Mismatch] = []
-    with ring.count_ops() as counter:
+    with ring.count_ops() as counter, shared_sequences():
         for point, lhs, rhs in _points(grid, spec, oracle):
             checked += 1
             # an error string on either side is never agreement, even when
@@ -327,8 +326,11 @@ def run_random_dj(
 ) -> VerifyReport:
     """Check det(M) * det(interior) against the four corner minors on
     seeded random integer matrices."""
+    det = _oracle_fn(oracle)
     if not 3 <= dim <= 7:
         raise ValueError("random minor grids need 3 <= dim <= 7")
+    if count < 1 or entry_bound < 1:
+        raise ValueError("count and bound must be positive")
     if grid is None:
         grid = GridSpec(
             identity="desnanot-jacobi-random",
@@ -338,7 +340,6 @@ def run_random_dj(
             bound=entry_bound,
             oracle=oracle,
         )
-    det = _oracle_fn(oracle)
     rng = Lcg64(seed)
     started = time.perf_counter_ns()
     mismatches: List[Mismatch] = []

@@ -5,11 +5,18 @@ import sys
 
 import pytest
 
+import hankelrise
 from hankelrise.cli import _merge_range_values, _parse_range, bench_rows, main, write_bench_csv
 from hankelrise.sequence import preset
 from hankelrise.verify import GridSpec, Mismatch, VerifyReport
 
 BENCH_HEADER = "algorithm,domain,n,r,d,mul_count,div_count,fallback,wall_ns"
+
+
+# a child interpreter imports the same hankelrise as this one, whether or
+# not PYTHONPATH names the source tree
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(hankelrise.__file__)))
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +167,17 @@ def test_verify_random_minors(capsys):
     assert json.loads(out)["checked"] == 5
 
 
+def test_verify_random_minors_rejects_bad_inputs(capsys):
+    cases = [
+        (("--dim", "8"), "error: random minor grids need 3 <= dim <= 7\n"),
+        (("--count", "0"), "error: count and bound must be positive\n"),
+        (("--bound", "-2"), "error: count and bound must be positive\n"),
+    ]
+    for flags, message in cases:
+        code, out, err = run_cli(capsys, "verify", "--identity", "desnanot-jacobi-random", *flags)
+        assert (code, out, err) == (2, "", message)
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     failing = VerifyReport(
         grid=GridSpec(identity="theorem1", n=(0, 0), r=(0, 0)),
@@ -210,6 +228,7 @@ def test_bench_into_a_closed_pipe_exits_quietly():
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
+            env=CHILD_ENV,
         )
     finally:
         os.close(write_end)
@@ -308,6 +327,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "hankelrise", "seq", "--from", "0", "--to", "3"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == 0
     assert result.stdout == "0\t0\n1\t1\n2\t1\n3\t2\n"

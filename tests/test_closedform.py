@@ -15,7 +15,8 @@ from hankelrise.closedform import (
 from hankelrise.determinant import det_bareiss, det_bareiss_minors
 from hankelrise.matgen import MatrixQuery, build
 from hankelrise.ring import integer
-from hankelrise.sequence import PRESETS, preset, symbolic_spec
+from hankelrise.sequence import PRESETS, RecurrenceSpec, preset, symbolic_spec
+from hankelrise.verify import Lcg64
 
 
 def _det(spec, n, r, d, mode="rising"):
@@ -98,6 +99,31 @@ def test_symbolic_theorem2_specializes_to_every_preset():
                     assert rhs.evaluate(*seeds) == theorem2_rhs(spec, n, r, d).value, (name, n, r, d)
                     checked += 1
     assert checked == 2 * 10 * len(PRESETS)
+
+
+def test_symbolic_eq4_specializes_to_integer_points():
+    # both sides of eq4 over the poly domain, evaluated at the preset seeds
+    # and at seeded integer specs with c2 = +-1, must equal the same sides
+    # computed over the integers for that spec
+    points = list(PRESETS.values())
+    rng = Lcg64(4044)
+    for _ in range(8):
+        a, b, c1 = (rng.next_int(-9, 9) for _ in range(3))
+        points.append((a, b, c1, 2 * rng.next_int(0, 1) - 1))
+    assert {p[3] for p in points[4:]} == {-1, 1}
+    sym = symbolic_spec()
+    checked = 0
+    for n in range(0, 4):
+        for i in range(0, 5):
+            for j in range(0, 5):
+                lhs = generalized_vajda_lhs(sym, n, i, j).value
+                rhs = generalized_vajda_rhs(sym, n, i, j).value
+                for seeds in points:
+                    spec = RecurrenceSpec(*(integer(v) for v in seeds))
+                    assert lhs.evaluate(*seeds) == generalized_vajda_lhs(spec, n, i, j).value, (seeds, n, i, j)
+                    assert rhs.evaluate(*seeds) == generalized_vajda_rhs(spec, n, i, j).value, (seeds, n, i, j)
+                    checked += 1
+    assert checked == 4 * 25 * 12
 
 
 def test_square_case_collapse():

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from hankelrise import ring
@@ -6,10 +8,12 @@ from hankelrise.sequence import (
     PRESETS,
     RecurrenceSpec,
     SequenceCache,
+    cache_for,
     companion,
     companion_cache,
     delta,
     preset,
+    shared_sequences,
     symbolic_spec,
 )
 
@@ -126,3 +130,53 @@ def test_term_caching_is_consistent():
     assert near[-1] == far
     fresh = SequenceCache(preset("pell", domain=ring.RATIONAL))
     assert [fresh.term(k) for k in range(-6, 41)] == near
+
+
+def test_shared_sequences_scope():
+    def generic(domain=ring.RATIONAL):
+        return RecurrenceSpec(*(ring._make(domain, v) for v in (2, 3, 5, 7)))
+
+    spec = generic()
+    # outside a scope every call makes a new cache and recomputes delta
+    assert cache_for(spec) is not cache_for(spec)
+    assert companion_cache(spec) is not companion_cache(spec)
+    with ring.count_ops() as counter:
+        delta(spec), delta(spec)
+    assert counter.muls == 2 * 5
+    with shared_sequences():
+        # one of each per spec value, not per spec object
+        shared = cache_for(spec)
+        assert cache_for(generic()) is shared
+        assert companion_cache(spec) is companion_cache(generic())
+        assert companion_cache(spec) is not shared
+        assert [companion_cache(spec).term(k).value for k in range(3)] == [0, 1, 5]
+        # the same values in another domain are another spec
+        assert cache_for(generic(ring.INTEGER)) is not shared
+        assert cache_for(generic(ring.INTEGER)).term(0) == integer(2)
+        with ring.count_ops() as counter:
+            assert delta(spec) == delta(generic()) == rational(9 - 30 - 28)
+        assert counter.muls == 5
+        with shared_sequences():
+            assert cache_for(spec) is not shared
+        assert cache_for(spec) is shared
+    assert cache_for(spec) is not shared
+
+
+def test_shared_cache_is_unchanged_by_a_failed_step():
+    degenerate = RecurrenceSpec(rational(0), rational(1), rational(1), rational(0))
+    with shared_sequences():
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError, match="exact division by zero"):
+                cache_for(degenerate).term(-2)
+        assert cache_for(degenerate).term(3) == rational(1)
+
+
+def test_spec_hash_follows_value():
+    for domain in (ring.INTEGER, ring.RATIONAL):
+        spec = preset("pell", domain)
+        assert hash(spec) == hash(preset("pell", domain))
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and hash(copy) == hash(spec)
+    sym = symbolic_spec()
+    assert hash(sym) == hash(symbolic_spec()) and {sym: 1}[symbolic_spec()] == 1
+    assert preset("pell") != preset("pell", ring.RATIONAL)

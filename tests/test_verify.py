@@ -1,11 +1,26 @@
 import dataclasses
 import json
+import sys
+import threading
 
 import pytest
 
 from hankelrise import ring
+from hankelrise.closedform import (
+    carlitz_rhs,
+    generalized_vajda_lhs,
+    generalized_vajda_rhs,
+    hankel_rank_bound_value,
+    prodinger_rhs,
+    theorem1_rhs,
+    theorem2_rhs,
+    vajda_lhs,
+    vajda_rhs,
+)
+from hankelrise.determinant import det_bareiss
+from hankelrise.matgen import POWER, MatrixQuery, build
 from hankelrise.ring import neg, rational
-from hankelrise.sequence import RecurrenceSpec, preset
+from hankelrise.sequence import RecurrenceSpec, preset, symbolic_spec
 from hankelrise.verify import (
     GridSpec,
     Lcg64,
@@ -217,3 +232,150 @@ def test_verify_report_passed_property():
     )
     assert not report.passed
     assert json.loads(report_json(report))["pass"] is False
+
+
+def test_random_minor_grid_checks_its_own_inputs():
+    bad = [
+        (dict(oracle="condensation"), "unknown oracle 'condensation'"),
+        (dict(dim=2), "random minor grids need 3 <= dim <= 7"),
+        (dict(dim=8), "random minor grids need 3 <= dim <= 7"),
+        (dict(count=0), "count and bound must be positive"),
+        (dict(entry_bound=-2), "count and bound must be positive"),
+    ]
+    for change, message in bad:
+        args = {**dict(seed=1, count=3, dim=4, entry_bound=9, oracle="bareiss"), **change}
+        with pytest.raises(ValueError) as direct:
+            run_random_dj(**args)
+        assert str(direct.value) == message
+        grid = GridSpec(
+            identity="desnanot-jacobi-random", seed=1, count=args["count"], dim=args["dim"],
+            bound=args["entry_bound"], oracle=args["oracle"],
+        )
+        with pytest.raises(ValueError) as via_grid:
+            run_grid(grid)
+        assert str(via_grid.value) == message
+    assert run_random_dj(seed=1, count=3, dim=4, entry_bound=9, oracle="cofactor").passed
+
+
+_DEGENERATE = RecurrenceSpec(rational(0), rational(1), rational(1), rational(0))
+
+
+def _alone(thunk):
+    """One side evaluated by itself, outside any grid."""
+    try:
+        return thunk()
+    except (ring.NotInvertibleError, ring.InexactDivisionError, ZeroDivisionError) as exc:
+        return f"error({type(exc).__name__}: {exc})"
+
+
+def _det(spec, n, r, d, mode="rising"):
+    return det_bareiss(build(spec, MatrixQuery(n, r, d, mode))).value
+
+
+def _inclusive(bounds):
+    return range(bounds[0], bounds[1] + 1)
+
+
+def _points_alone(grid, spec):
+    """(point, lhs, rhs) of every grid point, each from the public functions."""
+    identity = grid.identity
+    for n in _inclusive(grid.n):
+        if identity in ("vajda", "eq4"):
+            for i in _inclusive(grid.i):
+                for j in _inclusive(grid.j):
+                    if identity == "vajda":
+                        sides = (lambda: vajda_lhs(n, i, j), lambda: vajda_rhs(n, i, j))
+                    else:
+                        sides = (
+                            lambda: generalized_vajda_lhs(spec, n, i, j),
+                            lambda: generalized_vajda_rhs(spec, n, i, j),
+                        )
+                    yield {"n": n, "i": i, "j": j}, sides
+            continue
+        for r in _inclusive(grid.r):
+            if identity == "prodinger":
+                yield {"n": n, "r": r}, (lambda: theorem1_rhs(n, r, r + 1), lambda: prodinger_rhs(n, r))
+                continue
+            if identity == "carlitz":
+                yield {"n": n, "r": r}, (lambda: _det(spec, n, r, r + 1, POWER), lambda: carlitz_rhs(n, r))
+                continue
+            window = range(r + 2, r + 4) if identity == "rank-zero" else range(1, r + 2)
+            for d in window:
+                rhs = {
+                    "theorem1": lambda: theorem1_rhs(n, r, d),
+                    "theorem2": lambda: theorem2_rhs(spec, n, r, d),
+                    "rank-zero": lambda: hankel_rank_bound_value(spec, n, r, d),
+                }[identity]
+                yield {"n": n, "r": r, "d": d}, (lambda: _det(spec, n, r, d), rhs)
+
+
+def test_shared_caches_match_points_evaluated_alone():
+    rat = ring.RATIONAL
+    grids = [
+        GridSpec(identity="theorem1", n=(-3, 3), r=(0, 4)),
+        GridSpec(identity="theorem2", spec=preset("lucas", rat), domain=rat, n=(-3, 3), r=(0, 3)),
+        GridSpec(identity="theorem2", spec=_DEGENERATE, domain=rat, n=(-2, 1), r=(0, 2)),
+        GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 1), r=(0, 2)),
+        GridSpec(identity="rank-zero", spec=preset("pell"), n=(0, 2), r=(0, 3)),
+        GridSpec(identity="prodinger", n=(-2, 3), r=(0, 4)),
+        GridSpec(identity="carlitz", n=(-2, 2), r=(0, 3)),
+        GridSpec(identity="vajda", n=(-4, 4), i=(0, 3), j=(0, 3)),
+        GridSpec(identity="eq4", spec=preset("jacobsthal", rat), domain=rat, n=(-3, 3), i=(0, 3), j=(0, 3)),
+        GridSpec(identity="eq4", spec=_DEGENERATE, domain=rat, n=(-2, 1), i=(0, 2), j=(0, 2)),
+        GridSpec(identity="eq4", domain=ring.POLYNOMIAL, n=(0, 2), i=(0, 2), j=(0, 2)),
+    ]
+    for grid in grids:
+        spec = grid.spec or (symbolic_spec() if grid.domain == ring.POLYNOMIAL else preset("fibonacci"))
+        checked = 0
+        expected = []
+        for point, (lhs_fn, rhs_fn) in _points_alone(grid, spec):
+            checked += 1
+            lhs, rhs = _alone(lhs_fn), _alone(rhs_fn)
+            if lhs != rhs or isinstance(lhs, str) or isinstance(rhs, str):
+                expected.append(Mismatch(point, str(lhs), str(rhs)))
+        report = run_grid(grid)
+        assert report.checked == checked, grid
+        assert list(report.mismatches) == expected, grid
+        assert report.passed == (grid.spec is not _DEGENERATE), grid
+    # the degenerate spec's failures are there, with their own messages
+    failed = run_grid(grids[-2]).mismatches
+    assert {m.point["n"] for m in failed} == {-2, -1}
+    assert all(m.lhs.startswith("error(ZeroDivisionError") for m in failed)
+
+
+def test_nothing_is_carried_across_grids():
+    rat = ring.RATIONAL
+    first = GridSpec(identity="eq4", spec=preset("pell", rat), domain=rat, n=(-3, 3), i=(0, 4), j=(0, 4))
+    between = GridSpec(identity="theorem2", spec=preset("pell", rat), domain=rat, n=(-3, 3), r=(0, 3))
+    before = run_grid(first)
+    run_grid(between)
+    after = run_grid(first)
+    # each term, companion term and delta once per grid (1,009 muls when
+    # every point made its own caches)
+    assert (before.mul_count, before.div_count) == (401, 75)
+    assert (before.mul_count, before.div_count) == (after.mul_count, after.div_count)
+    assert before.mismatches == after.mismatches and before.checked == after.checked
+
+
+def test_grids_in_threads_keep_their_own_caches():
+    # each thread has its own scope: a cache shared across threads would let
+    # one grid read terms another computed and report fewer multiplications
+    rat = ring.RATIONAL
+    grid = GridSpec(identity="eq4", spec=preset("lucas", rat), domain=rat, n=(-4, 4), i=(0, 4), j=(0, 4))
+    alone = run_grid(grid)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: results.append(run_grid(grid))) for _ in range(6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(results) == 6
+    for report in results:
+        assert (report.checked, report.mismatches) == (alone.checked, alone.mismatches)
+        assert (report.mul_count, report.div_count) == (alone.mul_count, alone.div_count)
