@@ -30,19 +30,11 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import ring
-from .closedform import (
-    carlitz_rhs,
-    generalized_vajda_rhs,
-    hankel_rank_bound_value,
-    prodinger_rhs,
-    theorem1_rhs,
-    theorem2_rhs,
-    vajda_rhs,
-)
+from .closedform import hankel_rank_bound_value, theorem2_rhs
 from .determinant import det_bareiss, det_cofactor, det_condensation
 from .matgen import MODES, RISING, MatrixQuery, build
 from .sequence import PRESETS, RecurrenceSpec, SequenceCache, preset, symbolic_spec
-from .verify import IDENTITIES, ORACLES, GridSpec, check_fibonacci_spec, report_json, run_grid
+from .verify import IDENTITIES, IDENTITY_TABLE, ORACLES, GridSpec, check_fibonacci_spec, report_json, run_grid
 
 _ALGORITHMS = {
     "cofactor": det_cofactor,
@@ -146,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     closed = commands.add_parser("closed", help="evaluate one closed form at a point")
     _add_spec_flags(closed)
-    closed.add_argument("--identity", choices=[i for i in IDENTITIES if i != "desnanot-jacobi-random"], required=True)
+    closed.add_argument("--identity", choices=list(IDENTITY_TABLE), required=True)
     closed.add_argument("--n", type=int, required=True)
     closed.add_argument("--r", type=int)
     closed.add_argument("--d", type=int)
@@ -222,30 +214,11 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _cmd_closed(args: argparse.Namespace) -> int:
-    identity = args.identity
-    check_fibonacci_spec(identity, _maybe_spec(args), args.domain)
-    if identity == "theorem1":
-        _require(args, "r", "d")
-        value = theorem1_rhs(args.n, args.r, args.d)
-    elif identity == "theorem2":
-        _require(args, "r", "d")
-        value = theorem2_rhs(_spec_from_args(args), args.n, args.r, args.d)
-    elif identity == "prodinger":
-        _require(args, "r")
-        value = prodinger_rhs(args.n, args.r)
-    elif identity == "carlitz":
-        _require(args, "r")
-        value = carlitz_rhs(args.n, args.r)
-    elif identity == "vajda":
-        _require(args, "i", "j")
-        value = vajda_rhs(args.n, args.i, args.j)
-    elif identity == "eq4":
-        _require(args, "i", "j")
-        value = generalized_vajda_rhs(_spec_from_args(args), args.n, args.i, args.j)
-    else:
-        _require(args, "r", "d")
-        value = hankel_rank_bound_value(_spec_from_args(args), args.n, args.r, args.d)
-    print(value)
+    spec = _spec_from_args(args)
+    check_fibonacci_spec(args.identity, spec, args.domain)
+    identity = IDENTITY_TABLE[args.identity]
+    _require(args, *identity.axes)
+    print(identity.rhs(spec, args.n, *(getattr(args, axis) for axis in identity.axes)))
     return 0
 
 
@@ -257,7 +230,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         d=args.d,
         i=args.i,
         j=args.j,
-        spec=_maybe_spec(args),
+        spec=_spec_from_args(args),
         domain=args.domain,
         oracle=args.oracle,
         seed=args.seed,
@@ -270,17 +243,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _maybe_spec(args: argparse.Namespace) -> Optional[RecurrenceSpec]:
-    if args.domain == ring.POLYNOMIAL:
-        return None
-    return _spec_from_args(args)
-
-
 def _closed_dispatch(spec: RecurrenceSpec, n: int, r: int, d: int) -> ring.ExactScalar:
     if d > r + 1:
         return hankel_rank_bound_value(spec, n, r, d)
-    if spec == preset("fibonacci", spec.domain):
-        return theorem1_rhs(n, r, d)
     return theorem2_rhs(spec, n, r, d)
 
 

@@ -1,16 +1,19 @@
 """Product-formula evaluators for the Hankel determinant identities.
 
 Every function returns the exact value of a determinant (or bilinear
-combination) as a product of recurrence terms, a power of the spec
-discriminant delta = b^2 - c1*a*b - c2*a^2, and an explicit sign.  Signs
-are resolved through exponent parity only; nothing here computes (-1)**e
-as a power.
+combination) as a product of recurrence terms, powers of the spec values
+c2, -c2 and delta = b^2 - c1*a*b - c2*a^2, and an explicit sign.  Explicit
+signs are resolved through exponent parity only; nothing here computes
+(-1)**e as a sign.
 
-Naming follows the verification grid identity ids: theorem1/prodinger/
-carlitz are the Fibonacci cases (rising powers, the d = r+1 square case,
-and plain powers respectively), theorem2/eq4 are their general-spec
-counterparts, vajda is the bilinear index-shift identity the rank
-arguments rest on.
+Naming follows the verification grid identity ids.  theorem2 (rising
+powers) and eq4 (the generalized Vajda bilinear identity the rank
+arguments rest on) hold for any spec.  theorem1 and vajda are the same
+formulas at the Fibonacci spec (a, b, c1, c2) = (0, 1, 1, 1), where
+c2 = delta = 1, and delegate to them.  prodinger (the d = r+1 square case)
+and carlitz (plain powers) are Fibonacci-only forms written out on their
+own: the grids compare them with theorem1 and with the oracle, which
+checks something only while they stay independent.
 
 The square-case evaluators accept 1 <= d <= r+1.  Beyond that window the
 matrices are rank-deficient and the determinant is zero, which
@@ -23,13 +26,9 @@ from math import comb
 
 from . import ring
 from .ring import ExactScalar
-from .sequence import RecurrenceSpec, SequenceCache, cache_for, companion_cache, delta, preset
+from .sequence import RecurrenceSpec, cache_for, companion_cache, delta, preset
 
 _FIBONACCI = preset("fibonacci")
-
-
-def _fib_cache() -> SequenceCache:
-    return cache_for(_FIBONACCI)
 
 
 def _apply_sign(value: ExactScalar, exponent: int) -> ExactScalar:
@@ -50,16 +49,7 @@ def theorem1_rhs(n: int, r: int, d: int) -> ExactScalar:
       * prod_{i=1}^{d-1} (F_i * F_{r+1-i})^(d-i)
       * prod_{i=d-1}^{2(d-1)} F_{n+i}^(r+1-d)
     """
-    _check_window(r, d)
-    fib = _fib_cache()
-    total = ring.one(ring.INTEGER)
-    running = ring.one(ring.INTEGER)
-    for i in range(1, d):
-        running = ring.mul(running, ring.mul(fib.term(i), fib.term(r + 1 - i)))
-        total = ring.mul(total, running)
-    for i in range(d - 1, 2 * d - 1):
-        total = ring.mul(total, fib.rising_power(n + i, r + 1 - d))
-    return _apply_sign(total, n * comb(d, 2) + comb(d + 1, 3))
+    return theorem2_rhs(_FIBONACCI, n, r, d)
 
 
 def theorem2_rhs(spec: RecurrenceSpec, n: int, r: int, d: int) -> ExactScalar:
@@ -70,8 +60,8 @@ def theorem2_rhs(spec: RecurrenceSpec, n: int, r: int, d: int) -> ExactScalar:
       * prod_{i=d-1}^{2(d-1)} W_{n+i}^(r+1-d)
 
     with U the companion sequence (seeds 0, 1).  Negative c2 exponents
-    require the rational domain; zero-exponent factors are skipped, so
-    d = 1 works for any spec.
+    need an invertible c2: the rational domain, or c2 = +-1; zero-exponent
+    factors are skipped, so d = 1 works for any spec.
     """
     _check_window(r, d)
     pairs = comb(d, 2)
@@ -99,7 +89,7 @@ def prodinger_rhs(n: int, r: int) -> ExactScalar:
     """
     if r < 0:
         raise ValueError("power length r must be non-negative")
-    fib = _fib_cache()
+    fib = cache_for(_FIBONACCI)
     base = ring.one(ring.INTEGER)
     for i in range(1, r + 1):
         base = ring.mul(base, fib.term(i))
@@ -115,7 +105,7 @@ def carlitz_rhs(n: int, r: int) -> ExactScalar:
     """
     if r < 0:
         raise ValueError("power length r must be non-negative")
-    fib = _fib_cache()
+    fib = cache_for(_FIBONACCI)
     staircase = ring.one(ring.INTEGER)
     running = ring.one(ring.INTEGER)
     for i in range(1, r + 1):
@@ -131,17 +121,12 @@ def carlitz_rhs(n: int, r: int) -> ExactScalar:
 
 def vajda_lhs(n: int, i: int, j: int) -> ExactScalar:
     """F_n * F_{n+i+j} - F_{n+i} * F_{n+j}, evaluated literally."""
-    fib = _fib_cache()
-    return ring.sub(
-        ring.mul(fib.term(n), fib.term(n + i + j)),
-        ring.mul(fib.term(n + i), fib.term(n + j)),
-    )
+    return generalized_vajda_lhs(_FIBONACCI, n, i, j)
 
 
 def vajda_rhs(n: int, i: int, j: int) -> ExactScalar:
     """(-1)^(n+1) * F_i * F_j."""
-    fib = _fib_cache()
-    return _apply_sign(ring.mul(fib.term(i), fib.term(j)), n + 1)
+    return generalized_vajda_rhs(_FIBONACCI, n, i, j)
 
 
 def generalized_vajda_lhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> ExactScalar:
@@ -156,7 +141,7 @@ def generalized_vajda_lhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> Exact
 def generalized_vajda_rhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> ExactScalar:
     """(-1) * (-c2)^n * delta * U_i * U_j.
 
-    Negative n needs an invertible -c2, i.e. the rational domain.
+    Negative n needs an invertible -c2: the rational domain, or c2 = +-1.
     """
     units = companion_cache(spec)
     value = ring.mul(delta(spec), ring.mul(units.term(i), units.term(j)))

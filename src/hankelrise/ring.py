@@ -479,8 +479,9 @@ def exact_div(x: ExactScalar, y: ExactScalar) -> ExactScalar:
 def pow_signed(x: ExactScalar, k: int) -> ExactScalar:
     """x**k with signed k.
 
-    Negative k requires an invertible base, which only nonzero rationals
-    are here; 0**k is an error for k <= 0.
+    Negative k requires an invertible base: a nonzero rational, or a unit
+    +-1 in any domain, which is its own inverse.  0**k is an error for
+    k <= 0.
     """
     if x.is_zero():
         if k <= 0:
@@ -489,10 +490,11 @@ def pow_signed(x: ExactScalar, k: int) -> ExactScalar:
     if k == 0:
         return one(x.domain)
     if k < 0:
-        if x.domain != RATIONAL:
+        if x.domain == RATIONAL:
+            _tick_div()
+            x = ExactScalar(RATIONAL, 1 / x.value)
+        elif not (x.is_one() or neg(x).is_one()):
             raise NotInvertibleError(f"negative power in non-invertible domain {x.domain}")
-        _tick_div()
-        x = ExactScalar(RATIONAL, 1 / x.value)
         k = -k
     result = x
     for bit in bin(k)[3:]:

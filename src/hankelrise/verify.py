@@ -17,6 +17,11 @@ Identity ids and the point shape they sweep:
   rank-zero               (n, r, d)  oracle det is zero beyond the square case
   desnanot-jacobi-random  seeded random matrices vs the corner-minor identity
 
+IDENTITY_TABLE defines every id but the random one in one row: its axes,
+whether it is Fibonacci-only, and its two sides.  Grid validation, the
+sweep and the CLI's closed command all read that row.  Fibonacci-only
+identities run over the integers only, at the Fibonacci spec.
+
 When d ranges are left unset they default to the identity's natural
 window: [1, r+1] for the square cases, [r+2, r+3] for rank-zero; explicit
 d ranges are clipped to the same windows.
@@ -48,7 +53,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import product
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import ring
 from .closedform import (
@@ -67,19 +73,55 @@ from .matgen import POWER, RISING, MatrixQuery, SquareMatrix, build
 from .ring import ExactScalar
 from .sequence import RecurrenceSpec, preset, shared_sequences, symbolic_spec
 
-IDENTITIES = (
-    "theorem1",
-    "theorem2",
-    "prodinger",
-    "carlitz",
-    "vajda",
-    "eq4",
-    "rank-zero",
-    "desnanot-jacobi-random",
-)
 
-_FIBONACCI_IDENTITIES = {"theorem1", "prodinger", "carlitz", "vajda"}
-_SPEC_IDENTITIES = {"theorem2", "eq4", "rank-zero"}
+class Identity(NamedTuple):
+    """One closed-form identity: its point axes after n, whether it holds
+    for the Fibonacci spec only, and its two sides, lhs(spec, oracle, n,
+    *axes) and rhs(spec, n, *axes).  lhs None means the oracle determinant
+    of the rising-power build, which _points shares along each (n, r) row.
+    """
+
+    axes: Tuple[str, ...]
+    fibonacci: bool
+    lhs: Optional[Callable[..., ExactScalar]]
+    rhs: Callable[..., ExactScalar]
+
+
+# The sides look up build and the closed forms in this module at call
+# time, so a wrapper or patch on verify.<name> sees every call.
+IDENTITY_TABLE: Dict[str, Identity] = {
+    "theorem1": Identity(("r", "d"), True, None, lambda spec, n, r, d: theorem1_rhs(n, r, d)),
+    "theorem2": Identity(("r", "d"), False, None, lambda spec, n, r, d: theorem2_rhs(spec, n, r, d)),
+    "prodinger": Identity(
+        ("r",),
+        True,
+        lambda spec, oracle, n, r: theorem1_rhs(n, r, r + 1),
+        lambda spec, n, r: prodinger_rhs(n, r),
+    ),
+    "carlitz": Identity(
+        ("r",),
+        True,
+        lambda spec, oracle, n, r: oracle(build(spec, MatrixQuery(n, r, r + 1, POWER))),
+        lambda spec, n, r: carlitz_rhs(n, r),
+    ),
+    "vajda": Identity(
+        ("i", "j"),
+        True,
+        lambda spec, oracle, n, i, j: vajda_lhs(n, i, j),
+        lambda spec, n, i, j: vajda_rhs(n, i, j),
+    ),
+    "eq4": Identity(
+        ("i", "j"),
+        False,
+        lambda spec, oracle, n, i, j: generalized_vajda_lhs(spec, n, i, j),
+        lambda spec, n, i, j: generalized_vajda_rhs(spec, n, i, j),
+    ),
+    "rank-zero": Identity(
+        ("r", "d"), False, None, lambda spec, n, r, d: hankel_rank_bound_value(spec, n, r, d)
+    ),
+}
+
+IDENTITIES = (*IDENTITY_TABLE, "desnanot-jacobi-random")
 
 ORACLES = ("cofactor", "bareiss")
 
@@ -176,36 +218,29 @@ def _validate(grid: GridSpec) -> RecurrenceSpec:
     spec = _resolve_spec(grid)
     if grid.spec is not None and grid.spec.domain != grid.domain:
         raise ValueError("grid domain does not match the provided spec")
-    if grid.identity in _FIBONACCI_IDENTITIES and grid.domain == ring.POLYNOMIAL:
-        raise ValueError(f"{grid.identity} is a numeric Fibonacci identity")
-    check_fibonacci_spec(grid.identity, grid.spec, grid.domain)
     if grid.identity == "desnanot-jacobi-random":
         return spec  # run_random_dj checks its own inputs
-    needed = {
-        "theorem1": ("n", "r"),
-        "theorem2": ("n", "r"),
-        "prodinger": ("n", "r"),
-        "carlitz": ("n", "r"),
-        "rank-zero": ("n", "r"),
-        "vajda": ("n", "i", "j"),
-        "eq4": ("n", "i", "j"),
-    }[grid.identity]
-    for name in needed:
-        if getattr(grid, name) is None:
+    check_fibonacci_spec(grid.identity, grid.spec, grid.domain)
+    for name in ("n", *IDENTITY_TABLE[grid.identity].axes):
+        # an unset d range means the identity's natural window
+        if name != "d" and getattr(grid, name) is None:
             raise ValueError(f"identity {grid.identity} needs a {name} range")
     # negative indices outside the rational domain need exact backward steps
-    if grid.n and grid.n[0] < 0 and spec.domain == ring.INTEGER:
-        c2 = spec.c2.value
-        if c2 not in (1, -1):
-            raise ValueError("negative n over the integers needs c2 = +-1; use the rational domain")
-    if grid.n and grid.n[0] < 0 and spec.domain == ring.POLYNOMIAL:
+    if grid.n[0] < 0 and spec.domain == ring.INTEGER and spec.c2.value not in (1, -1):
+        raise ValueError("negative n over the integers needs c2 = +-1; use the rational domain")
+    if grid.n[0] < 0 and spec.domain == ring.POLYNOMIAL:
         raise ValueError("negative n is not available in the polynomial domain")
     return spec
 
 
 def check_fibonacci_spec(identity: str, spec: Optional[RecurrenceSpec], domain: str) -> None:
-    """Reject a numeric spec other than Fibonacci for a Fibonacci-only identity."""
-    if identity in _FIBONACCI_IDENTITIES and spec is not None and spec != preset("fibonacci", domain):
+    """Reject any domain but the integers, and any spec but Fibonacci, for
+    a Fibonacci-only identity."""
+    if not IDENTITY_TABLE[identity].fibonacci:
+        return
+    if domain != ring.INTEGER:
+        raise ValueError(f"{identity} is a fibonacci identity over the integers, not {domain}")
+    if spec is not None and spec != preset("fibonacci"):
         raise ValueError(f"{identity} is specific to the fibonacci spec")
 
 
@@ -244,68 +279,36 @@ def run_grid(grid: GridSpec) -> VerifyReport:
 
 
 def _points(grid: GridSpec, spec: RecurrenceSpec, oracle):
-    identity = grid.identity
-    if identity in ("theorem1", "theorem2", "rank-zero"):
-        for n in _span(grid.n):
-            for r in _span(grid.r):
-                window = _d_window(grid, r)
-                row = None
-                if grid.oracle == "bareiss" and window:
-                    # one build at the top of the window and one elimination
-                    # give every d.  If that raises, each d alone raises the
-                    # same error: the only failing step is a backward
-                    # recurrence step inside term(n), the entry every d
-                    # computes first, and Bareiss divides only exactly, by
-                    # nonzero earlier pivots.
-                    top = MatrixQuery(n, r, window[-1], RISING)
-                    row = _guarded(lambda: det_bareiss_minors(build(spec, top)).values)
-                for d in window:
-                    point = {"n": n, "r": r, "d": d}
-                    if row is None:
-                        lhs = _guarded(lambda: oracle(build(spec, MatrixQuery(n, r, d, RISING))))
-                    else:
-                        lhs = row if isinstance(row, str) else row[d - 1]
-                    if identity == "theorem1":
-                        rhs = _guarded(lambda: theorem1_rhs(n, r, d))
-                    elif identity == "theorem2":
-                        rhs = _guarded(lambda: theorem2_rhs(spec, n, r, d))
-                    else:
-                        rhs = _guarded(lambda: hankel_rank_bound_value(spec, n, r, d))
-                    yield point, lhs, rhs
-    elif identity == "prodinger":
-        for n in _span(grid.n):
-            for r in _span(grid.r):
-                yield (
-                    {"n": n, "r": r},
-                    _guarded(lambda: theorem1_rhs(n, r, r + 1)),
-                    _guarded(lambda: prodinger_rhs(n, r)),
-                )
-    elif identity == "carlitz":
-        for n in _span(grid.n):
-            for r in _span(grid.r):
-                yield (
-                    {"n": n, "r": r},
-                    _guarded(lambda: oracle(build(spec, MatrixQuery(n, r, r + 1, POWER)))),
-                    _guarded(lambda: carlitz_rhs(n, r)),
-                )
-    elif identity == "vajda":
-        for n in _span(grid.n):
-            for i in _span(grid.i):
-                for j in _span(grid.j):
-                    yield (
-                        {"n": n, "i": i, "j": j},
-                        _guarded(lambda: vajda_lhs(n, i, j)),
-                        _guarded(lambda: vajda_rhs(n, i, j)),
-                    )
-    else:
-        for n in _span(grid.n):
-            for i in _span(grid.i):
-                for j in _span(grid.j):
-                    yield (
-                        {"n": n, "i": i, "j": j},
-                        _guarded(lambda: generalized_vajda_lhs(spec, n, i, j)),
-                        _guarded(lambda: generalized_vajda_rhs(spec, n, i, j)),
-                    )
+    identity = IDENTITY_TABLE[grid.identity]
+    if identity.lhs is not None:
+        axes = ("n", *identity.axes)
+        for values in product(*(_span(getattr(grid, axis)) for axis in axes)):
+            yield (
+                dict(zip(axes, values)),
+                _guarded(lambda: identity.lhs(spec, oracle, *values)),
+                _guarded(lambda: identity.rhs(spec, *values)),
+            )
+        return
+    for n in _span(grid.n):
+        for r in _span(grid.r):
+            window = _d_window(grid, r)
+            row = None
+            if grid.oracle == "bareiss" and window:
+                # one build at the top of the window and one elimination
+                # give every d.  If that raises, each d alone raises the
+                # same error: the only failing step is a backward
+                # recurrence step inside term(n), the entry every d
+                # computes first, and Bareiss divides only exactly, by
+                # nonzero earlier pivots.
+                top = MatrixQuery(n, r, window[-1], RISING)
+                row = _guarded(lambda: det_bareiss_minors(build(spec, top)).values)
+            for d in window:
+                point = {"n": n, "r": r, "d": d}
+                if row is None:
+                    lhs = _guarded(lambda: oracle(build(spec, MatrixQuery(n, r, d, RISING))))
+                else:
+                    lhs = row if isinstance(row, str) else row[d - 1]
+                yield point, lhs, _guarded(lambda: identity.rhs(spec, n, r, d))
 
 
 def _guarded(thunk: Callable[[], ExactScalar]):

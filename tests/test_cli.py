@@ -8,7 +8,7 @@ import pytest
 import hankelrise
 from hankelrise.cli import _merge_range_values, _parse_range, bench_rows, main, write_bench_csv
 from hankelrise.sequence import preset
-from hankelrise.verify import GridSpec, Mismatch, VerifyReport
+from hankelrise.verify import IDENTITY_TABLE, GridSpec, Mismatch, VerifyReport, run_grid
 
 BENCH_HEADER = "algorithm,domain,n,r,d,mul_count,div_count,fallback,wall_ns"
 
@@ -127,6 +127,45 @@ def test_closed_values(capsys):
         assert out.strip() == expected
 
 
+# one point per closed-form identity, and the preset it runs on (None: the
+# default Fibonacci spec)
+_CLOSED_POINTS = {
+    "theorem1": (None, {"n": 1, "r": 3, "d": 2}),
+    "theorem2": ("pell", {"n": 1, "r": 2, "d": 3}),
+    "prodinger": (None, {"n": 1, "r": 2}),
+    "carlitz": (None, {"n": 1, "r": 2}),
+    "vajda": (None, {"n": -1, "i": 1, "j": 2}),
+    "eq4": ("lucas", {"n": 2, "i": 1, "j": 2}),
+    "rank-zero": ("pell", {"n": 1, "r": 1, "d": 3}),
+}
+
+
+@pytest.mark.parametrize("identity", list(IDENTITY_TABLE))
+def test_closed_prints_the_rhs_run_grid_compares(identity, monkeypatch, capsys):
+    name, point = _CLOSED_POINTS[identity]
+    row = IDENTITY_TABLE[identity]
+    seen = []
+
+    def rhs(*args):
+        seen.append(row.rhs(*args))
+        return seen[-1]
+
+    monkeypatch.setitem(IDENTITY_TABLE, identity, row._replace(rhs=rhs))
+    grid = GridSpec(
+        identity=identity,
+        spec=preset(name) if name else None,
+        **{axis: (value, value) for axis, value in point.items()},
+    )
+    report = run_grid(grid)
+    assert report.passed and report.checked == 1 and len(seen) == 1
+    flags = ("--preset", name) if name else ()
+    code, out, _ = run_cli(
+        capsys, "closed", "--identity", identity, *flags, *(f"--{axis}={value}" for axis, value in point.items())
+    )
+    assert code == 0 and len(seen) == 2
+    assert out == f"{seen[0]}\n"
+
+
 def test_closed_missing_flags(capsys):
     code, _, err = run_cli(capsys, "closed", "--identity", "theorem1", "--n", "0")
     assert code == 2
@@ -200,6 +239,16 @@ def test_verify_rejects_spec_flags_on_fibonacci_identities(capsys):
         )
         assert code == 2 and out == ""
         assert err.startswith("error:") and "fibonacci" in err
+    # and they run over the integers only, with or without spec flags
+    for argv in (
+        ("--identity", "theorem1", "--n", "0..1", "--r", "0..1"),
+        ("--identity", "carlitz", "--preset", "fibonacci", "--n", "0", "--r", "1"),
+        ("--identity", "vajda", "--n", "0", "--i", "1", "--j", "1"),
+    ):
+        for domain in ("rat", "poly"):
+            code, out, err = run_cli(capsys, "verify", *argv, "--domain", domain)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "fibonacci" in err
     code, _, _ = run_cli(capsys, "verify", "--identity", "carlitz", "--preset", "fibonacci", "--n", "0", "--r", "1")
     assert code == 0
 
@@ -210,6 +259,10 @@ def test_closed_rejects_spec_flags_on_fibonacci_identities(capsys):
         ("--identity", "theorem1", "--preset", "lucas", "--n", "0", "--r", "1", "--d", "2"),
         ("--identity", "prodinger", "--a", "0", "--b", "1", "--c1", "2", "--c2", "1", "--n", "0", "--r", "2"),
         ("--identity", "carlitz", "--domain", "rat", "--preset", "jacobsthal", "--n", "0", "--r", "2"),
+        ("--identity", "theorem1", "--domain", "rat", "--n", "0", "--r", "1", "--d", "2"),
+        ("--identity", "carlitz", "--domain", "rat", "--n", "0", "--r", "2"),
+        ("--identity", "vajda", "--domain", "rat", "--n", "0", "--i", "1", "--j", "1"),
+        ("--identity", "prodinger", "--domain", "poly", "--n", "0", "--r", "2"),
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, "closed", *argv)
@@ -253,6 +306,23 @@ def test_bench_stdout(capsys):
     first = lines[1].split(",")
     assert first[:8] == ["bareiss", "int", "1", "5", "2", "2", "0", "false"]
     assert [row.split(",")[0] for row in lines[1:]] == ["bareiss"] * 3 + ["closed"] * 3 + ["condensation"] * 3
+
+
+def test_bench_symbolic(capsys):
+    code, out, err = run_cli(capsys, "bench", "--domain", "poly", "--r", "0..1", "--d", "1..2")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == BENCH_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 3 * 2 * 2
+    assert {row[1] for row in rows} == {"poly"}
+    closed = [row[:7] for row in rows if row[0] == "closed"]
+    assert closed == [
+        ["closed", "poly", "1", "0", "1", "0", "0"],
+        ["closed", "poly", "1", "0", "2", "0", "0"],
+        ["closed", "poly", "1", "1", "1", "0", "0"],
+        ["closed", "poly", "1", "1", "2", "6", "0"],
+    ]
 
 
 def test_bench_file_output(tmp_path, capsys):

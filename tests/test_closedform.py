@@ -65,13 +65,16 @@ def test_general_spec_matches_oracle(name):
 
 
 def test_general_spec_negative_base_needs_rationals():
+    # c2 = 2 has no integer inverse; c2 = +-1 is its own inverse, so lucas
+    # works over the integers as well as the rationals
     with pytest.raises(ring.NotInvertibleError):
-        theorem2_rhs(preset("lucas"), -3, 2, 2)
-    spec = preset("lucas", ring.RATIONAL)
-    for n in range(-4, 0):
-        for r in range(0, 4):
-            for d in range(1, r + 2):
-                assert theorem2_rhs(spec, n, r, d) == _det(spec, n, r, d)
+        theorem2_rhs(preset("jacobsthal"), -3, 2, 2)
+    for domain in (ring.INTEGER, ring.RATIONAL):
+        spec = preset("lucas", domain)
+        for n in range(-4, 0):
+            for r in range(0, 4):
+                for d in range(1, r + 2):
+                    assert theorem2_rhs(spec, n, r, d) == _det(spec, n, r, d)
 
 
 def test_general_spec_symbolic():
@@ -101,16 +104,40 @@ def test_symbolic_theorem2_specializes_to_every_preset():
     assert checked == 2 * 10 * len(PRESETS)
 
 
+def _seeded_unit_specs():
+    """8 Lcg64(4044) integer specs (a, b, c1, c2) with c2 = +-1."""
+    rng = Lcg64(4044)
+    points = []
+    for _ in range(8):
+        a, b, c1 = (rng.next_int(-9, 9) for _ in range(3))
+        points.append((a, b, c1, 2 * rng.next_int(0, 1) - 1))
+    assert {p[3] for p in points} == {-1, 1}
+    return points
+
+
+def test_symbolic_theorem2_specializes_to_integer_points():
+    # as above, at seeded integer specs instead of the presets
+    sym = symbolic_spec()
+    points = _seeded_unit_specs()
+    checked = 0
+    for n in range(0, 2):
+        for r in range(0, 4):
+            minors = det_bareiss_minors(build(sym, MatrixQuery(n, r, r + 1))).values
+            for d in range(1, r + 2):
+                lhs, rhs = minors[d - 1].value, theorem2_rhs(sym, n, r, d).value
+                for seeds in points:
+                    spec = RecurrenceSpec(*(integer(v) for v in seeds))
+                    assert lhs.evaluate(*seeds) == _det(spec, n, r, d).value, (seeds, n, r, d)
+                    assert rhs.evaluate(*seeds) == theorem2_rhs(spec, n, r, d).value, (seeds, n, r, d)
+                    checked += 1
+    assert checked == 2 * 10 * 8
+
+
 def test_symbolic_eq4_specializes_to_integer_points():
     # both sides of eq4 over the poly domain, evaluated at the preset seeds
     # and at seeded integer specs with c2 = +-1, must equal the same sides
     # computed over the integers for that spec
-    points = list(PRESETS.values())
-    rng = Lcg64(4044)
-    for _ in range(8):
-        a, b, c1 = (rng.next_int(-9, 9) for _ in range(3))
-        points.append((a, b, c1, 2 * rng.next_int(0, 1) - 1))
-    assert {p[3] for p in points[4:]} == {-1, 1}
+    points = list(PRESETS.values()) + _seeded_unit_specs()
     sym = symbolic_spec()
     checked = 0
     for n in range(0, 4):

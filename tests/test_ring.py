@@ -67,10 +67,20 @@ def test_pow_signed():
     assert pow_signed(rational(2), -2) == rational(1, 4)
     assert pow_signed(integer(5), 0) == integer(1)
     assert pow_signed(zero(ring.INTEGER), 3) == zero(ring.INTEGER)
+    # a unit is its own inverse in every domain
+    for unit in (integer(1), integer(-1), ring.poly_const(1), ring.poly_const(-1)):
+        assert pow_signed(unit, -3) == unit
+        assert pow_signed(unit, -4) == one(unit.domain)
+    # the rational path inverts once, then squares and multiplies
+    with ring.count_ops() as counter:
+        assert pow_signed(rational(2), -3) == rational(1, 8)
+    assert (counter.muls, counter.divs) == (2, 1)
     with pytest.raises(NotInvertibleError):
         pow_signed(variable("c2"), -1)
     with pytest.raises(NotInvertibleError):
         pow_signed(integer(2), -1)
+    with pytest.raises(NotInvertibleError):
+        pow_signed(integer(-2), -1)
     with pytest.raises(ZeroDivisionError):
         pow_signed(zero(ring.RATIONAL), 0)
     with pytest.raises(ZeroDivisionError):

@@ -125,10 +125,12 @@ def test_theorem2_grids():
 
 
 def test_theorem2_int_negative_base_reports_honest_errors():
-    # the closed form needs an inverse of c2 there; the engine must not hide that
-    report = run_grid(GridSpec(identity="theorem2", spec=preset("lucas"), n=(-2, -2), r=(1, 1)))
-    assert not report.passed
-    assert any("NotInvertibleError" in m.rhs for m in report.mismatches)
+    # the closed form needs an inverse of c2 there: c2 = +-1 is its own
+    # inverse over the integers, any other c2 is rejected before the sweep
+    report = run_grid(GridSpec(identity="theorem2", spec=preset("lucas"), n=(-2, 0), r=(0, 2)))
+    assert report.passed and report.checked == 18
+    with pytest.raises(ValueError, match="rational"):
+        run_grid(GridSpec(identity="theorem2", spec=preset("jacobsthal"), n=(-2, 0), r=(0, 2)))
 
 
 def test_degenerate_spec_errors_are_reported_structurally():
@@ -203,6 +205,12 @@ def test_validation_errors():
         run_grid(GridSpec(identity="vajda", n=(0, 1), i=(0, 1)))  # missing j
     with pytest.raises(ValueError):
         run_grid(GridSpec(identity="vajda", n=(0, 1), i=(0, 1), j=(0, 1), domain=ring.POLYNOMIAL))
+    # Fibonacci-only identities run over the integers only
+    rat = ring.RATIONAL
+    for identity, axes in (("theorem1", {"r": (0, 1)}), ("carlitz", {"r": (0, 1)}), ("vajda", {"i": (0, 1), "j": (0, 1)})):
+        for spec in (None, preset("fibonacci", rat)):
+            with pytest.raises(ValueError, match="fibonacci"):
+                run_grid(GridSpec(identity=identity, n=(0, 1), spec=spec, domain=rat, **axes))
     with pytest.raises(ValueError):
         run_grid(GridSpec(identity="theorem1", n=(0, 1), r=(0, 1), spec=preset("lucas")))
     with pytest.raises(ValueError):
