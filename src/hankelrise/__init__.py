@@ -49,8 +49,6 @@ from .sequence import (
 from .matgen import MatrixQuery, SquareMatrix, build
 from .determinant import (
     DetReport,
-    ZeroDivisorError,
-    condense_structured,
     det_bareiss,
     det_cofactor,
     det_condensation,

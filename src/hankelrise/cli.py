@@ -30,7 +30,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import ring
-from .closedform import hankel_rank_bound_value, theorem2_rhs
 from .determinant import det_bareiss, det_cofactor, det_condensation
 from .matgen import MODES, RISING, MatrixQuery, build
 from .sequence import PRESETS, RecurrenceSpec, SequenceCache, preset, symbolic_spec
@@ -243,12 +242,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _closed_dispatch(spec: RecurrenceSpec, n: int, r: int, d: int) -> ring.ExactScalar:
-    if d > r + 1:
-        return hankel_rank_bound_value(spec, n, r, d)
-    return theorem2_rhs(spec, n, r, d)
-
-
 def bench_rows(
     spec: RecurrenceSpec,
     n_range: Tuple[int, int],
@@ -266,9 +259,12 @@ def bench_rows(
             for r in range(r_range[0], r_range[1] + 1):
                 for d in range(d_range[0], d_range[1] + 1):
                     if algorithm == "closed":
+                        # the value verify compares: the product form, or
+                        # the rank bound beyond the square case
+                        closed = IDENTITY_TABLE["rank-zero" if d > r + 1 else "theorem2"].rhs
                         with ring.count_ops() as counter:
                             started = time.perf_counter_ns()
-                            _closed_dispatch(spec, n, r, d)
+                            closed(spec, n, r, d)
                             wall = time.perf_counter_ns() - started
                         muls, divs, fallback = counter.muls, counter.divs, False
                     else:

@@ -1,7 +1,6 @@
 """Exact determinants with deterministic operation counts.
 
-Three general algorithms over any scalar domain, plus a structured
-recurrence specialized to the rising-power Hankel family:
+Three general algorithms over any scalar domain:
 
   det_cofactor       Laplace expansion along the first row (dim <= 10)
   det_bareiss        fraction-free Gaussian elimination; every division is
@@ -11,8 +10,6 @@ recurrence specialized to the rising-power Hankel family:
   det_condensation   Dodgson condensation dividing by interior entries;
                      a zero interior divisor falls back to det_bareiss on
                      the whole matrix
-  condense_structured the same condensation collapsed to scalar sequences
-                     D(n, d) indexed by the matrix base offset
 
 Reports carry multiplication/division counts observed by the ring-level
 counter, so shortcut operations on exact zeros/ones are not charged.
@@ -26,7 +23,6 @@ from typing import NamedTuple, Tuple
 from . import ring
 from .ring import ExactScalar
 from .matgen import SquareMatrix
-from .sequence import RecurrenceSpec, SequenceCache
 
 COFACTOR = "cofactor"
 BAREISS = "bareiss"
@@ -34,10 +30,6 @@ CONDENSATION = "condensation"
 CONDENSATION_FALLBACK = "condensation-fallback"
 
 _COFACTOR_LIMIT = 10
-
-
-class ZeroDivisorError(ArithmeticError):
-    """Structured condensation hit a zero intermediate divisor."""
 
 
 @dataclass(frozen=True)
@@ -178,35 +170,3 @@ def _condense(matrix: SquareMatrix):
         older, current = current, tuple(nxt)
     return current[0][0]
 
-
-def condense_structured(spec: RecurrenceSpec, n: int, r: int, d: int) -> ExactScalar:
-    """Rising-power Hankel determinant via the two-level scalar recurrence
-
-        D(m, t) = (D(m, t-1) * D(m+2, t-1) - D(m+1, t-1)^2) / D(m+2, t-2)
-
-    seeded by D(m, 0) = 1 and D(m, 1) = W_m^(r).  Raises ZeroDivisorError
-    when an intermediate divisor vanishes; callers fall back to
-    det_bareiss on the built matrix.
-    """
-    if d < 1:
-        raise ValueError("matrix dimension d must be at least 1")
-    if r < 0:
-        raise ValueError("power length r must be non-negative")
-    cache = SequenceCache(spec)
-    domain = spec.domain
-    below = [ring.one(domain)] * (2 * d - 1)                      # level 0
-    current = [cache.rising_power(n + m, r) for m in range(2 * d - 1)]  # level 1
-    for level in range(2, d + 1):
-        width = 2 * (d - level) + 1
-        nxt = []
-        for m in range(width):
-            divisor = below[m + 2]
-            if divisor.is_zero():
-                raise ZeroDivisorError(f"zero divisor at level {level - 2}, offset {m + 2}")
-            numerator = ring.sub(
-                ring.mul(current[m], current[m + 2]),
-                ring.mul(current[m + 1], current[m + 1]),
-            )
-            nxt.append(ring.exact_div(numerator, divisor))
-        below, current = current, nxt
-    return current[0]

@@ -382,10 +382,6 @@ def rational(numerator, denominator=1) -> ExactScalar:
     return ExactScalar(RATIONAL, Fraction(numerator, denominator))
 
 
-def polynomial(value: Poly) -> ExactScalar:
-    return ExactScalar(POLYNOMIAL, value)
-
-
 def poly_const(value: int) -> ExactScalar:
     return ExactScalar(POLYNOMIAL, Poly.const(value))
 

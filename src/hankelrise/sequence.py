@@ -14,9 +14,10 @@ every step (c2 = +-1 always qualifies).
 
 cache_for, companion_cache and delta give one cache (or value) per spec
 value for the life of a shared_sequences() scope, and a new one on every
-call outside a scope.  Caches are single-writer: the scope lives in a
-ContextVar, so each thread or context has its own; share a spec across
-workers, not a cache.
+call outside a scope.  A spec seeded (0, 1) is its own companion, so
+within a scope its companion cache is its terms cache.  Caches are
+single-writer: the scope lives in a ContextVar, so each thread or
+context has its own; share a spec across workers, not a cache.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def cache_for(spec: RecurrenceSpec) -> SequenceCache:
 
 
 def companion_cache(spec: RecurrenceSpec) -> SequenceCache:
-    return _shared("companion", spec, lambda spec: SequenceCache(companion(spec)))
+    return _shared("companion", spec, lambda spec: cache_for(companion(spec)))
 
 
 def delta(spec: RecurrenceSpec) -> ExactScalar:

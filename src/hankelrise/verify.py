@@ -4,6 +4,9 @@ A GridSpec names one identity and the inclusive integer ranges to sweep;
 run_grid evaluates both sides at every point in lexicographic order and
 reports mismatches with both values as canonical strings.  Comparison is
 structural equality of exact scalars: there are no tolerances anywhere.
+run_grid is the one loop for every grid, the random one included: it
+validates the grid, then times, counts, scopes and judges the points a
+point source yields (run_random_dj only builds a GridSpec for it).
 
 Identity ids and the point shape they sweep:
 
@@ -23,8 +26,11 @@ sweep and the CLI's closed command all read that row.  Fibonacci-only
 identities run over the integers only, at the Fibonacci spec.
 
 When d ranges are left unset they default to the identity's natural
-window: [1, r+1] for the square cases, [r+2, r+3] for rank-zero; explicit
-d ranges are clipped to the same windows.
+window: [1, r+1] for the square cases, [r+2, r+3] for rank-zero.  An
+explicit d range is clipped to [1, r+1] for the square cases, and for
+rank-zero below at r+2 but not above.  A grid is rejected before the
+sweep when an r range goes below zero, or when a d range leaves the
+window of every r empty.
 
 Random matrices come from a 64-bit linear congruential generator chosen
 for cross-language reproducibility:
@@ -121,7 +127,9 @@ IDENTITY_TABLE: Dict[str, Identity] = {
     ),
 }
 
-IDENTITIES = (*IDENTITY_TABLE, "desnanot-jacobi-random")
+_RANDOM = "desnanot-jacobi-random"
+
+IDENTITIES = (*IDENTITY_TABLE, _RANDOM)
 
 ORACLES = ("cofactor", "bareiss")
 
@@ -218,13 +226,26 @@ def _validate(grid: GridSpec) -> RecurrenceSpec:
     spec = _resolve_spec(grid)
     if grid.spec is not None and grid.spec.domain != grid.domain:
         raise ValueError("grid domain does not match the provided spec")
-    if grid.identity == "desnanot-jacobi-random":
-        return spec  # run_random_dj checks its own inputs
+    if grid.identity == _RANDOM:
+        if not 3 <= grid.dim <= 7:
+            raise ValueError("random minor grids need 3 <= dim <= 7")
+        if grid.count < 1 or grid.bound < 1:
+            raise ValueError("count and bound must be positive")
+        return spec
+    axes = IDENTITY_TABLE[grid.identity].axes
     check_fibonacci_spec(grid.identity, grid.spec, grid.domain)
-    for name in ("n", *IDENTITY_TABLE[grid.identity].axes):
+    for name in ("n", *axes):
         # an unset d range means the identity's natural window
         if name != "d" and getattr(grid, name) is None:
             raise ValueError(f"identity {grid.identity} needs a {name} range")
+    if "r" in axes and grid.r[0] < 0:
+        raise ValueError("power length r must be non-negative")
+    if "d" in axes and grid.d is not None and not any(_d_window(grid, r) for r in _span(grid.r)):
+        window = "r+2.." if grid.identity == "rank-zero" else "1..r+1"
+        raise ValueError(
+            f"d range {grid.d[0]}..{grid.d[1]} is outside the window {window} of every r"
+            f" in {grid.r[0]}..{grid.r[1]}"
+        )
     # negative indices outside the rational domain need exact backward steps
     if grid.n[0] < 0 and spec.domain == ring.INTEGER and spec.c2.value not in (1, -1):
         raise ValueError("negative n over the integers needs c2 = +-1; use the rational domain")
@@ -260,15 +281,19 @@ def _d_window(grid: GridSpec, r: int) -> range:
 
 
 def run_grid(grid: GridSpec) -> VerifyReport:
+    """Sweep any grid: the one loop that times, counts, scopes and judges
+    every point."""
     spec = _validate(grid)
-    if grid.identity == "desnanot-jacobi-random":
-        return run_random_dj(grid.seed, grid.count, grid.dim, grid.bound, grid.oracle, grid)
     oracle = _oracle_fn(grid.oracle)
+    if grid.identity == _RANDOM:
+        points = _random_points(grid, oracle)
+    else:
+        points = _points(grid, spec, oracle)
     started = time.perf_counter_ns()
     checked = 0
     mismatches: List[Mismatch] = []
     with ring.count_ops() as counter, shared_sequences():
-        for point, lhs, rhs in _points(grid, spec, oracle):
+        for point, lhs, rhs in points:
             checked += 1
             # an error string on either side is never agreement, even when
             # both sides failed the same way
@@ -319,48 +344,30 @@ def _guarded(thunk: Callable[[], ExactScalar]):
         return f"error({type(exc).__name__}: {exc})"
 
 
-def run_random_dj(
-    seed: int,
-    count: int,
-    dim: int,
-    entry_bound: int,
-    oracle: str = "bareiss",
-    grid: Optional[GridSpec] = None,
-) -> VerifyReport:
-    """Check det(M) * det(interior) against the four corner minors on
-    seeded random integer matrices."""
-    det = _oracle_fn(oracle)
-    if not 3 <= dim <= 7:
-        raise ValueError("random minor grids need 3 <= dim <= 7")
-    if count < 1 or entry_bound < 1:
-        raise ValueError("count and bound must be positive")
-    if grid is None:
-        grid = GridSpec(
-            identity="desnanot-jacobi-random",
-            seed=seed,
-            count=count,
-            dim=dim,
-            bound=entry_bound,
-            oracle=oracle,
+def _random_points(grid: GridSpec, oracle):
+    """det(M) * det(interior) against the four corner minors, one case per
+    seeded random integer matrix."""
+    rng = Lcg64(grid.seed)
+    dim, bound, last = grid.dim, grid.bound, grid.dim - 1
+    for case in range(grid.count):
+        matrix = SquareMatrix(
+            tuple(
+                tuple(ring.integer(rng.next_int(-bound, bound)) for _ in range(dim))
+                for _ in range(dim)
+            )
         )
-    rng = Lcg64(seed)
-    started = time.perf_counter_ns()
-    mismatches: List[Mismatch] = []
-    with ring.count_ops() as counter:
-        for case in range(count):
-            matrix = SquareMatrix(
-                tuple(
-                    tuple(ring.integer(rng.next_int(-entry_bound, entry_bound)) for _ in range(dim))
-                    for _ in range(dim)
-                )
-            )
-            last = dim - 1
-            lhs = ring.mul(det(matrix), det(matrix.interior()))
-            rhs = ring.sub(
-                ring.mul(det(matrix.drop_row_col(0, 0)), det(matrix.drop_row_col(last, last))),
-                ring.mul(det(matrix.drop_row_col(0, last)), det(matrix.drop_row_col(last, 0))),
-            )
-            if lhs != rhs:
-                mismatches.append(Mismatch({"case": case}, str(lhs), str(rhs)))
-    elapsed_ms = (time.perf_counter_ns() - started) // 1_000_000
-    return VerifyReport(grid, count, tuple(mismatches), elapsed_ms, counter.muls, counter.divs)
+        lhs = ring.mul(oracle(matrix), oracle(matrix.interior()))
+        rhs = ring.sub(
+            ring.mul(oracle(matrix.drop_row_col(0, 0)), oracle(matrix.drop_row_col(last, last))),
+            ring.mul(oracle(matrix.drop_row_col(0, last)), oracle(matrix.drop_row_col(last, 0))),
+        )
+        yield {"case": case}, lhs, rhs
+
+
+def run_random_dj(
+    seed: int, count: int, dim: int, entry_bound: int, oracle: str = "bareiss"
+) -> VerifyReport:
+    """run_grid on the corner-minor identity over seeded random matrices."""
+    return run_grid(
+        GridSpec(identity=_RANDOM, seed=seed, count=count, dim=dim, bound=entry_bound, oracle=oracle)
+    )

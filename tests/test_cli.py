@@ -217,6 +217,16 @@ def test_verify_random_minors_rejects_bad_inputs(capsys):
         assert (code, out, err) == (2, "", message)
 
 
+def test_verify_rejects_grids_it_cannot_sweep(capsys):
+    cases = [
+        (("--r", "2", "--d", "5..9"), "error: d range 5..9 is outside the window 1..r+1 of every r in 2..2\n"),
+        (("--r=-2..1",), "error: power length r must be non-negative\n"),
+    ]
+    for flags, message in cases:
+        code, out, err = run_cli(capsys, "verify", "--identity", "theorem1", "--n", "0", *flags)
+        assert (code, out, err) == (2, "", message)
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     failing = VerifyReport(
         grid=GridSpec(identity="theorem1", n=(0, 0), r=(0, 0)),

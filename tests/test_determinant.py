@@ -4,16 +4,14 @@ import pytest
 
 from hankelrise import ring
 from hankelrise.determinant import (
-    ZeroDivisorError,
-    condense_structured,
     det_bareiss,
     det_bareiss_minors,
     det_cofactor,
     det_condensation,
 )
-from hankelrise.matgen import MatrixQuery, SquareMatrix, build
+from hankelrise.matgen import MODES, MatrixQuery, SquareMatrix, build
 from hankelrise.ring import integer, rational
-from hankelrise.sequence import preset, symbolic_spec
+from hankelrise.sequence import RecurrenceSpec, preset, symbolic_spec
 from hankelrise.verify import Lcg64
 
 ALGORITHMS = [det_cofactor, det_bareiss, det_condensation]
@@ -145,29 +143,6 @@ def test_desnanot_jacobi_on_random_matrices():
         assert lhs == rhs
 
 
-def test_condense_structured_matches_dense():
-    spec = preset("fibonacci")
-    for n in range(0, 4):
-        for r in range(1, 4):
-            for d in range(1, r + 2):
-                dense = det_bareiss(build(spec, MatrixQuery(n, r, d))).value
-                assert condense_structured(spec, n, r, d) == dense
-
-
-def test_condense_structured_zero_divisor():
-    # F_0 sits on a divisor level for this base offset
-    with pytest.raises(ZeroDivisorError):
-        condense_structured(preset("fibonacci"), -2, 1, 3)
-
-
-def test_condense_structured_validation():
-    spec = preset("fibonacci")
-    with pytest.raises(ValueError):
-        condense_structured(spec, 0, -1, 2)
-    with pytest.raises(ValueError):
-        condense_structured(spec, 0, 1, 0)
-
-
 def _leading(matrix, k):
     return SquareMatrix(tuple(row[:k] for row in matrix.rows[:k]))
 
@@ -223,3 +198,40 @@ def test_bareiss_minors_on_hankel_builds():
     symbolic = _assert_minors_match_blocks(build(symbolic_spec(), MatrixQuery(0, 1, 3))).values
     assert str(symbolic[1]) == "-b^2 + c1*a*b + c2*a^2"
     assert symbolic[2].is_zero()
+
+
+def test_algorithms_agree_on_hankel_builds_with_zero_leading_entries():
+    # F_0 = 0 sits on the anti-diagonals of these builds (n <= 0, and n < 0
+    # reaches it through backward steps); the c2 = 0 spec has W_k = 1 for
+    # k >= 1 and W_0 = 0.  Condensation divides by interior entries, so it
+    # meets those zeros and must fall back to the same value.
+    rat = ring.RATIONAL
+    degenerate = RecurrenceSpec(rational(0), rational(1), rational(1), rational(0))
+    builds = [
+        (preset("fibonacci"), range(-4, 3)),
+        (degenerate, range(0, 3)),
+        (preset("lucas", rat), range(-4, 2)),
+        (preset("jacobsthal", rat), range(-3, 2)),
+    ]
+    blocks = fallbacks = 0
+    for spec, ns in builds:
+        for n in ns:
+            for r in range(0, 5):
+                for mode in MODES:
+                    matrix = build(spec, MatrixQuery(n, r, r + 3, mode))
+                    minors = det_bareiss_minors(matrix).values
+                    for k in range(1, matrix.dim + 1):
+                        block = _leading(matrix, k)
+                        condensed = det_condensation(block)
+                        values = {
+                            det_cofactor(block).value,
+                            det_bareiss(block).value,
+                            condensed.value,
+                            minors[k - 1],
+                        }
+                        assert len(values) == 1, (spec, n, r, mode, k)
+                        blocks += 1
+                        fallbacks += condensed.fallback_used
+    assert blocks == 1050 and fallbacks > 0
+    report = det_condensation(build(preset("fibonacci"), MatrixQuery(-2, 1, 3)))
+    assert report.fallback_used and report.algorithm == "condensation-fallback"

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+import hankelrise.verify as verify_module
 from hankelrise import ring
 from hankelrise.closedform import (
     carlitz_rhs,
@@ -157,6 +158,9 @@ def test_rank_zero_windows():
 def test_square_window_clipping():
     report = run_grid(GridSpec(identity="theorem1", n=(0, 0), r=(2, 2), d=(2, 99)))
     assert report.passed and report.checked == 2  # d clipped to 2..r+1
+    # a window left empty for some r but not all still clips
+    report = run_grid(GridSpec(identity="theorem1", n=(0, 0), r=(1, 3), d=(3, 9)))
+    assert report.passed and report.checked == 3  # r = 1 has no d in 3..2
 
 
 def test_cofactor_oracle():
@@ -194,7 +198,7 @@ def test_random_minor_identity():
     assert json.loads(report_json(via_grid))["identity"] == "desnanot-jacobi-random"
 
 
-def test_validation_errors():
+def test_validation_errors(monkeypatch):
     with pytest.raises(ValueError):
         run_grid(GridSpec(identity="theorem3", n=(0, 1), r=(0, 1)))
     with pytest.raises(ValueError):
@@ -227,6 +231,26 @@ def test_validation_errors():
         run_grid(GridSpec(identity="desnanot-jacobi-random", dim=8))
     with pytest.raises(ValueError):
         run_grid(GridSpec(identity="desnanot-jacobi-random", count=0))
+    # grids the sweep cannot honour are rejected before it starts: any call
+    # into the sweep now fails the test
+    for name in ("MatrixQuery", "build", "det_bareiss_minors", "theorem1_rhs", "theorem2_rhs",
+                 "prodinger_rhs", "carlitz_rhs", "hankel_rank_bound_value"):
+        monkeypatch.setattr(verify_module, name, _swept)
+    for identity in ("theorem1", "theorem2", "prodinger", "carlitz", "rank-zero"):
+        with pytest.raises(ValueError, match="^power length r must be non-negative$"):
+            run_grid(GridSpec(identity=identity, n=(0, 0), r=(-2, 1)))
+    for identity, r, d in (
+        ("theorem1", (2, 2), (5, 9)),
+        ("theorem2", (0, 3), (-3, 0)),
+        ("rank-zero", (2, 2), (1, 3)),
+        ("rank-zero", (1, 3), (1, 2)),
+    ):
+        with pytest.raises(ValueError, match=f"^d range {d[0]}\\.\\.{d[1]} "):
+            run_grid(GridSpec(identity=identity, n=(0, 0), r=r, d=d))
+
+
+def _swept(*args, **kwargs):
+    raise AssertionError("the sweep started")
 
 
 def test_verify_report_passed_property():
@@ -240,6 +264,37 @@ def test_verify_report_passed_property():
     )
     assert not report.passed
     assert json.loads(report_json(report))["pass"] is False
+
+
+@pytest.mark.parametrize("oracle", ["bareiss", "cofactor"])
+def test_random_minor_grid_is_run_grids_sweep(oracle):
+    direct = run_random_dj(seed=2, count=40, dim=5, entry_bound=9, oracle=oracle)
+    grid = GridSpec(identity="desnanot-jacobi-random", seed=2, count=40, dim=5, bound=9, oracle=oracle)
+    swept = run_grid(grid)
+    assert direct.passed and direct.checked == swept.checked == 40
+    assert direct.mismatches == swept.mismatches
+    assert (direct.mul_count, direct.div_count) == (swept.mul_count, swept.div_count)
+    # pinned exact counts of this stream
+    assert (direct.mul_count, direct.div_count) == {"bareiss": (6518, 1326), "cofactor": (11792, 0)}[oracle]
+    assert direct.grid == swept.grid == grid
+
+
+@pytest.mark.parametrize("oracle", ["bareiss", "cofactor"])
+def test_wrong_oracle_fails_the_random_minor_grid(oracle, monkeypatch):
+    # off by one, not a sign flip: the corner-minor identity still holds
+    # when every determinant is negated
+    name = f"det_{oracle}"
+    genuine = getattr(verify_module, name)
+
+    def off_by_one(matrix):
+        report = genuine(matrix)
+        return dataclasses.replace(report, value=ring.add(report.value, ring.integer(1)))
+
+    monkeypatch.setattr(verify_module, name, off_by_one)
+    report = run_grid(GridSpec(identity="desnanot-jacobi-random", seed=2, count=25, dim=4, oracle=oracle))
+    assert not report.passed and report.checked == 25
+    assert report.mismatches[0].point == {"case": 0}
+    assert not run_random_dj(seed=2, count=25, dim=4, entry_bound=9, oracle=oracle).passed
 
 
 def test_random_minor_grid_checks_its_own_inputs():
@@ -358,9 +413,10 @@ def test_nothing_is_carried_across_grids():
     before = run_grid(first)
     run_grid(between)
     after = run_grid(first)
-    # each term, companion term and delta once per grid (1,009 muls when
-    # every point made its own caches)
-    assert (before.mul_count, before.div_count) == (401, 75)
+    # each term, companion term and delta once per grid; pell is seeded
+    # (0, 1), so its companion terms are its terms (1,009 muls when every
+    # point made its own caches)
+    assert (before.mul_count, before.div_count) == (399, 75)
     assert (before.mul_count, before.div_count) == (after.mul_count, after.div_count)
     assert before.mismatches == after.mismatches and before.checked == after.checked
 
