@@ -26,6 +26,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -153,11 +154,12 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--d", type=_parse_range, help="inclusive range lo..hi")
     verify.add_argument("--i", type=_parse_range, help="inclusive range lo..hi")
     verify.add_argument("--j", type=_parse_range, help="inclusive range lo..hi")
-    verify.add_argument("--oracle", choices=ORACLES, default="bareiss")
-    verify.add_argument("--seed", type=int, default=1, help="random grids only")
-    verify.add_argument("--count", type=int, default=100, help="random grids only")
-    verify.add_argument("--dim", type=int, default=4, help="random grids only")
-    verify.add_argument("--bound", type=int, default=9, help="random grids only")
+    # no defaults: a grid flag left out keeps GridSpec's default
+    verify.add_argument("--oracle", choices=ORACLES)
+    verify.add_argument("--seed", type=int, help="random grids only")
+    verify.add_argument("--count", type=int, help="random grids only")
+    verify.add_argument("--dim", type=int, help="random grids only")
+    verify.add_argument("--bound", type=int, help="random grids only")
     verify.set_defaults(handler=_cmd_verify)
 
     bench = commands.add_parser("bench", help="operation-count/time CSV over a grid")
@@ -205,39 +207,32 @@ def _cmd_det(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [name for name in names if getattr(args, name) is None]
-    if missing:
-        flags = ", ".join(f"--{name}" for name in missing)
-        raise ValueError(f"identity {args.identity} needs {flags}")
+def _require(args: argparse.Namespace, axes: Sequence[str]) -> None:
+    """Exactly the point flags the identity's row reads."""
+    missing = [f"--{name}" for name in axes if getattr(args, name) is None]
+    ignored = [
+        f"--{name}" for name in ("r", "d", "i", "j") if name not in axes and getattr(args, name) is not None
+    ]
+    for flags, verb in ((missing, "needs"), (ignored, "does not take")):
+        if flags:
+            raise ValueError(f"identity {args.identity} {verb} {', '.join(flags)}")
 
 
 def _cmd_closed(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     check_fibonacci_spec(args.identity, spec, args.domain)
     identity = IDENTITY_TABLE[args.identity]
-    _require(args, *identity.axes)
+    _require(args, identity.axes)
     print(identity.rhs(spec, args.n, *(getattr(args, axis) for axis in identity.axes)))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    grid = GridSpec(
-        identity=args.identity,
-        n=args.n,
-        r=args.r,
-        d=args.d,
-        i=args.i,
-        j=args.j,
-        spec=_spec_from_args(args),
-        domain=args.domain,
-        oracle=args.oracle,
-        seed=args.seed,
-        count=args.count,
-        dim=args.dim,
-        bound=args.bound,
-    )
-    report = run_grid(grid)
+    # only the typed flags: the defaults are GridSpec's
+    typed = {f.name: getattr(args, f.name, None) for f in fields(GridSpec)}
+    if args.domain != ring.POLYNOMIAL and {args.preset, args.a, args.b, args.c1, args.c2} != {None}:
+        typed["spec"] = _spec_from_args(args)
+    report = run_grid(GridSpec(**{name: value for name, value in typed.items() if value is not None}))
     print(report_json(report))
     return 0 if report.passed else 1
 

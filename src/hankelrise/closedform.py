@@ -60,8 +60,8 @@ def theorem2_rhs(spec: RecurrenceSpec, n: int, r: int, d: int) -> ExactScalar:
       * prod_{i=d-1}^{2(d-1)} W_{n+i}^(r+1-d)
 
     with U the companion sequence (seeds 0, 1).  Negative c2 exponents
-    need an invertible c2: the rational domain, or c2 = +-1; zero-exponent
-    factors are skipped, so d = 1 works for any spec.
+    need ring.invertible(c2); zero-exponent factors are skipped, so d = 1
+    works for any spec.
     """
     _check_window(r, d)
     pairs = comb(d, 2)
@@ -141,7 +141,7 @@ def generalized_vajda_lhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> Exact
 def generalized_vajda_rhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> ExactScalar:
     """(-1) * (-c2)^n * delta * U_i * U_j.
 
-    Negative n needs an invertible -c2: the rational domain, or c2 = +-1.
+    Negative n needs ring.invertible(-c2), which is ring.invertible(c2).
     """
     units = companion_cache(spec)
     value = ring.mul(delta(spec), ring.mul(units.term(i), units.term(j)))

@@ -361,18 +361,6 @@ class ExactScalar:
     def __repr__(self) -> str:
         return f"ExactScalar({self.domain}, {self.value})"
 
-    def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        return add(self, other)
-
-    def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        return sub(self, other)
-
-    def __mul__(self, other: "ExactScalar") -> "ExactScalar":
-        return mul(self, other)
-
-    def __neg__(self) -> "ExactScalar":
-        return neg(self)
-
 
 def integer(value: int) -> ExactScalar:
     return ExactScalar(INTEGER, int(value))
@@ -472,13 +460,16 @@ def exact_div(x: ExactScalar, y: ExactScalar) -> ExactScalar:
     return ExactScalar(POLYNOMIAL, x.value.exact_div(y.value))
 
 
-def pow_signed(x: ExactScalar, k: int) -> ExactScalar:
-    """x**k with signed k.
+def invertible(x: ExactScalar) -> bool:
+    """The one invertibility rule: x is a nonzero rational, or a unit +-1
+    in any domain, which is its own inverse."""
+    if x.domain == RATIONAL:
+        return not x.is_zero()
+    return x.is_one() or neg(x).is_one()
 
-    Negative k requires an invertible base: a nonzero rational, or a unit
-    +-1 in any domain, which is its own inverse.  0**k is an error for
-    k <= 0.
-    """
+
+def pow_signed(x: ExactScalar, k: int) -> ExactScalar:
+    """x**k with signed k: negative k needs invertible(x), and 0**k needs k > 0."""
     if x.is_zero():
         if k <= 0:
             raise ZeroDivisionError("zero cannot be raised to a non-positive power")
@@ -486,11 +477,11 @@ def pow_signed(x: ExactScalar, k: int) -> ExactScalar:
     if k == 0:
         return one(x.domain)
     if k < 0:
+        if not invertible(x):
+            raise NotInvertibleError(f"negative power in non-invertible domain {x.domain}")
         if x.domain == RATIONAL:
             _tick_div()
             x = ExactScalar(RATIONAL, 1 / x.value)
-        elif not (x.is_one() or neg(x).is_one()):
-            raise NotInvertibleError(f"negative power in non-invertible domain {x.domain}")
         k = -k
     result = x
     for bit in bin(k)[3:]:

@@ -9,8 +9,8 @@ in both directions; negative indices extend backwards through
 
     W_k = (W_{k+2} - c1 * W_{k+1}) / c2
 
-which needs c2 != 0 and, outside the rational domain, an exact division at
-every step (c2 = +-1 always qualifies).
+which needs an exact division by c2 at every step.  ring.invertible(c2)
+guarantees one, and verify admits negative n only then.
 
 cache_for, companion_cache and delta give one cache (or value) per spec
 value for the life of a shared_sequences() scope, and a new one on every

@@ -22,15 +22,20 @@ Identity ids and the point shape they sweep:
 
 IDENTITY_TABLE defines every id but the random one in one row: its axes,
 whether it is Fibonacci-only, and its two sides.  Grid validation, the
-sweep and the CLI's closed command all read that row.  Fibonacci-only
-identities run over the integers only, at the Fibonacci spec.
+sweep and the CLI's closed command all read that row.  A table identity
+takes n, its row's axes, spec, domain and oracle; the random grid takes
+seed, count, dim, bound and oracle.  Fibonacci-only identities run over
+the integers only, at the Fibonacci spec.
 
-When d ranges are left unset they default to the identity's natural
-window: [1, r+1] for the square cases, [r+2, r+3] for rank-zero.  An
-explicit d range is clipped to [1, r+1] for the square cases, and for
-rank-zero below at r+2 but not above.  A grid is rejected before the
-sweep when an r range goes below zero, or when a d range leaves the
-window of every r empty.
+An unset d range means the identity's natural window: [1, r+1] for the
+square cases, [r+2, r+3] for rank-zero.  An explicit one is clipped to
+[1, r+1] for the square cases, and for rank-zero below at r+2 but not
+above.  run_grid rejects before the sweep a field the identity does not
+take (any GridSpec field off its default), an r range below zero, a d
+range that leaves the window of every r empty, a cofactor grid whose
+largest matrix is over the cofactor limit, and negative n unless
+ring.invertible(c2): a backward step divides by c2, and the closed forms
+raise c2 (or -c2) to negative powers.
 
 Random matrices come from a 64-bit linear congruential generator chosen
 for cross-language reproducibility:
@@ -44,21 +49,20 @@ row-major, matrices consecutively from one stream seeded once.
 Reports are deterministic field by field except elapsed_ms, which is wall
 time.  Points are evaluated sequentially.  With the bareiss oracle, the
 points of one (n, r) row share one build at the top of the row's d window
-and one fraction-free elimination, whose leading minors give every d (a
-row whose shared pass fails a domain gate reports that error for every d);
-the cofactor oracle evaluates each d on its own.  Every build and closed
-form in one run_grid call reads the same sequence cache, companion cache
-and delta per spec (sequence.shared_sequences), released when the call
-returns.  The scope is per context, so run separate grids in separate
-threads or processes if ever needed, not the rows of one grid, and merge
-their operation counts.
+and one fraction-free elimination, whose leading minors give every d; the
+cofactor oracle evaluates each d on its own.  Every build and closed form
+in one run_grid call reads the same sequence cache, companion cache and
+delta per spec (sequence.shared_sequences), released when the call
+returns.  The scope is per context: run separate grids in separate
+threads or processes, not the rows of one grid, and merge their counts.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from itertools import product
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -74,7 +78,7 @@ from .closedform import (
     vajda_lhs,
     vajda_rhs,
 )
-from .determinant import det_bareiss, det_bareiss_minors, det_cofactor
+from .determinant import _COFACTOR_LIMIT, det_bareiss, det_bareiss_minors, det_cofactor
 from .matgen import POWER, RISING, MatrixQuery, SquareMatrix, build
 from .ring import ExactScalar
 from .sequence import RecurrenceSpec, preset, shared_sequences, symbolic_spec
@@ -128,6 +132,7 @@ IDENTITY_TABLE: Dict[str, Identity] = {
 }
 
 _RANDOM = "desnanot-jacobi-random"
+_RANDOM_TAKES = ("seed", "count", "dim", "bound", "oracle")
 
 IDENTITIES = (*IDENTITY_TABLE, _RANDOM)
 
@@ -212,45 +217,54 @@ def _span(bounds: Range) -> range:
     return range(lo, hi + 1)
 
 
-def _resolve_spec(grid: GridSpec) -> RecurrenceSpec:
-    if grid.spec is not None:
-        return grid.spec
-    if grid.domain == ring.POLYNOMIAL:
-        return symbolic_spec()
-    return preset("fibonacci", grid.domain)
-
-
 def _validate(grid: GridSpec) -> RecurrenceSpec:
     if grid.identity not in IDENTITIES:
         raise ValueError(f"unknown identity {grid.identity!r}")
-    spec = _resolve_spec(grid)
+    row = IDENTITY_TABLE.get(grid.identity)
+    # the fields each grid reads; every other field must keep its default
+    takes = ("n", *row.axes, "spec", "domain", "oracle") if row else _RANDOM_TAKES
+    ignored = [
+        f.name for f in fields(GridSpec)[1:] if f.name not in takes and getattr(grid, f.name) != f.default
+    ]
+    if ignored:
+        raise ValueError(f"identity {grid.identity} does not take {', '.join(ignored)}")
+    spec = grid.spec
+    if spec is None:
+        spec = symbolic_spec() if grid.domain == ring.POLYNOMIAL else preset("fibonacci", grid.domain)
     if grid.spec is not None and grid.spec.domain != grid.domain:
         raise ValueError("grid domain does not match the provided spec")
-    if grid.identity == _RANDOM:
+    if row is None:
         if not 3 <= grid.dim <= 7:
             raise ValueError("random minor grids need 3 <= dim <= 7")
         if grid.count < 1 or grid.bound < 1:
             raise ValueError("count and bound must be positive")
         return spec
-    axes = IDENTITY_TABLE[grid.identity].axes
     check_fibonacci_spec(grid.identity, grid.spec, grid.domain)
-    for name in ("n", *axes):
+    for name in ("n", *row.axes):
         # an unset d range means the identity's natural window
         if name != "d" and getattr(grid, name) is None:
             raise ValueError(f"identity {grid.identity} needs a {name} range")
-    if "r" in axes and grid.r[0] < 0:
+    if "r" in row.axes and grid.r[0] < 0:
         raise ValueError("power length r must be non-negative")
-    if "d" in axes and grid.d is not None and not any(_d_window(grid, r) for r in _span(grid.r)):
+    if "d" in row.axes and grid.d is not None and not any(_d_window(grid, r) for r in _span(grid.r)):
         window = "r+2.." if grid.identity == "rank-zero" else "1..r+1"
         raise ValueError(
             f"d range {grid.d[0]}..{grid.d[1]} is outside the window {window} of every r"
             f" in {grid.r[0]}..{grid.r[1]}"
         )
-    # negative indices outside the rational domain need exact backward steps
-    if grid.n[0] < 0 and spec.domain == ring.INTEGER and spec.c2.value not in (1, -1):
-        raise ValueError("negative n over the integers needs c2 = +-1; use the rational domain")
-    if grid.n[0] < 0 and spec.domain == ring.POLYNOMIAL:
-        raise ValueError("negative n is not available in the polynomial domain")
+    # a backward step divides by c2, and the closed forms raise c2 (or -c2)
+    # to negative powers
+    if grid.n[0] < 0 and not ring.invertible(spec.c2):
+        raise ValueError(
+            f"negative n needs c2 = +-1, or a nonzero c2 in the rational domain;"
+            f" this {spec.domain} spec has c2 = {spec.c2}"
+        )
+    # the largest matrix the oracle sees tops the widest d window; carlitz
+    # takes no d and builds at r+1, the top of the square default window
+    if grid.oracle == "cofactor" and (row.lhs is None or grid.identity == "carlitz"):
+        largest = max(window[-1] for window in map(partial(_d_window, grid), _span(grid.r)) if window)
+        if largest > _COFACTOR_LIMIT:
+            raise ValueError(f"cofactor expansion is limited to dimension {_COFACTOR_LIMIT}")
     return spec
 
 
@@ -320,11 +334,9 @@ def _points(grid: GridSpec, spec: RecurrenceSpec, oracle):
             row = None
             if grid.oracle == "bareiss" and window:
                 # one build at the top of the window and one elimination
-                # give every d.  If that raises, each d alone raises the
-                # same error: the only failing step is a backward
-                # recurrence step inside term(n), the entry every d
-                # computes first, and Bareiss divides only exactly, by
-                # nonzero earlier pivots.
+                # give every d.  A validated grid leaves no step to fail:
+                # backward steps divide by an invertible c2, and Bareiss
+                # only exactly, by nonzero earlier pivots.
                 top = MatrixQuery(n, r, window[-1], RISING)
                 row = _guarded(lambda: det_bareiss_minors(build(spec, top)).values)
             for d in window:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import pytest
 
 import hankelrise
-from hankelrise.cli import _merge_range_values, _parse_range, bench_rows, main, write_bench_csv
+import hankelrise.verify as verify_module
+from hankelrise.cli import _build_parser, _merge_range_values, _parse_range, bench_rows, main, write_bench_csv
 from hankelrise.sequence import preset
 from hankelrise.verify import IDENTITY_TABLE, GridSpec, Mismatch, VerifyReport, run_grid
 
@@ -227,6 +229,39 @@ def test_verify_rejects_grids_it_cannot_sweep(capsys):
         assert (code, out, err) == (2, "", message)
 
 
+def test_verify_rejects_input_it_would_ignore_or_cannot_honour(monkeypatch, capsys):
+    for name in ("_points", "_random_points", "det_bareiss", "det_bareiss_minors", "det_cofactor"):
+        monkeypatch.setattr(verify_module, name, _swept)
+    cases = [
+        ("--identity desnanot-jacobi-random --domain poly --n 0..5 --count 3",
+         "identity desnanot-jacobi-random does not take n, domain"),
+        ("--identity theorem1 --n 0 --r 0..1 --dim 9 --count 0", "identity theorem1 does not take count, dim"),
+        ("--identity desnanot-jacobi-random --preset lucas --count 3",
+         "identity desnanot-jacobi-random does not take spec"),
+        ("--identity carlitz --n 0 --r 1 --d 7", "identity carlitz does not take d"),
+        ("--identity theorem2 --domain rat --a 0 --b 1 --c1 1 --c2 0 --n=-1..0 --r 0..1",
+         "negative n needs c2 = +-1, or a nonzero c2 in the rational domain; this rat spec has c2 = 0"),
+        ("--identity theorem1 --n 0 --r 10 --oracle cofactor", "cofactor expansion is limited to dimension 10"),
+        ("--identity rank-zero --n 0 --r 8 --oracle cofactor", "cofactor expansion is limited to dimension 10"),
+        ("--identity carlitz --n 0 --r 10 --oracle cofactor", "cofactor expansion is limited to dimension 10"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, "verify", *argv.split())
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
+def _swept(*args, **kwargs):
+    raise AssertionError("the sweep started")
+
+
+def test_verify_grid_flags_leave_the_defaults_to_gridspec():
+    args = vars(_build_parser().parse_args(["verify", "--identity", "theorem1"]))
+    shared = {"command", "handler", "identity", "preset", "a", "b", "c1", "c2", "domain"}
+    grid_flags = {name: value for name, value in args.items() if name not in shared}
+    assert set(grid_flags) == {field.name for field in dataclasses.fields(GridSpec)} - {"identity", "spec", "domain"}
+    assert set(grid_flags.values()) == {None}
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     failing = VerifyReport(
         grid=GridSpec(identity="theorem1", n=(0, 0), r=(0, 0)),
@@ -280,6 +315,20 @@ def test_closed_rejects_spec_flags_on_fibonacci_identities(capsys):
         assert err.startswith("error:") and "fibonacci" in err
     code, out, _ = run_cli(capsys, "closed", "--identity", "vajda", "--preset", "fibonacci", "--n", "0", "--i", "1", "--j", "1")
     assert code == 0 and out.strip() == "-1"
+
+
+def test_closed_takes_exactly_the_axes_of_its_row(capsys):
+    cases = [
+        (("carlitz", "--n", "0", "--r", "2", "--d", "7"), "identity carlitz does not take --d"),
+        (("prodinger", "--n", "0", "--r", "2", "--i", "1", "--j", "1"), "identity prodinger does not take --i, --j"),
+        (("eq4", "--n", "0", "--r", "1", "--i", "1", "--j", "1"), "identity eq4 does not take --r"),
+        (("theorem2", "--n", "0", "--r", "1"), "identity theorem2 needs --d"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, "closed", "--identity", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = run_cli(capsys, "closed", "--identity", "carlitz", "--n", "0", "--r", "2")
+    assert (code, out) == (0, "-2\n")
 
 
 def test_bench_into_a_closed_pipe_exits_quietly():

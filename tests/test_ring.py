@@ -87,6 +87,22 @@ def test_pow_signed():
         pow_signed(zero(ring.RATIONAL), -1)
 
 
+def test_invertible_is_the_negative_power_rule():
+    values = [
+        integer(0), integer(1), integer(-1), integer(2),
+        rational(0), rational(1), rational(-1), rational(3, 2),
+        ring.poly_const(1), ring.poly_const(-1), variable("c2"),
+    ]
+    for x in values:
+        try:
+            pow_signed(x, -1)
+            raised = False
+        except (NotInvertibleError, ZeroDivisionError):
+            raised = True
+        assert ring.invertible(x) is not raised, x
+    assert [ring.invertible(x) for x in values] == [False, True, True, False, False, True, True, True, True, True, False]
+
+
 def test_domain_mixing():
     widened = add(integer(1), rational(1, 2))
     assert widened == rational(3, 2)

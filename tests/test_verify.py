@@ -134,18 +134,27 @@ def test_theorem2_int_negative_base_reports_honest_errors():
         run_grid(GridSpec(identity="theorem2", spec=preset("jacobsthal"), n=(-2, 0), r=(0, 2)))
 
 
-def test_degenerate_spec_errors_are_reported_structurally():
+def test_degenerate_spec_errors_are_reported_structurally(monkeypatch):
     spec = RecurrenceSpec(rational(0), rational(1), rational(1), rational(0))
-    report = run_grid(GridSpec(identity="theorem2", spec=spec, domain=ring.RATIONAL, n=(-1, -1), r=(1, 1)))
-    assert report.checked == 2
-    # both sides fail at d = 1 with the same message; that is still no PASS
-    assert len(report.mismatches) == 2
-    same, different = report.mismatches
-    assert same.point == {"n": -1, "r": 1, "d": 1}
-    assert same.lhs == same.rhs == "error(ZeroDivisionError: exact division by zero)"
-    assert different.lhs.startswith("error(ZeroDivisionError")
-    assert different.rhs.startswith("error(ZeroDivisionError")
-    assert different.lhs != different.rhs
+    grid = GridSpec(identity="theorem2", spec=spec, domain=ring.RATIONAL, n=(0, 1), r=(1, 1))
+    # c2 = 0 has no inverse, so from n = 0 on the grid passes ...
+    report = run_grid(grid)
+    assert report.passed and report.checked == 4
+    # ... and negative n is rejected before the sweep
+    with pytest.raises(ValueError, match="^negative n needs c2 = \\+-1, or a nonzero c2 in the rational"):
+        run_grid(dataclasses.replace(grid, n=(-1, -1)))
+
+    # both sides failing with the same message is still no PASS
+    def raising(*args):
+        raise ZeroDivisionError("exact division by zero")
+
+    monkeypatch.setattr(verify_module, "det_bareiss_minors", raising)
+    monkeypatch.setattr(verify_module, "theorem2_rhs", raising)
+    report = run_grid(grid)
+    assert report.checked == 4 and len(report.mismatches) == 4
+    error = "error(ZeroDivisionError: exact division by zero)"
+    assert [m.point for m in report.mismatches] == [{"n": n, "r": 1, "d": d} for n in (0, 1) for d in (1, 2)]
+    assert all(m.lhs == m.rhs == error for m in report.mismatches)
 
 
 def test_rank_zero_windows():
@@ -176,14 +185,13 @@ def test_shared_row_pass_agrees_with_per_point_cofactor():
         GridSpec(identity="theorem1", n=(-3, 3), r=(0, 4)),
         GridSpec(identity="rank-zero", n=(-3, 3), r=(0, 4)),
         GridSpec(identity="theorem1", n=(0, 1), r=(1, 4), d=(2, 3)),
-        GridSpec(identity="theorem2", spec=degenerate, domain=ring.RATIONAL, n=(-2, 1), r=(0, 2)),
+        GridSpec(identity="theorem2", spec=degenerate, domain=ring.RATIONAL, n=(0, 3), r=(0, 2)),
     ]
-    for grid in grids:
+    for grid, checked in zip(grids, (105, 70, 14, 24)):
         shared = run_grid(grid)
         alone = run_grid(dataclasses.replace(grid, oracle="cofactor"))
-        assert shared.checked == alone.checked
-        assert shared.mismatches == alone.mismatches
-        assert shared.passed == (grid.spec is None)
+        assert shared.checked == alone.checked == checked
+        assert shared.mismatches == alone.mismatches == ()
 
 
 def test_random_minor_identity():
@@ -251,6 +259,63 @@ def test_validation_errors(monkeypatch):
 
 def _swept(*args, **kwargs):
     raise AssertionError("the sweep started")
+
+
+_SWEEP_ENTRIES = ("_points", "_random_points", "det_bareiss", "det_bareiss_minors", "det_cofactor")
+
+
+def test_grids_reject_fields_they_do_not_take(monkeypatch):
+    for name in _SWEEP_ENTRIES:
+        monkeypatch.setattr(verify_module, name, _swept)
+    random = "desnanot-jacobi-random"
+    cases = [
+        (GridSpec(identity=random, n=(0, 5), domain=ring.POLYNOMIAL, count=3), "n, domain"),
+        (GridSpec(identity=random, spec=preset("lucas"), count=3), "spec"),
+        (GridSpec(identity=random, spec=preset("fibonacci"), r=(0, 1)), "r, spec"),
+        (GridSpec(identity="theorem1", n=(0, 0), r=(0, 1), dim=9, count=0), "count, dim"),
+        (GridSpec(identity="carlitz", n=(0, 0), r=(1, 1), d=(7, 7)), "d"),
+        (GridSpec(identity="eq4", n=(0, 0), i=(0, 1), j=(0, 1), r=(0, 1), seed=5), "r, seed"),
+        (GridSpec(identity="rank-zero", n=(0, 0), r=(0, 1), i=(0, 0), bound=3), "i, bound"),
+    ]
+    for grid, ignored in cases:
+        with pytest.raises(ValueError) as rejected:
+            run_grid(grid)
+        assert str(rejected.value) == f"identity {grid.identity} does not take {ignored}"
+    # a field spelled out at its default is no change: these reach the sweep
+    for grid in (
+        GridSpec(identity=random, domain=ring.INTEGER, seed=1, count=100, dim=4, bound=9, oracle="bareiss"),
+        GridSpec(identity="theorem1", n=(0, 0), r=(0, 1), seed=1, count=100, dim=4, bound=9),
+    ):
+        with pytest.raises(AssertionError, match="the sweep started"):
+            run_grid(grid)
+
+
+def test_cofactor_grids_over_the_limit_are_rejected_up_front(monkeypatch):
+    for name in _SWEEP_ENTRIES:
+        monkeypatch.setattr(verify_module, name, _swept)
+    too_large = [
+        GridSpec(identity="theorem1", n=(0, 0), r=(10, 10)),  # d 1..11
+        GridSpec(identity="theorem2", n=(0, 0), r=(0, 12), d=(1, 11)),
+        GridSpec(identity="rank-zero", n=(0, 0), r=(8, 8)),  # d 10..11
+        GridSpec(identity="rank-zero", n=(0, 0), r=(0, 1), d=(1, 11)),
+        GridSpec(identity="carlitz", n=(0, 0), r=(10, 10)),  # d = 11
+    ]
+    for grid in too_large:
+        with pytest.raises(ValueError, match="^cofactor expansion is limited to dimension 10$"):
+            run_grid(dataclasses.replace(grid, oracle="cofactor"))
+    # the largest matrix at the limit is no error, and the bareiss oracle
+    # has no limit: these reach the sweep
+    at_limit = [
+        GridSpec(identity="theorem1", n=(0, 0), r=(9, 9), oracle="cofactor"),
+        GridSpec(identity="theorem2", n=(0, 0), r=(0, 12), d=(1, 10), oracle="cofactor"),
+        GridSpec(identity="rank-zero", n=(0, 0), r=(7, 7), oracle="cofactor"),
+        GridSpec(identity="carlitz", n=(0, 0), r=(9, 9), oracle="cofactor"),
+        GridSpec(identity="prodinger", n=(0, 0), r=(30, 30), oracle="cofactor"),
+        *too_large,
+    ]
+    for grid in at_limit:
+        with pytest.raises(AssertionError, match="the sweep started"):
+            run_grid(grid)
 
 
 def test_verify_report_passed_property():
@@ -377,14 +442,14 @@ def test_shared_caches_match_points_evaluated_alone():
     grids = [
         GridSpec(identity="theorem1", n=(-3, 3), r=(0, 4)),
         GridSpec(identity="theorem2", spec=preset("lucas", rat), domain=rat, n=(-3, 3), r=(0, 3)),
-        GridSpec(identity="theorem2", spec=_DEGENERATE, domain=rat, n=(-2, 1), r=(0, 2)),
+        GridSpec(identity="theorem2", spec=_DEGENERATE, domain=rat, n=(0, 3), r=(0, 2)),
         GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 1), r=(0, 2)),
         GridSpec(identity="rank-zero", spec=preset("pell"), n=(0, 2), r=(0, 3)),
         GridSpec(identity="prodinger", n=(-2, 3), r=(0, 4)),
         GridSpec(identity="carlitz", n=(-2, 2), r=(0, 3)),
         GridSpec(identity="vajda", n=(-4, 4), i=(0, 3), j=(0, 3)),
         GridSpec(identity="eq4", spec=preset("jacobsthal", rat), domain=rat, n=(-3, 3), i=(0, 3), j=(0, 3)),
-        GridSpec(identity="eq4", spec=_DEGENERATE, domain=rat, n=(-2, 1), i=(0, 2), j=(0, 2)),
+        GridSpec(identity="eq4", spec=_DEGENERATE, domain=rat, n=(0, 3), i=(0, 2), j=(0, 2)),
         GridSpec(identity="eq4", domain=ring.POLYNOMIAL, n=(0, 2), i=(0, 2), j=(0, 2)),
     ]
     for grid in grids:
@@ -398,12 +463,12 @@ def test_shared_caches_match_points_evaluated_alone():
                 expected.append(Mismatch(point, str(lhs), str(rhs)))
         report = run_grid(grid)
         assert report.checked == checked, grid
-        assert list(report.mismatches) == expected, grid
-        assert report.passed == (grid.spec is not _DEGENERATE), grid
-    # the degenerate spec's failures are there, with their own messages
-    failed = run_grid(grids[-2]).mismatches
-    assert {m.point["n"] for m in failed} == {-2, -1}
-    assert all(m.lhs.startswith("error(ZeroDivisionError") for m in failed)
+        assert list(report.mismatches) == expected == [], grid
+    # c2 = 0 has no inverse: negative n on the degenerate spec never reaches
+    # a cache
+    for grid in (grids[2], grids[-2]):
+        with pytest.raises(ValueError, match="^negative n needs c2"):
+            run_grid(dataclasses.replace(grid, n=(-2, 1)))
 
 
 def test_nothing_is_carried_across_grids():
