@@ -31,17 +31,34 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import ring
-from .determinant import det_bareiss, det_cofactor, det_condensation
+from .determinant import (
+    _COFACTOR_LIMIT,
+    DetReport,
+    det_bareiss,
+    det_cofactor,
+    det_condensation,
+    det_hankel_minors,
+)
 from .matgen import MODES, RISING, MatrixQuery, build
 from .sequence import PRESETS, RecurrenceSpec, SequenceCache, preset, symbolic_spec
 from .verify import IDENTITIES, IDENTITY_TABLE, ORACLES, GridSpec, check_fibonacci_spec, report_json, run_grid
+
+
+def _det_structured(matrix) -> DetReport:
+    """The Desnanot-Jacobi triangle's last minor: the whole determinant."""
+    report = det_hankel_minors(matrix)
+    return DetReport(
+        report.values[-1], report.algorithm, report.mul_count, report.div_count, report.fallback_used
+    )
+
 
 _ALGORITHMS = {
     "cofactor": det_cofactor,
     "bareiss": det_bareiss,
     "condensation": det_condensation,
+    "structured": _det_structured,
 }
-_BENCH_ALGORITHMS = ("bareiss", "closed", "cofactor", "condensation")
+_BENCH_ALGORITHMS = ("bareiss", "closed", "cofactor", "condensation", "structured")
 _RANGE_FLAGS = {"--n", "--r", "--d", "--i", "--j"}
 
 
@@ -248,6 +265,9 @@ def bench_rows(
     for name in algorithms:
         if name not in _BENCH_ALGORITHMS:
             raise ValueError(f"unknown bench algorithm {name!r}")
+    # before any row: a late failure would waste every smaller expansion
+    if "cofactor" in algorithms and d_range[1] > _COFACTOR_LIMIT:
+        raise ValueError(f"cofactor expansion is limited to dimension {_COFACTOR_LIMIT}")
     rows = []
     for algorithm in sorted(set(algorithms)):
         for n in range(n_range[0], n_range[1] + 1):

@@ -1,6 +1,7 @@
 """Exact determinants with deterministic operation counts.
 
-Three general algorithms over any scalar domain:
+Three general algorithms over any scalar domain, and one for Hankel
+matrices:
 
   det_cofactor       Laplace expansion along the first row (dim <= 10)
   det_bareiss        fraction-free Gaussian elimination; every division is
@@ -10,6 +11,20 @@ Three general algorithms over any scalar domain:
   det_condensation   Dodgson condensation dividing by interior entries;
                      a zero interior divisor falls back to det_bareiss on
                      the whole matrix
+  det_hankel_minors  every leading block of a Hankel matrix from the
+                     Desnanot-Jacobi triangle over its 2d-1 anti-diagonal
+                     values, O(d^2) operations; a zero divisor falls back
+                     to det_bareiss_minors for the whole matrix
+
+A Hankel block is fixed by its size t and the index k of its top-left
+anti-diagonal value h_k; call its determinant D(k, t).  Desnanot-Jacobi
+applied to that block (Dodgson 1866) reads
+
+    D(k, t) * D(k+2, t-2) = D(k, t-1) * D(k+2, t-1) - D(k+1, t-1)^2
+
+with D(k, 0) = 1 and D(k, 1) = h_k, so each level t of the triangle takes
+two multiplications and one exact division by D(k+2, t-2) per entry, and
+D(0, t) is the leading t x t minor.
 
 Reports carry multiplication/division counts observed by the ring-level
 counter, so shortcut operations on exact zeros/ones are not charged.
@@ -28,6 +43,8 @@ COFACTOR = "cofactor"
 BAREISS = "bareiss"
 CONDENSATION = "condensation"
 CONDENSATION_FALLBACK = "condensation-fallback"
+STRUCTURED = "structured"
+STRUCTURED_FALLBACK = "structured-fallback"
 
 _COFACTOR_LIMIT = 10
 
@@ -126,6 +143,52 @@ def _bareiss_minors(matrix: SquareMatrix) -> Tuple[ExactScalar, ...]:
         else:
             value = rows[k + 1][k + 1]
             values.append(ring.neg(value) if sign_flip else value)
+    return tuple(values)
+
+
+def det_hankel_minors(matrix: SquareMatrix) -> MinorsReport:
+    """Every leading-block determinant of a Hankel matrix, by the
+    Desnanot-Jacobi triangle.
+
+    values[t-1] = D(0, t).  When some divisor D(k+2, t-2) is zero the
+    triangle stops and the whole matrix goes to _bareiss_minors, so the
+    values are then exactly Bareiss's and the report says
+    structured-fallback; the counts include the abandoned triangle.  A
+    matrix that is not Hankel raises ValueError.
+    """
+    d = matrix.dim
+    diagonal = matrix.rows[0] + tuple(row[-1] for row in matrix.rows[1:])
+    if any(row != diagonal[i:i + d] for i, row in enumerate(matrix.rows)):
+        raise ValueError("the structured algorithm needs a Hankel matrix")
+    with ring.count_ops() as counter:
+        values = _hankel_minors(diagonal, d, matrix.domain)
+        fallback = values is None
+        if fallback:
+            values = _bareiss_minors(matrix)
+    algorithm = STRUCTURED_FALLBACK if fallback else STRUCTURED
+    return MinorsReport(values, algorithm, counter.muls, counter.divs, fallback)
+
+
+def _hankel_minors(diagonal, d: int, domain: str):
+    """D(0, 1..d) from the anti-diagonal values, or None at a zero divisor.
+
+    Level t keeps D(k, t) for k = 0..2(d-t), one value per anti-diagonal
+    its block can start on.
+    """
+    older = [ring.one(domain)] * (2 * d + 1)  # level 0, the empty blocks
+    current = list(diagonal)
+    values = [current[0]]
+    for t in range(2, d + 1):
+        level = []
+        for k in range(2 * (d - t) + 1):
+            divisor = older[k + 2]
+            if divisor.is_zero():
+                return None
+            middle = current[k + 1]
+            numerator = ring.sub(ring.mul(current[k], current[k + 2]), ring.mul(middle, middle))
+            level.append(ring.exact_div(numerator, divisor))
+        older, current = current, level
+        values.append(current[0])
     return tuple(values)
 
 

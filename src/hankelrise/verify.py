@@ -27,13 +27,21 @@ takes n, its row's axes, spec, domain and oracle; the random grid takes
 seed, count, dim, bound and oracle.  Fibonacci-only identities run over
 the integers only, at the Fibonacci spec.
 
+The oracles are cofactor, bareiss and structured (the Desnanot-Jacobi
+triangle, which needs a Hankel matrix).  An unset oracle follows the
+grid's domain: structured for integer and rational grids, bareiss for
+polynomial grids, whose triangle divides by heavier shifted minors than
+Bareiss's pivots, and for the random grid, whose matrices are not Hankel
+and which rejects structured.
+
 An unset d range means the identity's natural window: [1, r+1] for the
 square cases, [r+2, r+3] for rank-zero.  An explicit one is clipped to
 [1, r+1] for the square cases, and for rank-zero below at r+2 but not
 above.  run_grid rejects before the sweep a field the identity does not
 take (any GridSpec field off its default), an r range below zero, a d
 range that leaves the window of every r empty, a cofactor grid whose
-largest matrix is over the cofactor limit, and negative n unless
+largest matrix is over the cofactor limit, an unknown oracle, the
+structured oracle on the random grid, and negative n unless
 ring.invertible(c2): a backward step divides by c2, and the closed forms
 raise c2 (or -c2) to negative powers.
 
@@ -47,14 +55,17 @@ One draw takes the top 31 bits, value = state >> 33; an integer in
 row-major, matrices consecutively from one stream seeded once.
 
 Reports are deterministic field by field except elapsed_ms, which is wall
-time.  Points are evaluated sequentially.  With the bareiss oracle, the
-points of one (n, r) row share one build at the top of the row's d window
-and one fraction-free elimination, whose leading minors give every d; the
-cofactor oracle evaluates each d on its own.  Every build and closed form
-in one run_grid call reads the same sequence cache, companion cache and
-delta per spec (sequence.shared_sequences), released when the call
-returns.  The scope is per context: run separate grids in separate
-threads or processes, not the rows of one grid, and merge their counts.
+time.  Points are evaluated sequentially.  With the structured or bareiss
+oracle, the points of one (n, r) row share one build at the top of the
+row's d window and one row pass, whose leading minors give every d: one
+Desnanot-Jacobi triangle over the build's 2d-1 anti-diagonal values
+(falling back to Bareiss on a zero divisor), or one fraction-free
+elimination.  The cofactor oracle evaluates each d on its own.  Every
+build and closed form in one run_grid call reads the same sequence cache,
+companion cache and delta per spec (sequence.shared_sequences), released
+when the call returns.  The scope is per context: run separate grids in
+separate threads or processes, not the rows of one grid, and merge their
+counts.
 """
 
 from __future__ import annotations
@@ -78,7 +89,13 @@ from .closedform import (
     vajda_lhs,
     vajda_rhs,
 )
-from .determinant import _COFACTOR_LIMIT, det_bareiss, det_bareiss_minors, det_cofactor
+from .determinant import (
+    _COFACTOR_LIMIT,
+    det_bareiss,
+    det_bareiss_minors,
+    det_cofactor,
+    det_hankel_minors,
+)
 from .matgen import POWER, RISING, MatrixQuery, SquareMatrix, build
 from .ring import ExactScalar
 from .sequence import RecurrenceSpec, preset, shared_sequences, symbolic_spec
@@ -136,7 +153,7 @@ _RANDOM_TAKES = ("seed", "count", "dim", "bound", "oracle")
 
 IDENTITIES = (*IDENTITY_TABLE, _RANDOM)
 
-ORACLES = ("cofactor", "bareiss")
+ORACLES = ("cofactor", "bareiss", "structured")
 
 Range = Tuple[int, int]
 
@@ -169,7 +186,7 @@ class GridSpec:
     j: Optional[Range] = None
     spec: Optional[RecurrenceSpec] = None
     domain: str = ring.INTEGER
-    oracle: str = "bareiss"
+    oracle: Optional[str] = None  # None: the domain's default, see _oracle_name
     seed: int = 1
     count: int = 100
     dim: int = 4
@@ -217,7 +234,8 @@ def _span(bounds: Range) -> range:
     return range(lo, hi + 1)
 
 
-def _validate(grid: GridSpec) -> RecurrenceSpec:
+def _validate(grid: GridSpec) -> Tuple[RecurrenceSpec, str]:
+    """The grid's spec and oracle name, or ValueError before any point."""
     if grid.identity not in IDENTITIES:
         raise ValueError(f"unknown identity {grid.identity!r}")
     row = IDENTITY_TABLE.get(grid.identity)
@@ -228,6 +246,9 @@ def _validate(grid: GridSpec) -> RecurrenceSpec:
     ]
     if ignored:
         raise ValueError(f"identity {grid.identity} does not take {', '.join(ignored)}")
+    oracle = _oracle_name(grid)
+    if oracle not in ORACLES:
+        raise ValueError(f"unknown oracle {oracle!r}")
     spec = grid.spec
     if spec is None:
         spec = symbolic_spec() if grid.domain == ring.POLYNOMIAL else preset("fibonacci", grid.domain)
@@ -238,7 +259,9 @@ def _validate(grid: GridSpec) -> RecurrenceSpec:
             raise ValueError("random minor grids need 3 <= dim <= 7")
         if grid.count < 1 or grid.bound < 1:
             raise ValueError("count and bound must be positive")
-        return spec
+        if oracle == "structured":
+            raise ValueError(f"oracle structured needs Hankel matrices; {_RANDOM} draws general ones")
+        return spec, oracle
     check_fibonacci_spec(grid.identity, grid.spec, grid.domain)
     for name in ("n", *row.axes):
         # an unset d range means the identity's natural window
@@ -261,11 +284,20 @@ def _validate(grid: GridSpec) -> RecurrenceSpec:
         )
     # the largest matrix the oracle sees tops the widest d window; carlitz
     # takes no d and builds at r+1, the top of the square default window
-    if grid.oracle == "cofactor" and (row.lhs is None or grid.identity == "carlitz"):
+    if oracle == "cofactor" and (row.lhs is None or grid.identity == "carlitz"):
         largest = max(window[-1] for window in map(partial(_d_window, grid), _span(grid.r)) if window)
         if largest > _COFACTOR_LIMIT:
             raise ValueError(f"cofactor expansion is limited to dimension {_COFACTOR_LIMIT}")
-    return spec
+    return spec, oracle
+
+
+def _oracle_name(grid: GridSpec) -> str:
+    """The oracle a grid runs: its own, else the one its domain favours."""
+    if grid.oracle is not None:
+        return grid.oracle
+    if grid.identity == _RANDOM or grid.domain == ring.POLYNOMIAL:
+        return "bareiss"
+    return "structured"
 
 
 def check_fibonacci_spec(identity: str, spec: Optional[RecurrenceSpec], domain: str) -> None:
@@ -280,8 +312,8 @@ def check_fibonacci_spec(identity: str, spec: Optional[RecurrenceSpec], domain: 
 
 
 def _oracle_fn(name: str) -> Callable[[SquareMatrix], ExactScalar]:
-    if name not in ORACLES:
-        raise ValueError(f"unknown oracle {name!r}")
+    if name == "structured":
+        return lambda matrix: det_hankel_minors(matrix).values[-1]
     runner = det_cofactor if name == "cofactor" else det_bareiss
     return lambda matrix: runner(matrix).value
 
@@ -297,10 +329,9 @@ def _d_window(grid: GridSpec, r: int) -> range:
 def run_grid(grid: GridSpec) -> VerifyReport:
     """Sweep any grid: the one loop that times, counts, scopes and judges
     every point."""
-    spec = _validate(grid)
-    oracle = _oracle_fn(grid.oracle)
+    spec, oracle = _validate(grid)
     if grid.identity == _RANDOM:
-        points = _random_points(grid, oracle)
+        points = _random_points(grid, _oracle_fn(oracle))
     else:
         points = _points(grid, spec, oracle)
     started = time.perf_counter_ns()
@@ -317,32 +348,34 @@ def run_grid(grid: GridSpec) -> VerifyReport:
     return VerifyReport(grid, checked, tuple(mismatches), elapsed_ms, counter.muls, counter.divs)
 
 
-def _points(grid: GridSpec, spec: RecurrenceSpec, oracle):
+def _points(grid: GridSpec, spec: RecurrenceSpec, oracle: str):
     identity = IDENTITY_TABLE[grid.identity]
+    value_of = _oracle_fn(oracle)
     if identity.lhs is not None:
         axes = ("n", *identity.axes)
         for values in product(*(_span(getattr(grid, axis)) for axis in axes)):
             yield (
                 dict(zip(axes, values)),
-                _guarded(lambda: identity.lhs(spec, oracle, *values)),
+                _guarded(lambda: identity.lhs(spec, value_of, *values)),
                 _guarded(lambda: identity.rhs(spec, *values)),
             )
         return
+    row_pass = {"structured": det_hankel_minors, "bareiss": det_bareiss_minors}.get(oracle)
     for n in _span(grid.n):
         for r in _span(grid.r):
             window = _d_window(grid, r)
             row = None
-            if grid.oracle == "bareiss" and window:
-                # one build at the top of the window and one elimination
-                # give every d.  A validated grid leaves no step to fail:
-                # backward steps divide by an invertible c2, and Bareiss
-                # only exactly, by nonzero earlier pivots.
+            if row_pass is not None and window:
+                # one build at the top of the window and one row pass give
+                # every d.  A validated grid leaves no step to fail:
+                # backward steps divide by an invertible c2, and both passes
+                # divide only exactly, by nonzero minors or pivots.
                 top = MatrixQuery(n, r, window[-1], RISING)
-                row = _guarded(lambda: det_bareiss_minors(build(spec, top)).values)
+                row = _guarded(lambda: row_pass(build(spec, top)).values)
             for d in window:
                 point = {"n": n, "r": r, "d": d}
                 if row is None:
-                    lhs = _guarded(lambda: oracle(build(spec, MatrixQuery(n, r, d, RISING))))
+                    lhs = _guarded(lambda: value_of(build(spec, MatrixQuery(n, r, d, RISING))))
                 else:
                     lhs = row if isinstance(row, str) else row[d - 1]
                 yield point, lhs, _guarded(lambda: identity.rhs(spec, n, r, d))

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import hankelrise
+import hankelrise.cli as cli_module
 import hankelrise.verify as verify_module
 from hankelrise.cli import _build_parser, _merge_range_values, _parse_range, bench_rows, main, write_bench_csv
 from hankelrise.sequence import preset
@@ -103,6 +104,24 @@ def test_det_condensation_fallback(capsys):
     payload = json.loads(stats)
     assert payload["fallback"] is True
     assert payload["algorithm"] == "condensation-fallback"
+
+
+def test_det_structured(capsys):
+    # the same value and --stats keys as bareiss, with the triangle's counts
+    structured = ("--algorithm", "structured", "--stats")
+    code, out, _ = run_cli(capsys, "det", "--n", "0", "--r", "3", "--d", "4", *structured)
+    assert code == 0
+    value, stats = out.splitlines()
+    assert value == "16"
+    assert json.loads(stats) == {
+        "value": "16", "algorithm": "structured", "mul_count": 17, "div_count": 4, "fallback": False,
+    }
+    # F_0 = 0 is the divisor of the 3 x 3 level
+    code, out, _ = run_cli(capsys, "det", "--n=-2", "--r", "1", "--d", "3", *structured)
+    assert code == 0
+    value, stats = out.splitlines()
+    assert value == "0"
+    assert json.loads(stats)["algorithm"] == "structured-fallback" and json.loads(stats)["fallback"] is True
 
 
 def test_det_custom_spec(capsys):
@@ -230,9 +249,13 @@ def test_verify_rejects_grids_it_cannot_sweep(capsys):
 
 
 def test_verify_rejects_input_it_would_ignore_or_cannot_honour(monkeypatch, capsys):
-    for name in ("_points", "_random_points", "det_bareiss", "det_bareiss_minors", "det_cofactor"):
+    for name in (
+        "_points", "_random_points", "det_bareiss", "det_bareiss_minors", "det_cofactor", "det_hankel_minors",
+    ):
         monkeypatch.setattr(verify_module, name, _swept)
     cases = [
+        ("--identity desnanot-jacobi-random --oracle structured",
+         "oracle structured needs Hankel matrices; desnanot-jacobi-random draws general ones"),
         ("--identity desnanot-jacobi-random --domain poly --n 0..5 --count 3",
          "identity desnanot-jacobi-random does not take n, domain"),
         ("--identity theorem1 --n 0 --r 0..1 --dim 9 --count 0", "identity theorem1 does not take count, dim"),
@@ -394,6 +417,27 @@ def test_bench_file_output(tmp_path, capsys):
     assert lines[0] == BENCH_HEADER
     assert len(lines) == 2
     assert lines[1].startswith("cofactor,int,1,2,2,")
+
+
+def test_bench_structured_rows(capsys):
+    code, out, _ = run_cli(capsys, "bench", "--r", "3", "--d", "2..4", "--algorithms", "structured,bareiss")
+    assert code == 0
+    rows = [line.split(",")[:8] for line in out.splitlines()[1:]]
+    assert rows == [
+        ["bareiss", "int", "1", "3", "2", "2", "0", "false"],
+        ["bareiss", "int", "1", "3", "3", "10", "1", "false"],
+        ["bareiss", "int", "1", "3", "4", "28", "5", "false"],
+        ["structured", "int", "1", "3", "2", "2", "0", "false"],
+        ["structured", "int", "1", "3", "3", "8", "1", "false"],
+        ["structured", "int", "1", "3", "4", "18", "4", "false"],
+    ]
+
+
+def test_bench_rejects_cofactor_over_the_limit_before_any_row(monkeypatch, capsys):
+    # the expansion bench would call: any call fails the test
+    monkeypatch.setitem(cli_module._ALGORITHMS, "cofactor", _swept)
+    code, out, err = run_cli(capsys, "bench", "--r", "9", "--d", "9..11", "--algorithms", "bareiss,cofactor")
+    assert (code, out, err) == (2, "", "error: cofactor expansion is limited to dimension 10\n")
 
 
 def test_bench_rejects_unknown_algorithm(capsys):

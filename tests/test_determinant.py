@@ -8,6 +8,7 @@ from hankelrise.determinant import (
     det_bareiss_minors,
     det_cofactor,
     det_condensation,
+    det_hankel_minors,
 )
 from hankelrise.matgen import MODES, MatrixQuery, SquareMatrix, build
 from hankelrise.ring import integer, rational
@@ -200,11 +201,29 @@ def test_bareiss_minors_on_hankel_builds():
     assert symbolic[2].is_zero()
 
 
+def _hankel(diagonal, size):
+    return SquareMatrix([diagonal[i:i + size] for i in range(size)])
+
+
+def _triangle_meets_a_zero_divisor(matrix):
+    """Whether some divisor D(k+2, t-2), 3 <= t <= d, of the Desnanot-Jacobi
+    triangle vanishes: the t' x t' Hankel blocks starting at anti-diagonal
+    k' for 1 <= t' <= d-2 and 2 <= k' <= 2(d-t')-2, each by Bareiss."""
+    d = matrix.dim
+    diagonal = matrix.rows[0] + tuple(row[-1] for row in matrix.rows[1:])
+    return any(
+        det_bareiss(_hankel(diagonal[k:], size)).value.is_zero()
+        for size in range(1, d - 1)
+        for k in range(2, 2 * (d - size) - 1)
+    )
+
+
 def test_algorithms_agree_on_hankel_builds_with_zero_leading_entries():
     # F_0 = 0 sits on the anti-diagonals of these builds (n <= 0, and n < 0
     # reaches it through backward steps); the c2 = 0 spec has W_k = 1 for
     # k >= 1 and W_0 = 0.  Condensation divides by interior entries, so it
-    # meets those zeros and must fall back to the same value.
+    # meets those zeros and must fall back to the same value; so must the
+    # Desnanot-Jacobi triangle, which divides by shifted Hankel minors.
     rat = ring.RATIONAL
     degenerate = RecurrenceSpec(rational(0), rational(1), rational(1), rational(0))
     builds = [
@@ -213,13 +232,20 @@ def test_algorithms_agree_on_hankel_builds_with_zero_leading_entries():
         (preset("lucas", rat), range(-4, 2)),
         (preset("jacobsthal", rat), range(-3, 2)),
     ]
-    blocks = fallbacks = 0
+    blocks = fallbacks = structured_fallbacks = 0
     for spec, ns in builds:
         for n in ns:
             for r in range(0, 5):
                 for mode in MODES:
                     matrix = build(spec, MatrixQuery(n, r, r + 3, mode))
                     minors = det_bareiss_minors(matrix).values
+                    structured = det_hankel_minors(matrix)
+                    assert structured.values == minors, (spec, n, r, mode)
+                    assert structured.fallback_used == _triangle_meets_a_zero_divisor(matrix)
+                    assert structured.algorithm == (
+                        "structured-fallback" if structured.fallback_used else "structured"
+                    )
+                    structured_fallbacks += structured.fallback_used
                     for k in range(1, matrix.dim + 1):
                         block = _leading(matrix, k)
                         condensed = det_condensation(block)
@@ -233,5 +259,41 @@ def test_algorithms_agree_on_hankel_builds_with_zero_leading_entries():
                         blocks += 1
                         fallbacks += condensed.fallback_used
     assert blocks == 1050 and fallbacks > 0
+    assert structured_fallbacks == 64  # of 210 builds
     report = det_condensation(build(preset("fibonacci"), MatrixQuery(-2, 1, 3)))
     assert report.fallback_used and report.algorithm == "condensation-fallback"
+
+
+def test_hankel_minors_report_fields():
+    # h = 2, 3, 5, 7, 11: the 2 x 2 level takes 6 muls and divides by the
+    # empty determinant, which costs nothing; the 3 x 3 level squares
+    # D(1, 2) = -4 (1 * 6 costs nothing) and divides by h_2 = 5
+    report = det_hankel_minors(_int_matrix([[2, 3, 5], [3, 5, 7], [5, 7, 11]]))
+    assert report.values == (integer(2), integer(1), integer(-2))
+    assert report.algorithm == "structured"
+    assert (report.mul_count, report.div_count) == (7, 1)
+    assert report.fallback_used is False
+
+
+def test_hankel_minors_fall_back_to_bareiss_on_a_zero_divisor():
+    # h_2 = 0 is the divisor of the 3 x 3 level
+    matrix = _int_matrix([[1, 1, 0], [1, 0, 2], [0, 2, 1]])
+    report = det_hankel_minors(matrix)
+    assert report.fallback_used and report.algorithm == "structured-fallback"
+    assert report.values == det_bareiss_minors(matrix).values == (integer(1), integer(-1), integer(-5))
+
+
+def test_hankel_minors_reject_matrices_that_are_not_hankel():
+    # the second is symmetric, but its anti-diagonal 2 holds 3 and 5
+    for rows in ([[1, 2], [3, 4]], [[1, 2, 3], [2, 5, 4], [3, 4, 6]]):
+        with pytest.raises(ValueError, match="Hankel"):
+            det_hankel_minors(_int_matrix(rows))
+    assert det_hankel_minors(_int_matrix([[7]])).values == (integer(7),)
+
+
+def test_hankel_minors_on_symbolic_builds():
+    for n, r in ((0, 1), (0, 2), (1, 2)):
+        matrix = build(symbolic_spec(), MatrixQuery(n, r, r + 2))
+        report = det_hankel_minors(matrix)
+        assert report.values == det_bareiss_minors(matrix).values
+        assert report.values[-1].is_zero()

@@ -56,8 +56,11 @@ def test_rising_grid_passes_with_pinned_counts():
     report = run_grid(GridSpec(identity="theorem1", n=(1, 2), r=(1, 2)))
     assert report.passed
     assert report.checked == 10  # d sweeps 1..r+1 inside each (n, r)
-    # one build and one elimination per (n, r) row
-    assert (report.mul_count, report.div_count) == (25, 1)
+    # one build and one Desnanot-Jacobi triangle per (n, r) row; its only
+    # charged divisions are the two d = 3 entries, by h_2
+    assert (report.mul_count, report.div_count) == (24, 2)
+    bareiss = run_grid(GridSpec(identity="theorem1", n=(1, 2), r=(1, 2), oracle="bareiss"))
+    assert (bareiss.mul_count, bareiss.div_count) == (25, 1)
 
 
 def test_reports_are_deterministic_up_to_wall_time():
@@ -148,13 +151,15 @@ def test_degenerate_spec_errors_are_reported_structurally(monkeypatch):
     def raising(*args):
         raise ZeroDivisionError("exact division by zero")
 
-    monkeypatch.setattr(verify_module, "det_bareiss_minors", raising)
-    monkeypatch.setattr(verify_module, "theorem2_rhs", raising)
+    # both row passes: the grid's default and the bareiss cross-check
+    for name in ("det_hankel_minors", "det_bareiss_minors", "theorem2_rhs"):
+        monkeypatch.setattr(verify_module, name, raising)
     report = run_grid(grid)
     assert report.checked == 4 and len(report.mismatches) == 4
     error = "error(ZeroDivisionError: exact division by zero)"
     assert [m.point for m in report.mismatches] == [{"n": n, "r": 1, "d": d} for n in (0, 1) for d in (1, 2)]
     assert all(m.lhs == m.rhs == error for m in report.mismatches)
+    assert run_grid(dataclasses.replace(grid, oracle="bareiss")).mismatches == report.mismatches
 
 
 def test_rank_zero_windows():
@@ -170,6 +175,86 @@ def test_square_window_clipping():
     # a window left empty for some r but not all still clips
     report = run_grid(GridSpec(identity="theorem1", n=(0, 0), r=(1, 3), d=(3, 9)))
     assert report.passed and report.checked == 3  # r = 1 has no d in 3..2
+
+
+def test_default_oracle_follows_the_domain(monkeypatch):
+    rat, poly = ring.RATIONAL, ring.POLYNOMIAL
+    defaults = {
+        GridSpec(identity="theorem1", n=(0, 1), r=(0, 1)): "structured",
+        GridSpec(identity="theorem2", spec=preset("lucas", rat), domain=rat, n=(0, 1), r=(0, 1)): "structured",
+        GridSpec(identity="theorem2", domain=poly, n=(0, 1), r=(0, 1)): "bareiss",
+        GridSpec(identity="desnanot-jacobi-random", count=3): "bareiss",
+    }
+    for grid, oracle in defaults.items():
+        assert verify_module._oracle_name(grid) == oracle
+        assert verify_module._oracle_name(dataclasses.replace(grid, oracle="cofactor")) == "cofactor"
+    # the row pass each grid runs is the one its oracle names
+    calls = []
+
+    def recording(name):
+        genuine = getattr(verify_module, name)
+        return lambda matrix: calls.append(name) or genuine(matrix)
+
+    for name in ("det_hankel_minors", "det_bareiss_minors"):
+        monkeypatch.setattr(verify_module, name, recording(name))
+    for grid in list(defaults)[:3]:
+        calls.clear()
+        assert run_grid(grid).passed
+        assert set(calls) == {f"det_{'hankel' if defaults[grid] == 'structured' else 'bareiss'}_minors"}
+
+
+def _acceptance_grids():
+    """The grids of acceptance criteria 01 to 06."""
+    rat = ring.RATIONAL
+    specs = [preset(name, rat) for name in ("lucas", "pell", "jacobsthal")]
+    rng = Lcg64(4)
+    for _ in range(20):
+        a, b, c1 = (rng.next_int(-9, 9) for _ in range(3))
+        specs.append(RecurrenceSpec(*(rational(v) for v in (a, b, c1, rng.next_int(-9, 9) or 1))))
+    bilinear = dict(n=(-10, 10), i=(0, 8), j=(0, 8))
+    return [
+        GridSpec(identity="theorem1", n=(-8, 8), r=(0, 7)),
+        GridSpec(identity="prodinger", n=(-8, 8), r=(0, 7)),
+        GridSpec(identity="carlitz", n=(-6, 8), r=(0, 6)),
+        *(GridSpec(identity="theorem2", spec=spec, domain=rat, n=(-5, 8), r=(0, 5)) for spec in specs),
+        GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)),
+        GridSpec(identity="vajda", **bilinear),
+        *(GridSpec(identity="eq4", spec=preset(name, rat), domain=rat, **bilinear)
+          for name in ("fibonacci", "lucas", "pell", "jacobsthal")),
+        GridSpec(identity="eq4", domain=ring.POLYNOMIAL, n=(0, 4), i=(0, 8), j=(0, 8)),
+    ]
+
+
+def test_default_oracle_agrees_with_bareiss_on_the_acceptance_grids():
+    # the symbolic grid defaults to bareiss, so there the triangle is named
+    # explicitly: every grid compares the triangle with the elimination
+    checked = 0
+    for grid in _acceptance_grids():
+        oracle = "structured" if grid.domain == ring.POLYNOMIAL else None
+        default = run_grid(dataclasses.replace(grid, oracle=oracle))
+        bareiss = run_grid(dataclasses.replace(grid, oracle="bareiss"))
+        assert (default.checked, default.mismatches) == (bareiss.checked, bareiss.mismatches), grid
+        assert default.passed, grid
+        checked += default.checked
+    assert checked == 612 + 136 + 105 + 23 * 294 + 60 + 5 * 1701 + 405
+
+
+def test_sign_flipped_triangle_fails_theorem1(monkeypatch):
+    # the mutant adds D(k+1, t-1)^2 instead of subtracting it
+    import types
+
+    from hankelrise import determinant
+
+    # n >= 1 keeps F_0 off the anti-diagonals, so no divisor is zero and
+    # no row falls back to Bareiss
+    grid = GridSpec(identity="theorem1", n=(1, 3), r=(0, 3))
+    assert run_grid(grid).passed
+    monkeypatch.setattr(determinant, "ring", types.SimpleNamespace(**{**vars(ring), "sub": ring.add}))
+    report = run_grid(grid)
+    assert not report.passed and report.checked == 30
+    # d = 1 is h_0 itself; every larger d meets the mutated square
+    assert {m.point["d"] for m in report.mismatches} == {2, 3, 4}
+    assert len(report.mismatches) == 3 * (1 + 2 + 3)
 
 
 def test_cofactor_oracle():
@@ -241,8 +326,8 @@ def test_validation_errors(monkeypatch):
         run_grid(GridSpec(identity="desnanot-jacobi-random", count=0))
     # grids the sweep cannot honour are rejected before it starts: any call
     # into the sweep now fails the test
-    for name in ("MatrixQuery", "build", "det_bareiss_minors", "theorem1_rhs", "theorem2_rhs",
-                 "prodinger_rhs", "carlitz_rhs", "hankel_rank_bound_value"):
+    for name in ("MatrixQuery", "build", "det_bareiss_minors", "det_hankel_minors", "theorem1_rhs",
+                 "theorem2_rhs", "prodinger_rhs", "carlitz_rhs", "hankel_rank_bound_value"):
         monkeypatch.setattr(verify_module, name, _swept)
     for identity in ("theorem1", "theorem2", "prodinger", "carlitz", "rank-zero"):
         with pytest.raises(ValueError, match="^power length r must be non-negative$"):
@@ -261,7 +346,9 @@ def _swept(*args, **kwargs):
     raise AssertionError("the sweep started")
 
 
-_SWEEP_ENTRIES = ("_points", "_random_points", "det_bareiss", "det_bareiss_minors", "det_cofactor")
+_SWEEP_ENTRIES = (
+    "_points", "_random_points", "det_bareiss", "det_bareiss_minors", "det_cofactor", "det_hankel_minors",
+)
 
 
 def test_grids_reject_fields_they_do_not_take(monkeypatch):
@@ -369,6 +456,10 @@ def test_random_minor_grid_checks_its_own_inputs():
         (dict(dim=8), "random minor grids need 3 <= dim <= 7"),
         (dict(count=0), "count and bound must be positive"),
         (dict(entry_bound=-2), "count and bound must be positive"),
+        (
+            dict(oracle="structured"),
+            "oracle structured needs Hankel matrices; desnanot-jacobi-random draws general ones",
+        ),
     ]
     for change, message in bad:
         args = {**dict(seed=1, count=3, dim=4, entry_bound=9, oracle="bareiss"), **change}
