@@ -5,7 +5,8 @@ Library layout:
   ring        exact scalars (integer / rational / sparse polynomial)
   sequence    second-order recurrences, rising powers, presets
   matgen      Hankel-type matrix construction
-  determinant cofactor, fraction-free elimination, condensation
+  determinant cofactor, fraction-free elimination, condensation, and the
+              Desnanot-Jacobi triangle for Hankel matrices
   closedform  product-formula evaluators for the determinant identities
   verify      oracle-vs-closed-form grids and randomized minor identities
   cli         command-line front end (seq / det / closed / verify / bench)

@@ -31,34 +31,19 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import ring
-from .determinant import (
-    _COFACTOR_LIMIT,
-    DetReport,
-    det_bareiss,
-    det_cofactor,
-    det_condensation,
-    det_hankel_minors,
-)
+from .determinant import check_cofactor_dim, det_bareiss, det_cofactor, det_condensation, det_hankel_minors
 from .matgen import MODES, RISING, MatrixQuery, build
 from .sequence import PRESETS, RecurrenceSpec, SequenceCache, preset, symbolic_spec
 from .verify import IDENTITIES, IDENTITY_TABLE, ORACLES, GridSpec, check_fibonacci_spec, report_json, run_grid
-
-
-def _det_structured(matrix) -> DetReport:
-    """The Desnanot-Jacobi triangle's last minor: the whole determinant."""
-    report = det_hankel_minors(matrix)
-    return DetReport(
-        report.values[-1], report.algorithm, report.mul_count, report.div_count, report.fallback_used
-    )
 
 
 _ALGORITHMS = {
     "cofactor": det_cofactor,
     "bareiss": det_bareiss,
     "condensation": det_condensation,
-    "structured": _det_structured,
+    "structured": det_hankel_minors,
 }
-_BENCH_ALGORITHMS = ("bareiss", "closed", "cofactor", "condensation", "structured")
+_BENCH_ALGORITHMS = tuple(sorted((*_ALGORITHMS, "closed")))
 _RANGE_FLAGS = {"--n", "--r", "--d", "--i", "--j"}
 
 
@@ -262,12 +247,14 @@ def bench_rows(
     algorithms: Sequence[str],
 ) -> List[dict]:
     """One row per (algorithm, n, r, d), rising-power mode, sorted."""
+    if not algorithms:
+        raise ValueError(f"no bench algorithm given; choose from {', '.join(_BENCH_ALGORITHMS)}")
     for name in algorithms:
         if name not in _BENCH_ALGORITHMS:
             raise ValueError(f"unknown bench algorithm {name!r}")
     # before any row: a late failure would waste every smaller expansion
-    if "cofactor" in algorithms and d_range[1] > _COFACTOR_LIMIT:
-        raise ValueError(f"cofactor expansion is limited to dimension {_COFACTOR_LIMIT}")
+    if "cofactor" in algorithms:
+        check_cofactor_dim(d_range[1])
     rows = []
     for algorithm in sorted(set(algorithms)):
         for n in range(n_range[0], n_range[1] + 1):

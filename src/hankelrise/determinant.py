@@ -5,16 +5,19 @@ matrices:
 
   det_cofactor       Laplace expansion along the first row (dim <= 10)
   det_bareiss        fraction-free Gaussian elimination; every division is
-                     by the previous pivot and provably exact
-  det_bareiss_minors one such elimination read off at every step: the
-                     determinant of each leading k x k block
+                     by the previous pivot and provably exact, and the
+                     run is read off at every step for each leading minor
   det_condensation   Dodgson condensation dividing by interior entries;
                      a zero interior divisor falls back to det_bareiss on
                      the whole matrix
-  det_hankel_minors  every leading block of a Hankel matrix from the
+  det_hankel_minors  every leading minor of a Hankel matrix from the
                      Desnanot-Jacobi triangle over its 2d-1 anti-diagonal
                      values, O(d^2) operations; a zero divisor falls back
-                     to det_bareiss_minors for the whole matrix
+                     to det_bareiss for the whole matrix
+
+Each returns a DetReport.  det_bareiss and det_hankel_minors also fill
+its minors, the determinant of every leading block, so minors[-1] is the
+value; the other two leave minors empty.
 
 A Hankel block is fixed by its size t and the index k of its top-left
 anti-diagonal value h_k; call its determinant D(k, t).  Desnanot-Jacobi
@@ -33,7 +36,7 @@ counter, so shortcut operations on exact zeros/ones are not charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 from . import ring
 from .ring import ExactScalar
@@ -51,30 +54,25 @@ _COFACTOR_LIMIT = 10
 
 @dataclass(frozen=True)
 class DetReport:
+    """minors[k-1] is the determinant of the leading k x k block, for the
+    algorithms that produce them; empty for the others."""
+
     value: ExactScalar
     algorithm: str
     mul_count: int
     div_count: int
     fallback_used: bool = False
+    minors: Tuple[ExactScalar, ...] = ()
 
 
-class MinorsReport(NamedTuple):
-    """values[k-1] is the determinant of the leading k x k block.
-
-    A NamedTuple, not a frozen dataclass like DetReport: it is just as
-    immutable, and defining it adds about a tenth as much to import time.
-    """
-
-    values: Tuple[ExactScalar, ...]
-    algorithm: str
-    mul_count: int
-    div_count: int
-    fallback_used: bool = False
+def check_cofactor_dim(dim: int) -> None:
+    """Raise ValueError for a matrix too large for cofactor expansion."""
+    if dim > _COFACTOR_LIMIT:
+        raise ValueError(f"cofactor expansion is limited to dimension {_COFACTOR_LIMIT}")
 
 
 def det_cofactor(matrix: SquareMatrix) -> DetReport:
-    if matrix.dim > _COFACTOR_LIMIT:
-        raise ValueError(f"cofactor expansion is limited to dimension {_COFACTOR_LIMIT}")
+    check_cofactor_dim(matrix.dim)
     with ring.count_ops() as counter:
         value = _cofactor(matrix.rows, matrix.domain)
     return DetReport(value, COFACTOR, counter.muls, counter.divs)
@@ -94,23 +92,17 @@ def _cofactor(rows, domain: str) -> ExactScalar:
 
 
 def det_bareiss(matrix: SquareMatrix) -> DetReport:
-    with ring.count_ops() as counter:
-        value = _bareiss_minors(matrix)[-1]
-    return DetReport(value, BAREISS, counter.muls, counter.divs)
-
-
-def det_bareiss_minors(matrix: SquareMatrix) -> MinorsReport:
     """Every leading-block determinant from one fraction-free elimination.
 
-    Each value equals det_bareiss on that block, row swaps included.  The
+    Each minor equals det_bareiss on that block, row swaps included.  The
     block of size k+2 is finished after step k, and matches the full run
     unless a pivot search at some step s <= k picked a row p >= k+2: the
     block's own search stops at row k+1, finds nothing, and returns zero.
     A failed search at step k likewise zeroes every block beyond k+1.
     """
     with ring.count_ops() as counter:
-        values = _bareiss_minors(matrix)
-    return MinorsReport(values, BAREISS, counter.muls, counter.divs)
+        minors = _bareiss_minors(matrix)
+    return DetReport(minors[-1], BAREISS, counter.muls, counter.divs, minors=minors)
 
 
 def _bareiss_minors(matrix: SquareMatrix) -> Tuple[ExactScalar, ...]:
@@ -146,13 +138,13 @@ def _bareiss_minors(matrix: SquareMatrix) -> Tuple[ExactScalar, ...]:
     return tuple(values)
 
 
-def det_hankel_minors(matrix: SquareMatrix) -> MinorsReport:
+def det_hankel_minors(matrix: SquareMatrix) -> DetReport:
     """Every leading-block determinant of a Hankel matrix, by the
     Desnanot-Jacobi triangle.
 
-    values[t-1] = D(0, t).  When some divisor D(k+2, t-2) is zero the
+    minors[t-1] = D(0, t).  When some divisor D(k+2, t-2) is zero the
     triangle stops and the whole matrix goes to _bareiss_minors, so the
-    values are then exactly Bareiss's and the report says
+    minors are then exactly Bareiss's and the report says
     structured-fallback; the counts include the abandoned triangle.  A
     matrix that is not Hankel raises ValueError.
     """
@@ -161,12 +153,12 @@ def det_hankel_minors(matrix: SquareMatrix) -> MinorsReport:
     if any(row != diagonal[i:i + d] for i, row in enumerate(matrix.rows)):
         raise ValueError("the structured algorithm needs a Hankel matrix")
     with ring.count_ops() as counter:
-        values = _hankel_minors(diagonal, d, matrix.domain)
-        fallback = values is None
+        minors = _hankel_minors(diagonal, d, matrix.domain)
+        fallback = minors is None
         if fallback:
-            values = _bareiss_minors(matrix)
+            minors = _bareiss_minors(matrix)
     algorithm = STRUCTURED_FALLBACK if fallback else STRUCTURED
-    return MinorsReport(values, algorithm, counter.muls, counter.divs, fallback)
+    return DetReport(minors[-1], algorithm, counter.muls, counter.divs, fallback, minors)
 
 
 def _hankel_minors(diagonal, d: int, domain: str):

@@ -252,9 +252,6 @@ class Poly:
                 out[key] = get(key, 0) + c1 * c2
         return Poly._wrap({key: c for key, c in out.items() if c})
 
-    def leading(self) -> Monomial:
-        return _unpack(max(self._packed))
-
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Exact quotient by repeated leading-term elimination.
 

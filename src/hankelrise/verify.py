@@ -28,11 +28,13 @@ seed, count, dim, bound and oracle.  Fibonacci-only identities run over
 the integers only, at the Fibonacci spec.
 
 The oracles are cofactor, bareiss and structured (the Desnanot-Jacobi
-triangle, which needs a Hankel matrix).  An unset oracle follows the
-grid's domain: structured for integer and rational grids, bareiss for
-polynomial grids, whose triangle divides by heavier shifted minors than
-Bareiss's pivots, and for the random grid, whose matrices are not Hankel
-and which rejects structured.
+triangle, which needs a Hankel matrix): det_cofactor, det_bareiss and
+det_hankel_minors, each returning a DetReport.  A sweep looks the three
+up in this module when it starts.  An unset oracle follows the grid's
+domain: structured for integer and rational grids, bareiss for polynomial
+grids, whose triangle divides by heavier shifted minors than Bareiss's
+pivots, and for the random grid, whose matrices are not Hankel and which
+rejects structured.
 
 An unset d range means the identity's natural window: [1, r+1] for the
 square cases, [r+2, r+3] for rank-zero.  An explicit one is clipped to
@@ -41,7 +43,7 @@ above.  run_grid rejects before the sweep a field the identity does not
 take (any GridSpec field off its default), an r range below zero, a d
 range that leaves the window of every r empty, a cofactor grid whose
 largest matrix is over the cofactor limit, an unknown oracle, the
-structured oracle on the random grid, and negative n unless
+structured oracle on the random grid, and a negative n, i or j unless
 ring.invertible(c2): a backward step divides by c2, and the closed forms
 raise c2 (or -c2) to negative powers.
 
@@ -57,15 +59,15 @@ row-major, matrices consecutively from one stream seeded once.
 Reports are deterministic field by field except elapsed_ms, which is wall
 time.  Points are evaluated sequentially.  With the structured or bareiss
 oracle, the points of one (n, r) row share one build at the top of the
-row's d window and one row pass, whose leading minors give every d: one
-Desnanot-Jacobi triangle over the build's 2d-1 anti-diagonal values
+row's d window and one oracle call, whose DetReport.minors give every d:
+one Desnanot-Jacobi triangle over the build's 2d-1 anti-diagonal values
 (falling back to Bareiss on a zero divisor), or one fraction-free
-elimination.  The cofactor oracle evaluates each d on its own.  Every
-build and closed form in one run_grid call reads the same sequence cache,
-companion cache and delta per spec (sequence.shared_sequences), released
-when the call returns.  The scope is per context: run separate grids in
-separate threads or processes, not the rows of one grid, and merge their
-counts.
+elimination.  Carlitz, the random grid and the cofactor oracle read
+DetReport.value, one call per matrix.  Every build and closed form in one
+run_grid call reads the same sequence cache, companion cache and delta
+per spec (sequence.shared_sequences), released when the call returns.
+The scope is per context: run separate grids in separate threads or
+processes, not the rows of one grid, and merge their counts.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from . import ring
+from . import determinant, ring
 from .closedform import (
     carlitz_rhs,
     generalized_vajda_lhs,
@@ -89,13 +91,7 @@ from .closedform import (
     vajda_lhs,
     vajda_rhs,
 )
-from .determinant import (
-    _COFACTOR_LIMIT,
-    det_bareiss,
-    det_bareiss_minors,
-    det_cofactor,
-    det_hankel_minors,
-)
+from .determinant import DetReport, det_bareiss, det_cofactor, det_hankel_minors
 from .matgen import POWER, RISING, MatrixQuery, SquareMatrix, build
 from .ring import ExactScalar
 from .sequence import RecurrenceSpec, preset, shared_sequences, symbolic_spec
@@ -153,7 +149,15 @@ _RANDOM_TAKES = ("seed", "count", "dim", "bound", "oracle")
 
 IDENTITIES = (*IDENTITY_TABLE, _RANDOM)
 
-ORACLES = ("cofactor", "bareiss", "structured")
+
+def _oracles() -> Dict[str, Callable[[SquareMatrix], DetReport]]:
+    """Each oracle's entry point as bound in this module now, so a sweep
+    that builds the table when it starts sees a wrapper on verify.<name>.
+    bareiss and structured fill DetReport.minors; cofactor does not."""
+    return {"cofactor": det_cofactor, "bareiss": det_bareiss, "structured": det_hankel_minors}
+
+
+ORACLES = tuple(_oracles())
 
 Range = Tuple[int, int]
 
@@ -276,18 +280,22 @@ def _validate(grid: GridSpec) -> Tuple[RecurrenceSpec, str]:
             f" in {grid.r[0]}..{grid.r[1]}"
         )
     # a backward step divides by c2, and the closed forms raise c2 (or -c2)
-    # to negative powers
-    if grid.n[0] < 0 and not ring.invertible(spec.c2):
-        raise ValueError(
-            f"negative n needs c2 = +-1, or a nonzero c2 in the rational domain;"
-            f" this {spec.domain} spec has c2 = {spec.c2}"
-        )
+    # to negative powers; U_i and U_j step backwards at a negative i or j
+    for axis in ("n", "i", "j"):
+        bounds = getattr(grid, axis)
+        if bounds is not None and bounds[0] < 0 and not ring.invertible(spec.c2):
+            raise ValueError(
+                f"negative {axis} needs c2 = +-1, or a nonzero c2 in the rational domain;"
+                f" this {spec.domain} spec has c2 = {spec.c2}"
+            )
     # the largest matrix the oracle sees tops the widest d window; carlitz
     # takes no d and builds at r+1, the top of the square default window
     if oracle == "cofactor" and (row.lhs is None or grid.identity == "carlitz"):
-        largest = max(window[-1] for window in map(partial(_d_window, grid), _span(grid.r)) if window)
-        if largest > _COFACTOR_LIMIT:
-            raise ValueError(f"cofactor expansion is limited to dimension {_COFACTOR_LIMIT}")
+        # reached through the module: every determinant name bound here is
+        # an oracle, and a wrapper on one may read its DetReport
+        determinant.check_cofactor_dim(
+            max(window[-1] for window in map(partial(_d_window, grid), _span(grid.r)) if window)
+        )
     return spec, oracle
 
 
@@ -311,13 +319,6 @@ def check_fibonacci_spec(identity: str, spec: Optional[RecurrenceSpec], domain: 
         raise ValueError(f"{identity} is specific to the fibonacci spec")
 
 
-def _oracle_fn(name: str) -> Callable[[SquareMatrix], ExactScalar]:
-    if name == "structured":
-        return lambda matrix: det_hankel_minors(matrix).values[-1]
-    runner = det_cofactor if name == "cofactor" else det_bareiss
-    return lambda matrix: runner(matrix).value
-
-
 def _d_window(grid: GridSpec, r: int) -> range:
     if grid.identity == "rank-zero":
         lo, hi = grid.d if grid.d else (r + 2, r + 3)
@@ -330,10 +331,11 @@ def run_grid(grid: GridSpec) -> VerifyReport:
     """Sweep any grid: the one loop that times, counts, scopes and judges
     every point."""
     spec, oracle = _validate(grid)
+    det = _oracles()[oracle]
     if grid.identity == _RANDOM:
-        points = _random_points(grid, _oracle_fn(oracle))
+        points = _random_points(grid, lambda matrix: det(matrix).value)
     else:
-        points = _points(grid, spec, oracle)
+        points = _points(grid, spec, det, row_pass=oracle != "cofactor")
     started = time.perf_counter_ns()
     checked = 0
     mismatches: List[Mismatch] = []
@@ -348,9 +350,16 @@ def run_grid(grid: GridSpec) -> VerifyReport:
     return VerifyReport(grid, checked, tuple(mismatches), elapsed_ms, counter.muls, counter.divs)
 
 
-def _points(grid: GridSpec, spec: RecurrenceSpec, oracle: str):
+def _points(
+    grid: GridSpec, spec: RecurrenceSpec, det: Callable[[SquareMatrix], DetReport], row_pass: bool
+):
+    """Each point's (point, lhs, rhs).  With row_pass, det fills minors and
+    each (n, r) row reads every d off one call."""
     identity = IDENTITY_TABLE[grid.identity]
-    value_of = _oracle_fn(oracle)
+
+    def value_of(matrix: SquareMatrix) -> ExactScalar:
+        return det(matrix).value
+
     if identity.lhs is not None:
         axes = ("n", *identity.axes)
         for values in product(*(_span(getattr(grid, axis)) for axis in axes)):
@@ -360,18 +369,17 @@ def _points(grid: GridSpec, spec: RecurrenceSpec, oracle: str):
                 _guarded(lambda: identity.rhs(spec, *values)),
             )
         return
-    row_pass = {"structured": det_hankel_minors, "bareiss": det_bareiss_minors}.get(oracle)
     for n in _span(grid.n):
         for r in _span(grid.r):
             window = _d_window(grid, r)
             row = None
-            if row_pass is not None and window:
+            if row_pass and window:
                 # one build at the top of the window and one row pass give
                 # every d.  A validated grid leaves no step to fail:
                 # backward steps divide by an invertible c2, and both passes
                 # divide only exactly, by nonzero minors or pivots.
                 top = MatrixQuery(n, r, window[-1], RISING)
-                row = _guarded(lambda: row_pass(build(spec, top)).values)
+                row = _guarded(lambda: det(build(spec, top)).minors)
             for d in window:
                 point = {"n": n, "r": r, "d": d}
                 if row is None:

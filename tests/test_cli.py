@@ -250,7 +250,7 @@ def test_verify_rejects_grids_it_cannot_sweep(capsys):
 
 def test_verify_rejects_input_it_would_ignore_or_cannot_honour(monkeypatch, capsys):
     for name in (
-        "_points", "_random_points", "det_bareiss", "det_bareiss_minors", "det_cofactor", "det_hankel_minors",
+        "_points", "_random_points", "det_bareiss", "det_cofactor", "det_hankel_minors",
     ):
         monkeypatch.setattr(verify_module, name, _swept)
     cases = [
@@ -264,6 +264,8 @@ def test_verify_rejects_input_it_would_ignore_or_cannot_honour(monkeypatch, caps
         ("--identity carlitz --n 0 --r 1 --d 7", "identity carlitz does not take d"),
         ("--identity theorem2 --domain rat --a 0 --b 1 --c1 1 --c2 0 --n=-1..0 --r 0..1",
          "negative n needs c2 = +-1, or a nonzero c2 in the rational domain; this rat spec has c2 = 0"),
+        ("--identity eq4 --preset jacobsthal --n 0 --i=-1 --j 0",
+         "negative i needs c2 = +-1, or a nonzero c2 in the rational domain; this int spec has c2 = 2"),
         ("--identity theorem1 --n 0 --r 10 --oracle cofactor", "cofactor expansion is limited to dimension 10"),
         ("--identity rank-zero --n 0 --r 8 --oracle cofactor", "cofactor expansion is limited to dimension 10"),
         ("--identity carlitz --n 0 --r 10 --oracle cofactor", "cofactor expansion is limited to dimension 10"),
@@ -438,6 +440,15 @@ def test_bench_rejects_cofactor_over_the_limit_before_any_row(monkeypatch, capsy
     monkeypatch.setitem(cli_module._ALGORITHMS, "cofactor", _swept)
     code, out, err = run_cli(capsys, "bench", "--r", "9", "--d", "9..11", "--algorithms", "bareiss,cofactor")
     assert (code, out, err) == (2, "", "error: cofactor expansion is limited to dimension 10\n")
+
+
+def test_bench_rejects_an_empty_algorithm_list(capsys):
+    # a run that measures nothing is no success
+    code, out, err = run_cli(capsys, "bench", "--r", "2", "--d", "2", "--algorithms", " , ")
+    assert (code, out) == (2, "")
+    assert err == "error: no bench algorithm given; choose from bareiss, closed, cofactor, condensation, structured\n"
+    with pytest.raises(ValueError, match="^no bench algorithm given"):
+        bench_rows(preset("fibonacci"), (1, 1), (2, 2), (2, 2), [])
 
 
 def test_bench_rejects_unknown_algorithm(capsys):

@@ -12,7 +12,7 @@ from hankelrise.closedform import (
     vajda_lhs,
     vajda_rhs,
 )
-from hankelrise.determinant import det_bareiss, det_bareiss_minors
+from hankelrise.determinant import det_bareiss
 from hankelrise.matgen import MatrixQuery, build
 from hankelrise.ring import integer
 from hankelrise.sequence import PRESETS, RecurrenceSpec, preset, symbolic_spec
@@ -93,7 +93,7 @@ def test_symbolic_theorem2_specializes_to_every_preset():
     checked = 0
     for n in range(0, 2):
         for r in range(0, 4):
-            minors = det_bareiss_minors(build(sym, MatrixQuery(n, r, r + 1))).values
+            minors = det_bareiss(build(sym, MatrixQuery(n, r, r + 1))).minors
             for d in range(1, r + 2):
                 lhs, rhs = minors[d - 1].value, theorem2_rhs(sym, n, r, d).value
                 for name, seeds in PRESETS.items():
@@ -122,7 +122,7 @@ def test_symbolic_theorem2_specializes_to_integer_points():
     checked = 0
     for n in range(0, 2):
         for r in range(0, 4):
-            minors = det_bareiss_minors(build(sym, MatrixQuery(n, r, r + 1))).values
+            minors = det_bareiss(build(sym, MatrixQuery(n, r, r + 1))).minors
             for d in range(1, r + 2):
                 lhs, rhs = minors[d - 1].value, theorem2_rhs(sym, n, r, d).value
                 for seeds in points:

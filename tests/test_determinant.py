@@ -5,7 +5,6 @@ import pytest
 from hankelrise import ring
 from hankelrise.determinant import (
     det_bareiss,
-    det_bareiss_minors,
     det_cofactor,
     det_condensation,
     det_hankel_minors,
@@ -149,10 +148,10 @@ def _leading(matrix, k):
 
 
 def _assert_minors_match_blocks(matrix):
-    report = det_bareiss_minors(matrix)
-    assert len(report.values) == matrix.dim
+    report = det_bareiss(matrix)
+    assert len(report.minors) == matrix.dim
     for k in range(1, matrix.dim + 1):
-        assert report.values[k - 1] == det_bareiss(_leading(matrix, k)).value, k
+        assert report.minors[k - 1] == det_bareiss(_leading(matrix, k)).value, k
     return report
 
 
@@ -163,7 +162,7 @@ def test_bareiss_minors_match_every_leading_block():
     for _ in range(2000):
         dim = rng.next_int(1, 6)
         matrix = _int_matrix([[rng.next_int(-1, 1) for _ in range(dim)] for _ in range(dim)])
-        values = _assert_minors_match_blocks(matrix).values
+        values = _assert_minors_match_blocks(matrix).minors
         if dim <= 4:
             assert values == tuple(det_cofactor(_leading(matrix, k)).value for k in range(1, dim + 1))
         swapped += matrix.entry(0, 0).is_zero() and dim > 1
@@ -172,8 +171,8 @@ def test_bareiss_minors_match_every_leading_block():
 
 
 def test_bareiss_minors_report_fields():
-    report = det_bareiss_minors(_int_matrix([[2, 3], [4, 5]]))
-    assert report.values == (integer(2), integer(-2))
+    report = det_bareiss(_int_matrix([[2, 3], [4, 5]]))
+    assert report.minors == (integer(2), integer(-2))
     assert report.algorithm == "bareiss"
     assert (report.mul_count, report.div_count) == (2, 0)
     assert report.fallback_used is False
@@ -182,7 +181,7 @@ def test_bareiss_minors_report_fields():
 def test_bareiss_minors_swap_zeroes_skipped_blocks():
     # the first pivot comes from row 2, so the 2x2 block is singular
     report = _assert_minors_match_blocks(_int_matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
-    assert report.values == (integer(0), integer(0), integer(-1))
+    assert report.minors == (integer(0), integer(0), integer(-1))
 
 
 def test_bareiss_minors_on_hankel_builds():
@@ -191,12 +190,12 @@ def test_bareiss_minors_on_hankel_builds():
     fibonacci = preset("fibonacci")
     for n in (-2, 0, 1):
         for r in range(0, 6):
-            values = _assert_minors_match_blocks(build(fibonacci, MatrixQuery(n, r, r + 3))).values
+            values = _assert_minors_match_blocks(build(fibonacci, MatrixQuery(n, r, r + 3))).minors
             assert all(value.is_zero() for value in values[r + 1:])
             assert not values[r].is_zero()
     lucas = preset("lucas", ring.RATIONAL)
     _assert_minors_match_blocks(build(lucas, MatrixQuery(-3, 2, 5)))
-    symbolic = _assert_minors_match_blocks(build(symbolic_spec(), MatrixQuery(0, 1, 3))).values
+    symbolic = _assert_minors_match_blocks(build(symbolic_spec(), MatrixQuery(0, 1, 3))).minors
     assert str(symbolic[1]) == "-b^2 + c1*a*b + c2*a^2"
     assert symbolic[2].is_zero()
 
@@ -238,9 +237,12 @@ def test_algorithms_agree_on_hankel_builds_with_zero_leading_entries():
             for r in range(0, 5):
                 for mode in MODES:
                     matrix = build(spec, MatrixQuery(n, r, r + 3, mode))
-                    minors = det_bareiss_minors(matrix).values
+                    bareiss = det_bareiss(matrix)
+                    minors = bareiss.minors
                     structured = det_hankel_minors(matrix)
-                    assert structured.values == minors, (spec, n, r, mode)
+                    assert structured.minors == minors, (spec, n, r, mode)
+                    # the two minor-filling reports end on their value
+                    assert bareiss.value == minors[-1] and structured.value == minors[-1]
                     assert structured.fallback_used == _triangle_meets_a_zero_divisor(matrix)
                     assert structured.algorithm == (
                         "structured-fallback" if structured.fallback_used else "structured"
@@ -248,9 +250,11 @@ def test_algorithms_agree_on_hankel_builds_with_zero_leading_entries():
                     structured_fallbacks += structured.fallback_used
                     for k in range(1, matrix.dim + 1):
                         block = _leading(matrix, k)
+                        cofactor = det_cofactor(block)
                         condensed = det_condensation(block)
+                        assert cofactor.minors == condensed.minors == ()
                         values = {
-                            det_cofactor(block).value,
+                            cofactor.value,
                             det_bareiss(block).value,
                             condensed.value,
                             minors[k - 1],
@@ -269,7 +273,7 @@ def test_hankel_minors_report_fields():
     # empty determinant, which costs nothing; the 3 x 3 level squares
     # D(1, 2) = -4 (1 * 6 costs nothing) and divides by h_2 = 5
     report = det_hankel_minors(_int_matrix([[2, 3, 5], [3, 5, 7], [5, 7, 11]]))
-    assert report.values == (integer(2), integer(1), integer(-2))
+    assert report.minors == (integer(2), integer(1), integer(-2))
     assert report.algorithm == "structured"
     assert (report.mul_count, report.div_count) == (7, 1)
     assert report.fallback_used is False
@@ -280,7 +284,7 @@ def test_hankel_minors_fall_back_to_bareiss_on_a_zero_divisor():
     matrix = _int_matrix([[1, 1, 0], [1, 0, 2], [0, 2, 1]])
     report = det_hankel_minors(matrix)
     assert report.fallback_used and report.algorithm == "structured-fallback"
-    assert report.values == det_bareiss_minors(matrix).values == (integer(1), integer(-1), integer(-5))
+    assert report.minors == det_bareiss(matrix).minors == (integer(1), integer(-1), integer(-5))
 
 
 def test_hankel_minors_reject_matrices_that_are_not_hankel():
@@ -288,12 +292,12 @@ def test_hankel_minors_reject_matrices_that_are_not_hankel():
     for rows in ([[1, 2], [3, 4]], [[1, 2, 3], [2, 5, 4], [3, 4, 6]]):
         with pytest.raises(ValueError, match="Hankel"):
             det_hankel_minors(_int_matrix(rows))
-    assert det_hankel_minors(_int_matrix([[7]])).values == (integer(7),)
+    assert det_hankel_minors(_int_matrix([[7]])).minors == (integer(7),)
 
 
 def test_hankel_minors_on_symbolic_builds():
     for n, r in ((0, 1), (0, 2), (1, 2)):
         matrix = build(symbolic_spec(), MatrixQuery(n, r, r + 2))
         report = det_hankel_minors(matrix)
-        assert report.values == det_bareiss_minors(matrix).values
-        assert report.values[-1].is_zero()
+        assert report.minors == det_bareiss(matrix).minors
+        assert report.minors[-1].is_zero()

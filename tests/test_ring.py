@@ -324,7 +324,8 @@ def test_poly_product_degree_overflow():
     half = 32767 // 2
     high = Poly({(half, 0, 0, 0): 1, (0, 0, 0, 0): 1})
     assert str(high * high).startswith("1 + 2*a^")
-    assert (high * high * Poly.variable("b")).leading() == (2 * half, 1, 0, 0)
+    product = high * high * Poly.variable("b")
+    assert dict(product.terms) == {(2 * half, 1, 0, 0): 1, (half, 1, 0, 0): 2, (0, 1, 0, 0): 1}
     with pytest.raises(OverflowError):
         high * high * Poly({(0, 2, 0, 0): 1})
 

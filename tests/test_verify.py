@@ -120,6 +120,28 @@ def test_eq4_grids():
     assert report.passed and report.checked == 36
 
 
+def test_negative_bilinear_indices_need_an_invertible_c2(monkeypatch):
+    # U_i at a negative i steps backwards, dividing by c2
+    lucas = preset("lucas", ring.RATIONAL)
+    for identity, spec, domain in (("vajda", None, ring.INTEGER), ("eq4", lucas, ring.RATIONAL)):
+        grid = GridSpec(identity=identity, spec=spec, domain=domain, n=(-2, 1), i=(-3, 1), j=(-2, 2))
+        report = run_grid(grid)
+        assert report.passed and report.checked == 4 * 5 * 5
+    monkeypatch.setattr(verify_module, "_points", _swept)
+    degenerate = RecurrenceSpec(rational(0), rational(1), rational(1), rational(0))
+    cases = [
+        (dict(spec=preset("jacobsthal"), i=(-1, 0), j=(0, 0)), "i", "int spec has c2 = 2"),
+        (dict(spec=degenerate, domain=ring.RATIONAL, i=(0, 0), j=(-1, 0)), "j", "rat spec has c2 = 0"),
+        (dict(domain=ring.POLYNOMIAL, i=(-2, -1), j=(-1, 0)), "i", "poly spec has c2 = c2"),
+    ]
+    for fields_, axis, tail in cases:
+        with pytest.raises(ValueError) as rejected:
+            run_grid(GridSpec(identity="eq4", n=(0, 0), **fields_))
+        assert str(rejected.value) == (
+            f"negative {axis} needs c2 = +-1, or a nonzero c2 in the rational domain; this {tail}"
+        )
+
+
 def test_theorem2_grids():
     spec = preset("lucas", ring.RATIONAL)
     report = run_grid(GridSpec(identity="theorem2", spec=spec, domain=ring.RATIONAL, n=(-3, 2), r=(0, 2)))
@@ -152,7 +174,7 @@ def test_degenerate_spec_errors_are_reported_structurally(monkeypatch):
         raise ZeroDivisionError("exact division by zero")
 
     # both row passes: the grid's default and the bareiss cross-check
-    for name in ("det_hankel_minors", "det_bareiss_minors", "theorem2_rhs"):
+    for name in ("det_hankel_minors", "det_bareiss", "theorem2_rhs"):
         monkeypatch.setattr(verify_module, name, raising)
     report = run_grid(grid)
     assert report.checked == 4 and len(report.mismatches) == 4
@@ -195,12 +217,12 @@ def test_default_oracle_follows_the_domain(monkeypatch):
         genuine = getattr(verify_module, name)
         return lambda matrix: calls.append(name) or genuine(matrix)
 
-    for name in ("det_hankel_minors", "det_bareiss_minors"):
+    for name in ("det_hankel_minors", "det_bareiss"):
         monkeypatch.setattr(verify_module, name, recording(name))
     for grid in list(defaults)[:3]:
         calls.clear()
         assert run_grid(grid).passed
-        assert set(calls) == {f"det_{'hankel' if defaults[grid] == 'structured' else 'bareiss'}_minors"}
+        assert set(calls) == {"det_hankel_minors" if defaults[grid] == "structured" else "det_bareiss"}
 
 
 def _acceptance_grids():
@@ -326,7 +348,7 @@ def test_validation_errors(monkeypatch):
         run_grid(GridSpec(identity="desnanot-jacobi-random", count=0))
     # grids the sweep cannot honour are rejected before it starts: any call
     # into the sweep now fails the test
-    for name in ("MatrixQuery", "build", "det_bareiss_minors", "det_hankel_minors", "theorem1_rhs",
+    for name in ("MatrixQuery", "build", "det_bareiss", "det_hankel_minors", "theorem1_rhs",
                  "theorem2_rhs", "prodinger_rhs", "carlitz_rhs", "hankel_rank_bound_value"):
         monkeypatch.setattr(verify_module, name, _swept)
     for identity in ("theorem1", "theorem2", "prodinger", "carlitz", "rank-zero"):
@@ -347,7 +369,7 @@ def _swept(*args, **kwargs):
 
 
 _SWEEP_ENTRIES = (
-    "_points", "_random_points", "det_bareiss", "det_bareiss_minors", "det_cofactor", "det_hankel_minors",
+    "_points", "_random_points", "det_bareiss", "det_cofactor", "det_hankel_minors",
 )
 
 
