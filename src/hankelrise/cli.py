@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import ring
 from .determinant import check_cofactor_dim, det_bareiss, det_cofactor, det_condensation, det_hankel_minors
 from .matgen import MODES, RISING, MatrixQuery, build
-from .sequence import PRESETS, RecurrenceSpec, SequenceCache, preset, symbolic_spec
+from .sequence import PRESETS, RecurrenceSpec, SequenceCache, check_index, preset, symbolic_spec
 from .verify import IDENTITIES, IDENTITY_TABLE, ORACLES, GridSpec, check_fibonacci_spec, report_json, run_grid
 
 
@@ -183,7 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_seq(args: argparse.Namespace) -> int:
     if args.start > args.stop:
         raise ValueError("--from must not exceed --to")
-    cache = SequenceCache(_spec_from_args(args))
+    spec = _spec_from_args(args)
+    check_index(spec, "k", args.start)
+    cache = SequenceCache(spec)
     for k in range(args.start, args.stop + 1):
         value = cache.rising_power(k, args.rising) if args.rising is not None else cache.term(k)
         print(f"{k}\t{value}")
@@ -191,7 +193,9 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _cmd_det(args: argparse.Namespace) -> int:
-    matrix = build(_spec_from_args(args), MatrixQuery(args.n, args.r, args.d, args.mode))
+    spec = _spec_from_args(args)
+    check_index(spec, "n", args.n)
+    matrix = build(spec, MatrixQuery(args.n, args.r, args.d, args.mode))
     report = _ALGORITHMS[args.algorithm](matrix)
     print(report.value)
     if args.stats:
@@ -225,6 +229,9 @@ def _cmd_closed(args: argparse.Namespace) -> int:
     check_fibonacci_spec(args.identity, spec, args.domain)
     identity = IDENTITY_TABLE[args.identity]
     _require(args, identity.axes)
+    for axis in ("n", "i", "j"):
+        if getattr(args, axis) is not None:
+            check_index(spec, axis, getattr(args, axis))
     print(identity.rhs(spec, args.n, *(getattr(args, axis) for axis in identity.axes)))
     return 0
 
@@ -255,6 +262,7 @@ def bench_rows(
     # before any row: a late failure would waste every smaller expansion
     if "cofactor" in algorithms:
         check_cofactor_dim(d_range[1])
+    check_index(spec, "n", n_range[0])
     rows = []
     for algorithm in sorted(set(algorithms)):
         for n in range(n_range[0], n_range[1] + 1):

@@ -10,7 +10,9 @@ in both directions; negative indices extend backwards through
     W_k = (W_{k+2} - c1 * W_{k+1}) / c2
 
 which needs an exact division by c2 at every step.  ring.invertible(c2)
-guarantees one, and verify admits negative n only then.
+guarantees one, and check_index is the one gate that admits a negative
+index only then; verify and every CLI command call it before any
+arithmetic.
 
 cache_for, companion_cache and delta give one cache (or value) per spec
 value for the life of a shared_sequences() scope, and a new one on every
@@ -75,6 +77,17 @@ def preset(name: str, domain: str = ring.INTEGER) -> RecurrenceSpec:
         raise ValueError("presets are numeric; use symbolic_spec() for the polynomial domain")
     a, b, c1, c2 = (ring._make(domain, v) for v in PRESETS[name])
     return RecurrenceSpec(a, b, c1, c2)
+
+
+def check_index(spec: RecurrenceSpec, axis: str, lowest: int) -> None:
+    """ValueError unless index ``axis`` may go down to ``lowest``: a
+    backward step divides by c2, so a negative index needs
+    ring.invertible(c2)."""
+    if lowest < 0 and not ring.invertible(spec.c2):
+        raise ValueError(
+            f"negative {axis} needs c2 = +-1, or a nonzero c2 in the rational domain;"
+            f" this {spec.domain} spec has c2 = {spec.c2}"
+        )
 
 
 def symbolic_spec() -> RecurrenceSpec:

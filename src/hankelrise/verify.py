@@ -44,8 +44,8 @@ take (any GridSpec field off its default), an r range below zero, a d
 range that leaves the window of every r empty, a cofactor grid whose
 largest matrix is over the cofactor limit, an unknown oracle, the
 structured oracle on the random grid, and a negative n, i or j unless
-ring.invertible(c2): a backward step divides by c2, and the closed forms
-raise c2 (or -c2) to negative powers.
+ring.invertible(c2) (sequence.check_index): a backward step divides by
+c2, and the closed forms raise c2 (or -c2) to negative powers.
 
 Random matrices come from a 64-bit linear congruential generator chosen
 for cross-language reproducibility:
@@ -94,7 +94,7 @@ from .closedform import (
 from .determinant import DetReport, det_bareiss, det_cofactor, det_hankel_minors
 from .matgen import POWER, RISING, MatrixQuery, SquareMatrix, build
 from .ring import ExactScalar
-from .sequence import RecurrenceSpec, preset, shared_sequences, symbolic_spec
+from .sequence import RecurrenceSpec, check_index, preset, shared_sequences, symbolic_spec
 
 
 class Identity(NamedTuple):
@@ -283,11 +283,8 @@ def _validate(grid: GridSpec) -> Tuple[RecurrenceSpec, str]:
     # to negative powers; U_i and U_j step backwards at a negative i or j
     for axis in ("n", "i", "j"):
         bounds = getattr(grid, axis)
-        if bounds is not None and bounds[0] < 0 and not ring.invertible(spec.c2):
-            raise ValueError(
-                f"negative {axis} needs c2 = +-1, or a nonzero c2 in the rational domain;"
-                f" this {spec.domain} spec has c2 = {spec.c2}"
-            )
+        if bounds is not None:
+            check_index(spec, axis, bounds[0])
     # the largest matrix the oracle sees tops the widest d window; carlitz
     # takes no d and builds at r+1, the top of the square default window
     if oracle == "cofactor" and (row.lhs is None or grid.identity == "carlitz"):

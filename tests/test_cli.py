@@ -8,6 +8,7 @@ import pytest
 
 import hankelrise
 import hankelrise.cli as cli_module
+import hankelrise.ring as ring_module
 import hankelrise.verify as verify_module
 from hankelrise.cli import _build_parser, _merge_range_values, _parse_range, bench_rows, main, write_bench_csv
 from hankelrise.sequence import preset
@@ -61,6 +62,30 @@ def test_seq_backwards_range_is_an_error(capsys):
     code, _, err = run_cli(capsys, "seq", "--from", "2", "--to", "1")
     assert code == 2
     assert err.startswith("error:")
+
+
+def _negative_index_error(axis, domain="int", c2="2"):
+    return (
+        f"error: negative {axis} needs c2 = +-1, or a nonzero c2 in the rational domain;"
+        f" this {domain} spec has c2 = {c2}\n"
+    )
+
+
+@pytest.fixture
+def no_arithmetic(monkeypatch):
+    """Fail the test if any scalar multiply or exact division runs."""
+    monkeypatch.setattr(ring_module, "mul", _swept)
+    monkeypatch.setattr(ring_module, "exact_div", _swept)
+
+
+def test_seq_negative_index_needs_an_invertible_c2(no_arithmetic, capsys):
+    code, out, err = run_cli(capsys, "seq", "--preset", "jacobsthal", "--from", "-2", "--to", "1")
+    assert (code, out, err) == (2, "", _negative_index_error("k"))
+
+
+def test_det_negative_n_needs_an_invertible_c2(no_arithmetic, capsys):
+    code, out, err = run_cli(capsys, "det", "--preset", "jacobsthal", "--n=-1", "--r", "1", "--d", "2")
+    assert (code, out, err) == (2, "", _negative_index_error("n"))
 
 
 def test_det_value_and_stats(capsys):
@@ -191,6 +216,17 @@ def test_closed_missing_flags(capsys):
     code, _, err = run_cli(capsys, "closed", "--identity", "theorem1", "--n", "0")
     assert code == 2
     assert "--r" in err and "--d" in err
+
+
+def test_closed_negative_index_needs_an_invertible_c2(no_arithmetic, capsys):
+    for argv, axis, domain, c2 in (
+        ("--preset jacobsthal --n 0 --i=-1 --j 0", "i", "int", "2"),
+        ("--domain poly --n 0 --i=-1 --j 0", "i", "poly", "c2"),
+        ("--preset jacobsthal --n 0 --i 0 --j=-2", "j", "int", "2"),
+        ("--preset jacobsthal --n=-1 --i 0 --j 0", "n", "int", "2"),
+    ):
+        code, out, err = run_cli(capsys, "closed", "--identity", "eq4", *argv.split())
+        assert (code, out, err) == (2, "", _negative_index_error(axis, domain, c2)), argv
 
 
 def test_verify_grid(capsys):
@@ -440,6 +476,11 @@ def test_bench_rejects_cofactor_over_the_limit_before_any_row(monkeypatch, capsy
     monkeypatch.setitem(cli_module._ALGORITHMS, "cofactor", _swept)
     code, out, err = run_cli(capsys, "bench", "--r", "9", "--d", "9..11", "--algorithms", "bareiss,cofactor")
     assert (code, out, err) == (2, "", "error: cofactor expansion is limited to dimension 10\n")
+
+
+def test_bench_negative_n_needs_an_invertible_c2(no_arithmetic, capsys):
+    code, out, err = run_cli(capsys, "bench", "--preset", "jacobsthal", "--n=-1", "--r", "1", "--d", "2")
+    assert (code, out, err) == (2, "", _negative_index_error("n"))
 
 
 def test_bench_rejects_an_empty_algorithm_list(capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,10 @@ from hankelrise.ring import (
     widen,
     zero,
 )
-from hankelrise.verify import Lcg64
+from hankelrise.determinant import det_bareiss
+from hankelrise.matgen import RISING, MatrixQuery, build
+from hankelrise.sequence import SequenceCache, delta, symbolic_spec
+from hankelrise.verify import GridSpec, Lcg64, run_grid
 
 
 def test_integer_examples():
@@ -337,3 +341,118 @@ def test_poly_terms_view():
     assert view[(1, 0, 2, 0)] == 3 and (0, 0, 0, 1) not in view
     assert view.get((-1, 0, 0, 0)) is None and view.get((40000, 0, 0, 0)) is None
     assert Poly(view) == Poly(terms)
+
+
+# -- bi-graded Kronecker kernel against the same references -------------------
+
+
+def _takes_kernel(p, q):
+    return (
+        len(p.terms) * len(q.terms) > ring._KRONECKER_MIN_PAIRS
+        and ring._bigraded(p._packed) is not None
+        and ring._bigraded(q._packed) is not None
+    )
+
+
+@pytest.fixture(scope="module")
+def symbolic_operands():
+    """Bi-graded polys the symbolic pipeline multiplies: rising powers,
+    delta powers and the pivots of the r = 5, d = 6 Bareiss pass."""
+    spec = symbolic_spec()
+    cache = SequenceCache(spec)
+    powers = [delta(spec).value]
+    while len(powers) < 10:
+        powers.append(powers[-1] * powers[0])
+    return {
+        "rising": [cache.rising_power(m, r).value for m, r in ((2, 5), (1, 6))],
+        "delta": [powers[5], powers[9]],
+        "pivots": [m.value for m in det_bareiss(build(spec, MatrixQuery(0, 5, 6, RISING))).minors],
+    }
+
+
+def test_kronecker_kernel_matches_tuple_reference_on_symbolic_operands(symbolic_operands):
+    operands = [p for group in symbolic_operands.values() for p in group if len(p.terms) < 600]
+    pairs = [(p, q) for p in operands for q in operands if _takes_kernel(p, q) and len(p.terms) * len(q.terms) <= 30000]
+    assert len(pairs) >= 20
+    for p, q in pairs:
+        product = p * q
+        assert product.terms == _ref_mul(p.terms, q.terms)
+        assert _takes_kernel(product, q)
+        assert product.exact_div(q) == p
+        # one coefficient off, or one monomial of the grading added: inexact
+        key = max(product._packed)
+        for changed in ({**product._packed, key: product._packed[key] + 1}, {**product._packed, 0: 1}):
+            with pytest.raises(InexactDivisionError):
+                Poly._wrap(changed).exact_div(q)
+    # the two largest pivots, 800 x 878 terms
+    p, q = symbolic_operands["pivots"][-2:]
+    assert _takes_kernel(p, q) and (p * q).exact_div(p) == q
+    small, rising = symbolic_operands["delta"][0], symbolic_operands["rising"][0]
+    assert _takes_kernel(small * rising, small)
+    assert _ref_exact_div((small * rising).terms, small.terms) == (small * rising).exact_div(small).terms
+
+
+def test_kronecker_division_by_a_non_divisor_raises(symbolic_operands):
+    pivot, rising = symbolic_operands["pivots"][3], symbolic_operands["rising"][0]
+    assert _takes_kernel(pivot, rising)
+    with pytest.raises(InexactDivisionError):
+        pivot.exact_div(rising)
+    with pytest.raises(InexactDivisionError):
+        _ref_exact_div(pivot.terms, rising.terms)
+    # a divisor of larger grades leaves no quotient box
+    with pytest.raises(InexactDivisionError):
+        rising.exact_div(pivot)
+
+
+def test_kronecker_slots_hold_the_largest_possible_coefficient():
+    # every term of p meets every term of q in the middle monomial, so one
+    # product coefficient reaches the slot bound max|c| * max|c'| * min(len)
+    n, big = 40, 3**40
+    p = Poly({(i, n - i, i, 0): big for i in range(n + 1)})
+    alternating = Poly({(i, n - i, i, 0): (-1) ** i * big for i in range(n + 1)})
+    for left, right in ((p, p), (p, -p), (alternating, alternating), (alternating, p)):
+        assert _takes_kernel(left, right)
+        product = left * right
+        assert product.terms == _ref_mul(left.terms, right.terms)
+        assert product.exact_div(right) == left
+    assert (p * p).terms[(n, n, n, 0)] == (n + 1) * big * big
+    assert (p * -p).terms[(n, n, n, 0)] == -(n + 1) * big * big
+
+
+def test_kronecker_kernel_leaves_ungraded_operands_to_the_dict_loop():
+    n = 40
+    # one (a, b)-degree but two weights; one weight but two (a, b)-degrees;
+    # and a single term off the grading in the middle of a graded poly
+    two_weights = Poly({(i, n - i, i % 2, 0): i - 20 for i in range(n + 1)})
+    two_degrees = Poly({(i, n - i - i % 2, i + i % 2, 0): i + 1 for i in range(n + 1)})
+    graded = Poly({(i, n - i, i, 0): 7 - i for i in range(n + 1)})
+    off_middle = Poly({**graded.terms, (20, 20, 21, 0): 5})
+    rng = Lcg64(2718)
+    randoms = [
+        Poly({tuple(rng.next_int(0, 6) for _ in range(4)): rng.next_int(-9, 9) for _ in range(45)})
+        for _ in range(4)
+    ]
+    cases = [(two_weights, graded), (graded, two_degrees), (off_middle, graded), (two_weights, two_weights)]
+    cases += list(zip(randoms, randoms[1:]))
+    for p, q in cases:
+        assert len(p.terms) * len(q.terms) > ring._KRONECKER_MIN_PAIRS and not _takes_kernel(p, q)
+        product = p * q
+        assert product.terms == _ref_mul(p.terms, q.terms)
+        assert product.exact_div(q) == p
+
+
+def test_symbolic_grid_multiplies_only_through_the_poly_methods(monkeypatch):
+    # the kernel's quotient check multiplies images, not Polys, so a wrapper
+    # on these methods (as a tracer installs) sees acceptance 05's own calls
+    calls = Counter()
+    for name in ("__mul__", "exact_div"):
+        method = getattr(Poly, name)
+
+        def counted(self, other, method=method, name=name):
+            calls[name] += 1
+            return method(self, other)
+
+        monkeypatch.setattr(Poly, name, counted)
+    report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
+    assert report.passed and report.checked == 60
+    assert calls == {"__mul__": 1107, "exact_div": 80}
