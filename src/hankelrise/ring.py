@@ -41,10 +41,17 @@ one (a, b)-degree ea + eb and one weight eb + ec1 + 2*ec2; every value of
 the symbolic pipeline is, since W_k has weight k, and given both sums the
 pair (ea, ec2) fixes the monomial.  Rule: a product or exact division
 whose operands' term counts multiply to more than 1024 pairs, with both
-operands bi-graded, runs through the kernel; everything else runs the
-dict loop.  That crossover was measured on the operands of the symbolic
-theorem2 grid n = 0..3, r = 0..4: the kernel won 7 of 18 products of
-700 to 850 pairs, 24 of 29 of 1,000 to 1,500, and every one above 3,000.
+operands bi-graded and at least 3 pairs per slot of the image box (the
+product's, or the dividend's), runs through the kernel; everything else
+runs the dict loop.  That crossover was measured on the operands of the
+symbolic theorem2 grid n = 0..3, r = 0..4: the kernel won 7 of 18
+products of 700 to 850 pairs, 24 of 29 of 1,000 to 1,500, and every one
+above 3,000.  The density bound keeps the kernel's Python work, a loop
+over slots, within a constant factor of the dict loop's over pairs: a
+box spread over millions of slots stays on the dict loop.  Every kernel
+product and quotient of that grid has more than 3.2 pairs per slot; at
+4, a box one slot wide per ea still ran about 3 times slower than the
+dict loop.
 
 A product packs each operand into one signed big int with a byte-aligned
 slot per (ea, ec2), wide enough for max|c| * max|c'| * min(len, len'),
@@ -52,8 +59,9 @@ which bounds every product coefficient (a term of the shorter operand
 meets at most one term of the other in each monomial), so one CPython
 multiply yields the product; biasing every slot by half its range makes
 the slots non-negative bytes cut from ``to_bytes``.  A quotient divides
-the images and decodes a candidate q inside the box the dividend's box
-less the divisor's allows.  q is returned only if the images of
+images whose slots are one byte wider than both operands need and
+decodes a candidate q inside the box the dividend's box less the
+divisor's allows.  q is returned only if the images of
 q * divisor and of the dividend agree at a slot width above every
 coefficient of q * divisor - dividend: with no slot able to carry, equal
 images make that difference the zero polynomial.  A candidate that fails,
@@ -373,6 +381,10 @@ class Poly:
 # both operands are bi-graded; below it the dict loop is faster (see the
 # module docstring).
 _KRONECKER_MIN_PAIRS = 1024
+# The kernel decodes every slot of its image in a Python loop, where the
+# dict loop visits every term pair, so it also needs at most one slot per
+# this many pairs; a sparse box stays on the dict loop.
+_KRONECKER_PAIRS_PER_SLOT = 3
 
 _EA_SHIFT, _EB_SHIFT, _EC1_SHIFT, _EC2_SHIFT = _SHIFTS
 # the packed key is linear in the fields, so one step along ec2 at fixed
@@ -406,11 +418,17 @@ def _slot_bytes(bound: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
+def _slot_count(shape: _Shape, stride: int) -> int:
+    """Slots in the image of ``shape`` laid out with ``stride`` slots per ea."""
+    _, _, ea_lo, ea_hi, ec2_lo, ec2_hi = shape
+    return (ea_hi - ea_lo) * stride + ec2_hi - ec2_lo + 1
+
+
 def _image(packed: Dict[int, int], shape: _Shape, stride: int, width: int) -> int:
     """Kronecker image: the coefficient of (ea, ec2) in slot
     (ea - ea_lo)*stride + (ec2 - ec2_lo), each slot ``width`` bytes wide."""
-    _, _, ea_lo, ea_hi, ec2_lo, ec2_hi = shape
-    size = ((ea_hi - ea_lo) * stride + ec2_hi - ec2_lo + 1) * width
+    ea_lo, ec2_lo = shape[2], shape[4]
+    size = _slot_count(shape, stride) * width
     positive, negative = bytearray(size), bytearray(size)
     for key, coeff in packed.items():
         at = ((((key >> _EA_SHIFT) & _FIELD_MASK) - ea_lo) * stride + (key & _FIELD_MASK) - ec2_lo) * width
@@ -430,7 +448,7 @@ def _decode(image: int, shape: _Shape, stride: int, width: int) -> Union[Dict[in
     (eb or ec1 negative, or past ec2_hi) is nonzero.
     """
     h, w, ea_lo, ea_hi, ec2_lo, ec2_hi = shape
-    slots = (ea_hi - ea_lo) * stride + ec2_hi - ec2_lo + 1
+    slots = _slot_count(shape, stride)
     bias = 1 << (8 * width - 1)
     pattern = bias.to_bytes(width, "little")
     try:
@@ -459,7 +477,7 @@ def _decode(image: int, shape: _Shape, stride: int, width: int) -> Union[Dict[in
 
 def _kronecker_mul(left: Dict[int, int], right: Dict[int, int]) -> Union[Dict[int, int], None]:
     """left * right as one big-int product of two Kronecker images, or
-    None when either is not bi-graded.
+    None when either is not bi-graded or the product's box is sparse.
 
     Slots are wide enough for any product coefficient: each term of the
     shorter operand meets at most one term of the other in a monomial.
@@ -469,15 +487,19 @@ def _kronecker_mul(left: Dict[int, int], right: Dict[int, int]) -> Union[Dict[in
         return None
     (hl, wl, al, ahl, el, ehl), (hr, wr, ar, ahr, er, ehr) = left_shape, right_shape
     stride = ehl - el + ehr - er + 1
+    shape = (hl + hr, wl + wr, al + ar, ahl + ahr, el + er, ehl + ehr)
+    if _slot_count(shape, stride) * _KRONECKER_PAIRS_PER_SLOT > len(left) * len(right):
+        return None
     bound = max(map(abs, left.values())) * max(map(abs, right.values())) * min(len(left), len(right))
     width = _slot_bytes(bound)
     image = _image(left, left_shape, stride, width) * _image(right, right_shape, stride, width)
-    return _decode(image, (hl + hr, wl + wr, al + ar, ahl + ahr, el + er, ehl + ehr), stride, width)
+    return _decode(image, shape, stride, width)
 
 
 def _kronecker_div(dividend: Dict[int, int], divisor: Dict[int, int]) -> Union[Dict[int, int], None]:
     """dividend / divisor through Kronecker images, or None when either is
-    not bi-graded or the image quotient is not proven exact.
+    not bi-graded, the dividend's box is sparse, or the image quotient is
+    not exact.
 
     An exact quotient shares both gradings and its box is the dividend's
     box less the divisor's, so the image of the dividend is the image of
@@ -495,14 +517,19 @@ def _kronecker_div(dividend: Dict[int, int], divisor: Dict[int, int]) -> Union[D
     if min(h, w, ea_lo, ec2_lo) < 0 or ea_lo > ea_hi or ec2_lo > ec2_hi or h + w > _MAX_DEGREE:
         return None
     stride = dividend_shape[5] - dividend_shape[4] + 1
-    # a guess: one byte above the dividend's coefficients; a quotient that
-    # does not fit fails the check below
-    largest = max(map(abs, dividend.values()))
+    if _slot_count(dividend_shape, stride) * _KRONECKER_PAIRS_PER_SLOT > len(dividend) * len(divisor):
+        return None
+    # a guess: one byte above every coefficient of both operands, so both
+    # images fit; a quotient that does not fit fails the check below
+    largest = max(max(map(abs, dividend.values())), max(map(abs, divisor.values())))
     width = _slot_bytes(largest << 8)
     image = _image(dividend, dividend_shape, stride, width) // _image(divisor, divisor_shape, stride, width)
     quotient = _decode(image, shape, stride, width)
     if not quotient:
         return None
+    # comparing images skips decoding q * divisor, which checking through
+    # _kronecker_mul would do: that made sym-d5's 80 divisions about 10 %
+    # slower
     bound = max(map(abs, quotient.values())) * max(map(abs, divisor.values())) * min(len(quotient), len(divisor))
     width = _slot_bytes(bound + largest)
     product = _image(quotient, shape, stride, width) * _image(divisor, divisor_shape, stride, width)

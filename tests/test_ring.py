@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -346,12 +347,22 @@ def test_poly_terms_view():
 # -- bi-graded Kronecker kernel against the same references -------------------
 
 
-def _takes_kernel(p, q):
-    return (
-        len(p.terms) * len(q.terms) > ring._KRONECKER_MIN_PAIRS
-        and ring._bigraded(p._packed) is not None
-        and ring._bigraded(q._packed) is not None
-    )
+def _takes_kernel(p, q, method=Poly.__mul__):
+    """Whether method(p, q) builds Kronecker images."""
+    built = []
+    image = ring._image
+    ring._image = lambda *args: built.append(args) or image(*args)
+    try:
+        method(p, q)
+    except InexactDivisionError:
+        pass
+    finally:
+        ring._image = image
+    return bool(built)
+
+
+def _divides_in_kernel(p, q):
+    return _takes_kernel(p, q, Poly.exact_div)
 
 
 @pytest.fixture(scope="module")
@@ -372,12 +383,12 @@ def symbolic_operands():
 
 def test_kronecker_kernel_matches_tuple_reference_on_symbolic_operands(symbolic_operands):
     operands = [p for group in symbolic_operands.values() for p in group if len(p.terms) < 600]
-    pairs = [(p, q) for p in operands for q in operands if _takes_kernel(p, q) and len(p.terms) * len(q.terms) <= 30000]
+    pairs = [(p, q) for p in operands for q in operands if len(p.terms) * len(q.terms) <= 30000 and _takes_kernel(p, q)]
     assert len(pairs) >= 20
     for p, q in pairs:
         product = p * q
         assert product.terms == _ref_mul(p.terms, q.terms)
-        assert _takes_kernel(product, q)
+        assert _divides_in_kernel(product, q)
         assert product.exact_div(q) == p
         # one coefficient off, or one monomial of the grading added: inexact
         key = max(product._packed)
@@ -386,15 +397,15 @@ def test_kronecker_kernel_matches_tuple_reference_on_symbolic_operands(symbolic_
                 Poly._wrap(changed).exact_div(q)
     # the two largest pivots, 800 x 878 terms
     p, q = symbolic_operands["pivots"][-2:]
-    assert _takes_kernel(p, q) and (p * q).exact_div(p) == q
+    assert _takes_kernel(p, q) and _divides_in_kernel(p * q, p) and (p * q).exact_div(p) == q
     small, rising = symbolic_operands["delta"][0], symbolic_operands["rising"][0]
-    assert _takes_kernel(small * rising, small)
+    assert _divides_in_kernel(small * rising, small)
     assert _ref_exact_div((small * rising).terms, small.terms) == (small * rising).exact_div(small).terms
 
 
 def test_kronecker_division_by_a_non_divisor_raises(symbolic_operands):
     pivot, rising = symbolic_operands["pivots"][3], symbolic_operands["rising"][0]
-    assert _takes_kernel(pivot, rising)
+    assert _divides_in_kernel(pivot, rising)
     with pytest.raises(InexactDivisionError):
         pivot.exact_div(rising)
     with pytest.raises(InexactDivisionError):
@@ -411,7 +422,7 @@ def test_kronecker_slots_hold_the_largest_possible_coefficient():
     p = Poly({(i, n - i, i, 0): big for i in range(n + 1)})
     alternating = Poly({(i, n - i, i, 0): (-1) ** i * big for i in range(n + 1)})
     for left, right in ((p, p), (p, -p), (alternating, alternating), (alternating, p)):
-        assert _takes_kernel(left, right)
+        assert _takes_kernel(left, right) and _divides_in_kernel(left * right, right)
         product = left * right
         assert product.terms == _ref_mul(left.terms, right.terms)
         assert product.exact_div(right) == left
@@ -436,9 +447,67 @@ def test_kronecker_kernel_leaves_ungraded_operands_to_the_dict_loop():
     cases += list(zip(randoms, randoms[1:]))
     for p, q in cases:
         assert len(p.terms) * len(q.terms) > ring._KRONECKER_MIN_PAIRS and not _takes_kernel(p, q)
+        assert not _divides_in_kernel(p * q, q)
         product = p * q
         assert product.terms == _ref_mul(p.terms, q.terms)
         assert product.exact_div(q) == p
+
+
+def _homogenised(coeffs):
+    """sum coeffs[i] * x**i with x = a*c1 / b, times b**(len - 1): bi-graded."""
+    top = len(coeffs) - 1
+    return Poly({(i, top - i, i, 0): c for i, c in enumerate(coeffs)})
+
+
+def _convolve(left, right):
+    out = [0] * (len(left) + len(right) - 1)
+    for i, x in enumerate(left):
+        for j, y in enumerate(right):
+            out[i + j] += x * y
+    return out
+
+
+def test_kronecker_division_by_a_divisor_with_larger_coefficients():
+    # the product of the cyclotomic polys x**p - 1 / (x - 1) for the primes
+    # below 20 has coefficients past 10**4, yet it divides the product of
+    # the x**p - 1, whose coefficients stay below 20
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    divisor_coeffs, dividend_coeffs = [1], [1]
+    for p in primes:
+        divisor_coeffs = _convolve(divisor_coeffs, [1] * p)
+        dividend_coeffs = _convolve(dividend_coeffs, [-1] + [0] * (p - 1) + [1])
+    dividend, divisor = _homogenised(dividend_coeffs), _homogenised(divisor_coeffs)
+    assert max(map(abs, divisor.terms.values())) > 256 * max(map(abs, dividend.terms.values()))
+    assert _divides_in_kernel(dividend, divisor)
+    quotient = _homogenised([(-1) ** (len(primes) - i) * math.comb(len(primes), i) for i in range(len(primes) + 1)])
+    assert ring._kronecker_div(dividend._packed, divisor._packed) == quotient._packed
+    assert dividend.exact_div(divisor) == quotient
+    assert _ref_exact_div(dividend.terms, divisor.terms) == quotient.terms
+    # a divisor whose coefficients outgrow the dividend's without dividing it
+    dividend, divisor = _homogenised([1] * 41), _homogenised([10**6] * 26)
+    assert _divides_in_kernel(dividend, divisor)
+    with pytest.raises(InexactDivisionError):
+        dividend.exact_div(divisor)
+    with pytest.raises(InexactDivisionError):
+        _ref_exact_div(dividend.terms, divisor.terms)
+
+
+def test_kronecker_kernel_leaves_sparse_boxes_to_the_dict_loop(monkeypatch):
+    # 33 x 33 bi-graded terms whose (ea, ec2) spread over a 3201 x 1601 box:
+    # a product image of 20 million slots for 1,089 term pairs
+    def no_image(*args):
+        raise AssertionError("a sparse box reached the kernel")
+
+    monkeypatch.setattr(ring, "_image", no_image)
+    p = Poly({(100 * i, 3200 - 100 * i, 3200, 50 * i): i + 1 for i in range(33)})
+    q = Poly({(100 * i, 3200 - 100 * i, 3200, 50 * i): 7 - i for i in range(33)})
+    assert ring._bigraded(p._packed) and ring._bigraded(q._packed)
+    assert len(p.terms) * len(q.terms) > ring._KRONECKER_MIN_PAIRS
+    assert ring._kronecker_mul(p._packed, q._packed) is None
+    product = p * q
+    assert product.terms == _ref_mul(p.terms, q.terms)
+    assert ring._kronecker_div(product._packed, q._packed) is None
+    assert product.exact_div(q) == p
 
 
 def test_symbolic_grid_multiplies_only_through_the_poly_methods(monkeypatch):
