@@ -4,9 +4,10 @@ Library layout:
 
   ring        exact scalars (integer / rational / sparse polynomial)
   sequence    second-order recurrences, rising powers, presets
-  matgen      Hankel-type matrix construction
+  matgen      Hankel-type matrix construction and its anti-diagonal values
   determinant cofactor, fraction-free elimination, condensation, and the
-              Desnanot-Jacobi triangle for Hankel matrices
+              Desnanot-Jacobi triangle for one Hankel matrix or a strip
+              of them along a run of anti-diagonal values
   closedform  product-formula evaluators for the determinant identities
   verify      oracle-vs-closed-form grids and randomized minor identities
   cli         command-line front end (seq / det / closed / verify / bench)

@@ -1,6 +1,6 @@
 """Exact determinants with deterministic operation counts.
 
-Three general algorithms over any scalar domain, and one for Hankel
+Three general algorithms over any scalar domain, and two for Hankel
 matrices:
 
   det_cofactor       Laplace expansion along the first row (dim <= 10)
@@ -14,10 +14,15 @@ matrices:
                      Desnanot-Jacobi triangle over its 2d-1 anti-diagonal
                      values, O(d^2) operations; a zero divisor falls back
                      to det_bareiss for the whole matrix
+  det_hankel_strip   the same triangle as one table for the d x d Hankel
+                     matrices along a run of anti-diagonal values; a row
+                     that meets a zero divisor is blocked, and its caller
+                     takes that row from det_bareiss
 
-Each returns a DetReport.  det_bareiss and det_hankel_minors also fill
-its minors, the determinant of every leading block, so minors[-1] is the
-value; the other two leave minors empty.
+The first four return a DetReport.  det_bareiss and det_hankel_minors also
+fill its minors, the determinant of every leading block, so minors[-1] is
+the value; the other two leave minors empty.  det_hankel_strip returns a
+StripReport.
 
 A Hankel block is fixed by its size t and the index k of its top-left
 anti-diagonal value h_k; call its determinant D(k, t).  Desnanot-Jacobi
@@ -29,6 +34,19 @@ with D(k, 0) = 1 and D(k, 1) = h_k, so each level t of the triangle takes
 two multiplications and one exact division by D(k+2, t-2) per entry, and
 D(0, t) is the leading t x t minor.
 
+The step moves along the anti-diagonals as well as in t: the d x d
+matrix starting on h_m has leading minors D(m, 1..d), so the matrices
+starting on h_0, h_1, ..., h_{N-1} share one table over h_0..h_{N+2d-3},
+whose level t keeps D(k, t) for k = 0..N-1+2(d-t).  Row m of the table is
+D(m, 1..d), and its own triangle is the cone of D(m, d): the entries
+D(k, t) with m <= k <= m+2(d-t).  A zero divisor at D(k, t) blocks every
+row whose cone holds that entry, m = k-2(d-t)..k, and an entry whose
+rows are all blocked is not computed.  So an unblocked row's values are
+exactly its own triangle's, a row is blocked exactly when its own
+triangle meets a zero divisor, and the rows share every entry their
+cones have in common.  det_hankel_minors is the one-row table (N = 1) of
+its matrix, which stops computing at its first zero divisor.
+
 Reports carry multiplication/division counts observed by the ring-level
 counter, so shortcut operations on exact zeros/ones are not charged.
 """
@@ -36,7 +54,7 @@ counter, so shortcut operations on exact zeros/ones are not charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import ring
 from .ring import ExactScalar
@@ -63,6 +81,32 @@ class DetReport:
     div_count: int
     fallback_used: bool = False
     minors: Tuple[ExactScalar, ...] = ()
+
+
+class StripReport:
+    """One Desnanot-Jacobi table over a run of anti-diagonal values:
+    rows[m][t-1] = D(m, t), or rows[m] None when row m is blocked.
+    fallback_used counts the blocked rows, whose minors the caller takes
+    from det_bareiss; algorithm is structured-fallback when there is one.
+    A slotted class, not a dataclass, which would add about a millisecond
+    to every import of the package.
+    """
+
+    __slots__ = ("rows", "algorithm", "mul_count", "div_count", "fallback_used")
+
+    def __init__(
+        self,
+        rows: Tuple[Optional[Tuple[ExactScalar, ...]], ...],
+        algorithm: str,
+        mul_count: int,
+        div_count: int,
+        fallback_used: int,
+    ):
+        self.rows = rows
+        self.algorithm = algorithm
+        self.mul_count = mul_count
+        self.div_count = div_count
+        self.fallback_used = fallback_used
 
 
 def check_cofactor_dim(dim: int) -> None:
@@ -140,7 +184,7 @@ def _bareiss_minors(matrix: SquareMatrix) -> Tuple[ExactScalar, ...]:
 
 def det_hankel_minors(matrix: SquareMatrix) -> DetReport:
     """Every leading-block determinant of a Hankel matrix, by the
-    Desnanot-Jacobi triangle.
+    Desnanot-Jacobi triangle: the one-row table of its anti-diagonal.
 
     minors[t-1] = D(0, t).  When some divisor D(k+2, t-2) is zero the
     triangle stops and the whole matrix goes to _bareiss_minors, so the
@@ -153,7 +197,7 @@ def det_hankel_minors(matrix: SquareMatrix) -> DetReport:
     if any(row != diagonal[i:i + d] for i, row in enumerate(matrix.rows)):
         raise ValueError("the structured algorithm needs a Hankel matrix")
     with ring.count_ops() as counter:
-        minors = _hankel_minors(diagonal, d, matrix.domain)
+        (minors,) = _hankel_strip(diagonal, d, matrix.domain)
         fallback = minors is None
         if fallback:
             minors = _bareiss_minors(matrix)
@@ -161,27 +205,56 @@ def det_hankel_minors(matrix: SquareMatrix) -> DetReport:
     return DetReport(minors[-1], algorithm, counter.muls, counter.divs, fallback, minors)
 
 
-def _hankel_minors(diagonal, d: int, domain: str):
-    """D(0, 1..d) from the anti-diagonal values, or None at a zero divisor.
-
-    Level t keeps D(k, t) for k = 0..2(d-t), one value per anti-diagonal
-    its block can start on.
+def det_hankel_strip(diagonal: Sequence[ExactScalar], d: int) -> StripReport:
+    """The leading minors D(m, 1..d) of every d x d Hankel matrix that
+    starts on one of diagonal = h_0, h_1, ...: rows m = 0..len(diagonal)-2d+1
+    from one table.  A blocked row is None; the module docstring says
+    which rows are blocked.
     """
-    older = [ring.one(domain)] * (2 * d + 1)  # level 0, the empty blocks
+    if d < 1 or len(diagonal) < 2 * d - 1:
+        raise ValueError(f"a {d} x {d} Hankel strip needs at least {2 * d - 1} anti-diagonal values")
+    with ring.count_ops() as counter:
+        rows = _hankel_strip(tuple(diagonal), d, diagonal[0].domain)
+    blocked = rows.count(None)
+    algorithm = STRUCTURED_FALLBACK if blocked else STRUCTURED
+    return StripReport(rows, algorithm, counter.muls, counter.divs, blocked)
+
+
+def _hankel_strip(diagonal, d: int, domain: str):
+    """(D(m, 1), ..., D(m, d)) for m = 0..len(diagonal)-2d+1, None for a
+    blocked row.
+
+    Level t keeps D(k, t) for k = 0..len(diagonal)-2t+1, one value per
+    anti-diagonal its block can start on; None marks an entry that is
+    blocked or not computed.  The rows holding D(k, t) are k-reach..k,
+    reach = 2(d-t), and those rows hold every input of D(k, t) too, so an
+    entry with an unblocked row has no None input.
+    """
+    count = len(diagonal) - 2 * d + 2
+    blocked = [False] * count
+    older = [ring.one(domain)] * len(diagonal)  # level 0, the empty blocks
     current = list(diagonal)
-    values = [current[0]]
+    levels = [current[:count]]
     for t in range(2, d + 1):
+        reach = 2 * (d - t)
         level = []
-        for k in range(2 * (d - t) + 1):
+        for k in range(len(current) - 2):
+            first = max(k - reach, 0)
+            if all(blocked[first:k + 1]):
+                level.append(None)
+                continue
             divisor = older[k + 2]
             if divisor.is_zero():
-                return None
+                for m in range(first, min(k + 1, count)):
+                    blocked[m] = True
+                level.append(None)
+                continue
             middle = current[k + 1]
             numerator = ring.sub(ring.mul(current[k], current[k + 2]), ring.mul(middle, middle))
             level.append(ring.exact_div(numerator, divisor))
         older, current = current, level
-        values.append(current[0])
-    return tuple(values)
+        levels.append(current[:count])
+    return tuple(None if blocked[m] else tuple(level[m] for level in levels) for m in range(count))
 
 
 def det_condensation(matrix: SquareMatrix) -> DetReport:

@@ -5,12 +5,16 @@ so every anti-diagonal is constant and the matrix is symmetric:
 
   rising mode:  W_{n+i+j} * W_{n+i+j+1} * ... * W_{n+i+j+r-1}
   power mode:   W_{n+i+j} ** r          (r = 0 gives the all-ones matrix)
+
+anti_diagonal holds that rule: the values h_k a build's anti-diagonals
+carry, for one build or for a run of builds at n, n+1, ..., which
+determinant.det_hankel_strip reads as one table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from . import ring
 from .ring import ExactScalar
@@ -75,10 +79,17 @@ class SquareMatrix:
 
 
 def build(spec: RecurrenceSpec, query: MatrixQuery) -> SquareMatrix:
-    cache = cache_for(spec)
     # one value per anti-diagonal; row i is the window starting at i
-    diagonal = [_entry(cache, query.n + s, query) for s in range(2 * query.d - 1)]
+    diagonal = anti_diagonal(spec, query)
     return SquareMatrix([diagonal[i:i + query.d] for i in range(query.d)])
+
+
+def anti_diagonal(spec: RecurrenceSpec, query: MatrixQuery, count: int = 1) -> Tuple[ExactScalar, ...]:
+    """h_n, ..., h_{n+count+2d-3}: the anti-diagonal values of the count
+    builds at n, n+1, ..., n+count-1 with the query's r, d and mode.  The
+    build at n+m reads h_{n+m}..h_{n+m+2d-2}."""
+    cache = cache_for(spec)
+    return tuple(_entry(cache, k, query) for k in range(query.n, query.n + count + 2 * query.d - 2))
 
 
 def _entry(cache: SequenceCache, index: int, query: MatrixQuery) -> ExactScalar:

@@ -30,11 +30,12 @@ the integers only, at the Fibonacci spec.
 The oracles are cofactor, bareiss and structured (the Desnanot-Jacobi
 triangle, which needs a Hankel matrix): det_cofactor, det_bareiss and
 det_hankel_minors, each returning a DetReport.  A sweep looks the three
-up in this module when it starts.  An unset oracle follows the grid's
-domain: structured for integer and rational grids, bareiss for polynomial
-grids, whose triangle divides by heavier shifted minors than Bareiss's
-pivots, and for the random grid, whose matrices are not Hankel and which
-rejects structured.
+up in this module when it starts, and the structured rows of the
+rising-power identities look up det_hankel_strip here too.  An unset
+oracle follows the grid's domain: structured for integer and rational
+grids, bareiss for polynomial grids, whose triangle divides by heavier
+shifted minors than Bareiss's pivots, and for the random grid, whose
+matrices are not Hankel and which rejects structured.
 
 An unset d range means the identity's natural window: [1, r+1] for the
 square cases, [r+2, r+3] for rank-zero.  An explicit one is clipped to
@@ -57,11 +58,16 @@ One draw takes the top 31 bits, value = state >> 33; an integer in
 row-major, matrices consecutively from one stream seeded once.
 
 Reports are deterministic field by field except elapsed_ms, which is wall
-time.  Points are evaluated sequentially.  With the structured or bareiss
-oracle, the points of one (n, r) row share one build at the top of the
-row's d window and one oracle call, whose DetReport.minors give every d:
-one Desnanot-Jacobi triangle over the build's 2d-1 anti-diagonal values
-(falling back to Bareiss on a zero divisor), or one fraction-free
+time.  Points are evaluated sequentially.  For theorem1, theorem2 and
+rank-zero, the points of one (n, r) row read every d off one row of
+minors.  With the structured oracle that row comes from one
+Desnanot-Jacobi table per r (det_hankel_strip), made when r is first
+reached and kept for every n: it runs over the anti-diagonal values
+W^(r)_m, m = n_lo..n_hi+2D-2, to depth D, the top of r's d window, and
+row n reads D(n - n_lo, 1..D) without building a matrix.  A blocked row,
+whose own triangle meets a zero divisor, takes det_bareiss(build(spec,
+top)).minors instead, exactly Bareiss's values.  With the bareiss oracle
+each row is one build at the top of its d window and one fraction-free
 elimination.  Carlitz, the random grid and the cofactor oracle read
 DetReport.value, one call per matrix.  Every build and closed form in one
 run_grid call reads the same sequence cache, companion cache and delta
@@ -79,7 +85,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from . import determinant, ring
+from . import determinant, matgen, ring
 from .closedform import (
     carlitz_rhs,
     generalized_vajda_lhs,
@@ -91,7 +97,7 @@ from .closedform import (
     vajda_lhs,
     vajda_rhs,
 )
-from .determinant import DetReport, det_bareiss, det_cofactor, det_hankel_minors
+from .determinant import DetReport, det_bareiss, det_cofactor, det_hankel_minors, det_hankel_strip
 from .matgen import POWER, RISING, MatrixQuery, SquareMatrix, build
 from .ring import ExactScalar
 from .sequence import RecurrenceSpec, check_index, preset, shared_sequences, symbolic_spec
@@ -332,7 +338,7 @@ def run_grid(grid: GridSpec) -> VerifyReport:
     if grid.identity == _RANDOM:
         points = _random_points(grid, lambda matrix: det(matrix).value)
     else:
-        points = _points(grid, spec, det, row_pass=oracle != "cofactor")
+        points = _points(grid, spec, det, oracle)
     started = time.perf_counter_ns()
     checked = 0
     mismatches: List[Mismatch] = []
@@ -347,11 +353,11 @@ def run_grid(grid: GridSpec) -> VerifyReport:
     return VerifyReport(grid, checked, tuple(mismatches), elapsed_ms, counter.muls, counter.divs)
 
 
-def _points(
-    grid: GridSpec, spec: RecurrenceSpec, det: Callable[[SquareMatrix], DetReport], row_pass: bool
-):
-    """Each point's (point, lhs, rhs).  With row_pass, det fills minors and
-    each (n, r) row reads every d off one call."""
+def _points(grid: GridSpec, spec: RecurrenceSpec, det: Callable[[SquareMatrix], DetReport], oracle: str):
+    """Each point's (point, lhs, rhs), with det the oracle named oracle.
+    The rising-power identities read every d of an (n, r) row off one
+    strip row (structured) or one elimination's minors (bareiss); the
+    cofactor oracle and the other identities call det per matrix."""
     identity = IDENTITY_TABLE[grid.identity]
 
     def value_of(matrix: SquareMatrix) -> ExactScalar:
@@ -366,17 +372,33 @@ def _points(
                 _guarded(lambda: identity.rhs(spec, *values)),
             )
         return
+    n_lo, n_hi = grid.n
+    strips = {}  # r -> the rows of its strip over n_lo..n_hi, or its error
     for n in _span(grid.n):
         for r in _span(grid.r):
             window = _d_window(grid, r)
             row = None
-            if row_pass and window:
-                # one build at the top of the window and one row pass give
-                # every d.  A validated grid leaves no step to fail:
-                # backward steps divide by an invertible c2, and both passes
-                # divide only exactly, by nonzero minors or pivots.
+            # A validated grid leaves no step below to fail: backward steps
+            # divide by an invertible c2, and every pass divides only
+            # exactly, by nonzero minors or pivots.
+            if window and oracle == "structured":
+                # one Desnanot-Jacobi table per r, to the top of its window,
+                # made on first use; matgen is reached through the module,
+                # since a wrapper on a matgen name bound here reads a build
+                if r not in strips:
+                    first = MatrixQuery(n_lo, r, window[-1], RISING)
+                    strips[r] = _guarded(
+                        lambda: det_hankel_strip(
+                            matgen.anti_diagonal(spec, first, n_hi - n_lo + 1), first.d
+                        ).rows
+                    )
+                row = strips[r] if isinstance(strips[r], str) else strips[r][n - n_lo]
+            if window and oracle != "cofactor" and row is None:
+                # a bareiss row, or a blocked strip row (its own triangle
+                # meets a zero divisor): one build at the top of the window
+                # and one elimination
                 top = MatrixQuery(n, r, window[-1], RISING)
-                row = _guarded(lambda: det(build(spec, top)).minors)
+                row = _guarded(lambda: det_bareiss(build(spec, top)).minors)
             for d in window:
                 point = {"n": n, "r": r, "d": d}
                 if row is None:

@@ -286,7 +286,7 @@ def test_verify_rejects_grids_it_cannot_sweep(capsys):
 
 def test_verify_rejects_input_it_would_ignore_or_cannot_honour(monkeypatch, capsys):
     for name in (
-        "_points", "_random_points", "det_bareiss", "det_cofactor", "det_hankel_minors",
+        "_points", "_random_points", "det_bareiss", "det_cofactor", "det_hankel_minors", "det_hankel_strip",
     ):
         monkeypatch.setattr(verify_module, name, _swept)
     cases = [

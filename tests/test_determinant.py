@@ -8,8 +8,9 @@ from hankelrise.determinant import (
     det_cofactor,
     det_condensation,
     det_hankel_minors,
+    det_hankel_strip,
 )
-from hankelrise.matgen import MODES, MatrixQuery, SquareMatrix, build
+from hankelrise.matgen import MODES, RISING, MatrixQuery, SquareMatrix, anti_diagonal, build
 from hankelrise.ring import integer, rational
 from hankelrise.sequence import RecurrenceSpec, preset, symbolic_spec
 from hankelrise.verify import Lcg64
@@ -301,3 +302,68 @@ def test_hankel_minors_on_symbolic_builds():
         report = det_hankel_minors(matrix)
         assert report.minors == det_bareiss(matrix).minors
         assert report.minors[-1].is_zero()
+
+
+def test_hankel_strip_rows_are_the_rows_own_triangles():
+    # F_0 = 0 and the jacobsthal J_0 = 0 sit on the anti-diagonals, the
+    # (1, -1, 1, 1) spec has W_2 = 0, and (1, 2, 1, 2) has delta = 0, so its
+    # terms are 2^k and every minor past the first vanishes; n runs
+    # backwards, through c2^-1, from -4
+    rat = ring.RATIONAL
+    specs = [
+        preset("fibonacci"),
+        preset("jacobsthal", rat),
+        RecurrenceSpec(*(rational(v) for v in (1, -1, 1, 1))),
+        RecurrenceSpec(*(rational(v) for v in (1, 2, 1, 2))),
+    ]
+    n_lo, n_hi = -4, 3
+    rows = blocked = 0
+    for spec in specs:
+        for r in range(0, 6):
+            for d in (r + 1, r + 3):
+                top = MatrixQuery(n_lo, r, d, RISING)
+                strip = det_hankel_strip(anti_diagonal(spec, top, n_hi - n_lo + 1), d)
+                assert len(strip.rows) == n_hi - n_lo + 1
+                assert strip.fallback_used == strip.rows.count(None)
+                assert strip.algorithm == ("structured-fallback" if strip.fallback_used else "structured")
+                for m, row in enumerate(strip.rows):
+                    matrix = build(spec, MatrixQuery(n_lo + m, r, d, RISING))
+                    # a row is blocked exactly when its own triangle, the
+                    # cone of D(m, d), meets a zero divisor
+                    assert (row is None) == det_hankel_minors(matrix).fallback_used, (spec, r, d, m)
+                    if row is not None:
+                        assert row == det_bareiss(matrix).minors, (spec, r, d, m)
+                    rows += 1
+                    blocked += row is None
+    assert rows == 4 * 6 * 2 * 8
+    assert 0 < blocked < rows
+
+
+def test_one_row_strip_is_the_hankel_minors_triangle():
+    rat = ring.RATIONAL
+    specs = [preset("fibonacci"), preset("lucas", rat), RecurrenceSpec(*(rational(v) for v in (1, 2, 1, 2)))]
+    fallbacks = 0
+    for spec in specs:
+        for n in (-2, 0, 1):
+            for r in range(0, 4):
+                for mode in MODES:
+                    query = MatrixQuery(n, r, r + 2, mode)
+                    matrix = build(spec, query)
+                    structured = det_hankel_minors(matrix)
+                    strip = det_hankel_strip(anti_diagonal(spec, query), query.d)
+                    assert strip.algorithm == structured.algorithm
+                    assert strip.fallback_used == structured.fallback_used
+                    (row,) = strip.rows
+                    counts = (strip.mul_count, strip.div_count)
+                    if structured.fallback_used:
+                        # the abandoned triangle, then Bareiss on the matrix
+                        bareiss = det_bareiss(matrix)
+                        assert row is None and structured.minors == bareiss.minors
+                        counts = (counts[0] + bareiss.mul_count, counts[1] + bareiss.div_count)
+                        fallbacks += 1
+                    else:
+                        assert row == structured.minors
+                    assert counts == (structured.mul_count, structured.div_count), (spec, n, r, mode)
+    assert fallbacks > 0
+    with pytest.raises(ValueError, match="needs at least 5 anti-diagonal values"):
+        det_hankel_strip([integer(1)] * 4, 3)

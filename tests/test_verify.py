@@ -18,7 +18,7 @@ from hankelrise.closedform import (
     vajda_lhs,
     vajda_rhs,
 )
-from hankelrise.determinant import det_bareiss
+from hankelrise.determinant import StripReport, det_bareiss
 from hankelrise.matgen import POWER, MatrixQuery, build
 from hankelrise.ring import neg, rational
 from hankelrise.sequence import RecurrenceSpec, preset, symbolic_spec
@@ -56,9 +56,10 @@ def test_rising_grid_passes_with_pinned_counts():
     report = run_grid(GridSpec(identity="theorem1", n=(1, 2), r=(1, 2)))
     assert report.passed
     assert report.checked == 10  # d sweeps 1..r+1 inside each (n, r)
-    # one build and one Desnanot-Jacobi triangle per (n, r) row; its only
-    # charged divisions are the two d = 3 entries, by h_2
-    assert (report.mul_count, report.div_count) == (24, 2)
+    # one Desnanot-Jacobi table per r over n = 1..2, no build; its only
+    # charged divisions are the two d = 3 entries, D(0, 3) by h_2 and
+    # D(1, 3) by h_3, counting from h_0 = W_1^(2)
+    assert (report.mul_count, report.div_count) == (17, 2)
     bareiss = run_grid(GridSpec(identity="theorem1", n=(1, 2), r=(1, 2), oracle="bareiss"))
     assert (bareiss.mul_count, bareiss.div_count) == (25, 1)
 
@@ -174,7 +175,7 @@ def test_degenerate_spec_errors_are_reported_structurally(monkeypatch):
         raise ZeroDivisionError("exact division by zero")
 
     # both row passes: the grid's default and the bareiss cross-check
-    for name in ("det_hankel_minors", "det_bareiss", "theorem2_rhs"):
+    for name in ("det_hankel_strip", "det_hankel_minors", "det_bareiss", "theorem2_rhs"):
         monkeypatch.setattr(verify_module, name, raising)
     report = run_grid(grid)
     assert report.checked == 4 and len(report.mismatches) == 4
@@ -210,19 +211,20 @@ def test_default_oracle_follows_the_domain(monkeypatch):
     for grid, oracle in defaults.items():
         assert verify_module._oracle_name(grid) == oracle
         assert verify_module._oracle_name(dataclasses.replace(grid, oracle="cofactor")) == "cofactor"
-    # the row pass each grid runs is the one its oracle names
+    # the row pass each grid runs is the one its oracle names: structured
+    # grids read the strip, and no row here is blocked
     calls = []
 
     def recording(name):
         genuine = getattr(verify_module, name)
-        return lambda matrix: calls.append(name) or genuine(matrix)
+        return lambda *args: calls.append(name) or genuine(*args)
 
-    for name in ("det_hankel_minors", "det_bareiss"):
+    for name in ("det_hankel_strip", "det_hankel_minors", "det_bareiss"):
         monkeypatch.setattr(verify_module, name, recording(name))
     for grid in list(defaults)[:3]:
         calls.clear()
         assert run_grid(grid).passed
-        assert set(calls) == {"det_hankel_minors" if defaults[grid] == "structured" else "det_bareiss"}
+        assert set(calls) == {"det_hankel_strip" if defaults[grid] == "structured" else "det_bareiss"}
 
 
 def _acceptance_grids():
@@ -277,6 +279,36 @@ def test_sign_flipped_triangle_fails_theorem1(monkeypatch):
     # d = 1 is h_0 itself; every larger d meets the mutated square
     assert {m.point["d"] for m in report.mismatches} == {2, 3, 4}
     assert len(report.mismatches) == 3 * (1 + 2 + 3)
+
+
+def test_corrupted_strip_entry_fails_exactly_its_point(monkeypatch):
+    # D(m, t) of the strip for r is the point (n_lo + m, r, t): corrupting
+    # one entry catches an off-by-one in the row offset or the level
+    n_lo = -3
+    grid = GridSpec(identity="theorem1", n=(n_lo, 4), r=(0, 4))
+    assert run_grid(grid).passed
+    genuine = verify_module.det_hankel_strip
+    # unblocked rows only: for r >= 2 the rows n = -3, -2 divide by a
+    # minor that F_0 zeroes, so they are blocked and read Bareiss's minors
+    for r, m, t in ((3, 5, 2), (1, 0, 2), (2, 7, 1), (4, 7, 5)):
+
+        def corrupting(diagonal, d):
+            report = genuine(diagonal, d)
+            if d != r + 1:
+                return report
+            rows = list(report.rows)
+            assert rows[m] is not None
+            row = list(rows[m])
+            row[t - 1] = ring.add(row[t - 1], ring.integer(1))
+            rows[m] = tuple(row)
+            return StripReport(
+                tuple(rows), report.algorithm, report.mul_count, report.div_count, report.fallback_used
+            )
+
+        monkeypatch.setattr(verify_module, "det_hankel_strip", corrupting)
+        report = run_grid(grid)
+        assert report.checked == 8 * (1 + 2 + 3 + 4 + 5)
+        assert [mismatch.point for mismatch in report.mismatches] == [{"n": n_lo + m, "r": r, "d": t}]
 
 
 def test_cofactor_oracle():
@@ -348,8 +380,8 @@ def test_validation_errors(monkeypatch):
         run_grid(GridSpec(identity="desnanot-jacobi-random", count=0))
     # grids the sweep cannot honour are rejected before it starts: any call
     # into the sweep now fails the test
-    for name in ("MatrixQuery", "build", "det_bareiss", "det_hankel_minors", "theorem1_rhs",
-                 "theorem2_rhs", "prodinger_rhs", "carlitz_rhs", "hankel_rank_bound_value"):
+    for name in ("MatrixQuery", "build", "det_bareiss", "det_hankel_minors", "det_hankel_strip",
+                 "theorem1_rhs", "theorem2_rhs", "prodinger_rhs", "carlitz_rhs", "hankel_rank_bound_value"):
         monkeypatch.setattr(verify_module, name, _swept)
     for identity in ("theorem1", "theorem2", "prodinger", "carlitz", "rank-zero"):
         with pytest.raises(ValueError, match="^power length r must be non-negative$"):
@@ -369,7 +401,7 @@ def _swept(*args, **kwargs):
 
 
 _SWEEP_ENTRIES = (
-    "_points", "_random_points", "det_bareiss", "det_cofactor", "det_hankel_minors",
+    "_points", "_random_points", "det_bareiss", "det_cofactor", "det_hankel_minors", "det_hankel_strip",
 )
 
 
