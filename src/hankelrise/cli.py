@@ -44,7 +44,9 @@ _ALGORITHMS = {
     "structured": det_hankel_minors,
 }
 _BENCH_ALGORITHMS = tuple(sorted((*_ALGORITHMS, "closed")))
-_RANGE_FLAGS = {"--n", "--r", "--d", "--i", "--j"}
+# flags whose value may start with "-"; argparse takes "-5..5" or "-1/2"
+# for an option unless it is joined to its flag
+_SIGNED_FLAGS = {"--n", "--r", "--d", "--i", "--j", "--a", "--b", "--c1", "--c2"}
 
 
 def _parse_range(text: str) -> Tuple[int, int]:
@@ -98,7 +100,8 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _merge_range_values(argv: Sequence[str]) -> List[str]:
-    """Join ``--n -5..5`` into ``--n=-5..5`` so argparse accepts it."""
+    """Join ``--n -5..5`` into ``--n=-5..5``, and ``--a -1/2`` into
+    ``--a=-1/2``, so argparse accepts them."""
     merged: List[str] = []
     skip = False
     for position, token in enumerate(argv):
@@ -106,7 +109,7 @@ def _merge_range_values(argv: Sequence[str]) -> List[str]:
             skip = False
             continue
         nxt = argv[position + 1] if position + 1 < len(argv) else None
-        if token in _RANGE_FLAGS and nxt is not None and nxt.startswith("-") and not nxt.startswith("--"):
+        if token in _SIGNED_FLAGS and nxt is not None and nxt.startswith("-") and not nxt.startswith("--"):
             merged.append(f"{token}={nxt}")
             skip = True
         else:

@@ -10,14 +10,13 @@ matrices:
   det_condensation   Dodgson condensation dividing by interior entries;
                      a zero interior divisor falls back to det_bareiss on
                      the whole matrix
-  det_hankel_minors  every leading minor of a Hankel matrix from the
-                     Desnanot-Jacobi triangle over its 2d-1 anti-diagonal
-                     values, O(d^2) operations; a zero divisor falls back
-                     to det_bareiss for the whole matrix
-  det_hankel_strip   the same triangle as one table for the d x d Hankel
-                     matrices along a run of anti-diagonal values; a row
-                     that meets a zero divisor is blocked, and its caller
-                     takes that row from det_bareiss
+  det_hankel_minors  every leading minor of a Hankel matrix: the one-row
+                     det_hankel_strip of its 2d-1 anti-diagonal values
+  det_hankel_strip   every leading minor of each d x d Hankel matrix
+                     along a run of anti-diagonal values, from one
+                     Desnanot-Jacobi table, O(d^2) operations a row; a
+                     row that meets a zero divisor is blocked and takes
+                     Bareiss's minors of its own matrix
 
 The first four return a DetReport.  det_bareiss and det_hankel_minors also
 fill its minors, the determinant of every leading block, so minors[-1] is
@@ -44,8 +43,11 @@ row whose cone holds that entry, m = k-2(d-t)..k, and an entry whose
 rows are all blocked is not computed.  So an unblocked row's values are
 exactly its own triangle's, a row is blocked exactly when its own
 triangle meets a zero divisor, and the rows share every entry their
-cones have in common.  det_hankel_minors is the one-row table (N = 1) of
-its matrix, which stops computing at its first zero divisor.
+cones have in common.  The table fills a blocked row with _bareiss_minors
+of that row's own d x d matrix, so every row it returns holds the leading
+minors, and its report counts the blocked rows.  det_hankel_minors is the
+one-row table (N = 1) of its matrix, which stops computing at its first
+zero divisor.
 
 Reports carry multiplication/division counts observed by the ring-level
 counter, so shortcut operations on exact zeros/ones are not charged.
@@ -54,7 +56,7 @@ counter, so shortcut operations on exact zeros/ones are not charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from . import ring
 from .ring import ExactScalar
@@ -85,9 +87,9 @@ class DetReport:
 
 class StripReport:
     """One Desnanot-Jacobi table over a run of anti-diagonal values:
-    rows[m][t-1] = D(m, t), or rows[m] None when row m is blocked.
-    fallback_used counts the blocked rows, whose minors the caller takes
-    from det_bareiss; algorithm is structured-fallback when there is one.
+    rows[m][t-1] = D(m, t).  fallback_used counts the blocked rows, whose
+    minors came from Bareiss elimination; algorithm is structured-fallback
+    when there is one.
     A slotted class, not a dataclass, which would add about a millisecond
     to every import of the package.
     """
@@ -96,7 +98,7 @@ class StripReport:
 
     def __init__(
         self,
-        rows: Tuple[Optional[Tuple[ExactScalar, ...]], ...],
+        rows: Tuple[Tuple[ExactScalar, ...], ...],
         algorithm: str,
         mul_count: int,
         div_count: int,
@@ -187,7 +189,7 @@ def det_hankel_minors(matrix: SquareMatrix) -> DetReport:
     Desnanot-Jacobi triangle: the one-row table of its anti-diagonal.
 
     minors[t-1] = D(0, t).  When some divisor D(k+2, t-2) is zero the
-    triangle stops and the whole matrix goes to _bareiss_minors, so the
+    triangle stops and the row is the matrix's _bareiss_minors, so the
     minors are then exactly Bareiss's and the report says
     structured-fallback; the counts include the abandoned triangle.  A
     matrix that is not Hankel raises ValueError.
@@ -196,33 +198,31 @@ def det_hankel_minors(matrix: SquareMatrix) -> DetReport:
     diagonal = matrix.rows[0] + tuple(row[-1] for row in matrix.rows[1:])
     if any(row != diagonal[i:i + d] for i, row in enumerate(matrix.rows)):
         raise ValueError("the structured algorithm needs a Hankel matrix")
-    with ring.count_ops() as counter:
-        (minors,) = _hankel_strip(diagonal, d, matrix.domain)
-        fallback = minors is None
-        if fallback:
-            minors = _bareiss_minors(matrix)
-    algorithm = STRUCTURED_FALLBACK if fallback else STRUCTURED
-    return DetReport(minors[-1], algorithm, counter.muls, counter.divs, fallback, minors)
+    strip = det_hankel_strip(diagonal, d)
+    (minors,) = strip.rows
+    return DetReport(
+        minors[-1], strip.algorithm, strip.mul_count, strip.div_count, bool(strip.fallback_used), minors
+    )
 
 
 def det_hankel_strip(diagonal: Sequence[ExactScalar], d: int) -> StripReport:
     """The leading minors D(m, 1..d) of every d x d Hankel matrix that
     starts on one of diagonal = h_0, h_1, ...: rows m = 0..len(diagonal)-2d+1
-    from one table.  A blocked row is None; the module docstring says
-    which rows are blocked.
+    from one table.  A blocked row, which the module docstring defines, is
+    _bareiss_minors of its own matrix.
     """
     if d < 1 or len(diagonal) < 2 * d - 1:
         raise ValueError(f"a {d} x {d} Hankel strip needs at least {2 * d - 1} anti-diagonal values")
     with ring.count_ops() as counter:
-        rows = _hankel_strip(tuple(diagonal), d, diagonal[0].domain)
-    blocked = rows.count(None)
+        rows, blocked = _hankel_strip(tuple(diagonal), d, diagonal[0].domain)
     algorithm = STRUCTURED_FALLBACK if blocked else STRUCTURED
     return StripReport(rows, algorithm, counter.muls, counter.divs, blocked)
 
 
 def _hankel_strip(diagonal, d: int, domain: str):
-    """(D(m, 1), ..., D(m, d)) for m = 0..len(diagonal)-2d+1, None for a
-    blocked row.
+    """The rows (D(m, 1), ..., D(m, d)) for m = 0..len(diagonal)-2d+1,
+    each blocked one from _bareiss_minors of its own matrix, and the
+    number of blocked rows.
 
     Level t keeps D(k, t) for k = 0..len(diagonal)-2t+1, one value per
     anti-diagonal its block can start on; None marks an entry that is
@@ -254,7 +254,13 @@ def _hankel_strip(diagonal, d: int, domain: str):
             level.append(ring.exact_div(numerator, divisor))
         older, current = current, level
         levels.append(current[:count])
-    return tuple(None if blocked[m] else tuple(level[m] for level in levels) for m in range(count))
+    rows = tuple(
+        _bareiss_minors(SquareMatrix([diagonal[m + i:m + i + d] for i in range(d)]))
+        if blocked[m]
+        else tuple(level[m] for level in levels)
+        for m in range(count)
+    )
+    return rows, blocked.count(True)
 
 
 def det_condensation(matrix: SquareMatrix) -> DetReport:

@@ -29,13 +29,12 @@ the integers only, at the Fibonacci spec.
 
 The oracles are cofactor, bareiss and structured (the Desnanot-Jacobi
 triangle, which needs a Hankel matrix): det_cofactor, det_bareiss and
-det_hankel_minors, each returning a DetReport.  A sweep looks the three
-up in this module when it starts, and the structured rows of the
-rising-power identities look up det_hankel_strip here too.  An unset
-oracle follows the grid's domain: structured for integer and rational
-grids, bareiss for polynomial grids, whose triangle divides by heavier
-shifted minors than Bareiss's pivots, and for the random grid, whose
-matrices are not Hankel and which rejects structured.
+det_hankel_strip, looked up in this module at call time, so a wrapper or
+patch on verify.<name> sees every call.  An unset oracle follows the
+grid's domain: structured for integer and rational grids, bareiss for
+polynomial grids, whose triangle divides by heavier shifted minors than
+Bareiss's pivots, and for the random grid, whose matrices are not Hankel
+and which rejects structured.
 
 An unset d range means the identity's natural window: [1, r+1] for the
 square cases, [r+2, r+3] for rank-zero.  An explicit one is clipped to
@@ -58,17 +57,17 @@ One draw takes the top 31 bits, value = state >> 33; an integer in
 row-major, matrices consecutively from one stream seeded once.
 
 Reports are deterministic field by field except elapsed_ms, which is wall
-time.  Points are evaluated sequentially.  For theorem1, theorem2 and
-rank-zero, the points of one (n, r) row read every d off one row of
-minors.  With the structured oracle that row comes from one
-Desnanot-Jacobi table per r (det_hankel_strip), made when r is first
-reached and kept for every n: it runs over the anti-diagonal values
-W^(r)_m, m = n_lo..n_hi+2D-2, to depth D, the top of r's d window, and
-row n reads D(n - n_lo, 1..D) without building a matrix.  A blocked row,
-whose own triangle meets a zero divisor, takes det_bareiss(build(spec,
-top)).minors instead, exactly Bareiss's values.  With the bareiss oracle
-each row is one build at the top of its d window and one fraction-free
-elimination.  Carlitz, the random grid and the cofactor oracle read
+time.  Points are evaluated sequentially.  The determinant identities,
+theorem1, theorem2 and rank-zero on rising-power builds and carlitz on
+plain-power builds at d = r+1, share one loop: the points of one (n, r)
+row read every d off one row of minors.  With the structured oracle
+that row comes from one Desnanot-Jacobi table per r (det_hankel_strip),
+made when r is first reached and kept for every n: it runs over the
+anti-diagonal values W^(r)_m, m = n_lo..n_hi+2D-2, to depth D, the top
+of r's d window, and row n reads D(n - n_lo, 1..D) without building a
+matrix; the table itself gives a blocked row Bareiss's minors.  With the
+bareiss oracle each row is one build at the top of its d window and one
+fraction-free elimination.  The cofactor oracle and the random grid read
 DetReport.value, one call per matrix.  Every build and closed form in one
 run_grid call reads the same sequence cache, companion cache and delta
 per spec (sequence.shared_sequences), released when the call returns.
@@ -83,7 +82,7 @@ import time
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import product
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import determinant, matgen, ring
 from .closedform import (
@@ -97,56 +96,52 @@ from .closedform import (
     vajda_lhs,
     vajda_rhs,
 )
-from .determinant import DetReport, det_bareiss, det_cofactor, det_hankel_minors, det_hankel_strip
-from .matgen import POWER, RISING, MatrixQuery, SquareMatrix, build
+from .determinant import det_bareiss, det_cofactor, det_hankel_strip
+from .matgen import MODES, POWER, RISING, MatrixQuery, SquareMatrix, build
 from .ring import ExactScalar
 from .sequence import RecurrenceSpec, check_index, preset, shared_sequences, symbolic_spec
 
 
 class Identity(NamedTuple):
     """One closed-form identity: its point axes after n, whether it holds
-    for the Fibonacci spec only, and its two sides, lhs(spec, oracle, n,
-    *axes) and rhs(spec, n, *axes).  lhs None means the oracle determinant
-    of the rising-power build, which _points shares along each (n, r) row.
+    for the Fibonacci spec only, and its two sides, lhs(spec, n, *axes) and
+    rhs(spec, n, *axes).  lhs a build mode (RISING or POWER) means the
+    oracle determinant of that build, which _points reads off one row of
+    minors per (n, r); an identity without a d axis takes d = r+1.
     """
 
     axes: Tuple[str, ...]
     fibonacci: bool
-    lhs: Optional[Callable[..., ExactScalar]]
+    lhs: Union[str, Callable[..., ExactScalar]]
     rhs: Callable[..., ExactScalar]
 
 
-# The sides look up build and the closed forms in this module at call
-# time, so a wrapper or patch on verify.<name> sees every call.
+# The sides look up the closed forms in this module at call time, so a
+# wrapper or patch on verify.<name> sees every call.
 IDENTITY_TABLE: Dict[str, Identity] = {
-    "theorem1": Identity(("r", "d"), True, None, lambda spec, n, r, d: theorem1_rhs(n, r, d)),
-    "theorem2": Identity(("r", "d"), False, None, lambda spec, n, r, d: theorem2_rhs(spec, n, r, d)),
+    "theorem1": Identity(("r", "d"), True, RISING, lambda spec, n, r, d: theorem1_rhs(n, r, d)),
+    "theorem2": Identity(("r", "d"), False, RISING, lambda spec, n, r, d: theorem2_rhs(spec, n, r, d)),
     "prodinger": Identity(
         ("r",),
         True,
-        lambda spec, oracle, n, r: theorem1_rhs(n, r, r + 1),
+        lambda spec, n, r: theorem1_rhs(n, r, r + 1),
         lambda spec, n, r: prodinger_rhs(n, r),
     ),
-    "carlitz": Identity(
-        ("r",),
-        True,
-        lambda spec, oracle, n, r: oracle(build(spec, MatrixQuery(n, r, r + 1, POWER))),
-        lambda spec, n, r: carlitz_rhs(n, r),
-    ),
+    "carlitz": Identity(("r",), True, POWER, lambda spec, n, r: carlitz_rhs(n, r)),
     "vajda": Identity(
         ("i", "j"),
         True,
-        lambda spec, oracle, n, i, j: vajda_lhs(n, i, j),
+        lambda spec, n, i, j: vajda_lhs(n, i, j),
         lambda spec, n, i, j: vajda_rhs(n, i, j),
     ),
     "eq4": Identity(
         ("i", "j"),
         False,
-        lambda spec, oracle, n, i, j: generalized_vajda_lhs(spec, n, i, j),
+        lambda spec, n, i, j: generalized_vajda_lhs(spec, n, i, j),
         lambda spec, n, i, j: generalized_vajda_rhs(spec, n, i, j),
     ),
     "rank-zero": Identity(
-        ("r", "d"), False, None, lambda spec, n, r, d: hankel_rank_bound_value(spec, n, r, d)
+        ("r", "d"), False, RISING, lambda spec, n, r, d: hankel_rank_bound_value(spec, n, r, d)
     ),
 }
 
@@ -156,14 +151,7 @@ _RANDOM_TAKES = ("seed", "count", "dim", "bound", "oracle")
 IDENTITIES = (*IDENTITY_TABLE, _RANDOM)
 
 
-def _oracles() -> Dict[str, Callable[[SquareMatrix], DetReport]]:
-    """Each oracle's entry point as bound in this module now, so a sweep
-    that builds the table when it starts sees a wrapper on verify.<name>.
-    bareiss and structured fill DetReport.minors; cofactor does not."""
-    return {"cofactor": det_cofactor, "bareiss": det_bareiss, "structured": det_hankel_minors}
-
-
-ORACLES = tuple(_oracles())
+ORACLES = ("cofactor", "bareiss", "structured")
 
 Range = Tuple[int, int]
 
@@ -291,9 +279,8 @@ def _validate(grid: GridSpec) -> Tuple[RecurrenceSpec, str]:
         bounds = getattr(grid, axis)
         if bounds is not None:
             check_index(spec, axis, bounds[0])
-    # the largest matrix the oracle sees tops the widest d window; carlitz
-    # takes no d and builds at r+1, the top of the square default window
-    if oracle == "cofactor" and (row.lhs is None or grid.identity == "carlitz"):
+    # the largest matrix the oracle sees tops the widest d window
+    if oracle == "cofactor" and row.lhs in MODES:
         # reached through the module: every determinant name bound here is
         # an oracle, and a wrapper on one may read its DetReport
         determinant.check_cofactor_dim(
@@ -323,6 +310,8 @@ def check_fibonacci_spec(identity: str, spec: Optional[RecurrenceSpec], domain: 
 
 
 def _d_window(grid: GridSpec, r: int) -> range:
+    if "d" not in IDENTITY_TABLE[grid.identity].axes:
+        return range(r + 1, r + 2)  # carlitz: the square case only
     if grid.identity == "rank-zero":
         lo, hi = grid.d if grid.d else (r + 2, r + 3)
         return range(max(lo, r + 2), hi + 1)
@@ -334,11 +323,12 @@ def run_grid(grid: GridSpec) -> VerifyReport:
     """Sweep any grid: the one loop that times, counts, scopes and judges
     every point."""
     spec, oracle = _validate(grid)
-    det = _oracles()[oracle]
     if grid.identity == _RANDOM:
+        # looked up when the sweep starts, so it sees a wrapper on verify.<name>
+        det = {"cofactor": det_cofactor, "bareiss": det_bareiss}[oracle]
         points = _random_points(grid, lambda matrix: det(matrix).value)
     else:
-        points = _points(grid, spec, det, oracle)
+        points = _points(grid, spec, oracle)
     started = time.perf_counter_ns()
     checked = 0
     mismatches: List[Mismatch] = []
@@ -353,59 +343,57 @@ def run_grid(grid: GridSpec) -> VerifyReport:
     return VerifyReport(grid, checked, tuple(mismatches), elapsed_ms, counter.muls, counter.divs)
 
 
-def _points(grid: GridSpec, spec: RecurrenceSpec, det: Callable[[SquareMatrix], DetReport], oracle: str):
-    """Each point's (point, lhs, rhs), with det the oracle named oracle.
-    The rising-power identities read every d of an (n, r) row off one
-    strip row (structured) or one elimination's minors (bareiss); the
-    cofactor oracle and the other identities call det per matrix."""
+def _points(grid: GridSpec, spec: RecurrenceSpec, oracle: str):
+    """Each point's (point, lhs, rhs) under the oracle named oracle.  The
+    determinant identities read every d of an (n, r) row off one strip
+    row (structured) or one elimination's minors (bareiss); the cofactor
+    oracle evaluates each matrix on its own."""
     identity = IDENTITY_TABLE[grid.identity]
-
-    def value_of(matrix: SquareMatrix) -> ExactScalar:
-        return det(matrix).value
-
-    if identity.lhs is not None:
-        axes = ("n", *identity.axes)
+    axes = ("n", *identity.axes)
+    if identity.lhs not in MODES:
         for values in product(*(_span(getattr(grid, axis)) for axis in axes)):
             yield (
                 dict(zip(axes, values)),
-                _guarded(lambda: identity.lhs(spec, value_of, *values)),
+                _guarded(lambda: identity.lhs(spec, *values)),
                 _guarded(lambda: identity.rhs(spec, *values)),
             )
         return
+    mode = identity.lhs
     n_lo, n_hi = grid.n
     strips = {}  # r -> the rows of its strip over n_lo..n_hi, or its error
     for n in _span(grid.n):
         for r in _span(grid.r):
             window = _d_window(grid, r)
+            if not window:
+                continue
             row = None
             # A validated grid leaves no step below to fail: backward steps
             # divide by an invertible c2, and every pass divides only
             # exactly, by nonzero minors or pivots.
-            if window and oracle == "structured":
+            if oracle == "structured":
                 # one Desnanot-Jacobi table per r, to the top of its window,
                 # made on first use; matgen is reached through the module,
                 # since a wrapper on a matgen name bound here reads a build
                 if r not in strips:
-                    first = MatrixQuery(n_lo, r, window[-1], RISING)
+                    first = MatrixQuery(n_lo, r, window[-1], mode)
                     strips[r] = _guarded(
                         lambda: det_hankel_strip(
                             matgen.anti_diagonal(spec, first, n_hi - n_lo + 1), first.d
                         ).rows
                     )
                 row = strips[r] if isinstance(strips[r], str) else strips[r][n - n_lo]
-            if window and oracle != "cofactor" and row is None:
-                # a bareiss row, or a blocked strip row (its own triangle
-                # meets a zero divisor): one build at the top of the window
-                # and one elimination
-                top = MatrixQuery(n, r, window[-1], RISING)
+            elif oracle == "bareiss":
+                # one build at the top of the window and one elimination
+                top = MatrixQuery(n, r, window[-1], mode)
                 row = _guarded(lambda: det_bareiss(build(spec, top)).minors)
             for d in window:
-                point = {"n": n, "r": r, "d": d}
+                # zip drops d for an identity without a d axis
+                point = dict(zip(axes, (n, r, d)))
                 if row is None:
-                    lhs = _guarded(lambda: value_of(build(spec, MatrixQuery(n, r, d, RISING))))
+                    lhs = _guarded(lambda: det_cofactor(build(spec, MatrixQuery(n, r, d, mode))).value)
                 else:
                     lhs = row if isinstance(row, str) else row[d - 1]
-                yield point, lhs, _guarded(lambda: identity.rhs(spec, n, r, d))
+                yield point, lhs, _guarded(lambda: identity.rhs(spec, *point.values()))
 
 
 def _guarded(thunk: Callable[[], ExactScalar]):

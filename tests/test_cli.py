@@ -286,7 +286,7 @@ def test_verify_rejects_grids_it_cannot_sweep(capsys):
 
 def test_verify_rejects_input_it_would_ignore_or_cannot_honour(monkeypatch, capsys):
     for name in (
-        "_points", "_random_points", "det_bareiss", "det_cofactor", "det_hankel_minors", "det_hankel_strip",
+        "_points", "_random_points", "det_bareiss", "det_cofactor", "det_hankel_strip",
     ):
         monkeypatch.setattr(verify_module, name, _swept)
     cases = [
@@ -538,6 +538,21 @@ def test_merge_range_values():
     assert _merge_range_values(["--n", "-5..5", "--r", "0..2"]) == ["--n=-5..5", "--r", "0..2"]
     assert _merge_range_values(["--n", "3..5"]) == ["--n", "3..5"]
     assert _merge_range_values(["--seed", "-1"]) == ["--seed", "-1"]
+
+
+def test_negative_rational_spec_values_may_be_their_own_token(capsys):
+    # argparse reads "-1/2" as an option unless it is joined to its flag
+    assert _merge_range_values(["--c1", "-2/3", "--c2", "-1"]) == ["--c1=-2/3", "--c2=-1"]
+    closed = ("closed", "--identity", "theorem2", "--domain", "rat", "--n", "0", "--r", "1", "--d", "2")
+    for a in (("--a", "-1/2"), ("--a=-1/2",)):
+        assert run_cli(capsys, *closed, *a, "--b", "1", "--c1", "1", "--c2", "1") == (0, "-5/4\n", "")
+    sweep = ("verify", "--identity", "theorem2", "--domain", "rat", "--n", "0..2", "--r", "0..2")
+    reports = []
+    for b in (("--b", "-3/2"), ("--b=-3/2",)):
+        code, out, err = run_cli(capsys, *sweep, "--a", "1", *b, "--c1", "1", "--c2", "1")
+        assert (code, err) == (0, "")
+        reports.append({**json.loads(out), "elapsed_ms": 0})
+    assert reports[0] == reports[1] and reports[0]["checked"] == 18
 
 
 def test_bad_range_is_a_usage_error(capsys):

@@ -324,17 +324,19 @@ def test_hankel_strip_rows_are_the_rows_own_triangles():
                 top = MatrixQuery(n_lo, r, d, RISING)
                 strip = det_hankel_strip(anti_diagonal(spec, top, n_hi - n_lo + 1), d)
                 assert len(strip.rows) == n_hi - n_lo + 1
-                assert strip.fallback_used == strip.rows.count(None)
                 assert strip.algorithm == ("structured-fallback" if strip.fallback_used else "structured")
+                falls_back = 0
                 for m, row in enumerate(strip.rows):
                     matrix = build(spec, MatrixQuery(n_lo + m, r, d, RISING))
-                    # a row is blocked exactly when its own triangle, the
-                    # cone of D(m, d), meets a zero divisor
-                    assert (row is None) == det_hankel_minors(matrix).fallback_used, (spec, r, d, m)
-                    if row is not None:
-                        assert row == det_bareiss(matrix).minors, (spec, r, d, m)
-                    rows += 1
-                    blocked += row is None
+                    # an unblocked row is its own triangle, the cone of
+                    # D(m, d), and a blocked one Bareiss's minors
+                    assert row == det_bareiss(matrix).minors, (spec, r, d, m)
+                    # a row is blocked exactly when its own triangle meets
+                    # a zero divisor
+                    falls_back += det_hankel_minors(matrix).fallback_used
+                assert strip.fallback_used == falls_back, (spec, r, d)
+                rows += len(strip.rows)
+                blocked += strip.fallback_used
     assert rows == 4 * 6 * 2 * 8
     assert 0 < blocked < rows
 
@@ -354,16 +356,13 @@ def test_one_row_strip_is_the_hankel_minors_triangle():
                     assert strip.algorithm == structured.algorithm
                     assert strip.fallback_used == structured.fallback_used
                     (row,) = strip.rows
+                    assert row == structured.minors
                     counts = (strip.mul_count, strip.div_count)
-                    if structured.fallback_used:
-                        # the abandoned triangle, then Bareiss on the matrix
-                        bareiss = det_bareiss(matrix)
-                        assert row is None and structured.minors == bareiss.minors
-                        counts = (counts[0] + bareiss.mul_count, counts[1] + bareiss.div_count)
-                        fallbacks += 1
-                    else:
-                        assert row == structured.minors
                     assert counts == (structured.mul_count, structured.div_count), (spec, n, r, mode)
+                    if structured.fallback_used:
+                        # a blocked row is Bareiss's minors of the matrix
+                        assert row == det_bareiss(matrix).minors
+                        fallbacks += 1
     assert fallbacks > 0
     with pytest.raises(ValueError, match="needs at least 5 anti-diagonal values"):
         det_hankel_strip([integer(1)] * 4, 3)

@@ -175,7 +175,7 @@ def test_degenerate_spec_errors_are_reported_structurally(monkeypatch):
         raise ZeroDivisionError("exact division by zero")
 
     # both row passes: the grid's default and the bareiss cross-check
-    for name in ("det_hankel_strip", "det_hankel_minors", "det_bareiss", "theorem2_rhs"):
+    for name in ("det_hankel_strip", "det_bareiss", "theorem2_rhs"):
         monkeypatch.setattr(verify_module, name, raising)
     report = run_grid(grid)
     assert report.checked == 4 and len(report.mismatches) == 4
@@ -219,7 +219,7 @@ def test_default_oracle_follows_the_domain(monkeypatch):
         genuine = getattr(verify_module, name)
         return lambda *args: calls.append(name) or genuine(*args)
 
-    for name in ("det_hankel_strip", "det_hankel_minors", "det_bareiss"):
+    for name in ("det_hankel_strip", "det_bareiss"):
         monkeypatch.setattr(verify_module, name, recording(name))
     for grid in list(defaults)[:3]:
         calls.clear()
@@ -311,6 +311,34 @@ def test_corrupted_strip_entry_fails_exactly_its_point(monkeypatch):
         assert [mismatch.point for mismatch in report.mismatches] == [{"n": n_lo + m, "r": r, "d": t}]
 
 
+def test_carlitz_reads_one_power_strip_per_r(monkeypatch):
+    grid = GridSpec(identity="carlitz", n=(-6, 8), r=(0, 6))  # acceptance 03
+    calls = []
+
+    def recording(name):
+        genuine = getattr(verify_module, name)
+
+        def record(*args):
+            result = genuine(*args)
+            calls.append((name, args[1] if name == "det_hankel_strip" else None, result))
+            return result
+
+        return record
+
+    for name in ("det_hankel_strip", "det_bareiss", "det_cofactor", "build"):
+        monkeypatch.setattr(verify_module, name, recording(name))
+    report = run_grid(grid)
+    assert report.passed and report.checked == 15 * 7
+    # one plain-power table per r, to d = r+1, and no build; F_0 = 0 on
+    # the anti-diagonals blocks some rows
+    assert [(name, d) for name, d, _ in calls] == [("det_hankel_strip", r + 1) for r in range(7)]
+    assert sum(strip.fallback_used for _, _, strip in calls) > 0
+    assert (report.mul_count, report.div_count) == (2308, 667)
+    for oracle, counts in (("bareiss", (6119, 1257)), ("cofactor", (114168, 0))):
+        report = run_grid(dataclasses.replace(grid, oracle=oracle))
+        assert report.passed and (report.mul_count, report.div_count) == counts, oracle
+
+
 def test_cofactor_oracle():
     report = run_grid(GridSpec(identity="theorem1", n=(0, 1), r=(0, 2), oracle="cofactor"))
     assert report.passed and report.checked == 12
@@ -380,7 +408,7 @@ def test_validation_errors(monkeypatch):
         run_grid(GridSpec(identity="desnanot-jacobi-random", count=0))
     # grids the sweep cannot honour are rejected before it starts: any call
     # into the sweep now fails the test
-    for name in ("MatrixQuery", "build", "det_bareiss", "det_hankel_minors", "det_hankel_strip",
+    for name in ("MatrixQuery", "build", "det_bareiss", "det_hankel_strip",
                  "theorem1_rhs", "theorem2_rhs", "prodinger_rhs", "carlitz_rhs", "hankel_rank_bound_value"):
         monkeypatch.setattr(verify_module, name, _swept)
     for identity in ("theorem1", "theorem2", "prodinger", "carlitz", "rank-zero"):
@@ -401,7 +429,7 @@ def _swept(*args, **kwargs):
 
 
 _SWEEP_ENTRIES = (
-    "_points", "_random_points", "det_bareiss", "det_cofactor", "det_hankel_minors", "det_hankel_strip",
+    "_points", "_random_points", "det_bareiss", "det_cofactor", "det_hankel_strip",
 )
 
 
