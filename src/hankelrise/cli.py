@@ -13,7 +13,7 @@ Subcommands:
 
 Spec selection is shared: --preset or explicit --a/--b/--c1/--c2 (integers
 or p/q rationals), with --domain choosing int, rat, or poly arithmetic.
-The poly domain is the fully symbolic spec and ignores preset/constants.
+The poly domain is the fully symbolic spec and rejects preset/constants.
 Ranges are inclusive "lo..hi" (a bare integer means a single value).
 """
 
@@ -34,7 +34,7 @@ from . import ring
 from .determinant import check_cofactor_dim, det_bareiss, det_cofactor, det_condensation, det_hankel_minors
 from .matgen import MODES, RISING, MatrixQuery, build
 from .sequence import PRESETS, RecurrenceSpec, SequenceCache, check_index, preset, symbolic_spec
-from .verify import IDENTITIES, IDENTITY_TABLE, ORACLES, GridSpec, check_fibonacci_spec, report_json, run_grid
+from .verify import IDENTITIES, IDENTITY_TABLE, ORACLES, GridSpec, report_json, run_grid
 
 
 _ALGORITHMS = {
@@ -47,6 +47,7 @@ _BENCH_ALGORITHMS = tuple(sorted((*_ALGORITHMS, "closed")))
 # flags whose value may start with "-"; argparse takes "-5..5" or "-1/2"
 # for an option unless it is joined to its flag
 _SIGNED_FLAGS = {"--n", "--r", "--d", "--i", "--j", "--a", "--b", "--c1", "--c2"}
+_POINT_FLAGS = ("r", "d", "i", "j")
 
 
 def _parse_range(text: str) -> Tuple[int, int]:
@@ -70,10 +71,17 @@ def _parse_literal(text: str, domain: str) -> ring.ExactScalar:
     return ring.rational(Fraction(text))
 
 
+def _given_spec_flags(args: argparse.Namespace) -> List[str]:
+    return [f"--{name}" for name in ("preset", "a", "b", "c1", "c2") if getattr(args, name) is not None]
+
+
 def _spec_from_args(args: argparse.Namespace) -> RecurrenceSpec:
     constants = [args.a, args.b, args.c1, args.c2]
     given = [value for value in constants if value is not None]
     if args.domain == ring.POLYNOMIAL:
+        flags = _given_spec_flags(args)
+        if flags:
+            raise ValueError(f"--domain poly is the symbolic spec; it does not take {', '.join(flags)}")
         return symbolic_spec()
     if args.preset and given:
         raise ValueError("--preset conflicts with explicit --a/--b/--c1/--c2")
@@ -95,7 +103,7 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
         "--domain",
         choices=ring.DOMAINS,
         default=ring.INTEGER,
-        help="scalar domain; poly is the symbolic spec and ignores preset/constants",
+        help="scalar domain; poly is the symbolic spec and rejects preset/constants",
     )
 
 
@@ -216,22 +224,22 @@ def _cmd_det(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require(args: argparse.Namespace, axes: Sequence[str]) -> None:
-    """Exactly the point flags the identity's row reads."""
-    missing = [f"--{name}" for name in axes if getattr(args, name) is None]
-    ignored = [
-        f"--{name}" for name in ("r", "d", "i", "j") if name not in axes and getattr(args, name) is not None
-    ]
+def _require(args: argparse.Namespace, takes: Sequence[str]) -> None:
+    """Exactly the flags of the fields the identity's row takes."""
+    passed = {name: [f"--{name}"] for name in _POINT_FLAGS if getattr(args, name) is not None}
+    passed["spec"] = _given_spec_flags(args)
+    passed["domain"] = ["--domain"] if args.domain != ring.INTEGER else []
+    missing = [f"--{name}" for name in _POINT_FLAGS if name in takes and name not in passed]
+    ignored = [flag for name, flags in passed.items() if name not in takes for flag in flags]
     for flags, verb in ((missing, "needs"), (ignored, "does not take")):
         if flags:
             raise ValueError(f"identity {args.identity} {verb} {', '.join(flags)}")
 
 
 def _cmd_closed(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    check_fibonacci_spec(args.identity, spec, args.domain)
     identity = IDENTITY_TABLE[args.identity]
-    _require(args, identity.axes)
+    _require(args, identity.takes)
+    spec = _spec_from_args(args)
     for axis in ("n", "i", "j"):
         if getattr(args, axis) is not None:
             check_index(spec, axis, getattr(args, axis))
@@ -242,8 +250,7 @@ def _cmd_closed(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     # only the typed flags: the defaults are GridSpec's
     typed = {f.name: getattr(args, f.name, None) for f in fields(GridSpec)}
-    if args.domain != ring.POLYNOMIAL and {args.preset, args.a, args.b, args.c1, args.c2} != {None}:
-        typed["spec"] = _spec_from_args(args)
+    typed["spec"] = _spec_from_args(args) if _given_spec_flags(args) else None
     report = run_grid(GridSpec(**{name: value for name, value in typed.items() if value is not None}))
     print(report_json(report))
     return 0 if report.passed else 1

@@ -139,15 +139,15 @@ def generalized_vajda_lhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> Exact
 
 
 def generalized_vajda_rhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> ExactScalar:
-    """(-1) * (-c2)^n * delta * U_i * U_j.
+    """(-1) * (-c2)^n * delta * U_i * U_j = (-1)^(n+1) * c2^n * delta * U_i * U_j.
 
-    Negative n needs ring.invertible(-c2), which is ring.invertible(c2).
+    Negative n needs ring.invertible(c2); c2^0 is skipped, as 0^0 raises.
     """
     units = companion_cache(spec)
     value = ring.mul(delta(spec), ring.mul(units.term(i), units.term(j)))
     if n:
-        value = ring.mul(value, ring.pow_signed(ring.neg(spec.c2), n))
-    return ring.neg(value)
+        value = ring.mul(value, ring.pow_signed(spec.c2, n))
+    return _apply_sign(value, n + 1)
 
 
 def hankel_rank_bound_value(spec: RecurrenceSpec, n: int, r: int, d: int) -> ExactScalar:

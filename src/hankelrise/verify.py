@@ -20,12 +20,12 @@ Identity ids and the point shape they sweep:
   rank-zero               (n, r, d)  oracle det is zero beyond the square case
   desnanot-jacobi-random  seeded random matrices vs the corner-minor identity
 
-IDENTITY_TABLE defines every id but the random one in one row: its axes,
-whether it is Fibonacci-only, and its two sides.  Grid validation, the
-sweep and the CLI's closed command all read that row.  A table identity
-takes n, its row's axes, spec, domain and oracle; the random grid takes
-seed, count, dim, bound and oracle.  Fibonacci-only identities run over
-the integers only, at the Fibonacci spec.
+IDENTITY_TABLE defines every id but the random one in one row: the
+GridSpec fields it takes after n, and its two sides.  Grid validation,
+the sweep and the CLI's closed command all read that row.  A row takes
+its axes, spec and domain unless it is Fibonacci-only, and oracle if its
+lhs is a determinant; the random grid takes seed, count, dim, bound and
+oracle.
 
 The oracles are cofactor, bareiss and structured (the Desnanot-Jacobi
 triangle, which needs a Hankel matrix): det_cofactor, det_bareiss and
@@ -45,7 +45,7 @@ range that leaves the window of every r empty, a cofactor grid whose
 largest matrix is over the cofactor limit, an unknown oracle, the
 structured oracle on the random grid, and a negative n, i or j unless
 ring.invertible(c2) (sequence.check_index): a backward step divides by
-c2, and the closed forms raise c2 (or -c2) to negative powers.
+c2, and the closed forms raise c2 to negative powers.
 
 Random matrices come from a 64-bit linear congruential generator chosen
 for cross-language reproducibility:
@@ -103,45 +103,49 @@ from .sequence import RecurrenceSpec, check_index, preset, shared_sequences, sym
 
 
 class Identity(NamedTuple):
-    """One closed-form identity: its point axes after n, whether it holds
-    for the Fibonacci spec only, and its two sides, lhs(spec, n, *axes) and
+    """One closed-form identity: the GridSpec fields it takes after n, its
+    point axes first, and its two sides, lhs(spec, n, *axes) and
     rhs(spec, n, *axes).  lhs a build mode (RISING or POWER) means the
     oracle determinant of that build, which _points reads off one row of
     minors per (n, r); an identity without a d axis takes d = r+1.
     """
 
-    axes: Tuple[str, ...]
-    fibonacci: bool
+    takes: Tuple[str, ...]
     lhs: Union[str, Callable[..., ExactScalar]]
     rhs: Callable[..., ExactScalar]
+
+    @property
+    def axes(self) -> Tuple[str, ...]:
+        return tuple(name for name in self.takes if name in ("r", "d", "i", "j"))
 
 
 # The sides look up the closed forms in this module at call time, so a
 # wrapper or patch on verify.<name> sees every call.
 IDENTITY_TABLE: Dict[str, Identity] = {
-    "theorem1": Identity(("r", "d"), True, RISING, lambda spec, n, r, d: theorem1_rhs(n, r, d)),
-    "theorem2": Identity(("r", "d"), False, RISING, lambda spec, n, r, d: theorem2_rhs(spec, n, r, d)),
+    "theorem1": Identity(("r", "d", "oracle"), RISING, lambda spec, n, r, d: theorem1_rhs(n, r, d)),
+    "theorem2": Identity(
+        ("r", "d", "spec", "domain", "oracle"), RISING, lambda spec, n, r, d: theorem2_rhs(spec, n, r, d)
+    ),
     "prodinger": Identity(
         ("r",),
-        True,
         lambda spec, n, r: theorem1_rhs(n, r, r + 1),
         lambda spec, n, r: prodinger_rhs(n, r),
     ),
-    "carlitz": Identity(("r",), True, POWER, lambda spec, n, r: carlitz_rhs(n, r)),
+    "carlitz": Identity(("r", "oracle"), POWER, lambda spec, n, r: carlitz_rhs(n, r)),
     "vajda": Identity(
         ("i", "j"),
-        True,
         lambda spec, n, i, j: vajda_lhs(n, i, j),
         lambda spec, n, i, j: vajda_rhs(n, i, j),
     ),
     "eq4": Identity(
-        ("i", "j"),
-        False,
+        ("i", "j", "spec", "domain"),
         lambda spec, n, i, j: generalized_vajda_lhs(spec, n, i, j),
         lambda spec, n, i, j: generalized_vajda_rhs(spec, n, i, j),
     ),
     "rank-zero": Identity(
-        ("r", "d"), False, RISING, lambda spec, n, r, d: hankel_rank_bound_value(spec, n, r, d)
+        ("r", "d", "spec", "domain", "oracle"),
+        RISING,
+        lambda spec, n, r, d: hankel_rank_bound_value(spec, n, r, d),
     ),
 }
 
@@ -238,7 +242,7 @@ def _validate(grid: GridSpec) -> Tuple[RecurrenceSpec, str]:
         raise ValueError(f"unknown identity {grid.identity!r}")
     row = IDENTITY_TABLE.get(grid.identity)
     # the fields each grid reads; every other field must keep its default
-    takes = ("n", *row.axes, "spec", "domain", "oracle") if row else _RANDOM_TAKES
+    takes = ("n", *row.takes) if row else _RANDOM_TAKES
     ignored = [
         f.name for f in fields(GridSpec)[1:] if f.name not in takes and getattr(grid, f.name) != f.default
     ]
@@ -260,7 +264,6 @@ def _validate(grid: GridSpec) -> Tuple[RecurrenceSpec, str]:
         if oracle == "structured":
             raise ValueError(f"oracle structured needs Hankel matrices; {_RANDOM} draws general ones")
         return spec, oracle
-    check_fibonacci_spec(grid.identity, grid.spec, grid.domain)
     for name in ("n", *row.axes):
         # an unset d range means the identity's natural window
         if name != "d" and getattr(grid, name) is None:
@@ -273,14 +276,14 @@ def _validate(grid: GridSpec) -> Tuple[RecurrenceSpec, str]:
             f"d range {grid.d[0]}..{grid.d[1]} is outside the window {window} of every r"
             f" in {grid.r[0]}..{grid.r[1]}"
         )
-    # a backward step divides by c2, and the closed forms raise c2 (or -c2)
+    # a backward step divides by c2, and the closed forms raise c2
     # to negative powers; U_i and U_j step backwards at a negative i or j
     for axis in ("n", "i", "j"):
         bounds = getattr(grid, axis)
         if bounds is not None:
             check_index(spec, axis, bounds[0])
     # the largest matrix the oracle sees tops the widest d window
-    if oracle == "cofactor" and row.lhs in MODES:
+    if oracle == "cofactor":
         # reached through the module: every determinant name bound here is
         # an oracle, and a wrapper on one may read its DetReport
         determinant.check_cofactor_dim(
@@ -296,17 +299,6 @@ def _oracle_name(grid: GridSpec) -> str:
     if grid.identity == _RANDOM or grid.domain == ring.POLYNOMIAL:
         return "bareiss"
     return "structured"
-
-
-def check_fibonacci_spec(identity: str, spec: Optional[RecurrenceSpec], domain: str) -> None:
-    """Reject any domain but the integers, and any spec but Fibonacci, for
-    a Fibonacci-only identity."""
-    if not IDENTITY_TABLE[identity].fibonacci:
-        return
-    if domain != ring.INTEGER:
-        raise ValueError(f"{identity} is a fibonacci identity over the integers, not {domain}")
-    if spec is not None and spec != preset("fibonacci"):
-        raise ValueError(f"{identity} is specific to the fibonacci spec")
 
 
 def _d_window(grid: GridSpec, r: int) -> range:

@@ -11,6 +11,7 @@ import hankelrise.cli as cli_module
 import hankelrise.ring as ring_module
 import hankelrise.verify as verify_module
 from hankelrise.cli import _build_parser, _merge_range_values, _parse_range, bench_rows, main, write_bench_csv
+from hankelrise.matgen import MODES
 from hankelrise.sequence import preset
 from hankelrise.verify import IDENTITY_TABLE, GridSpec, Mismatch, VerifyReport, run_grid
 
@@ -344,7 +345,7 @@ def test_verify_rejects_spec_flags_on_fibonacci_identities(capsys):
             capsys, "verify", "--identity", "theorem1", *flags, "--n", "0..1", "--r", "0..1"
         )
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "fibonacci" in err
+        assert err.startswith("error:") and "does not take" in err
     # and they run over the integers only, with or without spec flags
     for argv in (
         ("--identity", "theorem1", "--n", "0..1", "--r", "0..1"),
@@ -354,9 +355,10 @@ def test_verify_rejects_spec_flags_on_fibonacci_identities(capsys):
         for domain in ("rat", "poly"):
             code, out, err = run_cli(capsys, "verify", *argv, "--domain", domain)
             assert code == 2 and out == ""
-            assert err.startswith("error:") and "fibonacci" in err
-    code, _, _ = run_cli(capsys, "verify", "--identity", "carlitz", "--preset", "fibonacci", "--n", "0", "--r", "1")
-    assert code == 0
+            assert err.startswith("error:") and "does not take" in err
+    # even the Fibonacci preset itself is a spec they do not take
+    code, out, err = run_cli(capsys, "verify", "--identity", "carlitz", "--preset", "fibonacci", "--n", "0", "--r", "1")
+    assert (code, out, err) == (2, "", "error: identity carlitz does not take spec\n")
 
 
 def test_closed_rejects_spec_flags_on_fibonacci_identities(capsys):
@@ -373,9 +375,69 @@ def test_closed_rejects_spec_flags_on_fibonacci_identities(capsys):
     for argv in cases:
         code, out, err = run_cli(capsys, "closed", *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "fibonacci" in err
-    code, out, _ = run_cli(capsys, "closed", "--identity", "vajda", "--preset", "fibonacci", "--n", "0", "--i", "1", "--j", "1")
-    assert code == 0 and out.strip() == "-1"
+        assert err.startswith("error:") and "does not take" in err
+    code, out, err = run_cli(
+        capsys, "closed", "--identity", "vajda", "--preset", "fibonacci", "--n", "0", "--i", "1", "--j", "1"
+    )
+    assert (code, out, err) == (2, "", "error: identity vajda does not take --preset\n")
+
+
+def test_spec_flags_under_the_symbolic_domain_are_rejected(capsys):
+    commands = [
+        ("seq", "--from", "0", "--to", "2"),
+        ("det", "--n", "0", "--r", "1", "--d", "2"),
+        ("closed", "--identity", "theorem2", "--n", "0", "--r", "1", "--d", "2"),
+        ("verify", "--identity", "theorem2", "--n", "0", "--r", "0..1"),
+        ("bench", "--r", "1", "--d", "1..2"),
+    ]
+    for argv in commands:
+        for flags, named in (
+            (("--preset", "lucas"), "--preset"),
+            (("--a", "1", "--b", "2", "--c1", "3", "--c2", "4"), "--a, --b, --c1, --c2"),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--domain", "poly", *flags)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: --domain poly is the symbolic spec; it does not take {named}\n"
+
+
+# a point range inside every row's d window, rank-zero's too
+_POINT_RANGES = {"r": (0, 1), "d": (1, 3), "i": (0, 1), "j": (0, 1)}
+# a value off the GridSpec default for each field, and the closed flags
+# that set it; closed has no --oracle, so that field goes through verify
+_OFF_DEFAULT = {
+    **{name: (bounds, (f"--{name}", "1")) for name, bounds in _POINT_RANGES.items()},
+    "spec": (preset("lucas"), ("--preset", "lucas")),
+    "domain": (ring_module.RATIONAL, ("--domain", "rat")),
+    "oracle": ("bareiss", None),
+}
+
+
+@pytest.mark.parametrize("field", list(_OFF_DEFAULT))
+@pytest.mark.parametrize("identity", list(IDENTITY_TABLE))
+def test_one_declaration_drives_both_gates(identity, field, monkeypatch, capsys):
+    row = IDENTITY_TABLE[identity]
+    assert ("oracle" in row.takes) == (row.lhs in MODES)
+    for name in ("_points", "_random_points", "det_bareiss", "det_cofactor", "det_hankel_strip"):
+        monkeypatch.setattr(verify_module, name, _swept)
+    axes = {name: _POINT_RANGES[name] for name in row.axes}
+    value, flags = _OFF_DEFAULT[field]
+    grid = GridSpec(identity=identity, n=(0, 0), **{**axes, field: value})
+    if field in row.takes:
+        if field == "domain":
+            grid = dataclasses.replace(grid, spec=preset("lucas", value))
+        with pytest.raises(AssertionError, match="the sweep started"):
+            run_grid(grid)
+        return
+    with pytest.raises(ValueError) as rejected:
+        run_grid(grid)
+    assert str(rejected.value) == f"identity {identity} does not take {field}"
+    point = [token for name in row.axes for token in (f"--{name}", "1")]
+    if flags is None:
+        code, out, err = run_cli(capsys, "verify", "--identity", identity, "--n", "0", *point, "--oracle", "bareiss")
+        assert (code, out, err) == (2, "", f"error: identity {identity} does not take oracle\n")
+    else:
+        code, out, err = run_cli(capsys, "closed", "--identity", identity, "--n", "0", *point, *flags)
+        assert (code, out, err) == (2, "", f"error: identity {identity} does not take {flags[0]}\n")
 
 
 def test_closed_takes_exactly_the_axes_of_its_row(capsys):

@@ -15,7 +15,7 @@ from hankelrise.closedform import (
 from hankelrise.determinant import det_bareiss
 from hankelrise.matgen import MatrixQuery, build
 from hankelrise.ring import integer
-from hankelrise.sequence import PRESETS, RecurrenceSpec, preset, symbolic_spec
+from hankelrise.sequence import PRESETS, RecurrenceSpec, preset, shared_sequences, symbolic_spec
 from hankelrise.verify import Lcg64
 
 
@@ -186,6 +186,21 @@ def test_bilinear_general_spec():
             for i in range(0, 4):
                 for j in range(0, 4):
                     assert generalized_vajda_lhs(spec, n, i, j) == generalized_vajda_rhs(spec, n, i, j)
+
+
+def test_bilinear_sign_is_a_parity_at_unit_c2():
+    # (-1)^(n+1) * c2^n with c2 = 1 multiplies nothing: once the terms and
+    # delta are cached, a point costs at most delta * (U_i * U_j)
+    for name in ("fibonacci", "lucas"):
+        spec = preset(name)
+        with shared_sequences():
+            generalized_vajda_rhs(spec, 0, 8, 8)
+            for n in range(-10, 11):
+                for i in range(0, 9):
+                    for j in range(0, 9):
+                        with ring.count_ops() as counter:
+                            generalized_vajda_rhs(spec, n, i, j)
+                        assert counter.muls <= 2, (name, n, i, j)
 
 
 def test_bilinear_negative_base_rational():
