@@ -56,7 +56,7 @@ counter, so shortcut operations on exact zeros/ones are not charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from . import ring
 from .ring import ExactScalar
@@ -85,30 +85,18 @@ class DetReport:
     minors: Tuple[ExactScalar, ...] = ()
 
 
-class StripReport:
+class StripReport(NamedTuple):
     """One Desnanot-Jacobi table over a run of anti-diagonal values:
     rows[m][t-1] = D(m, t).  fallback_used counts the blocked rows, whose
     minors came from Bareiss elimination; algorithm is structured-fallback
     when there is one.
-    A slotted class, not a dataclass, which would add about a millisecond
-    to every import of the package.
     """
 
-    __slots__ = ("rows", "algorithm", "mul_count", "div_count", "fallback_used")
-
-    def __init__(
-        self,
-        rows: Tuple[Tuple[ExactScalar, ...], ...],
-        algorithm: str,
-        mul_count: int,
-        div_count: int,
-        fallback_used: int,
-    ):
-        self.rows = rows
-        self.algorithm = algorithm
-        self.mul_count = mul_count
-        self.div_count = div_count
-        self.fallback_used = fallback_used
+    rows: Tuple[Tuple[ExactScalar, ...], ...]
+    algorithm: str
+    mul_count: int
+    div_count: int
+    fallback_used: int
 
 
 def check_cofactor_dim(dim: int) -> None:

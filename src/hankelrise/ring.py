@@ -51,7 +51,8 @@ over slots, within a constant factor of the dict loop's over pairs: a
 box spread over millions of slots stays on the dict loop.  Every kernel
 product and quotient of that grid has more than 3.2 pairs per slot; at
 4, a box one slot wide per ea still ran about 3 times slower than the
-dict loop.
+dict loop.  On its default Desnanot-Jacobi strip that grid sends 86
+products and 28 quotients to the kernel, and the kernel declines none.
 
 A product packs each operand into one signed big int with a byte-aligned
 slot per (ea, ec2), wide enough for max|c| * max|c'| * min(len, len'),

@@ -30,11 +30,9 @@ oracle.
 The oracles are cofactor, bareiss and structured (the Desnanot-Jacobi
 triangle, which needs a Hankel matrix): det_cofactor, det_bareiss and
 det_hankel_strip, looked up in this module at call time, so a wrapper or
-patch on verify.<name> sees every call.  An unset oracle follows the
-grid's domain: structured for integer and rational grids, bareiss for
-polynomial grids, whose triangle divides by heavier shifted minors than
-Bareiss's pivots, and for the random grid, whose matrices are not Hankel
-and which rejects structured.
+patch on verify.<name> sees every call.  An unset oracle is structured
+on every determinant row, in every domain, and bareiss on the random
+grid, whose matrices are not Hankel and which rejects structured.
 
 An unset d range means the identity's natural window: [1, r+1] for the
 square cases, [r+2, r+3] for rank-zero.  An explicit one is clipped to
@@ -188,7 +186,7 @@ class GridSpec:
     j: Optional[Range] = None
     spec: Optional[RecurrenceSpec] = None
     domain: str = ring.INTEGER
-    oracle: Optional[str] = None  # None: the domain's default, see _oracle_name
+    oracle: Optional[str] = None  # None: structured, bareiss on the random grid
     seed: int = 1
     count: int = 100
     dim: int = 4
@@ -248,7 +246,7 @@ def _validate(grid: GridSpec) -> Tuple[RecurrenceSpec, str]:
     ]
     if ignored:
         raise ValueError(f"identity {grid.identity} does not take {', '.join(ignored)}")
-    oracle = _oracle_name(grid)
+    oracle = grid.oracle if grid.oracle is not None else "structured" if row else "bareiss"
     if oracle not in ORACLES:
         raise ValueError(f"unknown oracle {oracle!r}")
     spec = grid.spec
@@ -290,15 +288,6 @@ def _validate(grid: GridSpec) -> Tuple[RecurrenceSpec, str]:
             max(window[-1] for window in map(partial(_d_window, grid), _span(grid.r)) if window)
         )
     return spec, oracle
-
-
-def _oracle_name(grid: GridSpec) -> str:
-    """The oracle a grid runs: its own, else the one its domain favours."""
-    if grid.oracle is not None:
-        return grid.oracle
-    if grid.identity == _RANDOM or grid.domain == ring.POLYNOMIAL:
-        return "bareiss"
-    return "structured"
 
 
 def _d_window(grid: GridSpec, r: int) -> range:

@@ -201,31 +201,52 @@ def test_square_window_clipping():
     assert report.passed and report.checked == 3  # r = 1 has no d in 3..2
 
 
-def test_default_oracle_follows_the_domain(monkeypatch):
+def test_default_oracle_is_the_strip_on_every_hankel_grid(monkeypatch):
     rat, poly = ring.RATIONAL, ring.POLYNOMIAL
-    defaults = {
-        GridSpec(identity="theorem1", n=(0, 1), r=(0, 1)): "structured",
-        GridSpec(identity="theorem2", spec=preset("lucas", rat), domain=rat, n=(0, 1), r=(0, 1)): "structured",
-        GridSpec(identity="theorem2", domain=poly, n=(0, 1), r=(0, 1)): "bareiss",
-        GridSpec(identity="desnanot-jacobi-random", count=3): "bareiss",
-    }
-    for grid, oracle in defaults.items():
-        assert verify_module._oracle_name(grid) == oracle
-        assert verify_module._oracle_name(dataclasses.replace(grid, oracle="cofactor")) == "cofactor"
-    # the row pass each grid runs is the one its oracle names: structured
-    # grids read the strip, and no row here is blocked
     calls = []
 
     def recording(name):
         genuine = getattr(verify_module, name)
         return lambda *args: calls.append(name) or genuine(*args)
 
-    for name in ("det_hankel_strip", "det_bareiss"):
+    for name in ("det_hankel_strip", "det_bareiss", "det_cofactor", "build"):
         monkeypatch.setattr(verify_module, name, recording(name))
-    for grid in list(defaults)[:3]:
+
+    def called(grid):
         calls.clear()
-        assert run_grid(grid).passed
-        assert set(calls) == {"det_hankel_strip" if defaults[grid] == "structured" else "det_bareiss"}
+        assert run_grid(grid).passed, grid
+        return set(calls)
+
+    # an unset oracle reads the strip in every domain, and builds nothing
+    for grid in (
+        GridSpec(identity="theorem1", n=(0, 1), r=(0, 1)),
+        GridSpec(identity="theorem2", spec=preset("lucas", rat), domain=rat, n=(0, 1), r=(0, 1)),
+        GridSpec(identity="theorem2", domain=poly, n=(0, 1), r=(0, 1)),
+        GridSpec(identity="rank-zero", domain=poly, n=(0, 1), r=(0, 1)),
+        GridSpec(identity="carlitz", n=(0, 1), r=(0, 2)),
+    ):
+        assert called(grid) == {"det_hankel_strip"}
+        # an explicit oracle still wins
+        assert called(dataclasses.replace(grid, oracle="bareiss")) == {"build", "det_bareiss"}
+        assert called(dataclasses.replace(grid, oracle="cofactor")) == {"build", "det_cofactor"}
+    # the random grid's matrices are not Hankel: it eliminates
+    assert called(GridSpec(identity="desnanot-jacobi-random", count=3)) == {"det_bareiss"}
+
+
+def test_symbolic_strips_with_blocked_rows_match_bareiss(monkeypatch):
+    # D(., r+2) = 0 is the divisor at level r+4, so every strip row is
+    # blocked and holds Bareiss's minors of its own matrix
+    grid = GridSpec(identity="rank-zero", domain=ring.POLYNOMIAL, n=(0, 1), r=(0, 2), d=(1, 6))
+    strips = []
+    genuine = verify_module.det_hankel_strip
+    monkeypatch.setattr(
+        verify_module, "det_hankel_strip", lambda *args: strips.append(genuine(*args)) or strips[-1]
+    )
+    report = run_grid(grid)
+    assert report.passed and report.checked == 24
+    assert strips and all(strip.fallback_used > 0 for strip in strips)
+    bareiss = run_grid(dataclasses.replace(grid, oracle="bareiss"))
+    assert (report.checked, report.mismatches) == (bareiss.checked, bareiss.mismatches)
 
 
 def _acceptance_grids():
@@ -251,14 +272,12 @@ def _acceptance_grids():
 
 
 def test_default_oracle_agrees_with_bareiss_on_the_acceptance_grids():
-    # the symbolic grid defaults to bareiss, so there the triangle is named
-    # explicitly: every grid compares the triangle with the elimination;
-    # a grid without a determinant side takes no oracle and runs once
+    # every grid compares the triangle with the elimination; a grid
+    # without a determinant side takes no oracle and runs once
     checked = 0
     for grid in _acceptance_grids():
         if "oracle" in IDENTITY_TABLE[grid.identity].takes:
-            oracle = "structured" if grid.domain == ring.POLYNOMIAL else None
-            default = run_grid(dataclasses.replace(grid, oracle=oracle))
+            default = run_grid(grid)
             bareiss = run_grid(dataclasses.replace(grid, oracle="bareiss"))
         else:
             default = bareiss = run_grid(grid)
