@@ -345,6 +345,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (
+        OSError,
         ValueError,
         ZeroDivisionError,
         OverflowError,

@@ -4,12 +4,10 @@ Three general algorithms over any scalar domain, and two for Hankel
 matrices:
 
   det_cofactor       Laplace expansion along the first row (dim <= 10)
-  det_bareiss        fraction-free Gaussian elimination; every division is
-                     by the previous pivot and provably exact, and the
-                     run is read off at every step for each leading minor
-  det_condensation   Dodgson condensation dividing by interior entries;
-                     a zero interior divisor falls back to det_bareiss on
-                     the whole matrix
+  det_bareiss        fraction-free Gaussian elimination, read off at
+                     every step for each leading minor
+  det_condensation   Dodgson condensation; a zero interior divisor falls
+                     back to det_bareiss on the whole matrix
   det_hankel_minors  every leading minor of a Hankel matrix: the one-row
                      det_hankel_strip of its 2d-1 anti-diagonal values
   det_hankel_strip   every leading minor of each d x d Hankel matrix
@@ -29,9 +27,15 @@ applied to that block (Dodgson 1866) reads
 
     D(k, t) * D(k+2, t-2) = D(k, t-1) * D(k+2, t-1) - D(k+1, t-1)^2
 
-with D(k, 0) = 1 and D(k, 1) = h_k, so each level t of the triangle takes
-two multiplications and one exact division by D(k+2, t-2) per entry, and
-D(0, t) is the leading t x t minor.
+with D(k, 0) = 1 and D(k, 1) = h_k, and D(0, t) is the leading t x t
+minor.
+
+Bareiss, condensation and this triangle are one step over different
+minors: _step, (a*b - c*d) / e, two multiplications and one exact
+division.  Bareiss divides by the previous pivot, condensation by the
+interior of the level two back, and the triangle by D(k+2, t-2).
+Condensation starts, as the triangle does, from a level of ones, so its
+first division is by one and is not charged.
 
 The step moves along the anti-diagonals as well as in t: the d x d
 matrix starting on h_m has leading minors D(m, 1..d), so the matrices
@@ -125,6 +129,12 @@ def _cofactor(rows, domain: str) -> ExactScalar:
     return total
 
 
+def _step(a, b, c, d, divisor) -> ExactScalar:
+    """(a*b - c*d) / divisor as one exact division: the Desnanot-Jacobi step
+    of Bareiss elimination, condensation and the Hankel strip alike."""
+    return ring.exact_div(ring.sub(ring.mul(a, b), ring.mul(c, d)), divisor)
+
+
 def det_bareiss(matrix: SquareMatrix) -> DetReport:
     """Every leading-block determinant from one fraction-free elimination.
 
@@ -159,10 +169,7 @@ def _bareiss_minors(matrix: SquareMatrix) -> Tuple[ExactScalar, ...]:
         pivot = rows[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                numerator = ring.sub(
-                    ring.mul(pivot, rows[i][j]), ring.mul(rows[i][k], rows[k][j])
-                )
-                rows[i][j] = ring.exact_div(numerator, previous)
+                rows[i][j] = _step(pivot, rows[i][j], rows[i][k], rows[k][j], previous)
         previous = pivot
         if k + 2 <= zero_through:
             values.append(zero)
@@ -237,9 +244,7 @@ def _hankel_strip(diagonal, d: int, domain: str):
                     blocked[m] = True
                 level.append(None)
                 continue
-            middle = current[k + 1]
-            numerator = ring.sub(ring.mul(current[k], current[k + 2]), ring.mul(middle, middle))
-            level.append(ring.exact_div(numerator, divisor))
+            level.append(_step(current[k], current[k + 2], current[k + 1], current[k + 1], divisor))
         older, current = current, level
         levels.append(current[:count])
     rows = tuple(
@@ -262,24 +267,16 @@ def det_condensation(matrix: SquareMatrix) -> DetReport:
     return DetReport(value, algorithm, counter.muls, counter.divs, fallback)
 
 
-def _minor2(grid, i: int, j: int) -> ExactScalar:
-    return ring.sub(
-        ring.mul(grid[i][j], grid[i + 1][j + 1]),
-        ring.mul(grid[i][j + 1], grid[i + 1][j]),
-    )
-
-
 def _condense(matrix: SquareMatrix):
-    """Condensed determinant, or None when an interior divisor is zero."""
-    if matrix.dim == 1:
-        return matrix.entry(0, 0)
-    older = matrix.rows
-    current = tuple(
-        tuple(_minor2(older, i, j) for j in range(matrix.dim - 1))
-        for i in range(matrix.dim - 1)
-    )
-    while len(current) > 1:
-        size = len(current) - 1
+    """Condensed determinant, or None when an interior divisor is zero.
+
+    Level 0 is all ones and level 1 is the matrix; level t is _step over
+    the 2 x 2 blocks of level t-1, divided by the interior of level t-2.
+    """
+    older = ((ring.one(matrix.domain),) * matrix.dim,) * matrix.dim
+    grid = matrix.rows
+    while len(grid) > 1:
+        size = len(grid) - 1
         nxt = []
         for i in range(size):
             row = []
@@ -287,8 +284,7 @@ def _condense(matrix: SquareMatrix):
                 divisor = older[i + 1][j + 1]
                 if divisor.is_zero():
                     return None
-                row.append(ring.exact_div(_minor2(current, i, j), divisor))
+                row.append(_step(grid[i][j], grid[i + 1][j + 1], grid[i][j + 1], grid[i + 1][j], divisor))
             nxt.append(tuple(row))
-        older, current = current, tuple(nxt)
-    return current[0][0]
-
+        older, grid = grid, tuple(nxt)
+    return grid[0][0]

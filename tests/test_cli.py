@@ -517,6 +517,12 @@ def test_bench_file_output(tmp_path, capsys):
     assert lines[0] == BENCH_HEADER
     assert len(lines) == 2
     assert lines[1].startswith("cofactor,int,1,2,2,")
+    # a file that cannot be opened is an error, not a traceback
+    missing = tmp_path / "missing" / "counts.csv"
+    code, out, err = run_cli(capsys, "bench", "--r", "2", "--d", "2", "--out", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(missing) in err
+    assert not missing.parent.exists()
 
 
 def test_bench_structured_rows(capsys):

@@ -366,3 +366,47 @@ def test_one_row_strip_is_the_hankel_minors_triangle():
     assert fallbacks > 0
     with pytest.raises(ValueError, match="needs at least 5 anti-diagonal values"):
         det_hankel_strip([integer(1)] * 4, 3)
+
+
+def _recurrence_builds():
+    """3,636 builds: four presets in int and rat, n = -4..3 (int jacobsthal,
+    c2 = 2, from n = 0), both modes, r = 0..4, d = 1..6; and the symbolic
+    spec at n = 0..1, r = 0..2, d = 1..3."""
+    for name in ("fibonacci", "lucas", "pell", "jacobsthal"):
+        for domain in (ring.INTEGER, ring.RATIONAL):
+            spec = preset(name, domain)
+            ns = range(0, 4) if (name, domain) == ("jacobsthal", ring.INTEGER) else range(-4, 4)
+            for n in ns:
+                for r in range(5):
+                    for d in range(1, 7):
+                        for mode in MODES:
+                            yield build(spec, MatrixQuery(n, r, d, mode))
+    for n in range(2):
+        for r in range(3):
+            for d in range(1, 4):
+                for mode in MODES:
+                    yield build(symbolic_spec(), MatrixQuery(n, r, d, mode))
+
+
+def test_operation_totals_on_the_recurrence_builds():
+    # Bareiss, condensation and the strip share one Desnanot-Jacobi step;
+    # these totals pin its arithmetic.  Condensation's divisors are the
+    # Hankel minors D(k+2, t-2) that the one-row strip divides by, so the
+    # two fall back on exactly the same builds.
+    algorithms = (det_bareiss, det_condensation, det_hankel_minors)
+    totals = {det: [0, 0, 0] for det in algorithms}
+    builds = 0
+    for matrix in _recurrence_builds():
+        reports = [det(matrix) for det in algorithms]
+        assert len({report.value for report in reports}) == 1, matrix
+        _, condensed, structured = reports
+        assert condensed.fallback_used == structured.fallback_used, matrix
+        for det, report in zip(algorithms, reports):
+            totals[det][0] += report.mul_count
+            totals[det][1] += report.div_count
+            totals[det][2] += report.fallback_used
+        builds += 1
+    assert builds == 3636
+    assert totals[det_bareiss] == [69421, 11694, 0]
+    assert totals[det_condensation] == [98643, 14985, 1055]
+    assert totals[det_hankel_minors] == [63553, 10317, 1055]

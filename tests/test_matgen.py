@@ -70,6 +70,8 @@ def test_submatrix_helpers():
     mat = SquareMatrix([[integer(v) for v in row] for row in ((1, 2, 3), (4, 5, 6), (7, 8, 9))])
     dropped = mat.drop_row_col(1, 1)
     assert [[e.value for e in row] for row in dropped.rows] == [[1, 3], [7, 9]]
+    assert dropped == SquareMatrix([[integer(v) for v in row] for row in ((1, 3), (7, 9))])
+    assert dropped != mat and dropped != dropped.rows
     inner = mat.interior()
     assert [[e.value for e in row] for row in inner.rows] == [[5]]
     with pytest.raises(ValueError):

@@ -113,6 +113,12 @@ def test_domain_mixing():
     assert widened == rational(3, 2)
     lifted = mul(integer(3), variable("a"))
     assert str(lifted) == "3*a"
+    # an integer right operand widens too
+    assert add(rational(1, 2), integer(1)) == rational(3, 2)
+    assert str(mul(variable("a"), integer(2))) == "2*a"
+    assert widen(rational(1, 2), ring.RATIONAL) == rational(1, 2)
+    with pytest.raises(ValueError, match="unknown domain"):
+        zero("real")
     with pytest.raises(DomainMismatchError):
         add(rational(1, 2), variable("a"))
     with pytest.raises(DomainMismatchError):
@@ -317,6 +323,8 @@ def test_poly_rejects_malformed_monomials():
     for mono in ((-1, 0, 0, 0), (0, 0, 0), (0, 0, 0, 0, 0), (1.0, 0, 0, 0), ("1", 0, 0, 0), 0, "abcd"):
         with pytest.raises(ValueError):
             Poly({mono: 1})
+    with pytest.raises(ValueError, match="unknown variable"):
+        Poly.variable("x")
     limit = 32767  # the documented degree cap
     assert Poly({(limit, 0, 0, 0): 1}).terms == {(limit, 0, 0, 0): 1}
     with pytest.raises(OverflowError):

@@ -36,6 +36,8 @@ def test_preset_names():
     assert sorted(PRESETS) == ["fibonacci", "jacobsthal", "lucas", "pell"]
     with pytest.raises(ValueError):
         preset("tribonacci")
+    with pytest.raises(ValueError, match="symbolic_spec"):
+        preset("fibonacci", ring.POLYNOMIAL)
 
 
 def test_negative_indices_fibonacci():
