@@ -20,6 +20,7 @@ Ranges are inclusive "lo..hi" (a bare integer means a single value).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -320,12 +321,10 @@ def write_bench_csv(rows: Sequence[dict], stream: io.TextIOBase) -> None:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     algorithms = [name.strip() for name in args.algorithms.split(",") if name.strip()]
-    rows = bench_rows(_spec_from_args(args), args.n, args.r, args.d, algorithms)
-    if args.out == "-":
-        write_bench_csv(rows, sys.stdout)
-    else:
-        with open(args.out, "w", newline="") as stream:
-            write_bench_csv(rows, stream)
+    spec = _spec_from_args(args)
+    # opened before the sweep, so a path that cannot be written fails first
+    with contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", newline="") as stream:
+        write_bench_csv(bench_rows(spec, args.n, args.r, args.d, algorithms), stream)
     return 0
 
 

@@ -55,18 +55,19 @@ One draw takes the top 31 bits, value = state >> 33; an integer in
 row-major, matrices consecutively from one stream seeded once.
 
 Reports are deterministic field by field except elapsed_ms, which is wall
-time.  Points are evaluated sequentially.  The determinant identities,
+time.  Points are evaluated sequentially, by one loop for every row: d
+spans r's window, and every lhs is a callable.  A determinant row,
 theorem1, theorem2 and rank-zero on rising-power builds and carlitz on
-plain-power builds at d = r+1, share one loop: the points of one (n, r)
-row read every d off one row of minors.  With the structured oracle
-that row comes from one Desnanot-Jacobi table per r (det_hankel_strip),
-made when r is first reached and kept for every n: it runs over the
-anti-diagonal values W^(r)_m, m = n_lo..n_hi+2D-2, to depth D, the top
-of r's d window, and row n reads D(n - n_lo, 1..D) without building a
-matrix; the table itself gives a blocked row Bareiss's minors.  With the
-bareiss oracle each row is one build at the top of its d window and one
-fraction-free elimination.  The cofactor oracle and the random grid read
-DetReport.value, one call per matrix.  Every build and closed form in one
+plain-power builds at d = r+1, reads its oracle through one memo per r,
+made at r's first point and kept for every n.  With the structured
+oracle the memo is one Desnanot-Jacobi table (det_hankel_strip) over the
+anti-diagonal values W^(r)_m, m = n_lo..n_hi+2D-2, to depth D, the top of
+r's d window: row n reads D(n - n_lo, 1..D) without building a matrix,
+and the table itself gives a blocked row Bareiss's minors.  With the
+bareiss oracle it is every n's build at the top of r's window and one
+fraction-free elimination each.  A failure in a memo marks every point
+of its r.  The cofactor oracle and the random grid read DetReport.value,
+one call per matrix.  Every build and closed form in one
 run_grid call reads the same sequence cache, companion cache and delta
 per spec (sequence.shared_sequences), released when the call returns.
 The scope is per context: run separate grids in separate threads or
@@ -95,7 +96,7 @@ from .closedform import (
     vajda_rhs,
 )
 from .determinant import det_bareiss, det_cofactor, det_hankel_strip
-from .matgen import MODES, POWER, RISING, MatrixQuery, SquareMatrix, build
+from .matgen import POWER, RISING, MatrixQuery, SquareMatrix, build
 from .ring import ExactScalar
 from .sequence import RecurrenceSpec, check_index, preset, shared_sequences, symbolic_spec
 
@@ -104,8 +105,8 @@ class Identity(NamedTuple):
     """One closed-form identity: the GridSpec fields it takes after n, its
     point axes first, and its two sides, lhs(spec, n, *axes) and
     rhs(spec, n, *axes).  lhs a build mode (RISING or POWER) means the
-    oracle determinant of that build, which _points reads off one row of
-    minors per (n, r); an identity without a d axis takes d = r+1.
+    oracle determinant of that build, which _points reads through one
+    memo per r (_oracle_lhs); an identity without a d axis takes d = r+1.
     """
 
     takes: Tuple[str, ...]
@@ -325,56 +326,47 @@ def run_grid(grid: GridSpec) -> VerifyReport:
 
 
 def _points(grid: GridSpec, spec: RecurrenceSpec, oracle: str):
-    """Each point's (point, lhs, rhs) under the oracle named oracle.  The
-    determinant identities read every d of an (n, r) row off one strip
-    row (structured) or one elimination's minors (bareiss); the cofactor
-    oracle evaluates each matrix on its own."""
+    """Each point's (point, lhs, rhs) in lexicographic order.  d, the last
+    axis of a row that has it, spans r's window; a determinant row's lhs
+    reads the oracle (_oracle_lhs)."""
     identity = IDENTITY_TABLE[grid.identity]
     axes = ("n", *identity.axes)
-    if identity.lhs not in MODES:
-        for values in product(*(_span(getattr(grid, axis)) for axis in axes)):
+    lhs = identity.lhs if callable(identity.lhs) else _oracle_lhs(grid, oracle, identity.lhs)
+    for head in product(*(_span(getattr(grid, axis)) for axis in axes if axis != "d")):
+        for values in [(*head, d) for d in _d_window(grid, head[1])] if "d" in axes else [head]:
             yield (
                 dict(zip(axes, values)),
-                _guarded(lambda: identity.lhs(spec, *values)),
+                _guarded(lambda: lhs(spec, *values)),
                 _guarded(lambda: identity.rhs(spec, *values)),
             )
-        return
-    mode = identity.lhs
+
+
+def _oracle_lhs(grid: GridSpec, oracle: str, mode: str) -> Callable[..., ExactScalar]:
+    """lhs(spec, n, r, d = r+1): the oracle determinant of the build in
+    mode.  cofactor evaluates each matrix; structured and bareiss make one
+    memo per r at its first point, rows[n - n_lo][d - 1] over every n to
+    the top of r's d window, and a failure in it marks every point of r."""
     n_lo, n_hi = grid.n
-    strips = {}  # r -> the rows of its strip over n_lo..n_hi, or its error
-    for n in _span(grid.n):
-        for r in _span(grid.r):
-            window = _d_window(grid, r)
-            if not window:
-                continue
-            row = None
-            # A validated grid leaves no step below to fail: backward steps
-            # divide by an invertible c2, and every pass divides only
-            # exactly, by nonzero minors or pivots.
-            if oracle == "structured":
-                # one Desnanot-Jacobi table per r, to the top of its window,
-                # made on first use; matgen is reached through the module,
-                # since a wrapper on a matgen name bound here reads a build
-                if r not in strips:
-                    first = MatrixQuery(n_lo, r, window[-1], mode)
-                    strips[r] = _guarded(
-                        lambda: det_hankel_strip(
-                            matgen.anti_diagonal(spec, first, n_hi - n_lo + 1), first.d
-                        ).rows
-                    )
-                row = strips[r] if isinstance(strips[r], str) else strips[r][n - n_lo]
-            elif oracle == "bareiss":
-                # one build at the top of the window and one elimination
-                top = MatrixQuery(n, r, window[-1], mode)
-                row = _guarded(lambda: det_bareiss(build(spec, top)).minors)
-            for d in window:
-                # zip drops d for an identity without a d axis
-                point = dict(zip(axes, (n, r, d)))
-                if row is None:
-                    lhs = _guarded(lambda: det_cofactor(build(spec, MatrixQuery(n, r, d, mode))).value)
-                else:
-                    lhs = row if isinstance(row, str) else row[d - 1]
-                yield point, lhs, _guarded(lambda: identity.rhs(spec, *point.values()))
+    memos = {}  # r -> its rows, or the error that made them
+
+    def rows(spec: RecurrenceSpec, r: int):
+        top = _d_window(grid, r)[-1]
+        if oracle == "bareiss":
+            return [det_bareiss(build(spec, MatrixQuery(n, r, top, mode))).minors for n in _span(grid.n)]
+        # matgen is reached through the module, since a wrapper on a matgen
+        # name bound here reads a build
+        first = MatrixQuery(n_lo, r, top, mode)
+        return det_hankel_strip(matgen.anti_diagonal(spec, first, n_hi - n_lo + 1), top).rows
+
+    def lhs(spec: RecurrenceSpec, n: int, r: int, d: Optional[int] = None):
+        d = r + 1 if d is None else d
+        if oracle == "cofactor":
+            return det_cofactor(build(spec, MatrixQuery(n, r, d, mode))).value
+        if r not in memos:
+            memos[r] = _guarded(lambda: rows(spec, r))
+        return memos[r] if isinstance(memos[r], str) else memos[r][n - n_lo][d - 1]
+
+    return lhs
 
 
 def _guarded(thunk: Callable[[], ExactScalar]):

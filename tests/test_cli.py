@@ -507,7 +507,7 @@ def test_bench_symbolic(capsys):
     ]
 
 
-def test_bench_file_output(tmp_path, capsys):
+def test_bench_file_output(tmp_path, capsys, monkeypatch):
     target = tmp_path / "counts.csv"
     code, out, _ = run_cli(
         capsys, "bench", "--r", "2", "--d", "2", "--algorithms", "cofactor", "--out", str(target)
@@ -517,11 +517,13 @@ def test_bench_file_output(tmp_path, capsys):
     assert lines[0] == BENCH_HEADER
     assert len(lines) == 2
     assert lines[1].startswith("cofactor,int,1,2,2,")
-    # a file that cannot be opened is an error, not a traceback
-    missing = tmp_path / "missing" / "counts.csv"
+    # a file that cannot be opened is an error, not a traceback, and it
+    # is found before any row is timed
+    monkeypatch.setattr(cli_module, "bench_rows", _swept)
+    missing = tmp_path / "missing" / "x.csv"
     code, out, err = run_cli(capsys, "bench", "--r", "2", "--d", "2", "--out", str(missing))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and str(missing) in err
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
     assert not missing.parent.exists()
 
 

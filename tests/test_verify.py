@@ -385,6 +385,56 @@ def test_shared_row_pass_agrees_with_per_point_cofactor():
         assert shared.mismatches == alone.mismatches == ()
 
 
+def test_the_three_oracles_agree_point_by_point(monkeypatch):
+    # a sentinel right side fails every point, so each report lists every
+    # point with its oracle's left side
+    for name in ("theorem1_rhs", "theorem2_rhs", "carlitz_rhs", "hankel_rank_bound_value"):
+        monkeypatch.setattr(verify_module, name, lambda *args: "sentinel")
+    strips = []
+    genuine = verify_module.det_hankel_strip
+    monkeypatch.setattr(
+        verify_module, "det_hankel_strip", lambda *args: strips.append(genuine(*args)) or strips[-1]
+    )
+    degenerate = RecurrenceSpec(rational(0), rational(1), rational(1), rational(0))
+    grids = [
+        GridSpec(identity="theorem1", n=(0, 1), r=(1, 3), d=(3, 9)),  # r = 1 has an empty window
+        GridSpec(identity="rank-zero", n=(0, 1), r=(0, 2), d=(1, 5)),  # clipped below at r+2
+        GridSpec(identity="carlitz", n=(-3, 4), r=(0, 5)),
+        GridSpec(identity="theorem2", spec=degenerate, domain=ring.RATIONAL, n=(0, 3), r=(0, 3)),
+    ]
+    for grid, checked in zip(grids, (6, 18, 48, 40)):
+        strips.clear()
+        reports = {oracle: run_grid(dataclasses.replace(grid, oracle=oracle)) for oracle in verify_module.ORACLES}
+        lists = {oracle: [(m.point, m.lhs) for m in report.mismatches] for oracle, report in reports.items()}
+        assert all(report.checked == len(lists[oracle]) == checked for oracle, report in reports.items()), grid
+        assert lists["structured"] == lists["bareiss"] == lists["cofactor"], grid
+        assert all(m.rhs == "sentinel" for m in reports["structured"].mismatches)
+    # W_n = 1 from n = 1 on zeroes D(k, 2), which blocks every row of the
+    # degenerate spec's r = 3 strip; those rows read Bareiss's minors
+    assert [strip.fallback_used for strip in strips] == [0, 0, 0, 4]
+
+
+def test_a_failed_elimination_marks_every_point_of_its_r(monkeypatch):
+    # under bareiss each r reads one memo, every n's minors to the top of
+    # r's window, so an error in one elimination reaches all of r's points
+    grid = GridSpec(identity="theorem1", n=(0, 3), r=(0, 3), oracle="bareiss")
+    clean = run_grid(grid)
+    assert clean.passed
+    failing = build(preset("fibonacci"), MatrixQuery(2, 2, 3, "rising"))
+    genuine = verify_module.det_bareiss
+
+    def injected(matrix):
+        if matrix == failing:
+            raise ring.InexactDivisionError("injected")
+        return genuine(matrix)
+
+    monkeypatch.setattr(verify_module, "det_bareiss", injected)
+    report = run_grid(grid)
+    assert report.checked == clean.checked == 4 * (1 + 2 + 3 + 4)
+    assert [m.point for m in report.mismatches] == [{"n": n, "r": 2, "d": d} for n in range(4) for d in (1, 2, 3)]
+    assert {m.lhs for m in report.mismatches} == {"error(InexactDivisionError: injected)"}
+
+
 def test_random_minor_identity():
     report = run_random_dj(seed=2, count=25, dim=4, entry_bound=9)
     assert report.passed and report.checked == 25
