@@ -29,13 +29,15 @@ import sys
 import time
 from dataclasses import fields
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 from . import ring
 from .determinant import check_cofactor_dim, det_bareiss, det_cofactor, det_condensation, det_hankel_minors
 from .matgen import MODES, RISING, MatrixQuery, build
 from .sequence import PRESETS, RecurrenceSpec, SequenceCache, check_index, preset, symbolic_spec
-from .verify import IDENTITIES, IDENTITY_TABLE, ORACLES, GridSpec, report_json, run_grid
+from .verify import IDENTITIES, IDENTITY_TABLE, ORACLES, GridSpec, Range, report_json, run_grid
 
 
 _ALGORITHMS = {
@@ -112,15 +114,9 @@ def _merge_range_values(argv: Sequence[str]) -> List[str]:
     """Join ``--n -5..5`` into ``--n=-5..5``, and ``--a -1/2`` into
     ``--a=-1/2``, so argparse accepts them."""
     merged: List[str] = []
-    skip = False
-    for position, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[position + 1] if position + 1 < len(argv) else None
-        if token in _SIGNED_FLAGS and nxt is not None and nxt.startswith("-") and not nxt.startswith("--"):
-            merged.append(f"{token}={nxt}")
-            skip = True
+    for token in argv:
+        if merged and merged[-1] in _SIGNED_FLAGS and token.startswith("-") and not token.startswith("--"):
+            merged[-1] += f"={token}"
         else:
             merged.append(token)
     return merged
@@ -257,6 +253,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+_BENCH_COLUMNS = ("algorithm", "domain", "n", "r", "d", "mul_count", "div_count", "fallback", "wall_ns")
+
+
+def _check_bench(spec: RecurrenceSpec, n: Range, r: Range, d: Range, algorithms: Sequence[str]) -> None:
+    """ValueError for any bench input the sweep cannot honour, before any
+    file is opened or row timed."""
+    if not algorithms:
+        raise ValueError(f"no bench algorithm given; choose from {', '.join(_BENCH_ALGORITHMS)}")
+    for name in algorithms:
+        if name not in _BENCH_ALGORITHMS:
+            raise ValueError(f"unknown bench algorithm {name!r}")
+    if "cofactor" in algorithms:
+        check_cofactor_dim(d[1])
+    check_index(spec, "n", n[0])
+    # the sweep's smallest query: d < 1 or r < 0 fails as its build would
+    MatrixQuery(n[0], r[0], d[0])
+
+
 def bench_rows(
     spec: RecurrenceSpec,
     n_range: Tuple[int, int],
@@ -265,52 +279,25 @@ def bench_rows(
     algorithms: Sequence[str],
 ) -> List[dict]:
     """One row per (algorithm, n, r, d), rising-power mode, sorted."""
-    if not algorithms:
-        raise ValueError(f"no bench algorithm given; choose from {', '.join(_BENCH_ALGORITHMS)}")
-    for name in algorithms:
-        if name not in _BENCH_ALGORITHMS:
-            raise ValueError(f"unknown bench algorithm {name!r}")
-    # before any row: a late failure would waste every smaller expansion
-    if "cofactor" in algorithms:
-        check_cofactor_dim(d_range[1])
-    check_index(spec, "n", n_range[0])
+    _check_bench(spec, n_range, r_range, d_range, algorithms)
+    spans = (range(lo, hi + 1) for lo, hi in (n_range, r_range, d_range))
     rows = []
-    for algorithm in sorted(set(algorithms)):
-        for n in range(n_range[0], n_range[1] + 1):
-            for r in range(r_range[0], r_range[1] + 1):
-                for d in range(d_range[0], d_range[1] + 1):
-                    if algorithm == "closed":
-                        # the value verify compares: the product form, or
-                        # the rank bound beyond the square case
-                        closed = IDENTITY_TABLE["rank-zero" if d > r + 1 else "theorem2"].rhs
-                        with ring.count_ops() as counter:
-                            started = time.perf_counter_ns()
-                            closed(spec, n, r, d)
-                            wall = time.perf_counter_ns() - started
-                        muls, divs, fallback = counter.muls, counter.divs, False
-                    else:
-                        matrix = build(spec, MatrixQuery(n, r, d, RISING))
-                        started = time.perf_counter_ns()
-                        report = _ALGORITHMS[algorithm](matrix)
-                        wall = time.perf_counter_ns() - started
-                        muls, divs, fallback = report.mul_count, report.div_count, report.fallback_used
-                    rows.append(
-                        {
-                            "algorithm": algorithm,
-                            "domain": spec.domain,
-                            "n": n,
-                            "r": r,
-                            "d": d,
-                            "mul_count": muls,
-                            "div_count": divs,
-                            "fallback": "true" if fallback else "false",
-                            "wall_ns": wall,
-                        }
-                    )
+    for algorithm, n, r, d in product(sorted(set(algorithms)), *spans):
+        if algorithm == "closed":
+            # the value verify compares: the product form, or the rank
+            # bound beyond the square case
+            timed = partial(IDENTITY_TABLE["rank-zero" if d > r + 1 else "theorem2"].rhs, spec, n, r, d)
+        else:
+            # built here, outside the timer
+            timed = partial(_ALGORITHMS[algorithm], build(spec, MatrixQuery(n, r, d, RISING)))
+        with ring.count_ops() as counter:
+            started = time.perf_counter_ns()
+            result = timed()
+            wall = time.perf_counter_ns() - started
+        fallback = algorithm != "closed" and result.fallback_used
+        values = (algorithm, spec.domain, n, r, d, counter.muls, counter.divs, "true" if fallback else "false", wall)
+        rows.append(dict(zip(_BENCH_COLUMNS, values)))
     return rows
-
-
-_BENCH_COLUMNS = ("algorithm", "domain", "n", "r", "d", "mul_count", "div_count", "fallback", "wall_ns")
 
 
 def write_bench_csv(rows: Sequence[dict], stream: io.TextIOBase) -> None:
@@ -322,6 +309,7 @@ def write_bench_csv(rows: Sequence[dict], stream: io.TextIOBase) -> None:
 def _cmd_bench(args: argparse.Namespace) -> int:
     algorithms = [name.strip() for name in args.algorithms.split(",") if name.strip()]
     spec = _spec_from_args(args)
+    _check_bench(spec, args.n, args.r, args.d, algorithms)
     # opened before the sweep, so a path that cannot be written fails first
     with contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", newline="") as stream:
         write_bench_csv(bench_rows(spec, args.n, args.r, args.d, algorithms), stream)
@@ -343,15 +331,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # subcommand uses
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (
-        OSError,
-        ValueError,
-        ZeroDivisionError,
-        OverflowError,
-        ring.DomainMismatchError,
-        ring.InexactDivisionError,
-        ring.NotInvertibleError,
-    ) as exc:
+    except (OSError, ValueError, ArithmeticError, ring.DomainMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -264,8 +264,10 @@ def _validate(grid: GridSpec) -> Tuple[RecurrenceSpec, str]:
             raise ValueError(f"oracle structured needs Hankel matrices; {_RANDOM} draws general ones")
         return spec, oracle
     for name in ("n", *row.axes):
-        # an unset d range means the identity's natural window
-        if name != "d" and getattr(grid, name) is None:
+        bounds = getattr(grid, name)
+        if bounds is not None:
+            _span(bounds)  # an empty range is rejected here, not mid-sweep
+        elif name != "d":  # an unset d range means the identity's natural window
             raise ValueError(f"identity {grid.identity} needs a {name} range")
     if "r" in row.axes and grid.r[0] < 0:
         raise ValueError("power length r must be non-negative")

@@ -527,6 +527,32 @@ def test_bench_file_output(tmp_path, capsys, monkeypatch):
     assert not missing.parent.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--algorithms", "nope"), "unknown bench algorithm 'nope'"),
+        (("--algorithms", " , "),
+         "no bench algorithm given; choose from bareiss, closed, cofactor, condensation, structured"),
+        (("--algorithms", "bareiss,cofactor", "--d", "9..11"), "cofactor expansion is limited to dimension 10"),
+        (("--preset", "jacobsthal", "--n=-1"),
+         "negative n needs c2 = +-1, or a nonzero c2 in the rational domain; this int spec has c2 = 2"),
+        (("--r=-1..1",), "power length r must be non-negative"),
+        (("--d", "0..2"), "matrix dimension d must be at least 1"),
+    ],
+)
+def test_bench_rejects_before_it_touches_out(argv, message, tmp_path, capsys, monkeypatch):
+    # the gate runs before the file is opened and before any row; a flag
+    # in argv overrides the --r or --d before it
+    monkeypatch.setattr(cli_module, "bench_rows", _swept)
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_text("keep\n")
+    for target in (kept, absent):
+        code, out, err = run_cli(capsys, "bench", "--r", "1", "--d", "2", *argv, "--out", str(target))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert kept.read_text() == "keep\n"
+    assert not absent.exists()
+
+
 def test_bench_structured_rows(capsys):
     code, out, _ = run_cli(capsys, "bench", "--r", "3", "--d", "2..4", "--algorithms", "structured,bareiss")
     assert code == 0

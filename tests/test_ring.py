@@ -518,6 +518,18 @@ def test_kronecker_kernel_leaves_sparse_boxes_to_the_dict_loop(monkeypatch):
     assert product.exact_div(q) == p
 
 
+def test_kronecker_decode_rejects_an_image_that_does_not_fit():
+    # W_9 of the symbolic spec: ea 0..1 and ec2 0..4 at (a, b)-degree 1 and
+    # weight 9, laid out 5 slots per ea in 10 slots of 2 bytes
+    packed = SequenceCache(symbolic_spec()).term(9).value._packed
+    shape = ring._bigraded(packed)
+    assert shape == (1, 9, 0, 1, 0, 4) and ring._slot_count(shape, 5) == 10
+    assert ring._decode(ring._image(packed, shape, 5, 2), shape, 5, 2) == packed
+    # past either end of the 160 bits the slots hold
+    assert ring._decode(1 << 160, shape, 5, 2) is None
+    assert ring._decode(-(1 << 160), shape, 5, 2) is None
+
+
 def test_symbolic_grid_multiplies_only_through_the_poly_methods(monkeypatch):
     # the kernel's quotient check multiplies images, not Polys, so a wrapper
     # on these methods (as a tracer installs) sees acceptance 05's own calls

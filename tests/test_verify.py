@@ -482,7 +482,7 @@ def test_validation_errors(monkeypatch):
         run_grid(GridSpec(identity="desnanot-jacobi-random", count=0))
     # grids the sweep cannot honour are rejected before it starts: any call
     # into the sweep now fails the test
-    for name in ("MatrixQuery", "build", "det_bareiss", "det_hankel_strip",
+    for name in ("_points", "MatrixQuery", "build", "det_bareiss", "det_hankel_strip",
                  "theorem1_rhs", "theorem2_rhs", "prodinger_rhs", "carlitz_rhs", "hankel_rank_bound_value"):
         monkeypatch.setattr(verify_module, name, _swept)
     for identity in ("theorem1", "theorem2", "prodinger", "carlitz", "rank-zero"):
@@ -496,6 +496,14 @@ def test_validation_errors(monkeypatch):
     ):
         with pytest.raises(ValueError, match=f"^d range {d[0]}\\.\\.{d[1]} "):
             run_grid(GridSpec(identity=identity, n=(0, 0), r=r, d=d))
+    for grid in (
+        GridSpec(identity="theorem1", n=(2, 1), r=(0, 1)),
+        GridSpec(identity="theorem1", n=(0, 1), r=(3, 2)),
+        GridSpec(identity="vajda", n=(0, 1), i=(1, 0), j=(0, 1)),
+        GridSpec(identity="theorem2", n=(0, 1), r=(0, 3), d=(4, 2)),
+    ):
+        with pytest.raises(ValueError, match="^empty range"):
+            run_grid(grid)
 
 
 def _swept(*args, **kwargs):
