@@ -35,7 +35,6 @@ from .ring import (
     rational,
     sub,
     variable,
-    widen,
     zero,
 )
 from .sequence import (

@@ -71,7 +71,10 @@ def _parse_literal(text: str, domain: str) -> ring.ExactScalar:
         if "/" in text:
             raise ValueError(f"{text!r} is rational; pass --domain rat")
         return ring.integer(int(text))
-    return ring.rational(Fraction(text))
+    try:
+        return ring.rational(Fraction(text))
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 def _given_spec_flags(args: argparse.Namespace) -> List[str]:

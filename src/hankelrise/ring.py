@@ -8,8 +8,7 @@ An ExactScalar is an immutable tagged value in one of:
                 a, b, c1, c2: a map from monomials to nonzero integer
                 coefficients, each monomial packed into one int key
 
-Arithmetic between different domains is an error, except that an integer
-widens into either other domain as a constant.  Division never rounds:
+Arithmetic between different domains is an error.  Division never rounds:
 ``exact_div`` raises InexactDivisionError when the divisor does not divide
 the dividend exactly (integer and polynomial domains).
 
@@ -78,6 +77,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Dict, Iterator, Tuple, Union
 
 INTEGER = "int"
@@ -202,15 +202,15 @@ class Poly:
     """Sparse integer polynomial in a, b, c1, c2.
 
     ``Poly(terms)`` takes a map from (ea, eb, ec1, ec2) tuples of
-    non-negative ints to integer coefficients (ValueError for any other
-    key), and ``terms`` is a read-only view in the same form.  Inside,
-    each monomial is a packed int key (see _pack).  Comparing two keys as
-    ints compares the degrees first and then ea, eb, ec1, ec2 in turn,
-    because each field sits above the next and none overflows; so integer
-    order is graded lexicographic order, and multiplying two monomials is
-    adding their keys.  A monomial of total degree above 32767 does not
-    fit and raises OverflowError, whether given to the constructor or
-    made by a product.
+    non-negative ints to int coefficients (ValueError for any other key,
+    TypeError for any other coefficient), and ``terms`` is a read-only
+    view in the same form.  Inside, each monomial is a packed int key
+    (see _pack).  Comparing two keys as ints compares the degrees first
+    and then ea, eb, ec1, ec2 in turn, because each field sits above the
+    next and none overflows; so integer order is graded lexicographic
+    order, and multiplying two monomials is adding their keys.  A
+    monomial of total degree above 32767 does not fit and raises
+    OverflowError, whether given to the constructor or made by a product.
 
     Treated as immutable after construction; zero coefficients are never
     stored.
@@ -219,7 +219,8 @@ class Poly:
     __slots__ = ("_packed",)
 
     def __init__(self, terms: Mapping[Monomial, int]):
-        self._packed = {_pack(m): c for m, c in terms.items() if c}
+        coefficients = {_pack(m): index(c) for m, c in terms.items()}
+        self._packed = {key: c for key, c in coefficients.items() if c}
 
     @classmethod
     def _wrap(cls, packed: Dict[int, int]) -> "Poly":
@@ -234,6 +235,7 @@ class Poly:
 
     @classmethod
     def const(cls, value: int) -> "Poly":
+        value = index(value)
         return cls._wrap({0: value} if value else {})
 
     @classmethod
@@ -569,7 +571,7 @@ class ExactScalar:
 
 
 def integer(value: int) -> ExactScalar:
-    return ExactScalar(INTEGER, int(value))
+    return ExactScalar(INTEGER, index(value))
 
 
 def rational(numerator, denominator=1) -> ExactScalar:
@@ -602,32 +604,18 @@ def _make(domain: str, value: int) -> ExactScalar:
     raise ValueError(f"unknown domain {domain!r}")
 
 
-def widen(x: ExactScalar, domain: str) -> ExactScalar:
-    """Embed x into ``domain``; only integer constants widen."""
-    if x.domain == domain:
-        return x
-    if x.domain != INTEGER:
-        raise DomainMismatchError(f"cannot widen {x.domain} scalar into {domain}")
-    return _make(domain, x.value)
-
-
-def _coerce(x: ExactScalar, y: ExactScalar) -> Tuple[ExactScalar, ExactScalar]:
-    if x.domain == y.domain:
-        return x, y
-    if x.domain == INTEGER:
-        return widen(x, y.domain), y
-    if y.domain == INTEGER:
-        return x, widen(y, x.domain)
-    raise DomainMismatchError(f"cannot mix {x.domain} and {y.domain} scalars")
+def _same_domain(x: ExactScalar, y: ExactScalar) -> None:
+    if x.domain != y.domain:
+        raise DomainMismatchError(f"cannot mix {x.domain} and {y.domain} scalars")
 
 
 def add(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    x, y = _coerce(x, y)
+    _same_domain(x, y)
     return ExactScalar(x.domain, x.value + y.value)
 
 
 def sub(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    x, y = _coerce(x, y)
+    _same_domain(x, y)
     return ExactScalar(x.domain, x.value - y.value)
 
 
@@ -636,7 +624,7 @@ def neg(x: ExactScalar) -> ExactScalar:
 
 
 def mul(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    x, y = _coerce(x, y)
+    _same_domain(x, y)
     if x.is_zero() or y.is_zero():
         return zero(x.domain)
     if x.is_one():
@@ -648,7 +636,7 @@ def mul(x: ExactScalar, y: ExactScalar) -> ExactScalar:
 
 
 def exact_div(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    x, y = _coerce(x, y)
+    _same_domain(x, y)
     if y.is_zero():
         raise ZeroDivisionError("exact division by zero")
     if x.is_zero():

@@ -618,6 +618,8 @@ def test_spec_flag_conflicts(capsys):
     assert code == 2 and "all four" in err
     code, _, err = run_cli(capsys, "det", "--a", "1/2", "--b", "1", "--c1", "1", "--c2", "1", "--n", "0", "--r", "1", "--d", "2")
     assert code == 2 and "rat" in err
+    code, out, err = run_cli(capsys, "seq", "--domain", "rat", "--a", "1/0", "--b", "1", "--c1", "1", "--c2", "1", "--from", "0", "--to", "1")
+    assert (code, out, err) == (2, "", "error: '1/0' has a zero denominator\n")
 
 
 def test_parse_range():

@@ -23,10 +23,9 @@ from hankelrise.ring import (
     rational,
     sub,
     variable,
-    widen,
     zero,
 )
-from hankelrise.determinant import det_bareiss
+from hankelrise.determinant import det_bareiss, det_hankel_strip
 from hankelrise.matgen import RISING, MatrixQuery, build
 from hankelrise.sequence import SequenceCache, delta, symbolic_spec
 from hankelrise.verify import GridSpec, Lcg64, run_grid
@@ -109,20 +108,37 @@ def test_invertible_is_the_negative_power_rule():
 
 
 def test_domain_mixing():
-    widened = add(integer(1), rational(1, 2))
-    assert widened == rational(3, 2)
-    lifted = mul(integer(3), variable("a"))
-    assert str(lifted) == "3*a"
-    # an integer right operand widens too
-    assert add(rational(1, 2), integer(1)) == rational(3, 2)
-    assert str(mul(variable("a"), integer(2))) == "2*a"
-    assert widen(rational(1, 2), ring.RATIONAL) == rational(1, 2)
+    # every operand of one operation shares its domain: an integer does not
+    # widen, and a zero or one operand is rejected before its shortcut
+    samples = {
+        ring.INTEGER: (integer(0), integer(1), integer(2)),
+        ring.RATIONAL: (rational(0), rational(1), rational(1, 2)),
+        ring.POLYNOMIAL: (ring.poly_const(0), ring.poly_const(1), variable("a")),
+    }
+    pairs = [(left, right) for left in ring.DOMAINS for right in ring.DOMAINS if left != right]
+    assert len(pairs) == 6
+    with count_ops() as counter:
+        for left, right in pairs:
+            for x in samples[left]:
+                for y in samples[right]:
+                    for operation in (add, sub, mul, exact_div):
+                        with pytest.raises(DomainMismatchError, match=f"cannot mix {left} and {right}"):
+                            operation(x, y)
+    assert (counter.muls, counter.divs) == (0, 0)
     with pytest.raises(ValueError, match="unknown domain"):
         zero("real")
     with pytest.raises(DomainMismatchError):
         add(rational(1, 2), variable("a"))
     with pytest.raises(DomainMismatchError):
-        widen(rational(1, 2), ring.POLYNOMIAL)
+        det_hankel_strip((rational(1), integer(2), rational(3)), 2)
+
+
+def test_exact_scalars_reject_floats():
+    # a float or a string would otherwise be truncated or stored inexactly
+    for make in (integer, rational, ring.poly_const, Poly.const, lambda c: Poly({(1, 0, 0, 0): c})):
+        for value in (2.5, 1.0, 0.0, "3"):
+            with pytest.raises(TypeError):
+                make(value)
 
 
 def _random_scalar(rng, domain):
@@ -182,7 +198,7 @@ def test_canonical_strings():
     assert str(zero(ring.POLYNOMIAL)) == "0"
     assert str(ring.poly_const(17)) == "17"
     # ascending graded-lex: constant first, then degree-1 terms by exponent vector
-    assert str(add(add(integer(3), mul(integer(2), a)), b)) == "3 + b + 2*a"
+    assert str(add(add(ring.poly_const(3), mul(ring.poly_const(2), a)), b)) == "3 + b + 2*a"
 
 
 def test_op_counting():
