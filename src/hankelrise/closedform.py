@@ -60,17 +60,14 @@ def theorem2_rhs(spec: RecurrenceSpec, n: int, r: int, d: int) -> ExactScalar:
       * prod_{i=d-1}^{2(d-1)} W_{n+i}^(r+1-d)
 
     with U the companion sequence (seeds 0, 1).  Negative c2 exponents
-    need ring.invertible(c2); zero-exponent factors are skipped, so d = 1
-    works for any spec.
+    need ring.invertible(c2).
     """
     _check_window(r, d)
     pairs = comb(d, 2)
     cache = cache_for(spec)
     units = companion_cache(spec)
-    total = ring.one(spec.domain)
-    c2_exponent = (n + d - 2) * pairs
-    if c2_exponent:
-        total = ring.mul(total, ring.pow_signed(spec.c2, c2_exponent))
+    total = ring.pow_signed(spec.c2, (n + d - 2) * pairs)
+    # d = 1 skips delta, which costs multiplications outside a shared_sequences() scope
     if pairs:
         total = ring.mul(total, ring.pow_signed(delta(spec), pairs))
     running = ring.one(spec.domain)
@@ -87,8 +84,7 @@ def prodinger_rhs(n: int, r: int) -> ExactScalar:
 
     (-1)^(n*C(r+1,2) + C(r+2,3)) * (F_1 * F_2 * ... * F_r)^(r+1)
     """
-    if r < 0:
-        raise ValueError("power length r must be non-negative")
+    _check_window(r, r + 1)
     fib = cache_for(_FIBONACCI)
     base = ring.one(ring.INTEGER)
     for i in range(1, r + 1):
@@ -103,8 +99,7 @@ def carlitz_rhs(n: int, r: int) -> ExactScalar:
     (-1)^((n+1)*C(r+1,2)) * (F_1^r * F_2^(r-1) * ... * F_r)^2
       * prod_{i=0}^{r} C(r,i)
     """
-    if r < 0:
-        raise ValueError("power length r must be non-negative")
+    _check_window(r, r + 1)
     fib = cache_for(_FIBONACCI)
     staircase = ring.one(ring.INTEGER)
     running = ring.one(ring.INTEGER)
@@ -141,12 +136,11 @@ def generalized_vajda_lhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> Exact
 def generalized_vajda_rhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> ExactScalar:
     """(-1) * (-c2)^n * delta * U_i * U_j = (-1)^(n+1) * c2^n * delta * U_i * U_j.
 
-    Negative n needs ring.invertible(c2); c2^0 is skipped, as 0^0 raises.
+    Negative n needs ring.invertible(c2).
     """
     units = companion_cache(spec)
     value = ring.mul(delta(spec), ring.mul(units.term(i), units.term(j)))
-    if n:
-        value = ring.mul(value, ring.pow_signed(spec.c2, n))
+    value = ring.mul(value, ring.pow_signed(spec.c2, n))
     return _apply_sign(value, n + 1)
 
 

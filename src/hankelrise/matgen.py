@@ -95,6 +95,4 @@ def anti_diagonal(spec: RecurrenceSpec, query: MatrixQuery, count: int = 1) -> T
 def _entry(cache: SequenceCache, index: int, query: MatrixQuery) -> ExactScalar:
     if query.mode == RISING:
         return cache.rising_power(index, query.r)
-    if query.r == 0:
-        return ring.one(cache.spec.domain)
     return ring.pow_signed(cache.term(index), query.r)

@@ -663,14 +663,12 @@ def invertible(x: ExactScalar) -> bool:
 
 
 def pow_signed(x: ExactScalar, k: int) -> ExactScalar:
-    """x**k with signed k: negative k needs invertible(x), and 0**k needs k > 0."""
-    if x.is_zero():
-        if k <= 0:
-            raise ZeroDivisionError("zero cannot be raised to a non-positive power")
-        return x
+    """x**k with signed k: negative k needs invertible(x), and 0**k needs k >= 0."""
     if k == 0:
         return one(x.domain)
     if k < 0:
+        if x.is_zero():
+            raise ZeroDivisionError("zero cannot be raised to a negative power")
         if not invertible(x):
             raise NotInvertibleError(f"negative power in non-invertible domain {x.domain}")
         if x.domain == RATIONAL:

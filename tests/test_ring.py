@@ -85,10 +85,15 @@ def test_pow_signed():
         pow_signed(integer(2), -1)
     with pytest.raises(NotInvertibleError):
         pow_signed(integer(-2), -1)
-    with pytest.raises(ZeroDivisionError):
-        pow_signed(zero(ring.RATIONAL), 0)
+    # x**0 is the empty product, one, for every x, zero included
+    for domain in ring.DOMAINS:
+        with count_ops() as counter:
+            assert pow_signed(zero(domain), 0) == one(domain)
+        assert (counter.muls, counter.divs) == (0, 0)
     with pytest.raises(ZeroDivisionError):
         pow_signed(zero(ring.RATIONAL), -1)
+    with pytest.raises(ZeroDivisionError):
+        pow_signed(zero(ring.POLYNOMIAL), -1)
 
 
 def test_invertible_is_the_negative_power_rule():

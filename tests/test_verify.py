@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import sys
 import threading
@@ -184,6 +185,38 @@ def test_degenerate_spec_errors_are_reported_structurally(monkeypatch):
     assert [m.point for m in report.mismatches] == [{"n": n, "r": 1, "d": d} for n in (0, 1) for d in (1, 2)]
     assert all(m.lhs == m.rhs == error for m in report.mismatches)
     assert run_grid(dataclasses.replace(grid, oracle="bareiss")).mismatches == report.mismatches
+
+
+# (spec, identity, checked, mul/div totals per oracle) on n 0..3 and r 0..3,
+# or i and j 0..3 for eq4, which has no oracle
+_DEGENERATE_TOTALS = [
+    # c2 = 0, delta = 2: the closed forms read c2^0 at d = 1, n + d = 2 and n = 0
+    ((1, 2, 1, 0), "theorem2", 40, {None: (192, 0), "bareiss": (246, 0)}),
+    ((1, 2, 1, 0), "rank-zero", 32, {None: (546, 0), "bareiss": (571, 0)}),
+    ((1, 2, 1, 0), "eq4", 64, {None: (106, 0)}),
+    # delta = 0: every determinant of d >= 2 is zero
+    ((1, 2, 1, 2), "theorem2", 40, {None: (221, 0), "bareiss": (273, 0)}),
+    ((1, 2, 1, 2), "rank-zero", 32, {None: (501, 0), "bareiss": (526, 0)}),
+    ((1, 2, 1, 2), "eq4", 64, {None: (165, 0)}),
+]
+
+
+def test_degenerate_spec_totals_are_pinned():
+    # the same in both numeric domains
+    for domain, (values, identity, checked, totals) in itertools.product(
+        (ring.INTEGER, ring.RATIONAL), _DEGENERATE_TOTALS
+    ):
+        spec = RecurrenceSpec(*(ring._make(domain, v) for v in values))
+        axes = dict(i=(0, 3), j=(0, 3)) if identity == "eq4" else dict(r=(0, 3))
+        for oracle, expected in totals.items():
+            report = run_grid(GridSpec(identity, spec=spec, domain=domain, oracle=oracle, n=(0, 3), **axes))
+            where = (domain, values, identity, oracle)
+            assert report.passed and report.checked == checked, where
+            assert (report.mul_count, report.div_count) == expected, where
+    # r = 0 reads F_0^0 = 1 on the plain-power anti-diagonal through n = 0
+    report = run_grid(GridSpec(identity="carlitz", n=(-3, 3), r=(0, 4)))
+    assert report.passed and report.checked == 35
+    assert (report.mul_count, report.div_count) == (275, 60)
 
 
 def test_rank_zero_windows():
