@@ -31,7 +31,7 @@ from dataclasses import fields
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import ring
 from .determinant import check_cofactor_dim, det_bareiss, det_cofactor, det_condensation, det_hankel_minors
@@ -319,8 +319,28 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _any_int_digits() -> Iterator[None]:
+    """Lift CPython's int-to-str digit limit (3.11+; 4,300 digits by
+    default) while a command runs, so exact values print at any size."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(saved)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    with _any_int_digits():
+        return _main(list(sys.argv[1:] if argv is None else argv))
+
+
+def _main(argv: List[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(_merge_range_values(argv))
     try:

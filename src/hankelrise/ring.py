@@ -132,9 +132,9 @@ def count_ops() -> Iterator[OpCounter]:
         _COUNTERS.reset(token)
 
 
-def _tick_mul() -> None:
+def _tick_mul(count: int = 1) -> None:
     for counter in _COUNTERS.get():
-        counter.muls += 1
+        counter.muls += count
 
 
 def _tick_div() -> None:
@@ -604,18 +604,19 @@ def _make(domain: str, value: int) -> ExactScalar:
     raise ValueError(f"unknown domain {domain!r}")
 
 
-def _same_domain(x: ExactScalar, y: ExactScalar) -> None:
-    if x.domain != y.domain:
-        raise DomainMismatchError(f"cannot mix {x.domain} and {y.domain} scalars")
+def _mismatch(x: ExactScalar, y: ExactScalar) -> DomainMismatchError:
+    return DomainMismatchError(f"cannot mix {x.domain} and {y.domain} scalars")
 
 
 def add(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    _same_domain(x, y)
+    if x.domain != y.domain:
+        raise _mismatch(x, y)
     return ExactScalar(x.domain, x.value + y.value)
 
 
 def sub(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    _same_domain(x, y)
+    if x.domain != y.domain:
+        raise _mismatch(x, y)
     return ExactScalar(x.domain, x.value - y.value)
 
 
@@ -623,35 +624,56 @@ def neg(x: ExactScalar) -> ExactScalar:
     return ExactScalar(x.domain, -x.value)
 
 
+# the packed terms of the polynomial one
+_POLY_ONE = {0: 1}
+
+
 def mul(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    _same_domain(x, y)
-    if x.is_zero() or y.is_zero():
-        return zero(x.domain)
-    if x.is_one():
+    # zero and one are read off the payloads (a poly's packed terms), and
+    # only once the domains agree: this is every closed form's hot path
+    domain = x.domain
+    if domain != y.domain:
+        raise _mismatch(x, y)
+    u, v = x.value, y.value
+    if domain == POLYNOMIAL:
+        left, right, unit = u._packed, v._packed, _POLY_ONE
+    else:
+        left, right, unit = u, v, 1
+    if not left or not right:
+        return zero(domain)
+    if left == unit:
         return y
-    if y.is_one():
+    if right == unit:
         return x
-    _tick_mul()
-    return ExactScalar(x.domain, x.value * y.value)
+    for counter in _COUNTERS.get():
+        counter.muls += 1
+    return ExactScalar(domain, u * v)
 
 
 def exact_div(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    _same_domain(x, y)
-    if y.is_zero():
+    domain = x.domain
+    if domain != y.domain:
+        raise _mismatch(x, y)
+    u, v = x.value, y.value
+    if domain == POLYNOMIAL:
+        left, right, unit = u._packed, v._packed, _POLY_ONE
+    else:
+        left, right, unit = u, v, 1
+    if not right:
         raise ZeroDivisionError("exact division by zero")
-    if x.is_zero():
-        return zero(x.domain)
-    if y.is_one():
+    if not left:
+        return zero(domain)
+    if right == unit:
         return x
     _tick_div()
-    if x.domain == INTEGER:
-        quotient, residue = divmod(x.value, y.value)
+    if domain == INTEGER:
+        quotient, residue = divmod(u, v)
         if residue:
-            raise InexactDivisionError(f"{x.value} is not divisible by {y.value}")
+            raise InexactDivisionError(f"{u} is not divisible by {v}")
         return ExactScalar(INTEGER, quotient)
-    if x.domain == RATIONAL:
-        return ExactScalar(RATIONAL, x.value / y.value)
-    return ExactScalar(POLYNOMIAL, x.value.exact_div(y.value))
+    if domain == RATIONAL:
+        return ExactScalar(RATIONAL, u / v)
+    return ExactScalar(POLYNOMIAL, u.exact_div(v))
 
 
 def invertible(x: ExactScalar) -> bool:
@@ -663,7 +685,13 @@ def invertible(x: ExactScalar) -> bool:
 
 
 def pow_signed(x: ExactScalar, k: int) -> ExactScalar:
-    """x**k with signed k: negative k needs invertible(x), and 0**k needs k >= 0."""
+    """x**k with signed k: negative k needs invertible(x), and 0**k needs k >= 0.
+
+    An int or rat base other than 0 and +-1 takes one native power, and
+    ticks the multiplications the square-and-multiply loop would: one
+    squaring per bit of k after the leading one, and one product per
+    further set bit.  Every other base runs that loop.
+    """
     if k == 0:
         return one(x.domain)
     if k < 0:
@@ -675,6 +703,10 @@ def pow_signed(x: ExactScalar, k: int) -> ExactScalar:
             _tick_div()
             x = ExactScalar(RATIONAL, 1 / x.value)
         k = -k
+    value = x.value
+    if x.domain != POLYNOMIAL and value and value != 1 and value != -1:
+        _tick_mul(k.bit_length() + k.bit_count() - 2)
+        return ExactScalar(x.domain, value ** k)
     result = x
     for bit in bin(k)[3:]:
         result = mul(result, result)

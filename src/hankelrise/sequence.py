@@ -16,8 +16,9 @@ arithmetic.
 
 cache_for, companion_cache and delta give one cache (or value) per spec
 value for the life of a shared_sequences() scope, and a new one on every
-call outside a scope.  A spec seeded (0, 1) is its own companion, so
-within a scope its companion cache is its terms cache.  Caches are
+call outside a scope; so do the rising-power prefix chains that
+SequenceCache.rising_power reads.  A spec seeded (0, 1) is its own
+companion, so within a scope its companion cache is its terms cache.  Caches are
 single-writer: the scope lives in a ContextVar, so each thread or
 context has its own; share a spec across workers, not a cache.
 """
@@ -28,7 +29,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 from . import ring
 from .ring import ExactScalar
@@ -131,15 +132,23 @@ class SequenceCache:
         return backward[-k - 1]
 
     def rising_power(self, m: int, r: int) -> ExactScalar:
-        """W_m * W_{m+1} * ... * W_{m+r-1}; the empty product (r = 0) is one."""
+        """W_m * W_{m+1} * ... * W_{m+r-1}; the empty product (r = 0) is one.
+
+        Read from the prefix chain W_m, W_m*W_{m+1}, ... of index m, which
+        is extended only past its end and kept for the rest of a
+        shared_sequences() scope; outside a scope the chain is dropped.
+        """
         if r < 0:
             raise ValueError("rising power length must be non-negative")
         if r == 0:
             return ring.one(self.spec.domain)
-        value = self.term(m)
-        for offset in range(1, r):
-            value = ring.mul(value, self.term(m + offset))
-        return value
+        chains = _shared("chains", self.spec, _new_chains)
+        chain = chains.get(m)
+        if chain is None:
+            chain = chains[m] = [self.term(m)]
+        while len(chain) < r:
+            chain.append(ring.mul(chain[-1], self.term(m + len(chain))))
+        return chain[r - 1]
 
 
 _SHARED: ContextVar[Optional[Dict[Tuple[str, RecurrenceSpec], object]]] = ContextVar(
@@ -151,7 +160,8 @@ _T = TypeVar("_T")
 
 @contextmanager
 def shared_sequences() -> Iterator[None]:
-    """Share one cache, companion cache and delta per spec until exit.
+    """Share one cache, companion cache, delta and set of rising-power
+    prefix chains per spec until exit.
 
     Terms computed once stay for the rest of the scope, so their
     multiplications are counted only where first computed.  Leaving the
@@ -175,6 +185,11 @@ def _shared(kind: str, spec: RecurrenceSpec, make: Callable[[RecurrenceSpec], _T
     if value is None:
         value = scope[key] = make(spec)
     return value
+
+
+def _new_chains(spec: RecurrenceSpec) -> Dict[int, List[ExactScalar]]:
+    """Rising-power prefix chains by first index: chain[s - 1] = W_m^(s)."""
+    return {}
 
 
 def cache_for(spec: RecurrenceSpec) -> SequenceCache:

@@ -10,7 +10,16 @@ import hankelrise
 import hankelrise.cli as cli_module
 import hankelrise.ring as ring_module
 import hankelrise.verify as verify_module
-from hankelrise.cli import _build_parser, _merge_range_values, _parse_range, bench_rows, main, write_bench_csv
+from hankelrise.cli import (
+    _any_int_digits,
+    _build_parser,
+    _merge_range_values,
+    _parse_range,
+    bench_rows,
+    main,
+    write_bench_csv,
+)
+from hankelrise.closedform import prodinger_rhs
 from hankelrise.matgen import MODES
 from hankelrise.sequence import preset
 from hankelrise.verify import IDENTITY_TABLE, GridSpec, Mismatch, VerifyReport, run_grid
@@ -172,6 +181,20 @@ def test_closed_values(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out.strip() == expected
+
+
+def test_closed_prints_exact_values_past_the_int_digit_limit(capsys):
+    # d = r+1 = 61 is prodinger's square case, a value of over 4,300 digits,
+    # where CPython 3.11+ refuses int-to-str by default
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    code, out, err = run_cli(capsys, "closed", "--identity", "theorem1", "--n", "0", "--r", "60", "--d", "61")
+    assert (code, err) == (0, "")
+    # the limit is lifted only while the command runs
+    assert get_limit() == limit
+    with _any_int_digits():
+        expected = str(prodinger_rhs(0, 60))
+    assert len(expected) > 4300 and out == f"{expected}\n"
 
 
 # one point per closed-form identity, and the preset it runs on (None: the

@@ -109,6 +109,41 @@ def test_rising_power_longer_window():
     assert cache.rising_power(3, 4).value == 2 * 3 * 5 * 8
 
 
+def _plain_rising(cache, m, s):
+    value = 1
+    for k in range(m, m + s):
+        value *= cache.term(k).value
+    return value
+
+
+def test_rising_powers_share_prefix_chains_within_a_scope():
+    spec = RecurrenceSpec(*(rational(v) for v in (2, 3, 5, 7)))
+    plain = SequenceCache(spec)
+    points = [(m, s) for m in range(-3, 7) for s in range(9)]
+    orders = [points, points[::-1], sorted(points, key=lambda p: (p[1] * 7 + p[0] * 3) % 11)]
+    for order in orders:
+        longest = {}
+        with shared_sequences():
+            cache = cache_for(spec)
+            for m, s in order:
+                with ring.count_ops() as counter:
+                    assert cache.rising_power(m, s).value == _plain_rising(plain, m, s), (m, s)
+                # a chain that already reaches s multiplies nothing
+                if s <= longest.get(m, -1):
+                    assert (counter.muls, counter.divs) == (0, 0), (m, s)
+                longest[m] = max(s, longest.get(m, -1))
+
+
+def test_rising_powers_keep_no_chain_outside_a_scope():
+    spec = RecurrenceSpec(*(rational(v) for v in (2, 3, 5, 7)))
+    cache = SequenceCache(spec)
+    cache.term(12)  # W_0..W_12: no term to compute, none zero or one
+    for m, r in ((2, 5), (0, 8), (5, 1)):
+        with ring.count_ops() as counter:
+            assert cache.rising_power(m, r) == cache.rising_power(m, r)
+        assert counter.muls == 2 * (r - 1)
+
+
 def test_delta():
     assert delta(preset("fibonacci")) == integer(1)
     assert delta(preset("lucas")) == integer(-5)
