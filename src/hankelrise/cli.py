@@ -321,8 +321,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 @contextlib.contextmanager
 def _any_int_digits() -> Iterator[None]:
-    """Lift CPython's int-to-str digit limit (3.11+; 4,300 digits by
-    default) while a command runs, so exact values print at any size."""
+    """Lift CPython's int-to-str digit limit (4,300 digits by default, on
+    interpreters that have one) while a command runs, so exact values
+    print at any size."""
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
         yield

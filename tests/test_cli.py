@@ -185,7 +185,7 @@ def test_closed_values(capsys):
 
 def test_closed_prints_exact_values_past_the_int_digit_limit(capsys):
     # d = r+1 = 61 is prodinger's square case, a value of over 4,300 digits,
-    # where CPython 3.11+ refuses int-to-str by default
+    # where CPython's default int-to-str limit refuses it
     get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
     limit = get_limit()
     code, out, err = run_cli(capsys, "closed", "--identity", "theorem1", "--n", "0", "--r", "60", "--d", "61")
