@@ -26,7 +26,7 @@ from math import comb
 
 from . import ring
 from .ring import ExactScalar
-from .sequence import RecurrenceSpec, cache_for, companion_cache, delta, preset
+from .sequence import RecurrenceSpec, cache_for, companion_cache, delta, preset, shared_table
 
 _FIBONACCI = preset("fibonacci")
 
@@ -60,23 +60,39 @@ def theorem2_rhs(spec: RecurrenceSpec, n: int, r: int, d: int) -> ExactScalar:
       * prod_{i=d-1}^{2(d-1)} W_{n+i}^(r+1-d)
 
     with U the companion sequence (seeds 0, 1).  Negative c2 exponents
-    need ring.invertible(c2).
+    need ring.invertible(c2).  The n-free factor, delta's power times the
+    U-staircase, is made once per (r, d) in the spec's "theorem2"
+    shared_table, so a grid's later n pay only for the c2 power and the
+    d rising powers, multiplied by one ring.product.
     """
     _check_window(r, d)
     pairs = comb(d, 2)
+    power = ring.pow_signed(spec.c2, (n + d - 2) * pairs)
+    constants = shared_table("theorem2", spec)
+    constant = constants.get((r, d))
+    if constant is None:
+        constant = constants[r, d] = _theorem2_constant(spec, r, d)
     cache = cache_for(spec)
-    units = companion_cache(spec)
-    total = ring.pow_signed(spec.c2, (n + d - 2) * pairs)
+    factors = [constant]
+    for i in range(d - 1, 2 * d - 1):
+        factors.append(cache.rising_power(n + i, r + 1 - d))
+    total = ring.product(power, factors)
+    return _apply_sign(total, n * pairs + comb(d + 1, 3))
+
+
+def _theorem2_constant(spec: RecurrenceSpec, r: int, d: int) -> ExactScalar:
+    """delta^C(d,2) * prod_{i=1}^{d-1} (U_i * U_{r+1-i})^(d-i), the factor
+    of theorem2_rhs that does not depend on n."""
     # d = 1 skips delta, which costs multiplications outside a shared_sequences() scope
-    if pairs:
-        total = ring.mul(total, ring.pow_signed(delta(spec), pairs))
+    if d == 1:
+        return ring.one(spec.domain)
+    units = companion_cache(spec)
+    constant = ring.pow_signed(delta(spec), comb(d, 2))
     running = ring.one(spec.domain)
     for i in range(1, d):
         running = ring.mul(running, ring.mul(units.term(i), units.term(r + 1 - i)))
-        total = ring.mul(total, running)
-    for i in range(d - 1, 2 * d - 1):
-        total = ring.mul(total, cache.rising_power(n + i, r + 1 - d))
-    return _apply_sign(total, n * pairs + comb(d + 1, 3))
+        constant = ring.mul(constant, running)
+    return constant
 
 
 def prodinger_rhs(n: int, r: int) -> ExactScalar:
@@ -139,8 +155,9 @@ def generalized_vajda_rhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> Exact
     Negative n needs ring.invertible(c2).
     """
     units = companion_cache(spec)
-    value = ring.mul(delta(spec), ring.mul(units.term(i), units.term(j)))
-    value = ring.mul(value, ring.pow_signed(spec.c2, n))
+    # folded as (U_i * U_j) * delta * c2^n, so each step ticks where the
+    # nested products did
+    value = ring.product(units.term(i), [units.term(j), delta(spec), ring.pow_signed(spec.c2, n)])
     return _apply_sign(value, n + 1)
 
 

@@ -205,11 +205,26 @@ def det_hankel_strip(diagonal: Sequence[ExactScalar], d: int) -> StripReport:
     starts on one of diagonal = h_0, h_1, ...: rows m = 0..len(diagonal)-2d+1
     from one table.  A blocked row, which the module docstring defines, is
     _bareiss_minors of its own matrix.
+
+    A rational diagonal runs over the integers: times s, the lcm of its
+    denominators (ring.clear_denominators), the table holds
+    D'(m, t) = s^t * D(m, t), since scaling a t x t block by s scales its
+    determinant by s^t, and each entry is read back as D'(m, t) / s^t
+    (ring.over).  Scaling moves no zero, so the same rows block, and their
+    Bareiss minors are scaled alike.  The counts include the scaling's
+    multiplications and the read-back's divisions; at s = 1 there are
+    none, and the table's own counts are the rational table's.
     """
     if d < 1 or len(diagonal) < 2 * d - 1:
         raise ValueError(f"a {d} x {d} Hankel strip needs at least {2 * d - 1} anti-diagonal values")
     with ring.count_ops() as counter:
-        rows, blocked = _hankel_strip(tuple(diagonal), d, diagonal[0].domain)
+        if diagonal[0].domain == ring.RATIONAL:
+            scale, scaled = ring.clear_denominators(diagonal)
+            rows, blocked = _hankel_strip(scaled, d, ring.INTEGER)
+            powers = [scale**t for t in range(1, d + 1)]
+            rows = tuple(tuple(map(ring.over, row, powers)) for row in rows)
+        else:
+            rows, blocked = _hankel_strip(tuple(diagonal), d, diagonal[0].domain)
     algorithm = STRUCTURED_FALLBACK if blocked else STRUCTURED
     return StripReport(rows, algorithm, counter.muls, counter.divs, blocked)
 

@@ -77,8 +77,9 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import index
-from typing import Dict, Iterator, Tuple, Union
+from typing import Dict, Iterator, Sequence, Tuple, Union
 
 INTEGER = "int"
 RATIONAL = "rat"
@@ -648,6 +649,78 @@ def mul(x: ExactScalar, y: ExactScalar) -> ExactScalar:
     for counter in _COUNTERS.get():
         counter.muls += 1
     return ExactScalar(domain, u * v)
+
+
+def product(first: ExactScalar, factors: Sequence[ExactScalar]) -> ExactScalar:
+    """first * factors[0] * factors[1] * ...: the left fold of mul, in value
+    and in the multiplications it ticks.
+
+    Every factor's domain is checked against first's before any
+    arithmetic, so a mixed list raises DomainMismatchError and ticks
+    nothing.  A rational product multiplies numerators and denominators
+    apart and reduces once, by one Fraction(num, den).  The running
+    product is one exactly when its unreduced numerator equals its
+    denominator, and a zero factor makes it zero and ends the count, so
+    each step ticks where mul would.  Int and poly products are the fold.
+    """
+    domain = first.domain
+    for y in factors:
+        if y.domain != domain:
+            raise _mismatch(first, y)
+    if domain != RATIONAL:
+        for y in factors:
+            first = mul(first, y)
+        return first
+    num, den = first.value.numerator, first.value.denominator
+    ticks = 0
+    for y in factors:
+        if not num:
+            break
+        top, bottom = y.value.numerator, y.value.denominator
+        if top == bottom:  # a factor of one: reduced, so 1/1
+            continue
+        if top and num != den:
+            ticks += 1
+        num *= top
+        den *= bottom
+    if ticks:
+        _tick_mul(ticks)
+    return ExactScalar(RATIONAL, Fraction(num, den))
+
+
+def clear_denominators(values: Sequence[ExactScalar]) -> Tuple[int, Tuple[ExactScalar, ...]]:
+    """(s, the int scalars s*x) over rational values x, s the lcm of their
+    denominators.  Each s*x is x's numerator times s/denominator, ticked
+    as mul ticks that product of ints: unless the numerator is 0 or 1 or
+    the factor is 1.  A value of another domain raises DomainMismatchError
+    before any tick.
+    """
+    for x in values:
+        if x.domain != RATIONAL:
+            raise _mismatch(values[0], x)
+    scale = lcm(*(x.value.denominator for x in values))
+    scaled = []
+    ticks = 0
+    for x in values:
+        top, factor = x.value.numerator, scale // x.value.denominator
+        if factor != 1 and top != 0 and top != 1:
+            ticks += 1
+        scaled.append(ExactScalar(INTEGER, top * factor))
+    if ticks:
+        _tick_mul(ticks)
+    return scale, tuple(scaled)
+
+
+def over(x: ExactScalar, scale: int) -> ExactScalar:
+    """The int scalar x divided by a positive int scale, as a rational,
+    with one reduction; ticked as exact_div ticks it: unless x is zero or
+    scale is one."""
+    if x.domain != INTEGER:
+        raise DomainMismatchError(f"cannot read a {x.domain} scalar over an int scale")
+    if scale == 1 or not x.value:
+        return ExactScalar(RATIONAL, Fraction(x.value))
+    _tick_div()
+    return ExactScalar(RATIONAL, Fraction(x.value, scale))
 
 
 def exact_div(x: ExactScalar, y: ExactScalar) -> ExactScalar:

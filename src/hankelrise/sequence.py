@@ -16,11 +16,12 @@ arithmetic.
 
 cache_for, companion_cache and delta give one cache (or value) per spec
 value for the life of a shared_sequences() scope, and a new one on every
-call outside a scope; so do the rising-power prefix chains that
-SequenceCache.rising_power reads.  A spec seeded (0, 1) is its own
-companion, so within a scope its companion cache is its terms cache.  Caches are
-single-writer: the scope lives in a ContextVar, so each thread or
-context has its own; share a spec across workers, not a cache.
+call outside a scope; so does shared_table, which holds the rising-power
+prefix chains that SequenceCache.rising_power reads and theorem2's n-free
+factors.  A spec seeded (0, 1) is its own companion, so within a scope
+its companion cache is its terms cache.  Caches are single-writer: the
+scope lives in a ContextVar, so each thread or context has its own;
+share a spec across workers, not a cache.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar
 
 from . import ring
 from .ring import ExactScalar
@@ -142,7 +143,7 @@ class SequenceCache:
             raise ValueError("rising power length must be non-negative")
         if r == 0:
             return ring.one(self.spec.domain)
-        chains = _shared("chains", self.spec, _new_chains)
+        chains = shared_table("chains", self.spec)
         chain = chains.get(m)
         if chain is None:
             chain = chains[m] = [self.term(m)]
@@ -160,8 +161,8 @@ _T = TypeVar("_T")
 
 @contextmanager
 def shared_sequences() -> Iterator[None]:
-    """Share one cache, companion cache, delta and set of rising-power
-    prefix chains per spec until exit.
+    """Share one cache, companion cache, delta and shared_table per kind
+    per spec until exit.
 
     Terms computed once stay for the rest of the scope, so their
     multiplications are counted only where first computed.  Leaving the
@@ -187,9 +188,11 @@ def _shared(kind: str, spec: RecurrenceSpec, make: Callable[[RecurrenceSpec], _T
     return value
 
 
-def _new_chains(spec: RecurrenceSpec) -> Dict[int, List[ExactScalar]]:
-    """Rising-power prefix chains by first index: chain[s - 1] = W_m^(s)."""
-    return {}
+def shared_table(kind: str, spec: RecurrenceSpec) -> Dict:
+    """The scope's table of ``kind`` values for spec, empty at first use;
+    outside a scope, a new empty one on every call.  "chains" holds the
+    rising-power prefix chains by first index, chain[s - 1] = W_m^(s)."""
+    return _shared(kind, spec, lambda spec: {})
 
 
 def cache_for(spec: RecurrenceSpec) -> SequenceCache:

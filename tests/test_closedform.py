@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hankelrise import ring
@@ -201,6 +203,53 @@ def test_bilinear_sign_is_a_parity_at_unit_c2():
                         with ring.count_ops() as counter:
                             generalized_vajda_rhs(spec, n, i, j)
                         assert counter.muls <= 2, (name, n, i, j)
+
+
+def test_theorem2_makes_its_n_free_factor_once_per_scope(monkeypatch):
+    # delta^C(d,2) times the U-staircase is made once per (r, d) inside a
+    # shared_sequences() scope, and afresh on every call outside one
+    from hankelrise import closedform
+
+    made = []
+    make = closedform._theorem2_constant
+
+    def counted(spec, r, d):
+        made.append((r, d))
+        return make(spec, r, d)
+
+    monkeypatch.setattr(closedform, "_theorem2_constant", counted)
+    spec = RecurrenceSpec(*(ring.rational(v) for v in (1, 2, 3, Fraction(-2, 3))))
+    ns = range(-3, 4)
+    windows = [(r, d) for r in range(0, 5) for d in range(1, r + 2)]
+    alone = {}
+    for r, d in windows:
+        for n in ns:
+            with ring.count_ops() as first:
+                value = theorem2_rhs(spec, n, r, d)
+            with ring.count_ops() as second:
+                assert theorem2_rhs(spec, n, r, d) == value
+            assert (first.muls, first.divs) == (second.muls, second.divs), (n, r, d)
+            alone[n, r, d] = value
+    assert len(made) == 2 * len(windows) * len(ns)
+    made.clear()
+    with shared_sequences():
+        for r, d in windows:
+            for n in ns:
+                assert theorem2_rhs(spec, n, r, d) == alone[n, r, d], (n, r, d)
+    assert made == windows
+
+    def ticks():
+        for n in ns:
+            with ring.count_ops() as counter:
+                theorem2_rhs(spec, n, 4, 3)
+            yield counter.muls, counter.divs
+
+    # in a fresh scope the first n pays for the staircase, the backward
+    # terms and its chains; the later n only extend chains and multiply
+    with shared_sequences():
+        assert list(ticks()) == [(20, 2), (9, 1), (6, 0), (9, 0), (10, 0), (11, 0), (11, 0)]
+    # outside a scope each call makes the factor and its chains afresh
+    assert list(ticks()) == [(20, 2), (22, 1), (22, 0), (27, 0), (30, 0), (33, 0), (35, 0)]
 
 
 def test_bilinear_negative_base_rational():

@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from hankelrise import ring
+from hankelrise import determinant, ring
 from hankelrise.determinant import (
     det_bareiss,
     det_cofactor,
@@ -341,6 +342,50 @@ def test_hankel_strip_rows_are_the_rows_own_triangles():
     assert 0 < blocked < rows
 
 
+def test_rational_strips_run_over_the_integers():
+    # seeded Lcg64 diagonals with zero values, so some rows block; the table
+    # runs over s times the diagonal, s the lcm of its denominators
+    rng = Lcg64(21)
+    rows = blocked = scaled_strips = 0
+    for case in range(60):
+        d = 1 + case % 4
+        length = 2 * d - 1 + rng.next_int(0, 4)
+        integral = case % 3 == 0
+        diagonal = [rational(rng.next_int(-3, 3), 1 if integral else rng.next_int(1, 4)) for _ in range(length)]
+        strip = det_hankel_strip(diagonal, d)
+        falls_back = 0
+        for m, row in enumerate(strip.rows):
+            matrix = SquareMatrix([diagonal[m + i:m + i + d] for i in range(d)])
+            assert row == det_bareiss(matrix).minors, (case, m)
+            falls_back += det_hankel_minors(matrix).fallback_used
+        assert strip.fallback_used == falls_back, case
+        rows += len(strip.rows)
+        blocked += falls_back
+        # the counts are the integer table's, plus one mul per scaled
+        # numerator and one div per entry read back, as ring.mul and
+        # ring.exact_div tick them
+        scale = math.lcm(*(x.value.denominator for x in diagonal))
+        scaled = [integer(x.value.numerator * scale // x.value.denominator) for x in diagonal]
+        with ring.count_ops() as table:
+            determinant._hankel_strip(tuple(scaled), d, ring.INTEGER)
+        muls = sum(scale != x.value.denominator and x.value.numerator not in (0, 1) for x in diagonal)
+        divs = sum(scale != 1 and not entry.is_zero() for row in strip.rows for entry in row)
+        assert (strip.mul_count, strip.div_count) == (table.muls + muls, table.divs + divs), case
+        scaled_strips += scale != 1
+        if integral:
+            # s = 1: the counts are exactly the rational table's
+            with ring.count_ops() as table:
+                old_rows, old_blocked = determinant._hankel_strip(tuple(diagonal), d, ring.RATIONAL)
+            assert (strip.rows, strip.fallback_used) == (old_rows, old_blocked)
+            assert (strip.mul_count, strip.div_count) == (table.muls, table.divs), case
+    assert (rows, blocked, scaled_strips) == (182, 20, 36)
+    with ring.count_ops() as counter:
+        for diagonal in ((rational(1, 2), integer(2), rational(3)), (rational(1), rational(1, 3), integer(0))):
+            with pytest.raises(ring.DomainMismatchError):
+                det_hankel_strip(diagonal, 2)
+    assert (counter.muls, counter.divs) == (0, 0)
+
+
 def test_one_row_strip_is_the_hankel_minors_triangle():
     rat = ring.RATIONAL
     specs = [preset("fibonacci"), preset("lucas", rat), RecurrenceSpec(*(rational(v) for v in (1, 2, 1, 2)))]
@@ -392,7 +437,9 @@ def test_operation_totals_on_the_recurrence_builds():
     # Bareiss, condensation and the strip share one Desnanot-Jacobi step;
     # these totals pin its arithmetic.  Condensation's divisors are the
     # Hankel minors D(k+2, t-2) that the one-row strip divides by, so the
-    # two fall back on exactly the same builds.
+    # two fall back on exactly the same builds.  The strip runs a fractional
+    # rational diagonal over the integers, and its totals include the scaling
+    # and the read-back.
     algorithms = (det_bareiss, det_condensation, det_hankel_minors)
     totals = {det: [0, 0, 0] for det in algorithms}
     builds = 0
@@ -409,4 +456,4 @@ def test_operation_totals_on_the_recurrence_builds():
     assert builds == 3636
     assert totals[det_bareiss] == [69421, 11694, 0]
     assert totals[det_condensation] == [98643, 14985, 1055]
-    assert totals[det_hankel_minors] == [63553, 10317, 1055]
+    assert totals[det_hankel_minors] == [64670, 10629, 1055]

@@ -159,6 +159,79 @@ def test_mul_shortcuts_on_zero_and_one_are_free_in_every_domain():
     assert (counter.muls, counter.divs) == (3, 3)
 
 
+def _fold(first, factors):
+    for factor in factors:
+        first = mul(first, factor)
+    return first
+
+
+def test_product_is_the_mul_fold():
+    # value and mul/div ticks in every domain, on seeded lists over pools
+    # with 0 and +-1; 2 and 1/2 make a running rational product one
+    # mid-fold, after which the next factor is not ticked
+    two, half, three = rational(2), rational(1, 2), rational(3)
+    pools = {
+        ring.INTEGER: [integer(v) for v in (0, 1, -1, 2, 3, -4)],
+        ring.RATIONAL: [rational(*v) for v in ((0,), (1,), (-1,), (2,), (1, 2), (-2, 3), (3, 2))],
+        ring.POLYNOMIAL: [ring.poly_const(v) for v in (0, 1, -1, 2)]
+        + [variable("a"), add(variable("a"), variable("b"))],
+    }
+    cases = [
+        (two, [half, three]),
+        (three, [two, half, half, two]),
+        (half, [two]),
+        (three, [rational(0), two]),
+        (two, []),
+    ]
+    rng = random.Random(21)
+    for pool in pools.values():
+        cases += [(rng.choice(pool), [rng.choice(pool) for _ in range(rng.randint(0, 6))]) for _ in range(400)]
+    for first, factors in cases:
+        with count_ops() as folded:
+            expected = _fold(first, factors)
+        with count_ops() as counter:
+            value = ring.product(first, factors)
+        assert value == expected and str(value) == str(expected), (first, factors)
+        assert (counter.muls, counter.divs) == (folded.muls, folded.divs), (first, factors)
+    with count_ops() as counter:
+        assert ring.product(two, [half, three]) == three
+    assert (counter.muls, counter.divs) == (1, 0)
+
+
+def test_product_rejects_a_mixed_list_before_any_tick():
+    mixed = [
+        (rational(2), [rational(3), integer(2)]),
+        (rational(0), [integer(1)]),
+        (integer(2), [integer(3), rational(1, 2)]),
+        (variable("a"), [variable("b"), integer(0)]),
+    ]
+    with count_ops() as counter:
+        for first, factors in mixed:
+            with pytest.raises(DomainMismatchError, match=f"cannot mix {first.domain} and"):
+                ring.product(first, factors)
+    assert (counter.muls, counter.divs) == (0, 0)
+
+
+def test_clearing_denominators_and_reading_back():
+    values = [rational(1, 2), rational(-2, 3), rational(0), rational(1, 6), rational(5)]
+    with count_ops() as counter:
+        scale, scaled = ring.clear_denominators(values)
+    # 1 * 3 and 0 * 6 are shortcuts, as mul's are; 1/6 has factor one
+    assert scale == 6 and scaled == tuple(integer(v) for v in (3, -4, 0, 1, 30))
+    assert (counter.muls, counter.divs) == (2, 0)
+    with count_ops() as counter:
+        assert [ring.over(x, scale) for x in scaled] == values
+        assert ring.over(integer(4), 1) == rational(4)
+    # a zero or a scale of one divides nothing
+    assert (counter.muls, counter.divs) == (0, 4)
+    with count_ops() as counter:
+        with pytest.raises(DomainMismatchError, match="cannot mix rat and int"):
+            ring.clear_denominators([rational(1, 2), integer(1)])
+        with pytest.raises(DomainMismatchError):
+            ring.over(rational(1), 2)
+    assert (counter.muls, counter.divs) == (0, 0)
+
+
 def test_invertible_is_the_negative_power_rule():
     values = [
         integer(0), integer(1), integer(-1), integer(2),
@@ -628,5 +701,5 @@ def test_symbolic_grid_multiplies_only_through_the_poly_methods(monkeypatch):
         monkeypatch.setattr(Poly, name, counted)
     report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
     assert report.passed and report.checked == 60
-    assert calls == {"__mul__": 619, "exact_div": 32}
+    assert calls == {"__mul__": 463, "exact_div": 32}
     assert (calls["__mul__"], calls["exact_div"]) == (report.mul_count, report.div_count)

@@ -191,11 +191,11 @@ def test_degenerate_spec_errors_are_reported_structurally(monkeypatch):
 # or i and j 0..3 for eq4, which has no oracle
 _DEGENERATE_TOTALS = [
     # c2 = 0, delta = 2: the closed forms read c2^0 at d = 1, n + d = 2 and n = 0
-    ((1, 2, 1, 0), "theorem2", 40, {None: (167, 0), "bareiss": (173, 0)}),
+    ((1, 2, 1, 0), "theorem2", 40, {None: (146, 0), "bareiss": (152, 0)}),
     ((1, 2, 1, 0), "rank-zero", 32, {None: (535, 0), "bareiss": (476, 0)}),
     ((1, 2, 1, 0), "eq4", 64, {None: (106, 0)}),
     # delta = 0: every determinant of d >= 2 is zero
-    ((1, 2, 1, 2), "theorem2", 40, {None: (196, 0), "bareiss": (200, 0)}),
+    ((1, 2, 1, 2), "theorem2", 40, {None: (193, 0), "bareiss": (197, 0)}),
     ((1, 2, 1, 2), "rank-zero", 32, {None: (490, 0), "bareiss": (431, 0)}),
     ((1, 2, 1, 2), "eq4", 64, {None: (165, 0)}),
 ]
