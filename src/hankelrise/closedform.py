@@ -63,7 +63,8 @@ def theorem2_rhs(spec: RecurrenceSpec, n: int, r: int, d: int) -> ExactScalar:
     need ring.invertible(c2).  The n-free factor, delta's power times the
     U-staircase, is made once per (r, d) in the spec's "theorem2"
     shared_table, so a grid's later n pay only for the c2 power and the
-    d rising powers, multiplied by one ring.product.
+    d rising powers, multiplied by one ring.product.  The d rising powers
+    read one lookup of the spec's "chains" table.
     """
     _check_window(r, d)
     pairs = comb(d, 2)
@@ -73,9 +74,10 @@ def theorem2_rhs(spec: RecurrenceSpec, n: int, r: int, d: int) -> ExactScalar:
     if constant is None:
         constant = constants[r, d] = _theorem2_constant(spec, r, d)
     cache = cache_for(spec)
+    chains = shared_table("chains", spec)
     factors = [constant]
     for i in range(d - 1, 2 * d - 1):
-        factors.append(cache.rising_power(n + i, r + 1 - d))
+        factors.append(cache.rising_power(n + i, r + 1 - d, chains=chains))
     total = ring.product(power, factors)
     return _apply_sign(total, n * pairs + comb(d + 1, 3))
 

@@ -209,11 +209,13 @@ def det_hankel_strip(diagonal: Sequence[ExactScalar], d: int) -> StripReport:
     A rational diagonal runs over the integers: times s, the lcm of its
     denominators (ring.clear_denominators), the table holds
     D'(m, t) = s^t * D(m, t), since scaling a t x t block by s scales its
-    determinant by s^t, and each entry is read back as D'(m, t) / s^t
-    (ring.over).  Scaling moves no zero, so the same rows block, and their
-    Bareiss minors are scaled alike.  The counts include the scaling's
-    multiplications and the read-back's divisions; at s = 1 there are
-    none, and the table's own counts are the rational table's.
+    determinant by s^t.  Entries with t >= 2 are read back as
+    D'(m, t) / s^t (ring.over); D(m, 1) is the input value h_m itself, so
+    it is taken from the diagonal.  Scaling moves no zero, so the same
+    rows block, and their Bareiss minors are scaled alike.  The counts
+    include the scaling's multiplications and the read-back's divisions;
+    at s = 1 there are none, and the table's own counts are the rational
+    table's.
     """
     if d < 1 or len(diagonal) < 2 * d - 1:
         raise ValueError(f"a {d} x {d} Hankel strip needs at least {2 * d - 1} anti-diagonal values")
@@ -221,8 +223,8 @@ def det_hankel_strip(diagonal: Sequence[ExactScalar], d: int) -> StripReport:
         if diagonal[0].domain == ring.RATIONAL:
             scale, scaled = ring.clear_denominators(diagonal)
             rows, blocked = _hankel_strip(scaled, d, ring.INTEGER)
-            powers = [scale**t for t in range(1, d + 1)]
-            rows = tuple(tuple(map(ring.over, row, powers)) for row in rows)
+            powers = [scale**t for t in range(2, d + 1)]
+            rows = tuple((diagonal[m], *map(ring.over, row[1:], powers)) for m, row in enumerate(rows))
         else:
             rows, blocked = _hankel_strip(tuple(diagonal), d, diagonal[0].domain)
     algorithm = STRUCTURED_FALLBACK if blocked else STRUCTURED

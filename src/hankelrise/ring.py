@@ -549,10 +549,22 @@ def _kronecker_div(dividend: Dict[int, int], divisor: Dict[int, int]) -> Union[D
 Payload = Union[int, Fraction, Poly]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ExactScalar:
+    """A frozen dataclass with two slots and no per-instance __dict__.
+
+    Every ring operation builds one, so __init__ writes the slots through
+    their member descriptors: the frozen class's __setattr__ raises, and
+    the generated __init__'s object.__setattr__ calls made building one
+    about 60 % slower on CPython 3.11.
+    """
+
     domain: str
     value: Payload
+
+    def __init__(self, domain: str, value: Payload):
+        _set_domain(self, domain)
+        _set_value(self, value)
 
     def is_zero(self) -> bool:
         if self.domain == POLYNOMIAL:
@@ -569,6 +581,10 @@ class ExactScalar:
 
     def __repr__(self) -> str:
         return f"ExactScalar({self.domain}, {self.value})"
+
+
+_set_domain = ExactScalar.domain.__set__
+_set_value = ExactScalar.value.__set__
 
 
 def integer(value: int) -> ExactScalar:
@@ -760,10 +776,12 @@ def invertible(x: ExactScalar) -> bool:
 def pow_signed(x: ExactScalar, k: int) -> ExactScalar:
     """x**k with signed k: negative k needs invertible(x), and 0**k needs k >= 0.
 
-    An int or rat base other than 0 and +-1 takes one native power, and
-    ticks the multiplications the square-and-multiply loop would: one
-    squaring per bit of k after the leading one, and one product per
-    further set bit.  Every other base runs that loop.
+    An int or rat base equal to one is returned as it is: every step of
+    the square-and-multiply loop would multiply by one, which ticks
+    nothing.  An int or rat base other than 0 and +-1 takes one native
+    power, and ticks the multiplications that loop would: one squaring
+    per bit of k after the leading one, and one product per further set
+    bit.  Every other base, -1 and every poly included, runs the loop.
     """
     if k == 0:
         return one(x.domain)
@@ -777,9 +795,12 @@ def pow_signed(x: ExactScalar, k: int) -> ExactScalar:
             x = ExactScalar(RATIONAL, 1 / x.value)
         k = -k
     value = x.value
-    if x.domain != POLYNOMIAL and value and value != 1 and value != -1:
-        _tick_mul(k.bit_length() + k.bit_count() - 2)
-        return ExactScalar(x.domain, value ** k)
+    if x.domain != POLYNOMIAL:
+        if value == 1:
+            return x
+        if value and value != -1:
+            _tick_mul(k.bit_length() + k.bit_count() - 2)
+            return ExactScalar(x.domain, value ** k)
     result = x
     for bit in bin(k)[3:]:
         result = mul(result, result)

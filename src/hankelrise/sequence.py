@@ -132,18 +132,21 @@ class SequenceCache:
             )
         return backward[-k - 1]
 
-    def rising_power(self, m: int, r: int) -> ExactScalar:
+    def rising_power(self, m: int, r: int, *, chains: Optional[Dict] = None) -> ExactScalar:
         """W_m * W_{m+1} * ... * W_{m+r-1}; the empty product (r = 0) is one.
 
         Read from the prefix chain W_m, W_m*W_{m+1}, ... of index m, which
         is extended only past its end and kept for the rest of a
         shared_sequences() scope; outside a scope the chain is dropped.
+        The chains are shared_table("chains", spec), or ``chains`` when a
+        caller reading several rising powers has looked that table up once.
         """
         if r < 0:
             raise ValueError("rising power length must be non-negative")
         if r == 0:
             return ring.one(self.spec.domain)
-        chains = shared_table("chains", self.spec)
+        if chains is None:
+            chains = shared_table("chains", self.spec)
         chain = chains.get(m)
         if chain is None:
             chain = chains[m] = [self.term(m)]

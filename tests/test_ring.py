@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -340,6 +343,25 @@ def test_canonical_strings():
     assert str(ring.poly_const(17)) == "17"
     # ascending graded-lex: constant first, then degree-1 terms by exponent vector
     assert str(add(add(ring.poly_const(3), mul(ring.poly_const(2), a)), b)) == "3 + b + 2*a"
+
+
+def test_exact_scalar_is_a_slotted_frozen_dataclass():
+    samples = [integer(-7), rational(-7, 3), add(variable("a"), ring.poly_const(2))]
+    for x in samples:
+        for name in ("domain", "value"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, x.value)
+        assert not hasattr(x, "__dict__")
+        twin = ExactScalar(x.domain, x.value)
+        assert twin == x and hash(twin) == hash(x)
+        assert twin == ExactScalar(domain=x.domain, value=x.value)
+        for copy_ in (dataclasses.replace(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(copy_) is ExactScalar and copy_ == x and str(copy_) == str(x)
+    assert [f.name for f in dataclasses.fields(ExactScalar)] == ["domain", "value"]
+    assert dataclasses.replace(integer(3), value=4) == integer(4)
+    assert integer(1) != rational(1) and integer(1) != ring.poly_const(1)
+    assert [str(x) for x in samples] == ["-7", "-7/3", "2 + a"]
+    assert [repr(x) for x in samples] == ["ExactScalar(int, -7)", "ExactScalar(rat, -7/3)", "ExactScalar(poly, 2 + a)"]
 
 
 def test_op_counting():

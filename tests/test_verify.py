@@ -187,6 +187,70 @@ def test_degenerate_spec_errors_are_reported_structurally(monkeypatch):
     assert run_grid(dataclasses.replace(grid, oracle="bareiss")).mismatches == report.mismatches
 
 
+def test_errors_and_mismatches_keep_their_points_and_strings(monkeypatch):
+    # one grid with a domain error on either side, on both, and a wrong
+    # value: each report lists its points in sweep order with the axes in
+    # order, and each error as error(Type: message)
+    genuine_lhs, genuine_rhs = verify_module.generalized_vajda_lhs, verify_module.generalized_vajda_rhs
+
+    def lhs(spec, n, i, j):
+        if (n, i, j) in ((0, 1, 1), (1, 0, 1)):
+            raise ZeroDivisionError("exact division by zero")
+        return genuine_lhs(spec, n, i, j)
+
+    def rhs(spec, n, i, j):
+        if (n, i, j) == (1, 0, 1):
+            raise ring.NotInvertibleError("negative power in non-invertible domain int")
+        if (n, i, j) == (-1, 1, 0):
+            raise ring.InexactDivisionError("7 is not divisible by 2")
+        if (n, i, j) == (0, 2, 1):
+            return ring.add(genuine_rhs(spec, n, i, j), ring.one(spec.domain))
+        return genuine_rhs(spec, n, i, j)
+
+    monkeypatch.setattr(verify_module, "generalized_vajda_lhs", lhs)
+    monkeypatch.setattr(verify_module, "generalized_vajda_rhs", rhs)
+    rat = ring.RATIONAL
+    report = run_grid(GridSpec(identity="eq4", spec=preset("lucas", rat), domain=rat, n=(-1, 1), i=(0, 2), j=(0, 1)))
+    zero_division = "error(ZeroDivisionError: exact division by zero)"
+    assert report.checked == 18
+    assert report.mismatches == (
+        Mismatch({"n": -1, "i": 1, "j": 0}, "0", "error(InexactDivisionError: 7 is not divisible by 2)"),
+        Mismatch({"n": 0, "i": 1, "j": 1}, zero_division, "5"),
+        Mismatch({"n": 0, "i": 2, "j": 1}, "5", "6"),
+        Mismatch(
+            {"n": 1, "i": 0, "j": 1}, zero_division, "error(NotInvertibleError: negative power in non-invertible domain int)"
+        ),
+    )
+    assert [list(m.point) for m in report.mismatches] == [["n", "i", "j"]] * 4
+
+    # an oracle row: a failed strip marks every point of its r, next to a
+    # wrong closed form at another r
+    genuine_strip, genuine_theorem1 = verify_module.det_hankel_strip, verify_module.theorem1_rhs
+
+    def strip(diagonal, d):
+        if d == 2:
+            raise ring.InexactDivisionError("3 is not divisible by 2")
+        return genuine_strip(diagonal, d)
+
+    def theorem1(n, r, d):
+        value = genuine_theorem1(n, r, d)
+        return ring.neg(value) if (n, r, d) == (0, 2, 2) else value
+
+    monkeypatch.setattr(verify_module, "det_hankel_strip", strip)
+    monkeypatch.setattr(verify_module, "theorem1_rhs", theorem1)
+    report = run_grid(GridSpec(identity="theorem1", n=(0, 1), r=(0, 2)))
+    inexact = "error(InexactDivisionError: 3 is not divisible by 2)"
+    assert report.checked == 12
+    assert report.mismatches == (
+        Mismatch({"n": 0, "r": 1, "d": 1}, inexact, "0"),
+        Mismatch({"n": 0, "r": 1, "d": 2}, inexact, "-1"),
+        Mismatch({"n": 0, "r": 2, "d": 2}, "-1", "1"),
+        Mismatch({"n": 1, "r": 1, "d": 1}, inexact, "1"),
+        Mismatch({"n": 1, "r": 1, "d": 2}, inexact, "1"),
+    )
+    assert [list(m.point) for m in report.mismatches] == [["n", "r", "d"]] * 5
+
+
 # (spec, identity, checked, mul/div totals per oracle) on n 0..3 and r 0..3,
 # or i and j 0..3 for eq4, which has no oracle
 _DEGENERATE_TOTALS = [
