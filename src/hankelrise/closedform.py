@@ -26,7 +26,7 @@ from math import comb
 
 from . import ring
 from .ring import ExactScalar
-from .sequence import RecurrenceSpec, cache_for, companion_cache, delta, preset, shared_table
+from .sequence import RecurrenceSpec, cache_for, companion_and_delta, companion_cache, delta, preset, shared_table
 
 _FIBONACCI = preset("fibonacci")
 
@@ -154,12 +154,13 @@ def generalized_vajda_lhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> Exact
 def generalized_vajda_rhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> ExactScalar:
     """(-1) * (-c2)^n * delta * U_i * U_j = (-1)^(n+1) * c2^n * delta * U_i * U_j.
 
-    Negative n needs ring.invertible(c2).
+    Negative n needs ring.invertible(c2).  The companion cache and delta
+    come from one scope lookup.
     """
-    units = companion_cache(spec)
+    units, spec_delta = companion_and_delta(spec)
     # folded as (U_i * U_j) * delta * c2^n, so each step ticks where the
     # nested products did
-    value = ring.product(units.term(i), [units.term(j), delta(spec), ring.pow_signed(spec.c2, n)])
+    value = ring.product(units.term(i), [units.term(j), spec_delta, ring.pow_signed(spec.c2, n)])
     return _apply_sign(value, n + 1)
 
 

@@ -58,16 +58,24 @@ slot per (ea, ec2), wide enough for max|c| * max|c'| * min(len, len'),
 which bounds every product coefficient (a term of the shorter operand
 meets at most one term of the other in each monomial), so one CPython
 multiply yields the product; biasing every slot by half its range makes
-the slots non-negative bytes cut from ``to_bytes``.  A quotient divides
-images whose slots are one byte wider than both operands need and
-decodes a candidate q inside the box the dividend's box less the
-divisor's allows.  q is returned only if the images of
-q * divisor and of the dividend agree at a slot width above every
-coefficient of q * divisor - dividend: with no slot able to carry, equal
-images make that difference the zero polynomial.  A candidate that fails,
-or does not decode, leaves the division to the dict loop, which returns
-the quotient or raises InexactDivisionError.  Either path gives the same
-terms, so counts and canonical strings do not depend on it.
+the slots non-negative bytes cut from ``to_bytes``.  A square, a poly
+times itself as every strip step's c*c is, packs one image and squares
+it.  A quotient takes divmod of images whose slots are one byte wider
+than both operands need; a nonzero remainder declines, and otherwise the
+image quotient decodes to a candidate q inside the box the dividend's
+box less the divisor's allows.  An image is the value at x = 2^(8*width)
+of a polynomial in x, so a zero remainder says the images of
+q * divisor and of the dividend agree; when that width is above every
+coefficient of q * divisor - dividend, which max|q| * max|divisor| *
+min(len q, len divisor) plus the largest operand coefficient bounds, no
+slot can carry and the difference is the zero polynomial.  If the bound
+does not fit, the images are compared again at a width where it does.
+On the symbolic grid above, every quotient is accepted at the width it
+was divided at.  A candidate that fails, or does not decode, leaves the
+division to the dict loop, which returns the quotient or raises
+InexactDivisionError.  Either path gives the same terms, so counts and
+canonical strings do not depend on it.  A Poly is immutable, so its
+shape (see _bigraded) is scanned on its first kernel call and kept on it.
 """
 
 from __future__ import annotations
@@ -175,6 +183,10 @@ def _unpack(key: int) -> Monomial:
     return tuple((key >> shift) & _FIELD_MASK for shift in _SHIFTS)
 
 
+# Poly._shape before the first kernel call; after it, a _Shape or None
+_UNSCANNED = False
+
+
 class _Terms(Mapping):
     """Read-only view of packed terms keyed by (ea, eb, ec1, ec2) tuples.
 
@@ -214,21 +226,31 @@ class Poly:
     OverflowError, whether given to the constructor or made by a product.
 
     Treated as immutable after construction; zero coefficients are never
-    stored.
+    stored.  So the Kronecker kernel's shape of a poly (see _bigraded) is
+    scanned once, on the poly's first kernel call, and kept in a slot.
     """
 
-    __slots__ = ("_packed",)
+    __slots__ = ("_packed", "_shape")
 
     def __init__(self, terms: Mapping[Monomial, int]):
         coefficients = {_pack(m): index(c) for m, c in terms.items()}
         self._packed = {key: c for key, c in coefficients.items() if c}
+        self._shape = _UNSCANNED
 
     @classmethod
     def _wrap(cls, packed: Dict[int, int]) -> "Poly":
         """A Poly over already packed keys with nonzero coefficients."""
         poly = cls.__new__(cls)
         poly._packed = packed
+        poly._shape = _UNSCANNED
         return poly
+
+    def _kernel_shape(self) -> Union[_Shape, None]:
+        """_bigraded of the terms, scanned on the first call."""
+        shape = self._shape
+        if shape is _UNSCANNED:
+            shape = self._shape = _bigraded(self._packed)
+        return shape
 
     @property
     def terms(self) -> Mapping[Monomial, int]:
@@ -284,7 +306,7 @@ class Poly:
         if (max(left) >> _DEGREE_SHIFT) + (max(right) >> _DEGREE_SHIFT) > _MAX_DEGREE:
             raise OverflowError(f"product degree exceeds the packed degree limit {_MAX_DEGREE}")
         if len(left) * len(right) > _KRONECKER_MIN_PAIRS:
-            product = _kronecker_mul(left, right)
+            product = _kronecker_mul(self, other)
             if product is not None:
                 return Poly._wrap(product)
         out: Dict[int, int] = {}
@@ -306,7 +328,7 @@ class Poly:
         if not divisor._packed:
             raise ZeroDivisionError("exact division by zero")
         if len(self._packed) * len(divisor._packed) > _KRONECKER_MIN_PAIRS:
-            quotient = _kronecker_div(self._packed, divisor._packed)
+            quotient = _kronecker_div(self, divisor)
             if quotient is not None:
                 return Poly._wrap(quotient)
         divisor_terms = divisor._packed.items()
@@ -479,28 +501,33 @@ def _decode(image: int, shape: _Shape, stride: int, width: int) -> Union[Dict[in
     return out
 
 
-def _kronecker_mul(left: Dict[int, int], right: Dict[int, int]) -> Union[Dict[int, int], None]:
+def _kronecker_mul(left: Poly, right: Poly) -> Union[Dict[int, int], None]:
     """left * right as one big-int product of two Kronecker images, or
     None when either is not bi-graded or the product's box is sparse.
+    A square (right is left) encodes one image and squares it.
 
     Slots are wide enough for any product coefficient: each term of the
     shorter operand meets at most one term of the other in a monomial.
     """
-    left_shape, right_shape = _bigraded(left), _bigraded(right)
+    square = right is left
+    left_shape = left._kernel_shape()
+    right_shape = left_shape if square else right._kernel_shape()
     if left_shape is None or right_shape is None:
         return None
+    lp, rp = left._packed, right._packed
     (hl, wl, al, ahl, el, ehl), (hr, wr, ar, ahr, er, ehr) = left_shape, right_shape
     stride = ehl - el + ehr - er + 1
     shape = (hl + hr, wl + wr, al + ar, ahl + ahr, el + er, ehl + ehr)
-    if _slot_count(shape, stride) * _KRONECKER_PAIRS_PER_SLOT > len(left) * len(right):
+    if _slot_count(shape, stride) * _KRONECKER_PAIRS_PER_SLOT > len(lp) * len(rp):
         return None
-    bound = max(map(abs, left.values())) * max(map(abs, right.values())) * min(len(left), len(right))
+    bound = max(map(abs, lp.values())) * max(map(abs, rp.values())) * min(len(lp), len(rp))
     width = _slot_bytes(bound)
-    image = _image(left, left_shape, stride, width) * _image(right, right_shape, stride, width)
+    image = _image(lp, left_shape, stride, width)
+    image = image * image if square else image * _image(rp, right_shape, stride, width)
     return _decode(image, shape, stride, width)
 
 
-def _kronecker_div(dividend: Dict[int, int], divisor: Dict[int, int]) -> Union[Dict[int, int], None]:
+def _kronecker_div(dividend: Poly, divisor: Poly) -> Union[Dict[int, int], None]:
     """dividend / divisor through Kronecker images, or None when either is
     not bi-graded, the dividend's box is sparse, or the image quotient is
     not exact.
@@ -508,37 +535,46 @@ def _kronecker_div(dividend: Dict[int, int], divisor: Dict[int, int]) -> Union[D
     An exact quotient shares both gradings and its box is the dividend's
     box less the divisor's, so the image of the dividend is the image of
     the divisor times the image of the quotient, and integer division
-    recovers the latter.  The decoded candidate q is accepted only if the
-    images of q * divisor and of the dividend agree at a slot width above
-    every coefficient of q * divisor - dividend, which makes that
-    difference the zero polynomial.
+    recovers the latter: a nonzero remainder declines.  The decoded
+    candidate q is accepted only if the images of q * divisor and of the
+    dividend agree at a slot width above every coefficient of
+    q * divisor - dividend, which makes that difference the zero
+    polynomial.
     """
-    dividend_shape, divisor_shape = _bigraded(dividend), _bigraded(divisor)
+    dividend_shape, divisor_shape = dividend._kernel_shape(), divisor._kernel_shape()
     if dividend_shape is None or divisor_shape is None:
         return None
+    dp, vp = dividend._packed, divisor._packed
     shape = tuple(x - y for x, y in zip(dividend_shape, divisor_shape))
     h, w, ea_lo, ea_hi, ec2_lo, ec2_hi = shape
     if min(h, w, ea_lo, ec2_lo) < 0 or ea_lo > ea_hi or ec2_lo > ec2_hi or h + w > _MAX_DEGREE:
         return None
     stride = dividend_shape[5] - dividend_shape[4] + 1
-    if _slot_count(dividend_shape, stride) * _KRONECKER_PAIRS_PER_SLOT > len(dividend) * len(divisor):
+    if _slot_count(dividend_shape, stride) * _KRONECKER_PAIRS_PER_SLOT > len(dp) * len(vp):
         return None
     # a guess: one byte above every coefficient of both operands, so both
     # images fit; a quotient that does not fit fails the check below
-    largest = max(max(map(abs, dividend.values())), max(map(abs, divisor.values())))
+    largest = max(max(map(abs, dp.values())), max(map(abs, vp.values())))
     width = _slot_bytes(largest << 8)
-    image = _image(dividend, dividend_shape, stride, width) // _image(divisor, divisor_shape, stride, width)
+    image, remainder = divmod(_image(dp, dividend_shape, stride, width), _image(vp, divisor_shape, stride, width))
+    if remainder:
+        return None
     quotient = _decode(image, shape, stride, width)
     if not quotient:
         return None
-    # comparing images skips decoding q * divisor, which checking through
-    # _kronecker_mul would do: that made sym-d5's 80 divisions about 10 %
-    # slower
-    bound = max(map(abs, quotient.values())) * max(map(abs, divisor.values())) * min(len(quotient), len(divisor))
-    width = _slot_bytes(bound + largest)
-    product = _image(quotient, shape, stride, width) * _image(divisor, divisor_shape, stride, width)
-    if product != _image(dividend, dividend_shape, stride, width):
-        return None
+    # q decoded, so image is q's own image at this width, and the zero
+    # remainder says q * divisor and the dividend have equal images here.
+    # Where this width is above every coefficient of their difference, that
+    # equality is the check; else the images are compared at a width that
+    # is.  Comparing images skips decoding q * divisor, which checking
+    # through _kronecker_mul would do: that made sym-d5's 80 divisions
+    # about 10 % slower.
+    bound = max(map(abs, quotient.values())) * max(map(abs, vp.values())) * min(len(quotient), len(vp))
+    check = _slot_bytes(bound + largest)
+    if check > width:
+        product = _image(quotient, shape, stride, check) * _image(vp, divisor_shape, stride, check)
+        if product != _image(dp, dividend_shape, stride, check):
+            return None
     return quotient
 
 
@@ -604,11 +640,19 @@ def variable(name: str) -> ExactScalar:
 
 
 def zero(domain: str) -> ExactScalar:
-    return _make(domain, 0)
+    """The domain's zero: one shared scalar, as scalars are immutable."""
+    try:
+        return _ZEROS[domain]
+    except KeyError:
+        raise ValueError(f"unknown domain {domain!r}") from None
 
 
 def one(domain: str) -> ExactScalar:
-    return _make(domain, 1)
+    """The domain's one: one shared scalar, as scalars are immutable."""
+    try:
+        return _ONES[domain]
+    except KeyError:
+        raise ValueError(f"unknown domain {domain!r}") from None
 
 
 def _make(domain: str, value: int) -> ExactScalar:
@@ -619,6 +663,10 @@ def _make(domain: str, value: int) -> ExactScalar:
     if domain == POLYNOMIAL:
         return ExactScalar(POLYNOMIAL, Poly.const(value))
     raise ValueError(f"unknown domain {domain!r}")
+
+
+_ZEROS = {domain: _make(domain, 0) for domain in DOMAINS}
+_ONES = {domain: _make(domain, 1) for domain in DOMAINS}
 
 
 def _mismatch(x: ExactScalar, y: ExactScalar) -> DomainMismatchError:
@@ -646,21 +694,30 @@ _POLY_ONE = {0: 1}
 
 
 def mul(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    # zero and one are read off the payloads (a poly's packed terms), and
-    # only once the domains agree: this is every closed form's hot path
+    # zero and one are read off the payloads, and only once the domains
+    # agree: this is every closed form's hot path.  A poly is tested on its
+    # packed terms.  A Fraction is reduced, so it is zero when its numerator
+    # is and one when its numerator equals its denominator; reading the two
+    # slots behind .numerator and .denominator skips the Python-level
+    # Fraction.__bool__ and __eq__ calls.
     domain = x.domain
     if domain != y.domain:
         raise _mismatch(x, y)
     u, v = x.value, y.value
     if domain == POLYNOMIAL:
-        left, right, unit = u._packed, v._packed, _POLY_ONE
+        left, right = u._packed, v._packed
+        left_unit = right_unit = _POLY_ONE
+    elif domain == RATIONAL:
+        left, right = u._numerator, v._numerator
+        left_unit, right_unit = u._denominator, v._denominator
     else:
-        left, right, unit = u, v, 1
+        left, right = u, v
+        left_unit = right_unit = 1
     if not left or not right:
-        return zero(domain)
-    if left == unit:
+        return _ZEROS[domain]
+    if left == left_unit:
         return y
-    if right == unit:
+    if right == right_unit:
         return x
     for counter in _COUNTERS.get():
         counter.muls += 1

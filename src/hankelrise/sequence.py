@@ -16,7 +16,8 @@ arithmetic.
 
 cache_for, companion_cache and delta give one cache (or value) per spec
 value for the life of a shared_sequences() scope, and a new one on every
-call outside a scope; so does shared_table, which holds the rising-power
+call outside a scope; so do companion_and_delta, which reads the last two
+through one lookup, and shared_table, which holds the rising-power
 prefix chains that SequenceCache.rising_power reads and theorem2's n-free
 factors.  A spec seeded (0, 1) is its own companion, so within a scope
 its companion cache is its terms cache.  Caches are single-writer: the
@@ -204,6 +205,16 @@ def cache_for(spec: RecurrenceSpec) -> SequenceCache:
 
 def companion_cache(spec: RecurrenceSpec) -> SequenceCache:
     return _shared("companion", spec, lambda spec: cache_for(companion(spec)))
+
+
+def companion_and_delta(spec: RecurrenceSpec) -> Tuple[SequenceCache, ExactScalar]:
+    """(companion_cache(spec), delta(spec)) through one scope lookup, for
+    a closed form that reads both on every call."""
+    return _shared("companion+delta", spec, _companion_and_delta)
+
+
+def _companion_and_delta(spec: RecurrenceSpec) -> Tuple[SequenceCache, ExactScalar]:
+    return companion_cache(spec), delta(spec)
 
 
 def delta(spec: RecurrenceSpec) -> ExactScalar:

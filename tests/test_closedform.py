@@ -252,6 +252,28 @@ def test_theorem2_makes_its_n_free_factor_once_per_scope(monkeypatch):
     assert list(ticks()) == [(20, 2), (22, 1), (22, 0), (27, 0), (30, 0), (33, 0), (35, 0)]
 
 
+def test_eq4_rhs_makes_one_scope_lookup_per_call(monkeypatch):
+    # its companion cache and delta come through one shared_sequences()
+    # entry; the lhs reads its terms cache through its own
+    from hankelrise import sequence
+
+    entered = []
+    shared = sequence._shared
+
+    def counted(kind, spec, make):
+        entered.append(kind)
+        return shared(kind, spec, make)
+
+    monkeypatch.setattr(sequence, "_shared", counted)
+    spec = preset("pell", ring.RATIONAL)
+    with shared_sequences():
+        value = generalized_vajda_rhs(spec, -3, 2, 5)
+        entered.clear()
+        assert generalized_vajda_rhs(spec, -3, 2, 5) == value == generalized_vajda_lhs(spec, -3, 2, 5)
+    assert entered == ["companion+delta", "terms"]
+    assert generalized_vajda_rhs(spec, -3, 2, 5) == value
+
+
 def test_bilinear_negative_base_rational():
     spec = preset("jacobsthal", ring.RATIONAL)
     for n in range(-5, 0):

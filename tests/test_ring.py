@@ -162,6 +162,32 @@ def test_mul_shortcuts_on_zero_and_one_are_free_in_every_domain():
     assert (counter.muls, counter.divs) == (3, 3)
 
 
+def test_one_and_zero_are_shared_constants():
+    for domain in ring.DOMAINS:
+        assert one(domain) is one(domain) and zero(domain) is zero(domain)
+        assert one(domain).is_one() and zero(domain).is_zero()
+        assert one(domain) == ring._make(domain, 1) and zero(domain) == ring._make(domain, 0)
+    for make in (one, zero):
+        with pytest.raises(ValueError, match="unknown domain"):
+            make("float")
+    # a kernel shape kept on the shared poly one is one's own
+    unit = one(ring.POLYNOMIAL).value
+    assert unit._kernel_shape() == (0, 0, 0, 0, 0, 0) and unit._packed == {0: 1}
+    assert str(unit) == "1" and unit * Poly.variable("a") == Poly.variable("a")
+
+
+def test_rational_mul_reads_zero_and_one_without_fraction_calls(monkeypatch):
+    x, unit, nought = rational(-7, 3), rational(4, 4), rational(0, 5)
+    called = []
+    for name in ("__eq__", "__bool__"):
+        method = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda *args, method=method, name=name: called.append(name) or method(*args))
+    with count_ops() as counter:
+        assert mul(unit, x) is x and mul(x, unit) is x and mul(unit, unit) is unit
+        assert mul(nought, x) is mul(x, nought) is mul(nought, unit) is zero(ring.RATIONAL)
+    assert (called, counter.muls) == ([], 0)
+
+
 def _fold(first, factors):
     for factor in factors:
         first = mul(first, factor)
@@ -534,8 +560,9 @@ def test_poly_terms_view():
 # -- bi-graded Kronecker kernel against the same references -------------------
 
 
-def _takes_kernel(p, q, method=Poly.__mul__):
-    """Whether method(p, q) builds Kronecker images."""
+def _images(p, q, method=Poly.__mul__):
+    """The Kronecker images method(p, q) builds, as _image's arguments
+    (packed terms, shape, stride, width)."""
     built = []
     image = ring._image
     ring._image = lambda *args: built.append(args) or image(*args)
@@ -545,7 +572,12 @@ def _takes_kernel(p, q, method=Poly.__mul__):
         pass
     finally:
         ring._image = image
-    return bool(built)
+    return built
+
+
+def _takes_kernel(p, q, method=Poly.__mul__):
+    """Whether method(p, q) builds Kronecker images."""
+    return bool(_images(p, q, method))
 
 
 def _divides_in_kernel(p, q):
@@ -665,9 +697,12 @@ def test_kronecker_division_by_a_divisor_with_larger_coefficients():
         dividend_coeffs = _convolve(dividend_coeffs, [-1] + [0] * (p - 1) + [1])
     dividend, divisor = _homogenised(dividend_coeffs), _homogenised(divisor_coeffs)
     assert max(map(abs, divisor.terms.values())) > 256 * max(map(abs, dividend.terms.values()))
-    assert _divides_in_kernel(dividend, divisor)
+    # the quotient is accepted at the width it was divided at, one byte
+    # above the divisor's largest coefficient: no second image product
+    largest = max(map(abs, divisor.terms.values()))
+    assert [args[3] for args in _images(dividend, divisor, Poly.exact_div)] == [ring._slot_bytes(largest << 8)] * 2
     quotient = _homogenised([(-1) ** (len(primes) - i) * math.comb(len(primes), i) for i in range(len(primes) + 1)])
-    assert ring._kronecker_div(dividend._packed, divisor._packed) == quotient._packed
+    assert ring._kronecker_div(dividend, divisor) == quotient._packed
     assert dividend.exact_div(divisor) == quotient
     assert _ref_exact_div(dividend.terms, divisor.terms) == quotient.terms
     # a divisor whose coefficients outgrow the dividend's without dividing it
@@ -677,6 +712,36 @@ def test_kronecker_division_by_a_divisor_with_larger_coefficients():
         dividend.exact_div(divisor)
     with pytest.raises(InexactDivisionError):
         _ref_exact_div(dividend.terms, divisor.terms)
+
+
+def test_kronecker_quotient_wider_than_its_division_is_checked_again():
+    # (x - 1)**10 divides the product of the x**p - 1 for the primes below
+    # 30, and the quotient, the product of their cofactors 1 + ... + x**(p-1),
+    # has coefficients past 10**8.  Both sides times 1 + ... + x**10 give
+    # enough term pairs for the kernel, whose operands' coefficients are at
+    # most 126, so it divides in 2-byte slots: the image quotient has a
+    # zero remainder, yet decodes to a wrong candidate.  The bound on
+    # candidate * divisor - dividend does not fit 2 bytes, so the images
+    # are compared again at a width that holds it, and differ.
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    quotient_coeffs, dividend_coeffs = [1], [1] * 11
+    for p in primes:
+        quotient_coeffs = _convolve(quotient_coeffs, [1] * p)
+        dividend_coeffs = _convolve(dividend_coeffs, [-1] + [0] * (p - 1) + [1])
+    divisor_coeffs = _convolve([(-1) ** (10 - i) * math.comb(10, i) for i in range(11)], [1] * 11)
+    dividend, divisor = _homogenised(dividend_coeffs), _homogenised(divisor_coeffs)
+    quotient = _homogenised(quotient_coeffs)
+    assert max(map(abs, quotient.terms.values())) > 10**8
+    widths = [args[3] for args in _images(dividend, divisor, Poly.exact_div)]
+    assert widths[:2] == [2, 2] and len(widths) == 5 and widths[2] == widths[3] == widths[4] > 2
+    # the candidate the 2-byte division decodes: one slot per ea, as ec2 = 0
+    shapes = dividend._kernel_shape(), divisor._kernel_shape()
+    image, remainder = divmod(*(ring._image(p._packed, shape, 1, 2) for p, shape in zip((dividend, divisor), shapes)))
+    candidate = ring._decode(image, tuple(x - y for x, y in zip(*shapes)), 1, 2)
+    assert remainder == 0 and candidate and candidate != quotient._packed
+    assert ring._kronecker_div(dividend, divisor) is None
+    assert dividend.exact_div(divisor) == quotient
+    assert quotient * divisor == dividend
 
 
 def test_kronecker_kernel_leaves_sparse_boxes_to_the_dict_loop(monkeypatch):
@@ -690,10 +755,10 @@ def test_kronecker_kernel_leaves_sparse_boxes_to_the_dict_loop(monkeypatch):
     q = Poly({(100 * i, 3200 - 100 * i, 3200, 50 * i): 7 - i for i in range(33)})
     assert ring._bigraded(p._packed) and ring._bigraded(q._packed)
     assert len(p.terms) * len(q.terms) > ring._KRONECKER_MIN_PAIRS
-    assert ring._kronecker_mul(p._packed, q._packed) is None
+    assert ring._kronecker_mul(p, q) is None
     product = p * q
     assert product.terms == _ref_mul(p.terms, q.terms)
-    assert ring._kronecker_div(product._packed, q._packed) is None
+    assert ring._kronecker_div(product, q) is None
     assert product.exact_div(q) == p
 
 
@@ -707,6 +772,58 @@ def test_kronecker_decode_rejects_an_image_that_does_not_fit():
     # past either end of the 160 bits the slots hold
     assert ring._decode(1 << 160, shape, 5, 2) is None
     assert ring._decode(-(1 << 160), shape, 5, 2) is None
+
+
+def test_kronecker_square_encodes_one_image(symbolic_operands, monkeypatch):
+    operands = [p for group in symbolic_operands.values() for p in group if len(p.terms) < 300 and _takes_kernel(p, p)]
+    assert len(operands) >= 4
+    for p in operands:
+        assert len(_images(p, p)) == 1
+        square = p * p
+        assert square.terms == _ref_mul(p.terms, p.terms)
+        # an equal poly that is another object is two operands
+        twin = Poly._wrap(dict(p._packed))
+        assert len(_images(p, twin)) == 2 and p * twin == square
+    # a poly's shape is scanned on its first kernel call only
+    scanned = []
+    bigraded = ring._bigraded
+    monkeypatch.setattr(ring, "_bigraded", lambda packed: scanned.append(len(packed)) or bigraded(packed))
+    p = Poly._wrap(dict(operands[0]._packed))
+    square = p * p
+    assert p * p == square and square.exact_div(p) == p
+    assert scanned == [len(p.terms), len(square.terms)]
+
+
+def test_kronecker_work_on_acceptance_05(monkeypatch):
+    # 86 products, 38 of them squares of one strip entry, and 28 quotients;
+    # one image per square and per quotient operand, one scan per poly
+    calls = Counter()
+    for name in ("_image", "_bigraded", "_decode", "_kronecker_mul", "_kronecker_div"):
+        function = getattr(ring, name)
+
+        def counted(*args, function=function, name=name):
+            calls[name] += 1
+            if name == "_kronecker_mul" and args[0] is args[1]:
+                calls["squares"] += 1
+            result = function(*args)
+            if result is None and name.startswith("_kronecker"):
+                calls[name + " declined"] += 1
+            return result
+
+        monkeypatch.setattr(ring, name, counted)
+    report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
+    assert report.passed and report.checked == 60
+    assert (report.mul_count, report.div_count) == (463, 32)
+    assert calls == {
+        "_kronecker_mul": 86,
+        "squares": 38,
+        "_kronecker_div": 28,
+        "_image": 190,
+        "_bigraded": 101,
+        "_decode": 114,
+    }
+    # the shared constants came through the sweep as they were
+    assert one(ring.POLYNOMIAL).value._packed == {0: 1} and zero(ring.POLYNOMIAL).value._packed == {}
 
 
 def test_symbolic_grid_multiplies_only_through_the_poly_methods(monkeypatch):

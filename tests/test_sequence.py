@@ -10,6 +10,7 @@ from hankelrise.sequence import (
     SequenceCache,
     cache_for,
     companion,
+    companion_and_delta,
     companion_cache,
     delta,
     preset,
@@ -180,6 +181,9 @@ def test_shared_sequences_scope():
     with ring.count_ops() as counter:
         delta(spec), delta(spec)
     assert counter.muls == 2 * 5
+    with ring.count_ops() as counter:
+        assert companion_and_delta(spec)[0] is not companion_and_delta(spec)[0]
+    assert counter.muls == 2 * 5
     with shared_sequences():
         # one of each per spec value, not per spec object
         shared = cache_for(spec)
@@ -193,6 +197,8 @@ def test_shared_sequences_scope():
         with ring.count_ops() as counter:
             assert delta(spec) == delta(generic()) == rational(9 - 30 - 28)
         assert counter.muls == 5
+        units, spec_delta = companion_and_delta(generic())
+        assert units is companion_cache(spec) and spec_delta is delta(spec)
         with shared_sequences():
             assert cache_for(spec) is not shared
         assert cache_for(spec) is shared
