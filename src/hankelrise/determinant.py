@@ -53,6 +53,15 @@ minors, and its report counts the blocked rows.  det_hankel_minors is the
 one-row table (N = 1) of its matrix, which stops computing at its first
 zero divisor.
 
+Scaling a t x t block by s scales its determinant by s^t, so the table
+may run on the diagonal times any nonzero scale and read its entries
+back.  A rational diagonal runs over the integers, times the lcm of its
+denominators; an int diagonal runs divided by g, the gcd of its values.
+That matters where the values share a large factor: a product of r
+consecutive Fibonacci numbers is a multiple of F_1 * ... * F_r (Lucas
+1878), so every D(m, t) of theorem1's table is a multiple of g^t, and
+dividing it out nearly halves the entries' bits.
+
 Reports carry multiplication/division counts observed by the ring-level
 counter, so shortcut operations on exact zeros/ones are not charged.
 """
@@ -60,6 +69,7 @@ counter, so shortcut operations on exact zeros/ones are not charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import NamedTuple, Sequence, Tuple
 
 from . import ring
@@ -216,19 +226,46 @@ def det_hankel_strip(diagonal: Sequence[ExactScalar], d: int) -> StripReport:
     include the scaling's multiplications and the read-back's divisions;
     at s = 1 there are none, and the table's own counts are the rational
     table's.
+
+    An int diagonal with content g > 1, the gcd of its values, runs divided
+    by g (ring.exact_div): the table holds D''(m, t) = D(m, t) / g^t, and
+    entries with t >= 2 are read back as g^t * D''(m, t) (ring.mul), with
+    D(m, 1) again taken from the diagonal.  Division by g moves no zero
+    either, so the same rows block, and a blocked row's Bareiss minors of
+    its scaled matrix are read back alike.  The counts include the
+    scaling's and the read-back's ticks: one div per nonzero value and one
+    mul per entry D''(m, t), t >= 2, other than 0 and 1.  At g <= 1 (g = 0
+    is the all-zero diagonal) there are none, and the counts are the bare
+    table's.  A poly diagonal runs as it is.
     """
     if d < 1 or len(diagonal) < 2 * d - 1:
         raise ValueError(f"a {d} x {d} Hankel strip needs at least {2 * d - 1} anti-diagonal values")
+    domain = diagonal[0].domain
     with ring.count_ops() as counter:
-        if diagonal[0].domain == ring.RATIONAL:
+        if domain == ring.RATIONAL:
             scale, scaled = ring.clear_denominators(diagonal)
             rows, blocked = _hankel_strip(scaled, d, ring.INTEGER)
             powers = [scale**t for t in range(2, d + 1)]
             rows = tuple((diagonal[m], *map(ring.over, row[1:], powers)) for m, row in enumerate(rows))
+        elif domain == ring.INTEGER and (content := _content(diagonal)) > 1:
+            divisor = ring.integer(content)
+            scaled = tuple(ring.exact_div(x, divisor) for x in diagonal)
+            rows, blocked = _hankel_strip(scaled, d, ring.INTEGER)
+            powers = [ring.integer(content**t) for t in range(2, d + 1)]
+            rows = tuple((diagonal[m], *map(ring.mul, powers, row[1:])) for m, row in enumerate(rows))
         else:
-            rows, blocked = _hankel_strip(tuple(diagonal), d, diagonal[0].domain)
+            rows, blocked = _hankel_strip(tuple(diagonal), d, domain)
     algorithm = STRUCTURED_FALLBACK if blocked else STRUCTURED
     return StripReport(rows, algorithm, counter.muls, counter.divs, blocked)
+
+
+def _content(diagonal: Sequence[ExactScalar]) -> int:
+    """The gcd of an int diagonal's values, 0 when all are zero.  A value
+    of another domain raises DomainMismatchError, before any tick."""
+    for x in diagonal:
+        if x.domain != ring.INTEGER:
+            raise ring.DomainMismatchError(f"cannot mix {ring.INTEGER} and {x.domain} scalars")
+    return gcd(*(x.value for x in diagonal))
 
 
 def _hankel_strip(diagonal, d: int, domain: str):

@@ -75,7 +75,9 @@ was divided at.  A candidate that fails, or does not decode, leaves the
 division to the dict loop, which returns the quotient or raises
 InexactDivisionError.  Either path gives the same terms, so counts and
 canonical strings do not depend on it.  A Poly is immutable, so its
-shape (see _bigraded) is scanned on its first kernel call and kept on it.
+shape (see _bigraded) is scanned on its first kernel call and kept on it;
+a kernel product or quotient is made with its shape, which the operands'
+shapes give, and is never scanned.
 """
 
 from __future__ import annotations
@@ -227,7 +229,8 @@ class Poly:
 
     Treated as immutable after construction; zero coefficients are never
     stored.  So the Kronecker kernel's shape of a poly (see _bigraded) is
-    scanned once, on the poly's first kernel call, and kept in a slot.
+    scanned once, on the poly's first kernel call, and kept in a slot; a
+    kernel result comes with its shape already in the slot.
     """
 
     __slots__ = ("_packed", "_shape")
@@ -238,11 +241,12 @@ class Poly:
         self._shape = _UNSCANNED
 
     @classmethod
-    def _wrap(cls, packed: Dict[int, int]) -> "Poly":
-        """A Poly over already packed keys with nonzero coefficients."""
+    def _wrap(cls, packed: Dict[int, int], shape: Union[_Shape, None, bool] = _UNSCANNED) -> "Poly":
+        """A Poly over already packed keys with nonzero coefficients, and
+        their kernel shape when the caller knows it."""
         poly = cls.__new__(cls)
         poly._packed = packed
-        poly._shape = _UNSCANNED
+        poly._shape = shape
         return poly
 
     def _kernel_shape(self) -> Union[_Shape, None]:
@@ -308,7 +312,7 @@ class Poly:
         if len(left) * len(right) > _KRONECKER_MIN_PAIRS:
             product = _kronecker_mul(self, other)
             if product is not None:
-                return Poly._wrap(product)
+                return product
         out: Dict[int, int] = {}
         get = out.get
         for k1, c1 in left.items():
@@ -330,7 +334,7 @@ class Poly:
         if len(self._packed) * len(divisor._packed) > _KRONECKER_MIN_PAIRS:
             quotient = _kronecker_div(self, divisor)
             if quotient is not None:
-                return Poly._wrap(quotient)
+                return quotient
         divisor_terms = divisor._packed.items()
         lead = max(divisor._packed)
         lead_coeff = divisor._packed[lead]
@@ -501,13 +505,15 @@ def _decode(image: int, shape: _Shape, stride: int, width: int) -> Union[Dict[in
     return out
 
 
-def _kronecker_mul(left: Poly, right: Poly) -> Union[Dict[int, int], None]:
+def _kronecker_mul(left: Poly, right: Poly) -> Union[Poly, None]:
     """left * right as one big-int product of two Kronecker images, or
     None when either is not bi-graded or the product's box is sparse.
     A square (right is left) encodes one image and squares it.
 
     Slots are wide enough for any product coefficient: each term of the
     shorter operand meets at most one term of the other in a monomial.
+    The product keeps its shape, the sum of the operands' shapes: over Z
+    the terms at an edge of a box multiply to a nonzero edge of the sum.
     """
     square = right is left
     left_shape = left._kernel_shape()
@@ -524,10 +530,11 @@ def _kronecker_mul(left: Poly, right: Poly) -> Union[Dict[int, int], None]:
     width = _slot_bytes(bound)
     image = _image(lp, left_shape, stride, width)
     image = image * image if square else image * _image(rp, right_shape, stride, width)
-    return _decode(image, shape, stride, width)
+    product = _decode(image, shape, stride, width)
+    return None if product is None else Poly._wrap(product, shape)
 
 
-def _kronecker_div(dividend: Poly, divisor: Poly) -> Union[Dict[int, int], None]:
+def _kronecker_div(dividend: Poly, divisor: Poly) -> Union[Poly, None]:
     """dividend / divisor through Kronecker images, or None when either is
     not bi-graded, the dividend's box is sparse, or the image quotient is
     not exact.
@@ -539,7 +546,8 @@ def _kronecker_div(dividend: Poly, divisor: Poly) -> Union[Dict[int, int], None]
     candidate q is accepted only if the images of q * divisor and of the
     dividend agree at a slot width above every coefficient of
     q * divisor - dividend, which makes that difference the zero
-    polynomial.
+    polynomial.  The quotient keeps its shape, the dividend's less the
+    divisor's.
     """
     dividend_shape, divisor_shape = dividend._kernel_shape(), divisor._kernel_shape()
     if dividend_shape is None or divisor_shape is None:
@@ -575,7 +583,7 @@ def _kronecker_div(dividend: Poly, divisor: Poly) -> Union[Dict[int, int], None]
         product = _image(quotient, shape, stride, check) * _image(vp, divisor_shape, stride, check)
         if product != _image(dp, dividend_shape, stride, check):
             return None
-    return quotient
+    return Poly._wrap(quotient, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +611,14 @@ class ExactScalar:
         _set_value(self, value)
 
     def is_zero(self) -> bool:
-        if self.domain == POLYNOMIAL:
-            return self.value.is_zero()
-        return self.value == 0
+        # a poly's packed terms and a Fraction's numerator slot, as mul
+        # reads them: no Python-level Fraction.__eq__ call
+        domain = self.domain
+        if domain == POLYNOMIAL:
+            return not self.value._packed
+        if domain == RATIONAL:
+            return not self.value._numerator
+        return not self.value
 
     def is_one(self) -> bool:
         if self.domain == POLYNOMIAL:
@@ -853,9 +866,11 @@ def pow_signed(x: ExactScalar, k: int) -> ExactScalar:
         k = -k
     value = x.value
     if x.domain != POLYNOMIAL:
-        if value == 1:
+        # a reduced Fraction is +-1 when its numerator is +-its denominator
+        top, unit = (value._numerator, value._denominator) if x.domain == RATIONAL else (value, 1)
+        if top == unit:
             return x
-        if value and value != -1:
+        if top and top != -unit:
             _tick_mul(k.bit_length() + k.bit_count() - 2)
             return ExactScalar(x.domain, value ** k)
     result = x

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -386,6 +387,87 @@ def test_rational_strips_run_over_the_integers():
     assert (counter.muls, counter.divs) == (0, 0)
 
 
+def test_integer_strips_run_over_their_content():
+    # seeded Lcg64 diagonals with zero and negative values, so some rows
+    # block: a planted common factor, coprime values and the all-zero
+    # diagonal.  The table runs over the diagonal divided by g, the gcd of
+    # its values, and reads each entry with t >= 2 back as g^t times it
+    rng = Lcg64(34)
+    strips, blocked = Counter(), Counter()  # strips and blocked rows by kind
+    for case in range(60):
+        d = 1 + case % 4
+        length = 2 * d - 1 + rng.next_int(0, 4)
+        planted = 0 if case % 10 == 1 else 1 if case % 3 == 0 else rng.next_int(2, 9)
+        diagonal = [integer(planted * rng.next_int(-3, 3)) for _ in range(length)]
+        strip = det_hankel_strip(diagonal, d)
+        falls_back = 0
+        for m, row in enumerate(strip.rows):
+            matrix = SquareMatrix([diagonal[m + i:m + i + d] for i in range(d)])
+            assert row == det_bareiss(matrix).minors, (case, m)
+            falls_back += det_hankel_minors(matrix).fallback_used
+        assert strip.fallback_used == falls_back, case
+        content = math.gcd(*(x.value for x in diagonal))
+        kind = "scaled" if content > 1 else "coprime" if content else "zero"
+        strips[kind] += 1
+        blocked[kind] += falls_back
+        if content <= 1:
+            # no scaling: the counts are exactly the bare table's
+            with ring.count_ops() as table:
+                bare_rows, bare_blocked = determinant._hankel_strip(tuple(diagonal), d, ring.INTEGER)
+            assert (strip.rows, strip.fallback_used) == (bare_rows, bare_blocked), case
+            assert (strip.mul_count, strip.div_count) == (table.muls, table.divs), case
+            continue
+        # the counts are the scaled table's, plus one div per nonzero value
+        # divided by g and one mul per entry with t >= 2 read back, as
+        # ring.exact_div and ring.mul tick them: none for a scaled 0 or 1
+        scaled = tuple(integer(x.value // content) for x in diagonal)
+        with ring.count_ops() as table:
+            scaled_rows, scaled_blocked = determinant._hankel_strip(scaled, d, ring.INTEGER)
+        assert scaled_blocked == strip.fallback_used, case
+        for row, scaled_row in zip(strip.rows, scaled_rows):
+            assert [x.value for x in row[1:]] == [content**t * y.value for t, y in enumerate(scaled_row[1:], 2)]
+        divs = sum(not x.is_zero() for x in diagonal)
+        muls = sum(not (y.is_zero() or y.is_one()) for row in scaled_rows for y in row[1:])
+        assert (strip.mul_count, strip.div_count) == (table.muls + muls, table.divs + divs), case
+    assert strips == {"scaled": 36, "coprime": 17, "zero": 7}
+    assert blocked == {"scaled": 25, "coprime": 9, "zero": 13}
+    with ring.count_ops() as counter:
+        for diagonal in ((integer(2), rational(4), integer(6)), (integer(2), integer(4), ring.poly_const(6))):
+            with pytest.raises(ring.DomainMismatchError):
+                det_hankel_strip(diagonal, 2)
+    assert (counter.muls, counter.divs) == (0, 0)
+
+
+def test_fibonacci_r30_strip_runs_on_smaller_entries(monkeypatch):
+    # theorem1's r = 30, d = 31 anti-diagonal: products of 30 consecutive
+    # Fibonacci numbers, each a multiple of F_1 * ... * F_30 (Lucas 1878).
+    # Every D(0, t) is then a multiple of g^t, g the content, and the table
+    # over the diagonal divided by g holds entries of at most 7,636 bits,
+    # where the table over the diagonal itself reaches 12,013
+    diagonal = anti_diagonal(preset("fibonacci"), MatrixQuery(0, 30, 31, RISING))
+    content = math.gcd(*(x.value for x in diagonal))
+    fibonacci = [0, 1]
+    while len(fibonacci) <= 30:
+        fibonacci.append(fibonacci[-1] + fibonacci[-2])
+    assert content == math.prod(fibonacci[1:]) and content.bit_length() == 289
+    sizes = []
+    step = determinant._step
+
+    def sized(*args):
+        entry = step(*args)
+        sizes.append(abs(entry.value).bit_length())
+        return entry
+
+    monkeypatch.setattr(determinant, "_step", sized)
+    (row,) = det_hankel_strip(diagonal, 31).rows
+    scaled_sizes, sizes[:] = sizes[:], []
+    (bare_row,), _ = determinant._hankel_strip(diagonal, 31, ring.INTEGER)
+    assert row == bare_row
+    assert (len(scaled_sizes), max(scaled_sizes), max(sizes)) == (900, 7636, 12013)
+    # the 31 x 31 determinant divided by g^31 is a unit
+    assert abs(row[-1].value) == content**31
+
+
 def test_one_row_strip_is_the_hankel_minors_triangle():
     rat = ring.RATIONAL
     specs = [preset("fibonacci"), preset("lucas", rat), RecurrenceSpec(*(rational(v) for v in (1, 2, 1, 2)))]
@@ -438,8 +520,8 @@ def test_operation_totals_on_the_recurrence_builds():
     # these totals pin its arithmetic.  Condensation's divisors are the
     # Hankel minors D(k+2, t-2) that the one-row strip divides by, so the
     # two fall back on exactly the same builds.  The strip runs a fractional
-    # rational diagonal over the integers, and its totals include the scaling
-    # and the read-back.
+    # rational diagonal over the integers, and an int diagonal over its
+    # content gcd, and its totals include the scaling and the read-back.
     algorithms = (det_bareiss, det_condensation, det_hankel_minors)
     totals = {det: [0, 0, 0] for det in algorithms}
     builds = 0
@@ -456,4 +538,4 @@ def test_operation_totals_on_the_recurrence_builds():
     assert builds == 3636
     assert totals[det_bareiss] == [69421, 11694, 0]
     assert totals[det_condensation] == [98643, 14985, 1055]
-    assert totals[det_hankel_minors] == [64670, 10473, 1055]
+    assert totals[det_hankel_minors] == [63990, 12170, 1055]

@@ -188,6 +188,26 @@ def test_rational_mul_reads_zero_and_one_without_fraction_calls(monkeypatch):
     assert (called, counter.muls) == ([], 0)
 
 
+def test_rational_pow_and_is_zero_read_zero_and_one_without_fraction_calls(monkeypatch):
+    # pow_signed's unit tests and is_zero read a Fraction's numerator and
+    # denominator; their values and ticks match the loop in the test above
+    unit, minus, nought, x = rational(4, 4), rational(-3, 3), rational(0, 5), rational(-2, 3)
+    called = []
+    for name in ("__eq__", "__bool__"):
+        method = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda *args, method=method, name=name: called.append(name) or method(*args))
+    with count_ops() as counter:
+        powers = [pow_signed(*case) for case in ((unit, 5), (unit, -5), (minus, 5), (minus, -4), (nought, 3), (x, 3))]
+        zeros = [y.is_zero() for y in (nought, unit, x, zero(ring.RATIONAL), zero(ring.INTEGER), integer(2))]
+    assert called == []
+    assert powers[0] is unit
+    assert [str(y) for y in powers] == ["1", "1", "-1", "1", "0", "-8/27"]
+    assert zeros == [True, False, False, True, True, False]
+    # two inversions; (-1)^5 and (-1)^4 tick their first squaring only, as
+    # the rest multiply by one, 0^3 ticks nothing and (-2/3)^3 the loop's 2
+    assert (counter.muls, counter.divs) == (1 + 1 + 2, 2)
+
+
 def _fold(first, factors):
     for factor in factors:
         first = mul(first, factor)
@@ -608,7 +628,11 @@ def test_kronecker_kernel_matches_tuple_reference_on_symbolic_operands(symbolic_
         product = p * q
         assert product.terms == _ref_mul(p.terms, q.terms)
         assert _divides_in_kernel(product, q)
-        assert product.exact_div(q) == p
+        quotient = product.exact_div(q)
+        assert quotient == p
+        # kernel results carry the shape a scan of their terms would find
+        assert product._shape == ring._bigraded(product._packed)
+        assert quotient._shape == ring._bigraded(p._packed)
         # one coefficient off, or one monomial of the grading added: inexact
         key = max(product._packed)
         for changed in ({**product._packed, key: product._packed[key] + 1}, {**product._packed, 0: 1}):
@@ -702,7 +726,8 @@ def test_kronecker_division_by_a_divisor_with_larger_coefficients():
     largest = max(map(abs, divisor.terms.values()))
     assert [args[3] for args in _images(dividend, divisor, Poly.exact_div)] == [ring._slot_bytes(largest << 8)] * 2
     quotient = _homogenised([(-1) ** (len(primes) - i) * math.comb(len(primes), i) for i in range(len(primes) + 1)])
-    assert ring._kronecker_div(dividend, divisor) == quotient._packed
+    kernel = ring._kronecker_div(dividend, divisor)
+    assert kernel == quotient and kernel._shape == ring._bigraded(quotient._packed)
     assert dividend.exact_div(divisor) == quotient
     assert _ref_exact_div(dividend.terms, divisor.terms) == quotient.terms
     # a divisor whose coefficients outgrow the dividend's without dividing it
@@ -784,19 +809,22 @@ def test_kronecker_square_encodes_one_image(symbolic_operands, monkeypatch):
         # an equal poly that is another object is two operands
         twin = Poly._wrap(dict(p._packed))
         assert len(_images(p, twin)) == 2 and p * twin == square
-    # a poly's shape is scanned on its first kernel call only
+    # a poly's shape is scanned on its first kernel call only, and a kernel
+    # product comes with its shape, the sum of its operands'
     scanned = []
     bigraded = ring._bigraded
     monkeypatch.setattr(ring, "_bigraded", lambda packed: scanned.append(len(packed)) or bigraded(packed))
     p = Poly._wrap(dict(operands[0]._packed))
     square = p * p
     assert p * p == square and square.exact_div(p) == p
-    assert scanned == [len(p.terms), len(square.terms)]
+    assert scanned == [len(p.terms)]
+    assert square._shape == bigraded(square._packed) == tuple(2 * x for x in p._shape)
 
 
 def test_kronecker_work_on_acceptance_05(monkeypatch):
     # 86 products, 38 of them squares of one strip entry, and 28 quotients;
-    # one image per square and per quotient operand, one scan per poly
+    # one image per square and per quotient operand, one scan per poly that
+    # no kernel call made (101 scans before kernel results kept their shape)
     calls = Counter()
     for name in ("_image", "_bigraded", "_decode", "_kronecker_mul", "_kronecker_div"):
         function = getattr(ring, name)
@@ -819,7 +847,7 @@ def test_kronecker_work_on_acceptance_05(monkeypatch):
         "squares": 38,
         "_kronecker_div": 28,
         "_image": 190,
-        "_bigraded": 101,
+        "_bigraded": 78,
         "_decode": 114,
     }
     # the shared constants came through the sweep as they were
