@@ -53,12 +53,13 @@ minors, and its report counts the blocked rows.  det_hankel_minors is the
 one-row table (N = 1) of its matrix, which stops computing at its first
 zero divisor.
 
-Scaling a t x t block by s scales its determinant by s^t, so the table
+Scaling a t x t block by c scales its determinant by c^t, so the table
 may run on the diagonal times any nonzero scale and read its entries
-back.  A rational diagonal runs over the integers, times the lcm of its
-denominators; an int diagonal runs divided by g, the gcd of its values.
-That matters where the values share a large factor: a product of r
-consecutive Fibonacci numbers is a multiple of F_1 * ... * F_r (Lucas
+back.  A numeric diagonal runs on its primitive integer part, the
+diagonal times s/g, s the lcm of its denominators and g the gcd of its
+numerators: the table runs over small ints, with no reduction per step,
+whether the values are fractions or share a large factor.  A product of
+r consecutive Fibonacci numbers is a multiple of F_1 * ... * F_r (Lucas
 1878), so every D(m, t) of theorem1's table is a multiple of g^t, and
 dividing it out nearly halves the entries' bits.
 
@@ -69,7 +70,9 @@ counter, so shortcut operations on exact zeros/ones are not charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
+from operator import floordiv
 from typing import NamedTuple, Sequence, Tuple
 
 from . import ring
@@ -216,56 +219,58 @@ def det_hankel_strip(diagonal: Sequence[ExactScalar], d: int) -> StripReport:
     from one table.  A blocked row, which the module docstring defines, is
     _bareiss_minors of its own matrix.
 
-    A rational diagonal runs over the integers: times s, the lcm of its
-    denominators (ring.clear_denominators), the table holds
-    D'(m, t) = s^t * D(m, t), since scaling a t x t block by s scales its
-    determinant by s^t.  Entries with t >= 2 are read back as
-    D'(m, t) / s^t (ring.over); D(m, 1) is the input value h_m itself, so
-    it is taken from the diagonal.  Scaling moves no zero, so the same
-    rows block, and their Bareiss minors are scaled alike.  The counts
-    include the scaling's multiplications and the read-back's divisions;
-    at s = 1 there are none, and the table's own counts are the rational
-    table's.
-
-    An int diagonal with content g > 1, the gcd of its values, runs divided
-    by g (ring.exact_div): the table holds D''(m, t) = D(m, t) / g^t, and
-    entries with t >= 2 are read back as g^t * D''(m, t) (ring.mul), with
-    D(m, 1) again taken from the diagonal.  Division by g moves no zero
-    either, so the same rows block, and a blocked row's Bareiss minors of
-    its scaled matrix are read back alike.  The counts include the
-    scaling's and the read-back's ticks: one div per nonzero value and one
-    mul per entry D''(m, t), t >= 2, other than 0 and 1.  At g <= 1 (g = 0
-    is the all-zero diagonal) there are none, and the counts are the bare
-    table's.  A poly diagonal runs as it is.
+    A numeric diagonal, int or rat, runs on its primitive integer part:
+    each value is top/bottom (an int has bottom 1), g is the gcd of the
+    tops (1 when all are zero) and s the lcm of the bottoms, and the table
+    runs over the ints top * (s/bottom) / g.  It holds
+    D''(m, t) = D(m, t) * (s/g)^t, since scaling a t x t block by c scales
+    its determinant by c^t.  Entries with t >= 2 are read back as
+    D''(m, t) * g^t / s^t, an int over int and one Fraction over rat;
+    D(m, 1) is the input value h_m itself, so it is taken from the
+    diagonal.  Scaling moves no zero, so the same rows block, and a
+    blocked row's Bareiss minors of its scaled matrix are read back alike.
+    Unless g = s = 1 the counts include the scaling's and the read-back's
+    ticks: one div per nonzero value and one mul per entry D''(m, t),
+    t >= 2, other than 0 and 1.  So an integer-valued diagonal counts the
+    same in both domains.  A poly diagonal runs as it is.  A value whose
+    domain is not the first value's raises DomainMismatchError before any
+    tick.
     """
     if d < 1 or len(diagonal) < 2 * d - 1:
         raise ValueError(f"a {d} x {d} Hankel strip needs at least {2 * d - 1} anti-diagonal values")
     domain = diagonal[0].domain
+    for x in diagonal:
+        if x.domain != domain:
+            raise ring.DomainMismatchError(f"cannot mix {domain} and {x.domain} scalars")
     with ring.count_ops() as counter:
-        if domain == ring.RATIONAL:
-            scale, scaled = ring.clear_denominators(diagonal)
-            rows, blocked = _hankel_strip(scaled, d, ring.INTEGER)
-            powers = [scale**t for t in range(2, d + 1)]
-            rows = tuple((diagonal[m], *map(ring.over, row[1:], powers)) for m, row in enumerate(rows))
-        elif domain == ring.INTEGER and (content := _content(diagonal)) > 1:
-            divisor = ring.integer(content)
-            scaled = tuple(ring.exact_div(x, divisor) for x in diagonal)
-            rows, blocked = _hankel_strip(scaled, d, ring.INTEGER)
-            powers = [ring.integer(content**t) for t in range(2, d + 1)]
-            rows = tuple((diagonal[m], *map(ring.mul, powers, row[1:])) for m, row in enumerate(rows))
-        else:
+        if domain == ring.POLYNOMIAL:
             rows, blocked = _hankel_strip(tuple(diagonal), d, domain)
+        else:
+            rows, blocked = _primitive_strip(diagonal, d, domain)
     algorithm = STRUCTURED_FALLBACK if blocked else STRUCTURED
     return StripReport(rows, algorithm, counter.muls, counter.divs, blocked)
 
 
-def _content(diagonal: Sequence[ExactScalar]) -> int:
-    """The gcd of an int diagonal's values, 0 when all are zero.  A value
-    of another domain raises DomainMismatchError, before any tick."""
-    for x in diagonal:
-        if x.domain != ring.INTEGER:
-            raise ring.DomainMismatchError(f"cannot mix {ring.INTEGER} and {x.domain} scalars")
-    return gcd(*(x.value for x in diagonal))
+def _primitive_strip(diagonal: Sequence[ExactScalar], d: int, domain: str):
+    """_hankel_strip of an int or rat diagonal, run on its primitive
+    integer part and read back as det_hankel_strip describes."""
+    values = [x.value for x in diagonal]
+    content = gcd(*(v.numerator for v in values)) or 1
+    scale = lcm(*(v.denominator for v in values))
+    scaled = tuple(ExactScalar(ring.INTEGER, v.numerator * (scale // v.denominator) // content) for v in values)
+    rows, blocked = _hankel_strip(scaled, d, ring.INTEGER)
+    if content != 1 or scale != 1:
+        ring._tick_div(sum(1 for v in values if v))
+        ring._tick_mul(sum(1 for row in rows for y in row[1:] if y.value not in (0, 1)))
+    # the scale is kept as the int pair (g^t, s^t); s = 1 over int, so the
+    # floor division there is exact
+    over = Fraction if domain == ring.RATIONAL else floordiv
+    powers = [(content**t, scale**t) for t in range(2, d + 1)]
+    rows = tuple(
+        (diagonal[m], *(ExactScalar(domain, over(y.value * up, down)) for y, (up, down) in zip(row[1:], powers)))
+        for m, row in enumerate(rows)
+    )
+    return rows, blocked
 
 
 def _hankel_strip(diagonal, d: int, domain: str):

@@ -87,7 +87,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import index
 from typing import Dict, Iterator, Sequence, Tuple, Union
 
@@ -148,9 +147,9 @@ def _tick_mul(count: int = 1) -> None:
         counter.muls += count
 
 
-def _tick_div() -> None:
+def _tick_div(count: int = 1) -> None:
     for counter in _COUNTERS.get():
-        counter.divs += 1
+        counter.divs += count
 
 
 # ---------------------------------------------------------------------------
@@ -772,41 +771,6 @@ def product(first: ExactScalar, factors: Sequence[ExactScalar]) -> ExactScalar:
     if ticks:
         _tick_mul(ticks)
     return ExactScalar(RATIONAL, Fraction(num, den))
-
-
-def clear_denominators(values: Sequence[ExactScalar]) -> Tuple[int, Tuple[ExactScalar, ...]]:
-    """(s, the int scalars s*x) over rational values x, s the lcm of their
-    denominators.  Each s*x is x's numerator times s/denominator, ticked
-    as mul ticks that product of ints: unless the numerator is 0 or 1 or
-    the factor is 1.  A value of another domain raises DomainMismatchError
-    before any tick.
-    """
-    for x in values:
-        if x.domain != RATIONAL:
-            raise _mismatch(values[0], x)
-    scale = lcm(*(x.value.denominator for x in values))
-    scaled = []
-    ticks = 0
-    for x in values:
-        top, factor = x.value.numerator, scale // x.value.denominator
-        if factor != 1 and top != 0 and top != 1:
-            ticks += 1
-        scaled.append(ExactScalar(INTEGER, top * factor))
-    if ticks:
-        _tick_mul(ticks)
-    return scale, tuple(scaled)
-
-
-def over(x: ExactScalar, scale: int) -> ExactScalar:
-    """The int scalar x divided by a positive int scale, as a rational,
-    with one reduction; ticked as exact_div ticks it: unless x is zero or
-    scale is one."""
-    if x.domain != INTEGER:
-        raise DomainMismatchError(f"cannot read a {x.domain} scalar over an int scale")
-    if scale == 1 or not x.value:
-        return ExactScalar(RATIONAL, Fraction(x.value))
-    _tick_div()
-    return ExactScalar(RATIONAL, Fraction(x.value, scale))
 
 
 def exact_div(x: ExactScalar, y: ExactScalar) -> ExactScalar:

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -343,96 +344,85 @@ def test_hankel_strip_rows_are_the_rows_own_triangles():
     assert 0 < blocked < rows
 
 
-def test_rational_strips_run_over_the_integers():
-    # seeded Lcg64 diagonals with zero values, so some rows block; the table
-    # runs over s times the diagonal, s the lcm of its denominators
-    rng = Lcg64(21)
-    rows = blocked = scaled_strips = 0
-    for case in range(60):
-        d = 1 + case % 4
-        length = 2 * d - 1 + rng.next_int(0, 4)
-        integral = case % 3 == 0
-        diagonal = [rational(rng.next_int(-3, 3), 1 if integral else rng.next_int(1, 4)) for _ in range(length)]
-        strip = det_hankel_strip(diagonal, d)
-        falls_back = 0
-        for m, row in enumerate(strip.rows):
-            matrix = SquareMatrix([diagonal[m + i:m + i + d] for i in range(d)])
-            assert row == det_bareiss(matrix).minors, (case, m)
-            falls_back += det_hankel_minors(matrix).fallback_used
-        assert strip.fallback_used == falls_back, case
-        rows += len(strip.rows)
-        blocked += falls_back
-        # the counts are the integer table's, plus one mul per scaled
-        # numerator and one div per entry with t >= 2 read back, as
-        # ring.mul and ring.exact_div tick them; D(m, 1) is h_m itself
-        scale = math.lcm(*(x.value.denominator for x in diagonal))
-        scaled = [integer(x.value.numerator * scale // x.value.denominator) for x in diagonal]
-        with ring.count_ops() as table:
-            determinant._hankel_strip(tuple(scaled), d, ring.INTEGER)
-        muls = sum(scale != x.value.denominator and x.value.numerator not in (0, 1) for x in diagonal)
-        divs = sum(scale != 1 and not entry.is_zero() for row in strip.rows for entry in row[1:])
-        assert (strip.mul_count, strip.div_count) == (table.muls + muls, table.divs + divs), case
-        scaled_strips += scale != 1
-        if integral:
-            # s = 1: the counts are exactly the rational table's
-            with ring.count_ops() as table:
-                old_rows, old_blocked = determinant._hankel_strip(tuple(diagonal), d, ring.RATIONAL)
-            assert (strip.rows, strip.fallback_used) == (old_rows, old_blocked)
-            assert (strip.mul_count, strip.div_count) == (table.muls, table.divs), case
-    assert (rows, blocked, scaled_strips) == (182, 20, 36)
-    with ring.count_ops() as counter:
-        for diagonal in ((rational(1, 2), integer(2), rational(3)), (rational(1), rational(1, 3), integer(0))):
-            with pytest.raises(ring.DomainMismatchError):
-                det_hankel_strip(diagonal, 2)
-    assert (counter.muls, counter.divs) == (0, 0)
-
-
-def test_integer_strips_run_over_their_content():
+def test_numeric_strips_run_on_their_primitive_part():
     # seeded Lcg64 diagonals with zero and negative values, so some rows
-    # block: a planted common factor, coprime values and the all-zero
-    # diagonal.  The table runs over the diagonal divided by g, the gcd of
-    # its values, and reads each entry with t >= 2 back as g^t times it
+    # block: a planted common factor, coprime values, fractional values
+    # and the all-zero diagonal.  An integral diagonal runs in both numeric
+    # domains, a fractional one over rat.  The table runs over the ints
+    # top * (s/bottom) / g, g the gcd of the tops and s the lcm of the
+    # bottoms, and reads each entry with t >= 2 back as D'' * g^t / s^t
     rng = Lcg64(34)
     strips, blocked = Counter(), Counter()  # strips and blocked rows by kind
-    for case in range(60):
+    for case in range(90):
         d = 1 + case % 4
         length = 2 * d - 1 + rng.next_int(0, 4)
-        planted = 0 if case % 10 == 1 else 1 if case % 3 == 0 else rng.next_int(2, 9)
-        diagonal = [integer(planted * rng.next_int(-3, 3)) for _ in range(length)]
-        strip = det_hankel_strip(diagonal, d)
-        falls_back = 0
-        for m, row in enumerate(strip.rows):
-            matrix = SquareMatrix([diagonal[m + i:m + i + d] for i in range(d)])
-            assert row == det_bareiss(matrix).minors, (case, m)
-            falls_back += det_hankel_minors(matrix).fallback_used
-        assert strip.fallback_used == falls_back, case
-        content = math.gcd(*(x.value for x in diagonal))
-        kind = "scaled" if content > 1 else "coprime" if content else "zero"
-        strips[kind] += 1
-        blocked[kind] += falls_back
-        if content <= 1:
-            # no scaling: the counts are exactly the bare table's
+        planted = 0 if case % 5 == 1 else 1 if case % 3 == 0 else rng.next_int(2, 9)
+        fractional = case % 2 == 1
+        pairs = [(planted * rng.next_int(-3, 3), rng.next_int(1, 4) if fractional else 1) for _ in range(length)]
+        domains = (ring.RATIONAL,) if fractional else (ring.INTEGER, ring.RATIONAL)
+        counts = set()
+        for domain in domains:
+            diagonal = [integer(top) if domain == ring.INTEGER else rational(top, bottom) for top, bottom in pairs]
+            strip = det_hankel_strip(diagonal, d)
+            falls_back = 0
+            for m, row in enumerate(strip.rows):
+                matrix = SquareMatrix([diagonal[m + i:m + i + d] for i in range(d)])
+                assert row == det_bareiss(matrix).minors, (case, domain, m)
+                falls_back += det_hankel_minors(matrix).fallback_used
+            assert strip.fallback_used == falls_back, (case, domain)
+            values = [x.value for x in diagonal]
+            content = math.gcd(*(v.numerator for v in values)) or 1
+            scale = math.lcm(*(v.denominator for v in values))
+            sizes = f"g {'>' if content > 1 else '='} 1, s {'>' if scale > 1 else '='} 1"
+            kind = (domain, sizes if any(values) else "zero")
+            strips[kind] += 1
+            blocked[kind] += falls_back
+            counts.add((strip.mul_count, strip.div_count))
+            if (content, scale) == (1, 1):
+                # no scaling: the counts are exactly the bare table's
+                with ring.count_ops() as table:
+                    bare = determinant._hankel_strip(tuple(diagonal), d, domain)
+                assert (strip.rows, strip.fallback_used) == bare, (case, domain)
+                assert (strip.mul_count, strip.div_count) == (table.muls, table.divs), (case, domain)
+                continue
+            # the counts are the scaled table's, plus one div per nonzero
+            # value and one mul per entry with t >= 2 read back: none for
+            # a scaled 0 or 1
+            scaled = [Fraction(v) * scale / content for v in values]
+            assert all(v.denominator == 1 for v in scaled)
             with ring.count_ops() as table:
-                bare_rows, bare_blocked = determinant._hankel_strip(tuple(diagonal), d, ring.INTEGER)
-            assert (strip.rows, strip.fallback_used) == (bare_rows, bare_blocked), case
-            assert (strip.mul_count, strip.div_count) == (table.muls, table.divs), case
-            continue
-        # the counts are the scaled table's, plus one div per nonzero value
-        # divided by g and one mul per entry with t >= 2 read back, as
-        # ring.exact_div and ring.mul tick them: none for a scaled 0 or 1
-        scaled = tuple(integer(x.value // content) for x in diagonal)
-        with ring.count_ops() as table:
-            scaled_rows, scaled_blocked = determinant._hankel_strip(scaled, d, ring.INTEGER)
-        assert scaled_blocked == strip.fallback_used, case
-        for row, scaled_row in zip(strip.rows, scaled_rows):
-            assert [x.value for x in row[1:]] == [content**t * y.value for t, y in enumerate(scaled_row[1:], 2)]
-        divs = sum(not x.is_zero() for x in diagonal)
-        muls = sum(not (y.is_zero() or y.is_one()) for row in scaled_rows for y in row[1:])
-        assert (strip.mul_count, strip.div_count) == (table.muls + muls, table.divs + divs), case
-    assert strips == {"scaled": 36, "coprime": 17, "zero": 7}
-    assert blocked == {"scaled": 25, "coprime": 9, "zero": 13}
+                scaled_rows, scaled_blocked = determinant._hankel_strip(
+                    tuple(integer(v.numerator) for v in scaled), d, ring.INTEGER
+                )
+            assert scaled_blocked == strip.fallback_used, (case, domain)
+            for row, scaled_row in zip(strip.rows, scaled_rows):
+                assert {x.domain for x in row} == {domain}
+                expected = [Fraction(y.value * content**t, scale**t) for t, y in enumerate(scaled_row[1:], 2)]
+                assert [x.value for x in row[1:]] == expected, (case, domain)
+            divs = sum(not x.is_zero() for x in diagonal)
+            muls = sum(not (y.is_zero() or y.is_one()) for row in scaled_rows for y in row[1:])
+            assert (strip.mul_count, strip.div_count) == (table.muls + muls, table.divs + divs), (case, domain)
+        # an integral diagonal counts the same in both domains
+        assert len(counts) == 1, case
+    assert strips == {
+        (ring.INTEGER, "zero"): 10, (ring.INTEGER, "g = 1, s = 1"): 11, (ring.INTEGER, "g > 1, s = 1"): 24,
+        (ring.RATIONAL, "zero"): 19, (ring.RATIONAL, "g = 1, s = 1"): 13, (ring.RATIONAL, "g > 1, s = 1"): 26,
+        (ring.RATIONAL, "g = 1, s > 1"): 16, (ring.RATIONAL, "g > 1, s > 1"): 16,
+    }
+    assert blocked == {
+        (ring.INTEGER, "zero"): 12, (ring.INTEGER, "g = 1, s = 1"): 3, (ring.INTEGER, "g > 1, s = 1"): 2,
+        (ring.RATIONAL, "zero"): 28, (ring.RATIONAL, "g = 1, s = 1"): 3, (ring.RATIONAL, "g > 1, s = 1"): 2,
+        (ring.RATIONAL, "g = 1, s > 1"): 8, (ring.RATIONAL, "g > 1, s > 1"): 6,
+    }
+    mixed = (
+        (rational(1, 2), integer(2), rational(3)),
+        (rational(1), rational(1, 3), integer(0)),
+        (integer(2), rational(4), integer(6)),
+        (integer(2), integer(4), ring.poly_const(6)),
+        (ring.poly_const(2), ring.variable("a"), ring.variable("b"), ring.variable("c1"), integer(1)),
+    )
     with ring.count_ops() as counter:
-        for diagonal in ((integer(2), rational(4), integer(6)), (integer(2), integer(4), ring.poly_const(6))):
+        for diagonal in mixed:
             with pytest.raises(ring.DomainMismatchError):
                 det_hankel_strip(diagonal, 2)
     assert (counter.muls, counter.divs) == (0, 0)
@@ -519,9 +509,9 @@ def test_operation_totals_on_the_recurrence_builds():
     # Bareiss, condensation and the strip share one Desnanot-Jacobi step;
     # these totals pin its arithmetic.  Condensation's divisors are the
     # Hankel minors D(k+2, t-2) that the one-row strip divides by, so the
-    # two fall back on exactly the same builds.  The strip runs a fractional
-    # rational diagonal over the integers, and an int diagonal over its
-    # content gcd, and its totals include the scaling and the read-back.
+    # two fall back on exactly the same builds.  The strip runs a numeric
+    # diagonal on its primitive integer part, and its totals include the
+    # scaling and the read-back.
     algorithms = (det_bareiss, det_condensation, det_hankel_minors)
     totals = {det: [0, 0, 0] for det in algorithms}
     builds = 0
@@ -538,4 +528,4 @@ def test_operation_totals_on_the_recurrence_builds():
     assert builds == 3636
     assert totals[det_bareiss] == [69421, 11694, 0]
     assert totals[det_condensation] == [98643, 14985, 1055]
-    assert totals[det_hankel_minors] == [63990, 12170, 1055]
+    assert totals[det_hankel_minors] == [62867, 14389, 1055]

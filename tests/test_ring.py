@@ -261,26 +261,6 @@ def test_product_rejects_a_mixed_list_before_any_tick():
     assert (counter.muls, counter.divs) == (0, 0)
 
 
-def test_clearing_denominators_and_reading_back():
-    values = [rational(1, 2), rational(-2, 3), rational(0), rational(1, 6), rational(5)]
-    with count_ops() as counter:
-        scale, scaled = ring.clear_denominators(values)
-    # 1 * 3 and 0 * 6 are shortcuts, as mul's are; 1/6 has factor one
-    assert scale == 6 and scaled == tuple(integer(v) for v in (3, -4, 0, 1, 30))
-    assert (counter.muls, counter.divs) == (2, 0)
-    with count_ops() as counter:
-        assert [ring.over(x, scale) for x in scaled] == values
-        assert ring.over(integer(4), 1) == rational(4)
-    # a zero or a scale of one divides nothing
-    assert (counter.muls, counter.divs) == (0, 4)
-    with count_ops() as counter:
-        with pytest.raises(DomainMismatchError, match="cannot mix rat and int"):
-            ring.clear_denominators([rational(1, 2), integer(1)])
-        with pytest.raises(DomainMismatchError):
-            ring.over(rational(1), 2)
-    assert (counter.muls, counter.divs) == (0, 0)
-
-
 def test_invertible_is_the_negative_power_rule():
     values = [
         integer(0), integer(1), integer(-1), integer(2),

@@ -251,32 +251,27 @@ def test_errors_and_mismatches_keep_their_points_and_strings(monkeypatch):
 
 
 # (spec, identity, checked, mul/div totals per oracle) on n 0..3 and r 0..3,
-# or i and j 0..3 for eq4, which has no oracle.  The strip (oracle None)
-# runs an int anti-diagonal over its content gcd, which ticks the scaling
-# and the read-back, and a rat one with integral values unscaled, so its
-# totals are given per domain.
+# or i and j 0..3 for eq4, which has no oracle.
 _DEGENERATE_TOTALS = [
     # c2 = 0, delta = 2: the closed forms read c2^0 at d = 1, n + d = 2 and n = 0
-    ((1, 2, 1, 0), "theorem2", 40, {None: {"int": (137, 18), "rat": (146, 0)}, "bareiss": (152, 0)}),
-    ((1, 2, 1, 0), "rank-zero", 32, {None: {"int": (494, 26), "rat": (535, 0)}, "bareiss": (476, 0)}),
+    ((1, 2, 1, 0), "theorem2", 40, {None: (137, 18), "bareiss": (152, 0)}),
+    ((1, 2, 1, 0), "rank-zero", 32, {None: (494, 26), "bareiss": (476, 0)}),
     ((1, 2, 1, 0), "eq4", 64, {None: (106, 0)}),
     # delta = 0: every determinant of d >= 2 is zero
-    ((1, 2, 1, 2), "theorem2", 40, {None: {"int": (182, 18), "rat": (193, 0)}, "bareiss": (197, 0)}),
-    ((1, 2, 1, 2), "rank-zero", 32, {None: {"int": (447, 26), "rat": (490, 0)}, "bareiss": (431, 0)}),
+    ((1, 2, 1, 2), "theorem2", 40, {None: (182, 18), "bareiss": (197, 0)}),
+    ((1, 2, 1, 2), "rank-zero", 32, {None: (447, 26), "bareiss": (431, 0)}),
     ((1, 2, 1, 2), "eq4", 64, {None: (165, 0)}),
 ]
 
 
 def test_degenerate_spec_totals_are_pinned():
-    # the same in both numeric domains, but for the strip's
+    # the same in both numeric domains
     for domain, (values, identity, checked, totals) in itertools.product(
         (ring.INTEGER, ring.RATIONAL), _DEGENERATE_TOTALS
     ):
         spec = RecurrenceSpec(*(ring._make(domain, v) for v in values))
         axes = dict(i=(0, 3), j=(0, 3)) if identity == "eq4" else dict(r=(0, 3))
         for oracle, expected in totals.items():
-            if isinstance(expected, dict):
-                expected = expected[domain]
             report = run_grid(GridSpec(identity, spec=spec, domain=domain, oracle=oracle, n=(0, 3), **axes))
             where = (domain, values, identity, oracle)
             assert report.passed and report.checked == checked, where
@@ -285,6 +280,20 @@ def test_degenerate_spec_totals_are_pinned():
     report = run_grid(GridSpec(identity="carlitz", n=(-3, 3), r=(0, 4)))
     assert report.passed and report.checked == 35
     assert (report.mul_count, report.div_count) == (275, 60)
+
+
+def test_integer_valued_specs_count_the_same_in_both_numeric_domains():
+    # the strip runs an int and a rat anti-diagonal alike, on its primitive
+    # integer part, so an integer-valued spec's grid over rat repeats the
+    # int grid's counts as well as its values
+    for name, identity in itertools.product(("fibonacci", "lucas", "pell", "jacobsthal"), ("theorem2", "rank-zero")):
+        reports = [
+            run_grid(GridSpec(identity, spec=preset(name, domain), domain=domain, n=(0, 6), r=(0, 5)))
+            for domain in (ring.INTEGER, ring.RATIONAL)
+        ]
+        assert all(report.passed for report in reports), (name, identity)
+        totals = {(report.checked, report.mul_count, report.div_count) for report in reports}
+        assert len(totals) == 1, (name, identity, totals)
 
 
 def test_rank_zero_windows():
