@@ -344,79 +344,101 @@ def test_hankel_strip_rows_are_the_rows_own_triangles():
     assert 0 < blocked < rows
 
 
-def test_numeric_strips_run_on_their_primitive_part():
-    # seeded Lcg64 diagonals with zero and negative values, so some rows
-    # block: a planted common factor, coprime values, fractional values
-    # and the all-zero diagonal.  An integral diagonal runs in both numeric
-    # domains, a fractional one over rat.  The table runs over the ints
-    # top * (s/bottom) / g, g the gcd of the tops and s the lcm of the
-    # bottoms, and reads each entry with t >= 2 back as D'' * g^t / s^t
-    rng = Lcg64(34)
+def _check_numeric_strip(diagonal, d, case):
+    # one int or rat strip against Bareiss and against its primitive part:
+    # the table runs over the ints top * (s/bottom) / g, g the gcd of the
+    # tops and s the lcm of the bottoms, and reads each entry with t >= 2
+    # back as D'' * g^t / s^t.  Returns the strip's kind, its blocked rows
+    # and its (muls, divs)
+    domain = diagonal[0].domain
+    strip = det_hankel_strip(diagonal, d)
+    falls_back = 0
+    for m, row in enumerate(strip.rows):
+        matrix = SquareMatrix([diagonal[m + i:m + i + d] for i in range(d)])
+        assert row == det_bareiss(matrix).minors, (case, domain, m)
+        falls_back += det_hankel_minors(matrix).fallback_used
+    assert strip.fallback_used == falls_back, (case, domain)
+    values = [x.value for x in diagonal]
+    content = math.gcd(*(v.numerator for v in values)) or 1
+    scale = math.lcm(*(v.denominator for v in values))
+    sizes = f"g {'>' if content > 1 else '='} 1, s {'>' if scale > 1 else '='} 1"
+    kind = sizes if any(values) else "zero"
+    counts = (strip.mul_count, strip.div_count)
+    if (content, scale) == (1, 1):
+        # no scaling: the counts are exactly the bare table's
+        with ring.count_ops() as table:
+            bare = determinant._hankel_strip(tuple(diagonal), d, domain)
+        assert (strip.rows, strip.fallback_used) == bare, (case, domain)
+        assert counts == (table.muls, table.divs), (case, domain)
+        return kind, falls_back, counts
+    # the counts are the scaled table's, plus one div per nonzero value
+    # and one mul per entry with t >= 2 read back: none for a scaled 0 or 1
+    scaled = [Fraction(v) * scale / content for v in values]
+    assert all(v.denominator == 1 for v in scaled)
+    with ring.count_ops() as table:
+        scaled_rows, scaled_blocked = determinant._hankel_strip(
+            tuple(integer(v.numerator) for v in scaled), d, ring.INTEGER
+        )
+    assert scaled_blocked == strip.fallback_used, (case, domain)
+    for row, scaled_row in zip(strip.rows, scaled_rows):
+        assert {x.domain for x in row} == {domain}
+        expected = [Fraction(y.value * content**t, scale**t) for t, y in enumerate(scaled_row[1:], 2)]
+        assert [x.value for x in row[1:]] == expected, (case, domain)
+    divs = sum(not x.is_zero() for x in diagonal)
+    muls = sum(not (y.is_zero() or y.is_one()) for row in scaled_rows for y in row[1:])
+    assert counts == (table.muls + muls, table.divs + divs), (case, domain)
+    return kind, falls_back, counts
+
+
+def test_rational_strips_run_over_the_integers():
+    # seeded Lcg64 diagonals with zero values, so some rows block: every
+    # third one integral, the rest fractional, and from case 60 on with a
+    # planted common factor.  The table runs over s / g times the diagonal,
+    # s the lcm of its denominators and g the gcd of its numerators
+    rng = Lcg64(21)
     strips, blocked = Counter(), Counter()  # strips and blocked rows by kind
     for case in range(90):
         d = 1 + case % 4
         length = 2 * d - 1 + rng.next_int(0, 4)
-        planted = 0 if case % 5 == 1 else 1 if case % 3 == 0 else rng.next_int(2, 9)
-        fractional = case % 2 == 1
-        pairs = [(planted * rng.next_int(-3, 3), rng.next_int(1, 4) if fractional else 1) for _ in range(length)]
-        domains = (ring.RATIONAL,) if fractional else (ring.INTEGER, ring.RATIONAL)
-        counts = set()
-        for domain in domains:
-            diagonal = [integer(top) if domain == ring.INTEGER else rational(top, bottom) for top, bottom in pairs]
-            strip = det_hankel_strip(diagonal, d)
-            falls_back = 0
-            for m, row in enumerate(strip.rows):
-                matrix = SquareMatrix([diagonal[m + i:m + i + d] for i in range(d)])
-                assert row == det_bareiss(matrix).minors, (case, domain, m)
-                falls_back += det_hankel_minors(matrix).fallback_used
-            assert strip.fallback_used == falls_back, (case, domain)
-            values = [x.value for x in diagonal]
-            content = math.gcd(*(v.numerator for v in values)) or 1
-            scale = math.lcm(*(v.denominator for v in values))
-            sizes = f"g {'>' if content > 1 else '='} 1, s {'>' if scale > 1 else '='} 1"
-            kind = (domain, sizes if any(values) else "zero")
-            strips[kind] += 1
-            blocked[kind] += falls_back
-            counts.add((strip.mul_count, strip.div_count))
-            if (content, scale) == (1, 1):
-                # no scaling: the counts are exactly the bare table's
-                with ring.count_ops() as table:
-                    bare = determinant._hankel_strip(tuple(diagonal), d, domain)
-                assert (strip.rows, strip.fallback_used) == bare, (case, domain)
-                assert (strip.mul_count, strip.div_count) == (table.muls, table.divs), (case, domain)
-                continue
-            # the counts are the scaled table's, plus one div per nonzero
-            # value and one mul per entry with t >= 2 read back: none for
-            # a scaled 0 or 1
-            scaled = [Fraction(v) * scale / content for v in values]
-            assert all(v.denominator == 1 for v in scaled)
-            with ring.count_ops() as table:
-                scaled_rows, scaled_blocked = determinant._hankel_strip(
-                    tuple(integer(v.numerator) for v in scaled), d, ring.INTEGER
-                )
-            assert scaled_blocked == strip.fallback_used, (case, domain)
-            for row, scaled_row in zip(strip.rows, scaled_rows):
-                assert {x.domain for x in row} == {domain}
-                expected = [Fraction(y.value * content**t, scale**t) for t, y in enumerate(scaled_row[1:], 2)]
-                assert [x.value for x in row[1:]] == expected, (case, domain)
-            divs = sum(not x.is_zero() for x in diagonal)
-            muls = sum(not (y.is_zero() or y.is_one()) for row in scaled_rows for y in row[1:])
-            assert (strip.mul_count, strip.div_count) == (table.muls + muls, table.divs + divs), (case, domain)
-        # an integral diagonal counts the same in both domains
-        assert len(counts) == 1, case
-    assert strips == {
-        (ring.INTEGER, "zero"): 10, (ring.INTEGER, "g = 1, s = 1"): 11, (ring.INTEGER, "g > 1, s = 1"): 24,
-        (ring.RATIONAL, "zero"): 19, (ring.RATIONAL, "g = 1, s = 1"): 13, (ring.RATIONAL, "g > 1, s = 1"): 26,
-        (ring.RATIONAL, "g = 1, s > 1"): 16, (ring.RATIONAL, "g > 1, s > 1"): 16,
-    }
-    assert blocked == {
-        (ring.INTEGER, "zero"): 12, (ring.INTEGER, "g = 1, s = 1"): 3, (ring.INTEGER, "g > 1, s = 1"): 2,
-        (ring.RATIONAL, "zero"): 28, (ring.RATIONAL, "g = 1, s = 1"): 3, (ring.RATIONAL, "g > 1, s = 1"): 2,
-        (ring.RATIONAL, "g = 1, s > 1"): 8, (ring.RATIONAL, "g > 1, s > 1"): 6,
-    }
+        integral = case % 3 == 0
+        planted = 1 if case < 60 else 2 + case % 7
+        diagonal = [
+            rational(planted * rng.next_int(-3, 3), 1 if integral else rng.next_int(1, 4)) for _ in range(length)
+        ]
+        kind, falls_back, _ = _check_numeric_strip(diagonal, d, case)
+        strips[kind] += 1
+        blocked[kind] += falls_back
+    assert strips == {"zero": 1, "g = 1, s = 1": 21, "g > 1, s = 1": 16, "g = 1, s > 1": 43, "g > 1, s > 1": 9}
+    assert blocked == {"zero": 0, "g = 1, s = 1": 7, "g > 1, s = 1": 4, "g = 1, s > 1": 21, "g > 1, s > 1": 5}
+    mixed = ((rational(1, 2), integer(2), rational(3)), (rational(1), rational(1, 3), integer(0)))
+    with ring.count_ops() as counter:
+        for diagonal in mixed:
+            with pytest.raises(ring.DomainMismatchError):
+                det_hankel_strip(diagonal, 2)
+    assert (counter.muls, counter.divs) == (0, 0)
+
+
+def test_integer_strips_run_over_their_content():
+    # seeded Lcg64 diagonals with zero and negative values, so some rows
+    # block: a planted common factor, coprime values and the all-zero
+    # diagonal.  The table runs over the diagonal divided by g, the gcd of
+    # its values, and reads each entry with t >= 2 back as g^t times it.
+    # Each diagonal also runs over rat, which must give the same values
+    # and count alike
+    rng = Lcg64(34)
+    strips, blocked = Counter(), Counter()  # strips and blocked rows by kind
+    for case in range(60):
+        d = 1 + case % 4
+        length = 2 * d - 1 + rng.next_int(0, 4)
+        planted = 0 if case % 10 == 1 else 1 if case % 3 == 0 else rng.next_int(2, 9)
+        tops = [planted * rng.next_int(-3, 3) for _ in range(length)]
+        kind, falls_back, counts = _check_numeric_strip([integer(v) for v in tops], d, case)
+        assert _check_numeric_strip([rational(v) for v in tops], d, case) == (kind, falls_back, counts)
+        strips[kind] += 1
+        blocked[kind] += falls_back
+    assert strips == {"zero": 7, "g = 1, s = 1": 17, "g > 1, s = 1": 36}
+    assert blocked == {"zero": 13, "g = 1, s = 1": 9, "g > 1, s = 1": 25}
     mixed = (
-        (rational(1, 2), integer(2), rational(3)),
-        (rational(1), rational(1, 3), integer(0)),
         (integer(2), rational(4), integer(6)),
         (integer(2), integer(4), ring.poly_const(6)),
         (ring.poly_const(2), ring.variable("a"), ring.variable("b"), ring.variable("c1"), integer(1)),
