@@ -15,6 +15,10 @@ and carlitz (plain powers) are Fibonacci-only forms written out on their
 own: the grids compare them with theorem1 and with the oracle, which
 checks something only while they stay independent.
 
+An evaluator that reads a spec makes one sequence.cache_for call and reads the
+terms, rising powers, companion cache, delta and theorem2's n-free
+factors off the SequenceCache it returns.
+
 The square-case evaluators accept 1 <= d <= r+1.  Beyond that window the
 matrices are rank-deficient and the determinant is zero, which
 hankel_rank_bound_value returns as a tested convention for d > r+1.
@@ -26,7 +30,7 @@ from math import comb
 
 from . import ring
 from .ring import ExactScalar
-from .sequence import RecurrenceSpec, cache_for, companion_and_delta, companion_cache, delta, preset, shared_table
+from .sequence import RecurrenceSpec, SequenceCache, cache_for, preset
 
 _FIBONACCI = preset("fibonacci")
 
@@ -61,36 +65,33 @@ def theorem2_rhs(spec: RecurrenceSpec, n: int, r: int, d: int) -> ExactScalar:
 
     with U the companion sequence (seeds 0, 1).  Negative c2 exponents
     need ring.invertible(c2).  The n-free factor, delta's power times the
-    U-staircase, is made once per (r, d) in the spec's "theorem2"
-    shared_table, so a grid's later n pay only for the c2 power and the
-    d rising powers, multiplied by one ring.product.  The d rising powers
-    read one lookup of the spec's "chains" table.
+    U-staircase, is kept once per (r, d) on the spec's SequenceCache, so
+    a grid's later n pay only for the c2 power and the d rising powers,
+    multiplied by one ring.product.
     """
     _check_window(r, d)
     pairs = comb(d, 2)
     power = ring.pow_signed(spec.c2, (n + d - 2) * pairs)
-    constants = shared_table("theorem2", spec)
-    constant = constants.get((r, d))
-    if constant is None:
-        constant = constants[r, d] = _theorem2_constant(spec, r, d)
     cache = cache_for(spec)
-    chains = shared_table("chains", spec)
+    constant = cache.theorem2.get((r, d))
+    if constant is None:
+        constant = cache.theorem2[r, d] = _theorem2_constant(cache, r, d)
     factors = [constant]
     for i in range(d - 1, 2 * d - 1):
-        factors.append(cache.rising_power(n + i, r + 1 - d, chains=chains))
+        factors.append(cache.rising_power(n + i, r + 1 - d))
     total = ring.product(power, factors)
     return _apply_sign(total, n * pairs + comb(d + 1, 3))
 
 
-def _theorem2_constant(spec: RecurrenceSpec, r: int, d: int) -> ExactScalar:
+def _theorem2_constant(cache: SequenceCache, r: int, d: int) -> ExactScalar:
     """delta^C(d,2) * prod_{i=1}^{d-1} (U_i * U_{r+1-i})^(d-i), the factor
     of theorem2_rhs that does not depend on n."""
     # d = 1 skips delta, which costs multiplications outside a shared_sequences() scope
     if d == 1:
-        return ring.one(spec.domain)
-    units = companion_cache(spec)
-    constant = ring.pow_signed(delta(spec), comb(d, 2))
-    running = ring.one(spec.domain)
+        return ring.one(cache.spec.domain)
+    units = cache.companion
+    constant = ring.pow_signed(cache.delta, comb(d, 2))
+    running = ring.one(cache.spec.domain)
     for i in range(1, d):
         running = ring.mul(running, ring.mul(units.term(i), units.term(r + 1 - i)))
         constant = ring.mul(constant, running)
@@ -154,13 +155,13 @@ def generalized_vajda_lhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> Exact
 def generalized_vajda_rhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> ExactScalar:
     """(-1) * (-c2)^n * delta * U_i * U_j = (-1)^(n+1) * c2^n * delta * U_i * U_j.
 
-    Negative n needs ring.invertible(c2).  The companion cache and delta
-    come from one scope lookup.
+    Negative n needs ring.invertible(c2).
     """
-    units, spec_delta = companion_and_delta(spec)
+    cache = cache_for(spec)
+    units = cache.companion
     # folded as (U_i * U_j) * delta * c2^n, so each step ticks where the
     # nested products did
-    value = ring.product(units.term(i), [units.term(j), spec_delta, ring.pow_signed(spec.c2, n)])
+    value = ring.product(units.term(i), [units.term(j), cache.delta, ring.pow_signed(spec.c2, n)])
     return _apply_sign(value, n + 1)
 
 

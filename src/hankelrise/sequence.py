@@ -14,15 +14,12 @@ guarantees one, and check_index is the one gate that admits a negative
 index only then; verify and every CLI command call it before any
 arithmetic.
 
-cache_for, companion_cache and delta give one cache (or value) per spec
-value for the life of a shared_sequences() scope, and a new one on every
-call outside a scope; so do companion_and_delta, which reads the last two
-through one lookup, and shared_table, which holds the rising-power
-prefix chains that SequenceCache.rising_power reads and theorem2's n-free
-factors.  A spec seeded (0, 1) is its own companion, so within a scope
-its companion cache is its terms cache.  Caches are single-writer: the
-scope lives in a ContextVar, so each thread or context has its own;
-share a spec across workers, not a cache.
+cache_for(spec) is the one scope lookup: within a shared_sequences()
+scope it gives one SequenceCache per spec value, which keeps everything
+memoized for that spec, and a new one on every call outside a scope.
+companion_cache and delta read through it.  A spec seeded (0, 1) is its
+own companion, so within a scope its companion cache is its terms cache.
+The scope lives in a ContextVar, so each thread or context has its own.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar
+from typing import Dict, Iterator, Optional, Tuple
 
 from . import ring
 from .ring import ExactScalar
@@ -107,10 +104,25 @@ def companion(spec: RecurrenceSpec) -> RecurrenceSpec:
 
 
 class SequenceCache:
+    """The memoized sequences and constants of one spec.
+
+    term(k) keeps every W_k it computes, in both directions, and
+    rising_power(m, r) every prefix chain W_m, W_m*W_{m+1}, ... it builds,
+    by first index m.  companion, the cache of the spec's (0, 1)-seeded
+    companion as cache_for gives it, and delta are made on first read;
+    theorem2 holds closedform.theorem2_rhs's n-free factor by (r, d).  All
+    of it lives as long as the cache.  Within a shared_sequences() scope
+    cache_for shares one cache per spec value until the scope exits;
+    outside one it makes a new cache on every call.  A cache is
+    single-writer: share a spec across threads or workers, not a cache.
+    """
+
     def __init__(self, spec: RecurrenceSpec):
         self.spec = spec
         self._forward = [spec.a, spec.b]
         self._backward: list[ExactScalar] = []  # index i holds W_{-1-i}
+        self._chains: Dict[int, list[ExactScalar]] = {}  # chain[s - 1] = W_m^(s)
+        self.theorem2: Dict[Tuple[int, int], ExactScalar] = {}
 
     def term(self, k: int) -> ExactScalar:
         if k >= 0:
@@ -133,44 +145,49 @@ class SequenceCache:
             )
         return backward[-k - 1]
 
-    def rising_power(self, m: int, r: int, *, chains: Optional[Dict] = None) -> ExactScalar:
+    def rising_power(self, m: int, r: int) -> ExactScalar:
         """W_m * W_{m+1} * ... * W_{m+r-1}; the empty product (r = 0) is one.
 
-        Read from the prefix chain W_m, W_m*W_{m+1}, ... of index m, which
-        is extended only past its end and kept for the rest of a
-        shared_sequences() scope; outside a scope the chain is dropped.
-        The chains are shared_table("chains", spec), or ``chains`` when a
-        caller reading several rising powers has looked that table up once.
+        Read from the prefix chain of index m, which is extended only past
+        its end.
         """
         if r < 0:
             raise ValueError("rising power length must be non-negative")
         if r == 0:
             return ring.one(self.spec.domain)
-        if chains is None:
-            chains = shared_table("chains", self.spec)
-        chain = chains.get(m)
+        chain = self._chains.get(m)
         if chain is None:
-            chain = chains[m] = [self.term(m)]
+            chain = self._chains[m] = [self.term(m)]
         while len(chain) < r:
             chain.append(ring.mul(chain[-1], self.term(m + len(chain))))
         return chain[r - 1]
 
+    @cached_property
+    def companion(self) -> SequenceCache:
+        return cache_for(companion(self.spec))
 
-_SHARED: ContextVar[Optional[Dict[Tuple[str, RecurrenceSpec], object]]] = ContextVar(
+    @cached_property
+    def delta(self) -> ExactScalar:
+        spec = self.spec
+        bb = ring.mul(spec.b, spec.b)
+        c1ab = ring.mul(spec.c1, ring.mul(spec.a, spec.b))
+        c2aa = ring.mul(spec.c2, ring.mul(spec.a, spec.a))
+        return ring.sub(ring.sub(bb, c1ab), c2aa)
+
+
+_SHARED: ContextVar[Optional[Dict[RecurrenceSpec, SequenceCache]]] = ContextVar(
     "shared_sequences", default=None
 )
-
-_T = TypeVar("_T")
 
 
 @contextmanager
 def shared_sequences() -> Iterator[None]:
-    """Share one cache, companion cache, delta and shared_table per kind
-    per spec until exit.
+    """Share one SequenceCache per spec value until exit.
 
-    Terms computed once stay for the rest of the scope, so their
-    multiplications are counted only where first computed.  Leaving the
-    scope releases everything; a nested scope starts empty.
+    Terms, chains and constants computed once stay for the rest of the
+    scope, so their multiplications are counted only where first
+    computed.  Leaving the scope releases everything; a nested scope
+    starts empty.
     """
     token = _SHARED.set({})
     try:
@@ -179,51 +196,22 @@ def shared_sequences() -> Iterator[None]:
         _SHARED.reset(token)
 
 
-def _shared(kind: str, spec: RecurrenceSpec, make: Callable[[RecurrenceSpec], _T]) -> _T:
-    """The scope's ``kind`` value for spec, made on first use; outside a
-    scope, a new one on every call."""
+def cache_for(spec: RecurrenceSpec) -> SequenceCache:
+    """The scope's cache for spec, made on first use; outside a scope, a
+    new one on every call."""
     scope = _SHARED.get()
     if scope is None:
-        return make(spec)
-    key = (kind, spec)
-    value = scope.get(key)
-    if value is None:
-        value = scope[key] = make(spec)
-    return value
-
-
-def shared_table(kind: str, spec: RecurrenceSpec) -> Dict:
-    """The scope's table of ``kind`` values for spec, empty at first use;
-    outside a scope, a new empty one on every call.  "chains" holds the
-    rising-power prefix chains by first index, chain[s - 1] = W_m^(s)."""
-    return _shared(kind, spec, lambda spec: {})
-
-
-def cache_for(spec: RecurrenceSpec) -> SequenceCache:
-    return _shared("terms", spec, SequenceCache)
+        return SequenceCache(spec)
+    cache = scope.get(spec)
+    if cache is None:
+        cache = scope[spec] = SequenceCache(spec)
+    return cache
 
 
 def companion_cache(spec: RecurrenceSpec) -> SequenceCache:
-    return _shared("companion", spec, lambda spec: cache_for(companion(spec)))
-
-
-def companion_and_delta(spec: RecurrenceSpec) -> Tuple[SequenceCache, ExactScalar]:
-    """(companion_cache(spec), delta(spec)) through one scope lookup, for
-    a closed form that reads both on every call."""
-    return _shared("companion+delta", spec, _companion_and_delta)
-
-
-def _companion_and_delta(spec: RecurrenceSpec) -> Tuple[SequenceCache, ExactScalar]:
-    return companion_cache(spec), delta(spec)
+    return cache_for(spec).companion
 
 
 def delta(spec: RecurrenceSpec) -> ExactScalar:
     """b^2 - c1*a*b - c2*a^2, the quantity controlling degeneracy of the spec."""
-    return _shared("delta", spec, _delta)
-
-
-def _delta(spec: RecurrenceSpec) -> ExactScalar:
-    bb = ring.mul(spec.b, spec.b)
-    c1ab = ring.mul(spec.c1, ring.mul(spec.a, spec.b))
-    c2aa = ring.mul(spec.c2, ring.mul(spec.a, spec.a))
-    return ring.sub(ring.sub(bb, c1ab), c2aa)
+    return cache_for(spec).delta

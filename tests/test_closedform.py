@@ -17,7 +17,7 @@ from hankelrise.closedform import (
 from hankelrise.determinant import det_bareiss
 from hankelrise.matgen import MatrixQuery, build
 from hankelrise.ring import integer
-from hankelrise.sequence import PRESETS, RecurrenceSpec, preset, shared_sequences, symbolic_spec
+from hankelrise.sequence import PRESETS, RecurrenceSpec, delta, preset, shared_sequences, symbolic_spec
 from hankelrise.verify import Lcg64
 
 
@@ -253,25 +253,52 @@ def test_theorem2_makes_its_n_free_factor_once_per_scope(monkeypatch):
 
 
 def test_eq4_rhs_makes_one_scope_lookup_per_call(monkeypatch):
-    # its companion cache and delta come through one shared_sequences()
-    # entry; the lhs reads its terms cache through its own
-    from hankelrise import sequence
+    # each side reads its spec's cache through one cache_for call, and the
+    # rhs reads the companion cache and delta off that cache
+    from hankelrise import closedform, sequence
 
-    entered = []
-    shared = sequence._shared
+    looked_up = []
+    lookup = sequence.cache_for
 
-    def counted(kind, spec, make):
-        entered.append(kind)
-        return shared(kind, spec, make)
+    def counted(spec):
+        looked_up.append(spec)
+        return lookup(spec)
 
-    monkeypatch.setattr(sequence, "_shared", counted)
+    monkeypatch.setattr(closedform, "cache_for", counted)
+    monkeypatch.setattr(sequence, "cache_for", counted)
     spec = preset("pell", ring.RATIONAL)
     with shared_sequences():
         value = generalized_vajda_rhs(spec, -3, 2, 5)
-        entered.clear()
-        assert generalized_vajda_rhs(spec, -3, 2, 5) == value == generalized_vajda_lhs(spec, -3, 2, 5)
-    assert entered == ["companion+delta", "terms"]
+        looked_up.clear()
+        assert generalized_vajda_rhs(spec, -3, 2, 5) == value
+        assert looked_up == [spec]
+        assert generalized_vajda_lhs(spec, -3, 2, 5) == value
+        assert looked_up == [spec, spec]
     assert generalized_vajda_rhs(spec, -3, 2, 5) == value
+
+
+def test_theorem2_and_eq4_share_one_delta_within_a_scope():
+    # theorem2 at (r, d) = (2, 2) reads delta, U_1, U_2 and W; eq4's rhs at
+    # i = j = 1 reads delta and the seed U_1 only, so within one scope the
+    # two together cost their costs apart less one delta
+    spec = RecurrenceSpec(*(ring.rational(v) for v in (2, 3, 5, 7)))
+    sides = {
+        "theorem2": lambda: theorem2_rhs(spec, 1, 2, 2),
+        "eq4": lambda: generalized_vajda_rhs(spec, 2, 1, 1),
+    }
+
+    def cost(*names):
+        with ring.count_ops() as counter, shared_sequences():
+            for name in names:
+                sides[name]()
+        return counter.muls, counter.divs
+
+    with ring.count_ops() as counter, shared_sequences():
+        delta(spec)
+    assert (counter.muls, counter.divs) == (5, 0)
+    apart = [sum(pair) for pair in zip(cost("theorem2"), cost("eq4"))]
+    for order in (("theorem2", "eq4"), ("eq4", "theorem2")):
+        assert cost(*order) == (apart[0] - 5, apart[1]), order
 
 
 def test_bilinear_negative_base_rational():

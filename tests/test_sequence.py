@@ -10,7 +10,6 @@ from hankelrise.sequence import (
     SequenceCache,
     cache_for,
     companion,
-    companion_and_delta,
     companion_cache,
     delta,
     preset,
@@ -136,13 +135,23 @@ def test_rising_powers_share_prefix_chains_within_a_scope():
 
 
 def test_rising_powers_keep_no_chain_outside_a_scope():
-    spec = RecurrenceSpec(*(rational(v) for v in (2, 3, 5, 7)))
-    cache = SequenceCache(spec)
-    cache.term(12)  # W_0..W_12: no term to compute, none zero or one
+    # c1 = c2 = 1 makes every term free, and no term from W_0 on is 0 or 1,
+    # so a rising power of length r ticks only its r - 1 products
+    spec = RecurrenceSpec(*(rational(v) for v in (2, 3, 1, 1)))
     for m, r in ((2, 5), (0, 8), (5, 1)):
+        # outside a scope each cache_for call is a new cache, chains and all
+        for _ in range(2):
+            with ring.count_ops() as counter:
+                cache_for(spec).rising_power(m, r)
+            assert (counter.muls, counter.divs) == (r - 1, 0), (m, r)
+        # one cache keeps its chains, as it keeps its terms
+        cache = cache_for(spec)
         with ring.count_ops() as counter:
-            assert cache.rising_power(m, r) == cache.rising_power(m, r)
-        assert counter.muls == 2 * (r - 1)
+            first = cache.rising_power(m, r)
+        assert counter.muls == r - 1
+        with ring.count_ops() as counter:
+            assert cache.rising_power(m, r) is first
+        assert (counter.muls, counter.divs) == (0, 0), (m, r)
 
 
 def test_delta():
@@ -181,9 +190,6 @@ def test_shared_sequences_scope():
     with ring.count_ops() as counter:
         delta(spec), delta(spec)
     assert counter.muls == 2 * 5
-    with ring.count_ops() as counter:
-        assert companion_and_delta(spec)[0] is not companion_and_delta(spec)[0]
-    assert counter.muls == 2 * 5
     with shared_sequences():
         # one of each per spec value, not per spec object
         shared = cache_for(spec)
@@ -197,12 +203,40 @@ def test_shared_sequences_scope():
         with ring.count_ops() as counter:
             assert delta(spec) == delta(generic()) == rational(9 - 30 - 28)
         assert counter.muls == 5
-        units, spec_delta = companion_and_delta(generic())
-        assert units is companion_cache(spec) and spec_delta is delta(spec)
+        assert cache_for(generic()).companion is companion_cache(spec)
+        assert cache_for(generic()).delta is delta(spec)
         with shared_sequences():
             assert cache_for(spec) is not shared
         assert cache_for(spec) is shared
     assert cache_for(spec) is not shared
+
+
+def test_a_zero_one_seeded_spec_is_its_own_companion_within_a_scope():
+    for spec in (preset("fibonacci"), preset("pell", ring.RATIONAL), companion(symbolic_spec())):
+        with shared_sequences():
+            assert companion_cache(spec) is cache_for(spec)
+            assert companion_cache(spec).term(5) is cache_for(spec).term(5)
+        # outside a scope the two are separate new caches
+        assert companion_cache(spec) is not cache_for(spec)
+
+
+def test_a_nested_scope_makes_its_own_companion_and_delta():
+    spec = RecurrenceSpec(*(rational(v) for v in (2, 3, 5, 7)))
+    with shared_sequences():
+        units = companion_cache(spec)
+        with ring.count_ops() as counter:
+            outer = delta(spec)
+        assert counter.muls == 5
+        with shared_sequences():
+            assert companion_cache(spec) is not units
+            with ring.count_ops() as counter:
+                assert delta(spec) == outer and delta(spec) is not outer
+            assert counter.muls == 5
+        # leaving the inner scope leaves the outer one as it was
+        assert companion_cache(spec) is units
+        with ring.count_ops() as counter:
+            assert delta(spec) is outer
+        assert counter.muls == 0
 
 
 def test_shared_cache_is_unchanged_by_a_failed_step():
