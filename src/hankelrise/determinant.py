@@ -70,7 +70,6 @@ counter, so shortcut operations on exact zeros/ones are not charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from operator import floordiv
 from typing import NamedTuple, Sequence, Tuple
@@ -225,7 +224,7 @@ def det_hankel_strip(diagonal: Sequence[ExactScalar], d: int) -> StripReport:
     runs over the ints top * (s/bottom) / g.  It holds
     D''(m, t) = D(m, t) * (s/g)^t, since scaling a t x t block by c scales
     its determinant by c^t.  Entries with t >= 2 are read back as
-    D''(m, t) * g^t / s^t, an int over int and one Fraction over rat;
+    D''(m, t) * g^t / s^t, an int over int and one reduction over rat;
     D(m, 1) is the input value h_m itself, so it is taken from the
     diagonal.  Scaling moves no zero, so the same rows block, and a
     blocked row's Bareiss minors of its scaled matrix are read back alike.
@@ -254,17 +253,24 @@ def det_hankel_strip(diagonal: Sequence[ExactScalar], d: int) -> StripReport:
 def _primitive_strip(diagonal: Sequence[ExactScalar], d: int, domain: str):
     """_hankel_strip of an int or rat diagonal, run on its primitive
     integer part and read back as det_hankel_strip describes."""
-    values = [x.value for x in diagonal]
-    content = gcd(*(v.numerator for v in values)) or 1
-    scale = lcm(*(v.denominator for v in values))
-    scaled = tuple(ExactScalar(ring.INTEGER, v.numerator * (scale // v.denominator) // content) for v in values)
+    # a rat value's two slots, as ring reads them
+    if domain == ring.RATIONAL:
+        tops = [x.value._numerator for x in diagonal]
+        bottoms = [x.value._denominator for x in diagonal]
+    else:
+        tops = [x.value for x in diagonal]
+        bottoms = [1] * len(tops)
+    content = gcd(*tops) or 1
+    scale = lcm(*bottoms)
+    scaled = tuple(ExactScalar(ring.INTEGER, top * (scale // bottom) // content) for top, bottom in zip(tops, bottoms))
     rows, blocked = _hankel_strip(scaled, d, ring.INTEGER)
     if content != 1 or scale != 1:
-        ring._tick_div(sum(1 for v in values if v))
+        ring._tick_div(len(tops) - tops.count(0))
         ring._tick_mul(sum(1 for row in rows for y in row[1:] if y.value not in (0, 1)))
     # the scale is kept as the int pair (g^t, s^t); s = 1 over int, so the
-    # floor division there is exact
-    over = Fraction if domain == ring.RATIONAL else floordiv
+    # floor division there is exact, and a rat entry is reduced only when
+    # s > 1
+    over = ring._reduced if domain == ring.RATIONAL else floordiv
     powers = [(content**t, scale**t) for t in range(2, d + 1)]
     rows = tuple(
         (diagonal[m], *(ExactScalar(domain, over(y.value * up, down)) for y, (up, down) in zip(row[1:], powers)))

@@ -12,6 +12,20 @@ Arithmetic between different domains is an error.  Division never rounds:
 ``exact_div`` raises InexactDivisionError when the divisor does not divide
 the dividend exactly (integer and polynomial domains).
 
+A ``rat`` payload is always a reduced Fraction with a positive
+denominator, and the ring relies on that: its operations read the two
+ints behind ``numerator`` and ``denominator`` and build each result with
+``_fraction``, which writes a coprime pair with a positive denominator
+into a new Fraction and checks nothing.  Fraction's own operators and
+constructor normalise again in Python code, several times slower than the
+int arithmetic itself.  A reduced value is zero when its numerator is and
+one when its numerator equals its denominator, so no zero or one test
+calls a Fraction method either.  ``add``, ``sub`` and ``mul`` take one
+int operation when both denominators are 1, and otherwise cross-cancel by
+gcds as Fraction does; ``neg`` and ``pow_signed``'s powers and inverses
+need no gcd; ``exact_div`` cross-cancels; ``product`` reduces once, and
+only when its denominator is above 1.
+
 Multiplications and exact divisions performed while a ``count_ops()``
 context is active are tallied on its counter.  Shortcut cases that perform
 no payload arithmetic (an operand that is exactly zero or one, a zero
@@ -87,6 +101,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import index
 from typing import Dict, Iterator, Sequence, Tuple, Union
 
@@ -609,6 +624,22 @@ class ExactScalar:
         _set_domain(self, domain)
         _set_value(self, value)
 
+    def __eq__(self, other: object) -> bool:
+        # the domains, then the payloads as mul reads them: a rat pair
+        # compares its slots, with no Python-level Fraction.__eq__ call.
+        # The dataclass keeps generating __hash__ from both fields.
+        if other.__class__ is not ExactScalar:
+            return NotImplemented
+        domain = self.domain
+        if domain != other.domain:
+            return False
+        u, v = self.value, other.value
+        if domain == RATIONAL:
+            return u._numerator == v._numerator and u._denominator == v._denominator
+        if domain == POLYNOMIAL:
+            return u._packed == v._packed
+        return u == v
+
     def is_zero(self) -> bool:
         # a poly's packed terms and a Fraction's numerator slot, as mul
         # reads them: no Python-level Fraction.__eq__ call
@@ -620,8 +651,11 @@ class ExactScalar:
         return not self.value
 
     def is_one(self) -> bool:
-        if self.domain == POLYNOMIAL:
+        domain = self.domain
+        if domain == POLYNOMIAL:
             return self.value.is_one()
+        if domain == RATIONAL:
+            return self.value._numerator == self.value._denominator
         return self.value == 1
 
     def __str__(self) -> str:
@@ -633,6 +667,41 @@ class ExactScalar:
 
 _set_domain = ExactScalar.domain.__set__
 _set_value = ExactScalar.value.__set__
+
+_new = object.__new__
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """The Fraction numerator/denominator, for a coprime pair with
+    denominator > 0: the slots are written as given, with no gcd and no
+    Fraction.__new__."""
+    value = _new(Fraction)
+    value._numerator = numerator
+    value._denominator = denominator
+    return value
+
+
+def _reduced(numerator: int, denominator: int) -> Fraction:
+    """The Fraction numerator/denominator for denominator > 0: one gcd,
+    which a denominator of 1 skips."""
+    if denominator == 1:
+        return _fraction(numerator, 1)
+    g = gcd(numerator, denominator)
+    return _fraction(numerator // g, denominator // g)
+
+
+def _rat_sum(n1: int, d1: int, n2: int, d2: int) -> ExactScalar:
+    """n1/d1 + n2/d2 for reduced operands, reduced as Fraction reduces it:
+    a gcd of the denominators, and a second one only when it is above 1."""
+    if d1 == 1 and d2 == 1:
+        return ExactScalar(RATIONAL, _fraction(n1 + n2, 1))
+    g = gcd(d1, d2)
+    if g == 1:
+        return ExactScalar(RATIONAL, _fraction(n1 * d2 + n2 * d1, d1 * d2))
+    s = d1 // g
+    top = n1 * (d2 // g) + n2 * s
+    g = gcd(top, g)
+    return ExactScalar(RATIONAL, _fraction(top // g, s * (d2 // g)))
 
 
 def integer(value: int) -> ExactScalar:
@@ -686,18 +755,29 @@ def _mismatch(x: ExactScalar, y: ExactScalar) -> DomainMismatchError:
 
 
 def add(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    if x.domain != y.domain:
+    domain = x.domain
+    if domain != y.domain:
         raise _mismatch(x, y)
-    return ExactScalar(x.domain, x.value + y.value)
+    if domain == RATIONAL:
+        u, v = x.value, y.value
+        return _rat_sum(u._numerator, u._denominator, v._numerator, v._denominator)
+    return ExactScalar(domain, x.value + y.value)
 
 
 def sub(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    if x.domain != y.domain:
+    domain = x.domain
+    if domain != y.domain:
         raise _mismatch(x, y)
-    return ExactScalar(x.domain, x.value - y.value)
+    if domain == RATIONAL:
+        u, v = x.value, y.value
+        return _rat_sum(u._numerator, u._denominator, -v._numerator, v._denominator)
+    return ExactScalar(domain, x.value - y.value)
 
 
 def neg(x: ExactScalar) -> ExactScalar:
+    if x.domain == RATIONAL:
+        u = x.value
+        return ExactScalar(RATIONAL, _fraction(-u._numerator, u._denominator))
     return ExactScalar(x.domain, -x.value)
 
 
@@ -708,10 +788,7 @@ _POLY_ONE = {0: 1}
 def mul(x: ExactScalar, y: ExactScalar) -> ExactScalar:
     # zero and one are read off the payloads, and only once the domains
     # agree: this is every closed form's hot path.  A poly is tested on its
-    # packed terms.  A Fraction is reduced, so it is zero when its numerator
-    # is and one when its numerator equals its denominator; reading the two
-    # slots behind .numerator and .denominator skips the Python-level
-    # Fraction.__bool__ and __eq__ calls.
+    # packed terms, a Fraction on its two slots (see the module docstring).
     domain = x.domain
     if domain != y.domain:
         raise _mismatch(x, y)
@@ -720,8 +797,19 @@ def mul(x: ExactScalar, y: ExactScalar) -> ExactScalar:
         left, right = u._packed, v._packed
         left_unit = right_unit = _POLY_ONE
     elif domain == RATIONAL:
-        left, right = u._numerator, v._numerator
-        left_unit, right_unit = u._denominator, v._denominator
+        n1, d1, n2, d2 = u._numerator, u._denominator, v._numerator, v._denominator
+        if not n1 or not n2:
+            return _ZEROS[RATIONAL]
+        if n1 == d1:
+            return y
+        if n2 == d2:
+            return x
+        for counter in _COUNTERS.get():
+            counter.muls += 1
+        if d1 == 1 and d2 == 1:
+            return ExactScalar(RATIONAL, _fraction(n1 * n2, 1))
+        g1, g2 = gcd(n1, d2), gcd(n2, d1)
+        return ExactScalar(RATIONAL, _fraction((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)))
     else:
         left, right = u, v
         left_unit = right_unit = 1
@@ -743,10 +831,11 @@ def product(first: ExactScalar, factors: Sequence[ExactScalar]) -> ExactScalar:
     Every factor's domain is checked against first's before any
     arithmetic, so a mixed list raises DomainMismatchError and ticks
     nothing.  A rational product multiplies numerators and denominators
-    apart and reduces once, by one Fraction(num, den).  The running
-    product is one exactly when its unreduced numerator equals its
-    denominator, and a zero factor makes it zero and ends the count, so
-    each step ticks where mul would.  Int and poly products are the fold.
+    apart and reduces once, by one gcd, which a denominator of 1 skips.
+    The running product is one exactly when its unreduced numerator
+    equals its denominator, and a zero factor makes it zero and ends the
+    count, so each step ticks where mul would.  Int and poly products are
+    the fold.
     """
     domain = first.domain
     for y in factors:
@@ -756,12 +845,12 @@ def product(first: ExactScalar, factors: Sequence[ExactScalar]) -> ExactScalar:
         for y in factors:
             first = mul(first, y)
         return first
-    num, den = first.value.numerator, first.value.denominator
+    num, den = first.value._numerator, first.value._denominator
     ticks = 0
     for y in factors:
         if not num:
             break
-        top, bottom = y.value.numerator, y.value.denominator
+        top, bottom = y.value._numerator, y.value._denominator
         if top == bottom:  # a factor of one: reduced, so 1/1
             continue
         if top and num != den:
@@ -770,32 +859,48 @@ def product(first: ExactScalar, factors: Sequence[ExactScalar]) -> ExactScalar:
         den *= bottom
     if ticks:
         _tick_mul(ticks)
-    return ExactScalar(RATIONAL, Fraction(num, den))
+    return ExactScalar(RATIONAL, _reduced(num, den))
 
 
 def exact_div(x: ExactScalar, y: ExactScalar) -> ExactScalar:
+    # each domain tests its divisor for zero and one, and its dividend for
+    # zero, on its payload as mul does, and then ticks one division
     domain = x.domain
     if domain != y.domain:
         raise _mismatch(x, y)
     u, v = x.value, y.value
-    if domain == POLYNOMIAL:
-        left, right, unit = u._packed, v._packed, _POLY_ONE
-    else:
-        left, right, unit = u, v, 1
-    if not right:
-        raise ZeroDivisionError("exact division by zero")
-    if not left:
-        return zero(domain)
-    if right == unit:
-        return x
-    _tick_div()
     if domain == INTEGER:
+        if not v:
+            raise ZeroDivisionError("exact division by zero")
+        if not u:
+            return _ZEROS[INTEGER]
+        if v == 1:
+            return x
+        _tick_div()
         quotient, residue = divmod(u, v)
         if residue:
             raise InexactDivisionError(f"{u} is not divisible by {v}")
         return ExactScalar(INTEGER, quotient)
     if domain == RATIONAL:
-        return ExactScalar(RATIONAL, u / v)
+        n1, d1, n2, d2 = u._numerator, u._denominator, v._numerator, v._denominator
+        if not n2:
+            raise ZeroDivisionError("exact division by zero")
+        if not n1:
+            return _ZEROS[RATIONAL]
+        if n2 == d2:
+            return x
+        _tick_div()
+        # (n1 * d2) / (d1 * n2), cross-cancelled; only n2 carries a sign
+        g1, g2 = gcd(n1, n2), gcd(d1, d2)
+        num, den = (n1 // g1) * (d2 // g2), (d1 // g2) * (n2 // g1)
+        return ExactScalar(RATIONAL, _fraction(num, den) if den > 0 else _fraction(-num, -den))
+    if not v._packed:
+        raise ZeroDivisionError("exact division by zero")
+    if not u._packed:
+        return _ZEROS[POLYNOMIAL]
+    if v._packed == _POLY_ONE:
+        return x
+    _tick_div()
     return ExactScalar(POLYNOMIAL, u.exact_div(v))
 
 
@@ -817,26 +922,36 @@ def pow_signed(x: ExactScalar, k: int) -> ExactScalar:
     per bit of k after the leading one, and one product per further set
     bit.  Every other base, -1 and every poly included, runs the loop.
     """
+    domain = x.domain
     if k == 0:
-        return one(x.domain)
+        return one(domain)
     if k < 0:
         if x.is_zero():
             raise ZeroDivisionError("zero cannot be raised to a negative power")
         if not invertible(x):
-            raise NotInvertibleError(f"negative power in non-invertible domain {x.domain}")
-        if x.domain == RATIONAL:
+            raise NotInvertibleError(f"negative power in non-invertible domain {domain}")
+        if domain == RATIONAL:
             _tick_div()
-            x = ExactScalar(RATIONAL, 1 / x.value)
+            # the inverse swaps the slots, with the sign moved to the top
+            top, bottom = x.value._denominator, x.value._numerator
+            x = ExactScalar(RATIONAL, _fraction(top, bottom) if bottom > 0 else _fraction(-top, -bottom))
         k = -k
     value = x.value
-    if x.domain != POLYNOMIAL:
-        # a reduced Fraction is +-1 when its numerator is +-its denominator
-        top, unit = (value._numerator, value._denominator) if x.domain == RATIONAL else (value, 1)
-        if top == unit:
+    if domain == RATIONAL:
+        # a reduced Fraction is +-1 when its numerator is +-its denominator;
+        # the powers of a coprime pair are coprime
+        top, bottom = value._numerator, value._denominator
+        if top == bottom:
             return x
-        if top and top != -unit:
+        if top and top != -bottom:
             _tick_mul(k.bit_length() + k.bit_count() - 2)
-            return ExactScalar(x.domain, value ** k)
+            return ExactScalar(RATIONAL, _fraction(top**k, bottom**k))
+    elif domain == INTEGER:
+        if value == 1:
+            return x
+        if value and value != -1:
+            _tick_mul(k.bit_length() + k.bit_count() - 2)
+            return ExactScalar(INTEGER, value**k)
     result = x
     for bit in bin(k)[3:]:
         result = mul(result, result)

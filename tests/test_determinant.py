@@ -384,6 +384,11 @@ def _check_numeric_strip(diagonal, d, case):
         assert {x.domain for x in row} == {domain}
         expected = [Fraction(y.value * content**t, scale**t) for t, y in enumerate(scaled_row[1:], 2)]
         assert [x.value for x in row[1:]] == expected, (case, domain)
+        # each read-back payload is reduced with a positive denominator,
+        # and prints and hashes as the plain Fraction does
+        for x, want in zip(row[1:], expected):
+            assert math.gcd(x.value.numerator, x.value.denominator) == 1 and x.value.denominator > 0
+            assert (str(x), hash(x.value)) == (str(want), hash(want)), (case, domain)
     divs = sum(not x.is_zero() for x in diagonal)
     muls = sum(not (y.is_zero() or y.is_one()) for row in scaled_rows for y in row[1:])
     assert counts == (table.muls + muls, table.divs + divs), (case, domain)
@@ -416,6 +421,34 @@ def test_rational_strips_run_over_the_integers():
             with pytest.raises(ring.DomainMismatchError):
                 det_hankel_strip(diagonal, 2)
     assert (counter.muls, counter.divs) == (0, 0)
+
+
+def test_rational_strips_read_back_wide_values():
+    # 200-bit Lcg64 numerators and denominators, zeros, and negative
+    # inputs to ring.rational: the table's entries and g^t, s^t are wide,
+    # and each entry with t >= 2 is read back as one reduced Fraction
+    rng = Lcg64(55)
+
+    def wide():
+        value = rng.next_u64() << 136 | rng.next_u64() << 72 | rng.next_u64() << 8 | 1
+        return value | 1 << 199
+
+    strips = Counter()
+    for case in range(24):
+        d = 2 + case % 3
+        length = 2 * d - 1 + case % 2
+        factor, bottom = wide(), wide()
+        if case % 4 == 0:  # g = 1, s > 1
+            values = [(rng.next_int(-3, 3), wide() if rng.next_int(0, 1) else -wide()) for _ in range(length)]
+        elif case % 4 == 1:  # wide g, s = 1
+            values = [(factor * rng.next_int(-3, 3), 1) for _ in range(length)]
+        elif case % 4 == 2:  # wide g, one shared wide s, negative denominators
+            values = [(factor * rng.next_int(-3, 3), -bottom * rng.next_int(1, 3)) for _ in range(length)]
+        else:  # wide values over small denominators
+            values = [(wide() * rng.next_int(-1, 1), rng.next_int(1, 4)) for _ in range(length)]
+        kind, _, _ = _check_numeric_strip([rational(top, under) for top, under in values], d, case)
+        strips[kind] += 1
+    assert strips == {"g = 1, s > 1": 10, "g > 1, s = 1": 6, "g > 1, s > 1": 8}
 
 
 def test_integer_strips_run_over_their_content():
