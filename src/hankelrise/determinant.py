@@ -31,11 +31,23 @@ with D(k, 0) = 1 and D(k, 1) = h_k, and D(0, t) is the leading t x t
 minor.
 
 Bareiss, condensation and this triangle are one step over different
-minors: _step, (a*b - c*d) / e, two multiplications and one exact
-division.  Bareiss divides by the previous pivot, condensation by the
-interior of the level two back, and the triangle by D(k+2, t-2).
-Condensation starts, as the triangle does, from a level of ones, so its
-first division is by one and is not charged.
+minors: (a*b - c*d) / e, two multiplications and one exact division.
+Bareiss divides by the previous pivot, condensation by the interior of
+the level two back, and the triangle by D(k+2, t-2).  Condensation
+starts, as the triangle does, from a level of ones, so its first
+division is by one and is not charged.
+
+The step runs on plain payloads, not on scalars: each algorithm unwraps
+its input once and wraps each minor it returns once.  The payloads are
+ints (a numeric strip's scaled diagonal, and int matrices), Polys, and
+reduced Fractions only for a rat matrix given to det_bareiss or
+det_condensation, which therefore runs on Fraction's own operators.  The
+step multiplies and subtracts with the payloads' operators and makes one
+exact division: divmod with a remainder check for ints, Poly.exact_div,
+and / for Fractions.  It counts by ring's rules, into two ints that are
+ticked once per call, on exit, even when a step raises.  det_cofactor
+stays on ring's scalar operations: it shares no code with the other
+three, which makes it their independent reference.
 
 The step moves along the anti-diagonals as well as in t: the d x d
 matrix starting on h_m has leading minors D(m, 1..d), so the matrices
@@ -64,18 +76,20 @@ r consecutive Fibonacci numbers is a multiple of F_1 * ... * F_r (Lucas
 dividing it out nearly halves the entries' bits.
 
 Reports carry multiplication/division counts observed by the ring-level
-counter, so shortcut operations on exact zeros/ones are not charged.
+counter, so shortcut operations on exact zeros/ones are not charged, by
+the step as by ring.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import floordiv
-from typing import NamedTuple, Sequence, Tuple
+from operator import floordiv, truediv
+from typing import Callable, NamedTuple, Sequence, Tuple
 
 from . import ring
-from .ring import ExactScalar
+from .ring import ExactScalar, Payload, Poly
 from .matgen import SquareMatrix
 
 COFACTOR = "cofactor"
@@ -141,10 +155,92 @@ def _cofactor(rows, domain: str) -> ExactScalar:
     return total
 
 
-def _step(a, b, c, d, divisor) -> ExactScalar:
-    """(a*b - c*d) / divisor as one exact division: the Desnanot-Jacobi step
-    of Bareiss elimination, condensation and the Hankel strip alike."""
-    return ring.exact_div(ring.sub(ring.mul(a, b), ring.mul(c, d)), divisor)
+class _Payloads:
+    """A domain's plain payloads as the shared step reads them: its zero
+    and one, the pair that == and `in` test them against (the ints 0 and
+    1, which a Fraction compares with on its int fast path, or the poly
+    zero and one), and its exact quotient, which ticks nothing.  A plain
+    slotted class: a NamedTuple would add its class build to every
+    import."""
+
+    __slots__ = ("zero", "one", "units", "quotient")
+
+    def __init__(
+        self,
+        zero: Payload,
+        one: Payload,
+        units: Tuple[Payload, Payload],
+        quotient: Callable[[Payload, Payload], Payload],
+    ):
+        self.zero, self.one, self.units, self.quotient = zero, one, units, quotient
+
+
+def _int_quotient(top: int, divisor: int) -> int:
+    """top / divisor, or InexactDivisionError when a remainder is left."""
+    quotient, residue = divmod(top, divisor)
+    if residue:
+        raise ring.InexactDivisionError(f"{top} is not divisible by {divisor}")
+    return quotient
+
+
+def _poly_quotient(top: Poly, divisor: Poly) -> Poly:
+    # looked up on each call, as a wrapper on Poly.exact_div expects
+    return top.exact_div(divisor)
+
+
+_RAT_ZERO, _RAT_ONE = ring.zero(ring.RATIONAL).value, ring.one(ring.RATIONAL).value
+_POLY_ZERO, _POLY_ONE = ring.zero(ring.POLYNOMIAL).value, ring.one(ring.POLYNOMIAL).value
+_PAYLOADS = {
+    ring.INTEGER: _Payloads(0, 1, (0, 1), _int_quotient),
+    ring.RATIONAL: _Payloads(_RAT_ZERO, _RAT_ONE, (0, 1), truediv),
+    ring.POLYNOMIAL: _Payloads(_POLY_ZERO, _POLY_ONE, (_POLY_ZERO, _POLY_ONE), _poly_quotient),
+}
+
+
+@contextmanager
+def _counted_steps(kind: _Payloads):
+    """The Desnanot-Jacobi step on payloads of one kind, counted as ring
+    counts: step(a, b, c, d, e) = (a*b - c*d) / e by the payloads' own
+    operators and one exact division.  As in ring.mul, a product with an
+    operand 0 or 1 is not counted and not multiplied; as in
+    ring.exact_div, a division of 0 or by 1 is neither, and a division is
+    counted before it divides.  The counts are two local ints, ticked once
+    on exit, so a table that raises still counts what it did."""
+    muls = divs = 0
+    zero, units, quotient = kind.zero, kind.units, kind.quotient
+    nought, unit = units
+
+    def step(a, b, c, d, e):
+        nonlocal muls, divs
+        if a not in units and b not in units:
+            muls += 1
+            ab = a * b
+        elif a == nought or b == nought:
+            ab = zero
+        else:
+            ab = b if a == unit else a
+        if c not in units and d not in units:
+            muls += 1
+            cd = c * d
+        elif c == nought or d == nought:
+            cd = zero
+        else:
+            cd = d if c == unit else c
+        top = ab - cd
+        if top == nought or e == unit:
+            return top
+        divs += 1
+        return quotient(top, e)
+
+    try:
+        yield step
+    finally:
+        ring._tick_mul(muls)
+        ring._tick_div(divs)
+
+
+def _payload_rows(matrix: SquareMatrix):
+    return [[x.value for x in row] for row in matrix.rows]
 
 
 def det_bareiss(matrix: SquareMatrix) -> DetReport:
@@ -156,23 +252,28 @@ def det_bareiss(matrix: SquareMatrix) -> DetReport:
     block's own search stops at row k+1, finds nothing, and returns zero.
     A failed search at step k likewise zeroes every block beyond k+1.
     """
-    with ring.count_ops() as counter:
-        minors = _bareiss_minors(matrix)
+    domain = matrix.domain
+    kind = _PAYLOADS[domain]
+    with ring.count_ops() as counter, _counted_steps(kind) as step:
+        minors = _bareiss_minors(_payload_rows(matrix), kind, step)
+    minors = tuple(ExactScalar(domain, y) for y in minors)
     return DetReport(minors[-1], BAREISS, counter.muls, counter.divs, minors=minors)
 
 
-def _bareiss_minors(matrix: SquareMatrix) -> Tuple[ExactScalar, ...]:
-    n = matrix.dim
-    zero = ring.zero(matrix.domain)
-    rows = [list(row) for row in matrix.rows]
+def _bareiss_minors(rows, kind: _Payloads, step) -> Tuple[Payload, ...]:
+    """The leading minors of the square payload matrix rows by Bareiss
+    elimination, each of its updates one step."""
+    n = len(rows)
+    nought = kind.units[0]
+    rows = [list(row) for row in rows]
     values = [rows[0][0]]
     sign_flip = False
     zero_through = 0  # blocks up to this size are singular
-    previous = ring.one(matrix.domain)
+    previous = kind.one
     for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if not rows[i][k].is_zero()), None)
+        pivot_row = next((i for i in range(k, n) if rows[i][k] != nought), None)
         if pivot_row is None:
-            values.extend([zero] * (n - len(values)))
+            values.extend([kind.zero] * (n - len(values)))
             break
         if pivot_row != k:
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
@@ -181,13 +282,13 @@ def _bareiss_minors(matrix: SquareMatrix) -> Tuple[ExactScalar, ...]:
         pivot = rows[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                rows[i][j] = _step(pivot, rows[i][j], rows[i][k], rows[k][j], previous)
+                rows[i][j] = step(pivot, rows[i][j], rows[i][k], rows[k][j], previous)
         previous = pivot
         if k + 2 <= zero_through:
-            values.append(zero)
+            values.append(kind.zero)
         else:
             value = rows[k + 1][k + 1]
-            values.append(ring.neg(value) if sign_flip else value)
+            values.append(-value if sign_flip else value)
     return tuple(values)
 
 
@@ -243,7 +344,10 @@ def det_hankel_strip(diagonal: Sequence[ExactScalar], d: int) -> StripReport:
             raise ring.DomainMismatchError(f"cannot mix {domain} and {x.domain} scalars")
     with ring.count_ops() as counter:
         if domain == ring.POLYNOMIAL:
-            rows, blocked = _hankel_strip(tuple(diagonal), d, domain)
+            rows, blocked = _hankel_strip([x.value for x in diagonal], d, _PAYLOADS[domain])
+            rows = tuple(
+                (diagonal[m], *(ExactScalar(domain, y) for y in row[1:])) for m, row in enumerate(rows)
+            )
         else:
             rows, blocked = _primitive_strip(diagonal, d, domain)
     algorithm = STRUCTURED_FALLBACK if blocked else STRUCTURED
@@ -262,27 +366,27 @@ def _primitive_strip(diagonal: Sequence[ExactScalar], d: int, domain: str):
         bottoms = [1] * len(tops)
     content = gcd(*tops) or 1
     scale = lcm(*bottoms)
-    scaled = tuple(ExactScalar(ring.INTEGER, top * (scale // bottom) // content) for top, bottom in zip(tops, bottoms))
-    rows, blocked = _hankel_strip(scaled, d, ring.INTEGER)
+    scaled = [top * (scale // bottom) // content for top, bottom in zip(tops, bottoms)]
+    rows, blocked = _hankel_strip(scaled, d, _PAYLOADS[ring.INTEGER])
     if content != 1 or scale != 1:
         ring._tick_div(len(tops) - tops.count(0))
-        ring._tick_mul(sum(1 for row in rows for y in row[1:] if y.value not in (0, 1)))
+        ring._tick_mul(sum(1 for row in rows for y in row[1:] if y not in (0, 1)))
     # the scale is kept as the int pair (g^t, s^t); s = 1 over int, so the
     # floor division there is exact, and a rat entry is reduced only when
     # s > 1
     over = ring._reduced if domain == ring.RATIONAL else floordiv
     powers = [(content**t, scale**t) for t in range(2, d + 1)]
     rows = tuple(
-        (diagonal[m], *(ExactScalar(domain, over(y.value * up, down)) for y, (up, down) in zip(row[1:], powers)))
+        (diagonal[m], *(ExactScalar(domain, over(y * up, down)) for y, (up, down) in zip(row[1:], powers)))
         for m, row in enumerate(rows)
     )
     return rows, blocked
 
 
-def _hankel_strip(diagonal, d: int, domain: str):
-    """The rows (D(m, 1), ..., D(m, d)) for m = 0..len(diagonal)-2d+1,
-    each blocked one from _bareiss_minors of its own matrix, and the
-    number of blocked rows.
+def _hankel_strip(diagonal, d: int, kind: _Payloads):
+    """The payload rows (D(m, 1), ..., D(m, d)) for m = 0..len(diagonal)-2d+1
+    of a payload diagonal, each blocked one from _bareiss_minors of its own
+    matrix, and the number of blocked rows.
 
     Level t keeps D(k, t) for k = 0..len(diagonal)-2t+1, one value per
     anti-diagonal its block can start on; None marks an entry that is
@@ -292,54 +396,62 @@ def _hankel_strip(diagonal, d: int, domain: str):
     """
     count = len(diagonal) - 2 * d + 2
     blocked = [False] * count
-    older = [ring.one(domain)] * len(diagonal)  # level 0, the empty blocks
-    current = list(diagonal)
-    levels = [current[:count]]
-    for t in range(2, d + 1):
-        reach = 2 * (d - t)
-        level = []
-        for k in range(len(current) - 2):
-            first = max(k - reach, 0)
-            if all(blocked[first:k + 1]):
-                level.append(None)
-                continue
-            divisor = older[k + 2]
-            if divisor.is_zero():
-                for m in range(first, min(k + 1, count)):
-                    blocked[m] = True
-                level.append(None)
-                continue
-            level.append(_step(current[k], current[k + 2], current[k + 1], current[k + 1], divisor))
-        older, current = current, level
-        levels.append(current[:count])
-    rows = tuple(
-        _bareiss_minors(SquareMatrix([diagonal[m + i:m + i + d] for i in range(d)]))
-        if blocked[m]
-        else tuple(level[m] for level in levels)
-        for m in range(count)
-    )
+    any_blocked = False
+    nought = kind.units[0]
+    with _counted_steps(kind) as step:
+        older = [kind.one] * len(diagonal)  # level 0, the empty blocks
+        current = list(diagonal)
+        levels = [current[:count]]
+        for t in range(2, d + 1):
+            reach = 2 * (d - t)
+            level = []
+            for k in range(len(current) - 2):
+                if any_blocked and all(blocked[max(k - reach, 0):k + 1]):
+                    level.append(None)
+                    continue
+                divisor = older[k + 2]
+                if divisor == nought:
+                    for m in range(max(k - reach, 0), min(k + 1, count)):
+                        blocked[m] = True
+                    any_blocked = True
+                    level.append(None)
+                    continue
+                middle = current[k + 1]
+                level.append(step(current[k], current[k + 2], middle, middle, divisor))
+            older, current = current, level
+            levels.append(current[:count])
+        rows = tuple(
+            _bareiss_minors([diagonal[m + i:m + i + d] for i in range(d)], kind, step)
+            if blocked[m]
+            else tuple(level[m] for level in levels)
+            for m in range(count)
+        )
     return rows, blocked.count(True)
 
 
 def det_condensation(matrix: SquareMatrix) -> DetReport:
-    with ring.count_ops() as counter:
-        fallback = False
-        value = _condense(matrix)
-        if value is None:
-            fallback = True
-            value = _bareiss_minors(matrix)[-1]
+    domain = matrix.domain
+    kind = _PAYLOADS[domain]
+    rows = _payload_rows(matrix)
+    with ring.count_ops() as counter, _counted_steps(kind) as step:
+        value = _condense(rows, kind, step)
+        fallback = value is None
+        if fallback:
+            value = _bareiss_minors(rows, kind, step)[-1]
     algorithm = CONDENSATION_FALLBACK if fallback else CONDENSATION
-    return DetReport(value, algorithm, counter.muls, counter.divs, fallback)
+    return DetReport(ExactScalar(domain, value), algorithm, counter.muls, counter.divs, fallback)
 
 
-def _condense(matrix: SquareMatrix):
-    """Condensed determinant, or None when an interior divisor is zero.
+def _condense(grid, kind: _Payloads, step):
+    """Condensed determinant of the square payload matrix grid, or None
+    when an interior divisor is zero.
 
-    Level 0 is all ones and level 1 is the matrix; level t is _step over
-    the 2 x 2 blocks of level t-1, divided by the interior of level t-2.
+    Level 0 is all ones and level 1 is the matrix; level t is one step
+    over each 2 x 2 block of level t-1, divided by the interior of level
+    t-2.
     """
-    older = ((ring.one(matrix.domain),) * matrix.dim,) * matrix.dim
-    grid = matrix.rows
+    nought = kind.units[0]
+    older = [[kind.one] * len(grid)] * len(grid)
     while len(grid) > 1:
         size = len(grid) - 1
         nxt = []
@@ -347,9 +459,9 @@ def _condense(matrix: SquareMatrix):
             row = []
             for j in range(size):
                 divisor = older[i + 1][j + 1]
-                if divisor.is_zero():
+                if divisor == nought:
                     return None
-                row.append(_step(grid[i][j], grid[i + 1][j + 1], grid[i][j + 1], grid[i + 1][j], divisor))
-            nxt.append(tuple(row))
-        older, grid = grid, tuple(nxt)
+                row.append(step(grid[i][j], grid[i + 1][j + 1], grid[i][j + 1], grid[i + 1][j], divisor))
+            nxt.append(row)
+        older, grid = grid, nxt
     return grid[0][0]

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -356,6 +357,9 @@ def _check_numeric_strip(diagonal, d, case):
     for m, row in enumerate(strip.rows):
         matrix = SquareMatrix([diagonal[m + i:m + i + d] for i in range(d)])
         assert row == det_bareiss(matrix).minors, (case, domain, m)
+        # the strip and Bareiss share one step; cofactor expansion shares
+        # none of it
+        assert row == tuple(det_cofactor(_leading(matrix, t)).value for t in range(1, d + 1)), (case, domain, m)
         falls_back += det_hankel_minors(matrix).fallback_used
     assert strip.fallback_used == falls_back, (case, domain)
     values = [x.value for x in diagonal]
@@ -367,8 +371,8 @@ def _check_numeric_strip(diagonal, d, case):
     if (content, scale) == (1, 1):
         # no scaling: the counts are exactly the bare table's
         with ring.count_ops() as table:
-            bare = determinant._hankel_strip(tuple(diagonal), d, domain)
-        assert (strip.rows, strip.fallback_used) == bare, (case, domain)
+            bare = determinant._hankel_strip(values, d, determinant._PAYLOADS[domain])
+        assert (tuple(tuple(x.value for x in row) for row in strip.rows), strip.fallback_used) == bare, (case, domain)
         assert counts == (table.muls, table.divs), (case, domain)
         return kind, falls_back, counts
     # the counts are the scaled table's, plus one div per nonzero value
@@ -377,12 +381,12 @@ def _check_numeric_strip(diagonal, d, case):
     assert all(v.denominator == 1 for v in scaled)
     with ring.count_ops() as table:
         scaled_rows, scaled_blocked = determinant._hankel_strip(
-            tuple(integer(v.numerator) for v in scaled), d, ring.INTEGER
+            [v.numerator for v in scaled], d, determinant._PAYLOADS[ring.INTEGER]
         )
     assert scaled_blocked == strip.fallback_used, (case, domain)
     for row, scaled_row in zip(strip.rows, scaled_rows):
         assert {x.domain for x in row} == {domain}
-        expected = [Fraction(y.value * content**t, scale**t) for t, y in enumerate(scaled_row[1:], 2)]
+        expected = [Fraction(y * content**t, scale**t) for t, y in enumerate(scaled_row[1:], 2)]
         assert [x.value for x in row[1:]] == expected, (case, domain)
         # each read-back payload is reduced with a positive denominator,
         # and prints and hashes as the plain Fraction does
@@ -390,7 +394,7 @@ def _check_numeric_strip(diagonal, d, case):
             assert math.gcd(x.value.numerator, x.value.denominator) == 1 and x.value.denominator > 0
             assert (str(x), hash(x.value)) == (str(want), hash(want)), (case, domain)
     divs = sum(not x.is_zero() for x in diagonal)
-    muls = sum(not (y.is_zero() or y.is_one()) for row in scaled_rows for y in row[1:])
+    muls = sum(y not in (0, 1) for row in scaled_rows for y in row[1:])
     assert counts == (table.muls + muls, table.divs + divs), (case, domain)
     return kind, falls_back, counts
 
@@ -496,21 +500,85 @@ def test_fibonacci_r30_strip_runs_on_smaller_entries(monkeypatch):
         fibonacci.append(fibonacci[-1] + fibonacci[-2])
     assert content == math.prod(fibonacci[1:]) and content.bit_length() == 289
     sizes = []
-    step = determinant._step
+    counted_steps = determinant._counted_steps
 
-    def sized(*args):
-        entry = step(*args)
-        sizes.append(abs(entry.value).bit_length())
-        return entry
+    @contextmanager
+    def sized(kind):
+        with counted_steps(kind) as step:
 
-    monkeypatch.setattr(determinant, "_step", sized)
+            def sized_step(*args):
+                entry = step(*args)
+                sizes.append(abs(entry).bit_length())
+                return entry
+
+            yield sized_step
+
+    monkeypatch.setattr(determinant, "_counted_steps", sized)
     (row,) = det_hankel_strip(diagonal, 31).rows
     scaled_sizes, sizes[:] = sizes[:], []
-    (bare_row,), _ = determinant._hankel_strip(diagonal, 31, ring.INTEGER)
-    assert row == bare_row
+    (bare_row,), _ = determinant._hankel_strip([x.value for x in diagonal], 31, determinant._PAYLOADS[ring.INTEGER])
+    assert tuple(x.value for x in row) == bare_row
     assert (len(scaled_sizes), max(scaled_sizes), max(sizes)) == (900, 7636, 12013)
     # the 31 x 31 determinant divided by g^31 is a unit
     assert abs(row[-1].value) == content**31
+
+
+def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypatch):
+    quotient = determinant._PAYLOADS[ring.INTEGER].quotient
+    assert [quotient(t, e) for t, e in ((12, 4), (-12, 4), (12, -4), (-(2**200), 2**100))] == [3, -3, -3, -(2**100)]
+    for top, divisor in ((7, 2), (-7, 2), (7, -2), (2**200 + 1, 2**100)):
+        with pytest.raises(ring.InexactDivisionError):
+            quotient(top, divisor)
+    # a content-1 Lcg64(1) diagonal: 4 of its 6 rows are blocked, so the
+    # divisions include their Bareiss eliminations.  Each step's operands
+    # are recorded, and replayed through ring ops as one scalar step
+    # (a*b - c*d) / e, where exact_div ticks before it divides
+    rng = Lcg64(1)
+    diagonal = [integer(rng.next_int(-3, 3)) for _ in range(12)]
+    steps = []
+    counted_steps = determinant._counted_steps
+
+    @contextmanager
+    def recorded(kind):
+        with counted_steps(kind) as step:
+
+            def recording(*args):
+                steps.append(args)
+                return step(*args)
+
+            yield recording
+
+    monkeypatch.setattr(determinant, "_counted_steps", recorded)
+    full = det_hankel_strip(diagonal, 4)
+    assert (full.fallback_used, full.mul_count, full.div_count) == (4, 84, 26)
+    full_steps = list(steps)
+
+    def replayed(k):
+        # ring's counts up to and including the k-th division that ticks
+        with ring.count_ops() as counter:
+            for a, b, c, d, e in full_steps:
+                a, b, c, d, e = (integer(x) for x in (a, b, c, d, e))
+                ring.exact_div(ring.sub(ring.mul(a, b), ring.mul(c, d)), e)
+                if counter.divs == k:
+                    break
+        return counter.muls, counter.divs
+
+    assert replayed(full.div_count + 1) == (full.mul_count, full.div_count)
+    kind = determinant._PAYLOADS[ring.INTEGER]
+    for k in range(1, full.div_count + 1):
+        calls = []
+
+        def failing(top, divisor):
+            calls.append(top)
+            if len(calls) == k:
+                raise ring.InexactDivisionError("planted")
+            return quotient(top, divisor)
+
+        monkeypatch.setitem(determinant._PAYLOADS, ring.INTEGER, determinant._Payloads(kind.zero, kind.one, kind.units, failing))
+        with ring.count_ops() as counter:
+            with pytest.raises(ring.InexactDivisionError, match="planted"):
+                det_hankel_strip(diagonal, 4)
+        assert (counter.muls, counter.divs) == replayed(k), k
 
 
 def test_one_row_strip_is_the_hankel_minors_triangle():

@@ -398,8 +398,9 @@ def test_default_oracle_agrees_with_bareiss_on_the_acceptance_grids():
 
 
 def test_sign_flipped_triangle_fails_theorem1(monkeypatch):
-    # the mutant adds D(k+1, t-1)^2 instead of subtracting it
-    import types
+    # the mutant adds D(k+1, t-1)^2 instead of subtracting it: the shared
+    # step, (a*b - c*d) / e, is handed -c in place of c
+    from contextlib import contextmanager
 
     from hankelrise import determinant
 
@@ -407,7 +408,14 @@ def test_sign_flipped_triangle_fails_theorem1(monkeypatch):
     # no row falls back to Bareiss
     grid = GridSpec(identity="theorem1", n=(1, 3), r=(0, 3))
     assert run_grid(grid).passed
-    monkeypatch.setattr(determinant, "ring", types.SimpleNamespace(**{**vars(ring), "sub": ring.add}))
+    counted_steps = determinant._counted_steps
+
+    @contextmanager
+    def sign_flipped(kind):
+        with counted_steps(kind) as step:
+            yield lambda a, b, c, d, e: step(a, b, -c, d, e)
+
+    monkeypatch.setattr(determinant, "_counted_steps", sign_flipped)
     report = run_grid(grid)
     assert not report.passed and report.checked == 30
     # d = 1 is h_0 itself; every larger d meets the mutated square
