@@ -41,13 +41,13 @@ The step runs on plain payloads, not on scalars: each algorithm unwraps
 its input once and wraps each minor it returns once.  The payloads are
 ints (a numeric strip's scaled diagonal, and int matrices), Polys, and
 reduced Fractions only for a rat matrix given to det_bareiss or
-det_condensation, which therefore runs on Fraction's own operators.  The
-step multiplies and subtracts with the payloads' operators and makes one
-exact division: divmod with a remainder check for ints, Poly.exact_div,
-and / for Fractions.  It counts by ring's rules, into two ints that are
-ticked once per call, on exit, even when a step raises.  det_cofactor
-stays on ring's scalar operations: it shares no code with the other
-three, which makes it their independent reference.
+det_condensation.  The step multiplies and subtracts with the payloads'
+operators and makes one exact division.  Each domain's zero, one and
+exact quotient live in ring._PAYLOADS, and ring.exact_div divides through
+the same quotient functions.  The step counts by ring's rules, into two
+ints that are ticked once per call, on exit, even when a step raises.
+det_cofactor stays on ring's scalar operations: it shares no code with
+the other three, which makes it their independent reference.
 
 The step moves along the anti-diagonals as well as in t: the d x d
 matrix starting on h_m has leading minors D(m, 1..d), so the matrices
@@ -85,11 +85,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import floordiv, truediv
-from typing import Callable, NamedTuple, Sequence, Tuple
+from operator import floordiv
+from typing import NamedTuple, Sequence, Tuple
 
 from . import ring
-from .ring import ExactScalar, Payload, Poly
+from .ring import ExactScalar, Payload
 from .matgen import SquareMatrix
 
 COFACTOR = "cofactor"
@@ -155,59 +155,18 @@ def _cofactor(rows, domain: str) -> ExactScalar:
     return total
 
 
-class _Payloads:
-    """A domain's plain payloads as the shared step reads them: its zero
-    and one, the pair that == and `in` test them against (the ints 0 and
-    1, which a Fraction compares with on its int fast path, or the poly
-    zero and one), and its exact quotient, which ticks nothing.  A plain
-    slotted class: a NamedTuple would add its class build to every
-    import."""
-
-    __slots__ = ("zero", "one", "units", "quotient")
-
-    def __init__(
-        self,
-        zero: Payload,
-        one: Payload,
-        units: Tuple[Payload, Payload],
-        quotient: Callable[[Payload, Payload], Payload],
-    ):
-        self.zero, self.one, self.units, self.quotient = zero, one, units, quotient
-
-
-def _int_quotient(top: int, divisor: int) -> int:
-    """top / divisor, or InexactDivisionError when a remainder is left."""
-    quotient, residue = divmod(top, divisor)
-    if residue:
-        raise ring.InexactDivisionError(f"{top} is not divisible by {divisor}")
-    return quotient
-
-
-def _poly_quotient(top: Poly, divisor: Poly) -> Poly:
-    # looked up on each call, as a wrapper on Poly.exact_div expects
-    return top.exact_div(divisor)
-
-
-_RAT_ZERO, _RAT_ONE = ring.zero(ring.RATIONAL).value, ring.one(ring.RATIONAL).value
-_POLY_ZERO, _POLY_ONE = ring.zero(ring.POLYNOMIAL).value, ring.one(ring.POLYNOMIAL).value
-_PAYLOADS = {
-    ring.INTEGER: _Payloads(0, 1, (0, 1), _int_quotient),
-    ring.RATIONAL: _Payloads(_RAT_ZERO, _RAT_ONE, (0, 1), truediv),
-    ring.POLYNOMIAL: _Payloads(_POLY_ZERO, _POLY_ONE, (_POLY_ZERO, _POLY_ONE), _poly_quotient),
-}
-
-
 @contextmanager
-def _counted_steps(kind: _Payloads):
+def _counted_steps(kind: tuple):
     """The Desnanot-Jacobi step on payloads of one kind, counted as ring
     counts: step(a, b, c, d, e) = (a*b - c*d) / e by the payloads' own
     operators and one exact division.  As in ring.mul, a product with an
     operand 0 or 1 is not counted and not multiplied; as in
     ring.exact_div, a division of 0 or by 1 is neither, and a division is
     counted before it divides.  The counts are two local ints, ticked once
-    on exit, so a table that raises still counts what it did."""
+    on exit, so a table that raises still counts what it did.  kind is the
+    domain's ring._PAYLOADS tuple."""
     muls = divs = 0
-    zero, units, quotient = kind.zero, kind.units, kind.quotient
+    zero, _, units, quotient = kind
     nought, unit = units
 
     def step(a, b, c, d, e):
@@ -253,27 +212,27 @@ def det_bareiss(matrix: SquareMatrix) -> DetReport:
     A failed search at step k likewise zeroes every block beyond k+1.
     """
     domain = matrix.domain
-    kind = _PAYLOADS[domain]
+    kind = ring._PAYLOADS[domain]
     with ring.count_ops() as counter, _counted_steps(kind) as step:
         minors = _bareiss_minors(_payload_rows(matrix), kind, step)
     minors = tuple(ExactScalar(domain, y) for y in minors)
     return DetReport(minors[-1], BAREISS, counter.muls, counter.divs, minors=minors)
 
 
-def _bareiss_minors(rows, kind: _Payloads, step) -> Tuple[Payload, ...]:
+def _bareiss_minors(rows, kind: tuple, step) -> Tuple[Payload, ...]:
     """The leading minors of the square payload matrix rows by Bareiss
     elimination, each of its updates one step."""
     n = len(rows)
-    nought = kind.units[0]
+    zero, one, (nought, _), _ = kind
     rows = [list(row) for row in rows]
     values = [rows[0][0]]
     sign_flip = False
     zero_through = 0  # blocks up to this size are singular
-    previous = kind.one
+    previous = one
     for k in range(n - 1):
         pivot_row = next((i for i in range(k, n) if rows[i][k] != nought), None)
         if pivot_row is None:
-            values.extend([kind.zero] * (n - len(values)))
+            values.extend([zero] * (n - len(values)))
             break
         if pivot_row != k:
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
@@ -285,7 +244,7 @@ def _bareiss_minors(rows, kind: _Payloads, step) -> Tuple[Payload, ...]:
                 rows[i][j] = step(pivot, rows[i][j], rows[i][k], rows[k][j], previous)
         previous = pivot
         if k + 2 <= zero_through:
-            values.append(kind.zero)
+            values.append(zero)
         else:
             value = rows[k + 1][k + 1]
             values.append(-value if sign_flip else value)
@@ -344,7 +303,7 @@ def det_hankel_strip(diagonal: Sequence[ExactScalar], d: int) -> StripReport:
             raise ring.DomainMismatchError(f"cannot mix {domain} and {x.domain} scalars")
     with ring.count_ops() as counter:
         if domain == ring.POLYNOMIAL:
-            rows, blocked = _hankel_strip([x.value for x in diagonal], d, _PAYLOADS[domain])
+            rows, blocked = _hankel_strip([x.value for x in diagonal], d, ring._PAYLOADS[domain])
             rows = tuple(
                 (diagonal[m], *(ExactScalar(domain, y) for y in row[1:])) for m, row in enumerate(rows)
             )
@@ -367,7 +326,7 @@ def _primitive_strip(diagonal: Sequence[ExactScalar], d: int, domain: str):
     content = gcd(*tops) or 1
     scale = lcm(*bottoms)
     scaled = [top * (scale // bottom) // content for top, bottom in zip(tops, bottoms)]
-    rows, blocked = _hankel_strip(scaled, d, _PAYLOADS[ring.INTEGER])
+    rows, blocked = _hankel_strip(scaled, d, ring._PAYLOADS[ring.INTEGER])
     if content != 1 or scale != 1:
         ring._tick_div(len(tops) - tops.count(0))
         ring._tick_mul(sum(1 for row in rows for y in row[1:] if y not in (0, 1)))
@@ -383,7 +342,7 @@ def _primitive_strip(diagonal: Sequence[ExactScalar], d: int, domain: str):
     return rows, blocked
 
 
-def _hankel_strip(diagonal, d: int, kind: _Payloads):
+def _hankel_strip(diagonal, d: int, kind: tuple):
     """The payload rows (D(m, 1), ..., D(m, d)) for m = 0..len(diagonal)-2d+1
     of a payload diagonal, each blocked one from _bareiss_minors of its own
     matrix, and the number of blocked rows.
@@ -397,9 +356,9 @@ def _hankel_strip(diagonal, d: int, kind: _Payloads):
     count = len(diagonal) - 2 * d + 2
     blocked = [False] * count
     any_blocked = False
-    nought = kind.units[0]
+    _, one, (nought, _), _ = kind
     with _counted_steps(kind) as step:
-        older = [kind.one] * len(diagonal)  # level 0, the empty blocks
+        older = [one] * len(diagonal)  # level 0, the empty blocks
         current = list(diagonal)
         levels = [current[:count]]
         for t in range(2, d + 1):
@@ -431,7 +390,7 @@ def _hankel_strip(diagonal, d: int, kind: _Payloads):
 
 def det_condensation(matrix: SquareMatrix) -> DetReport:
     domain = matrix.domain
-    kind = _PAYLOADS[domain]
+    kind = ring._PAYLOADS[domain]
     rows = _payload_rows(matrix)
     with ring.count_ops() as counter, _counted_steps(kind) as step:
         value = _condense(rows, kind, step)
@@ -442,7 +401,7 @@ def det_condensation(matrix: SquareMatrix) -> DetReport:
     return DetReport(ExactScalar(domain, value), algorithm, counter.muls, counter.divs, fallback)
 
 
-def _condense(grid, kind: _Payloads, step):
+def _condense(grid, kind: tuple, step):
     """Condensed determinant of the square payload matrix grid, or None
     when an interior divisor is zero.
 
@@ -450,8 +409,8 @@ def _condense(grid, kind: _Payloads, step):
     over each 2 x 2 block of level t-1, divided by the interior of level
     t-2.
     """
-    nought = kind.units[0]
-    older = [[kind.one] * len(grid)] * len(grid)
+    _, one, (nought, _), _ = kind
+    older = [[one] * len(grid)] * len(grid)
     while len(grid) > 1:
         size = len(grid) - 1
         nxt = []

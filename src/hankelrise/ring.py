@@ -877,23 +877,16 @@ def exact_div(x: ExactScalar, y: ExactScalar) -> ExactScalar:
         if v == 1:
             return x
         _tick_div()
-        quotient, residue = divmod(u, v)
-        if residue:
-            raise InexactDivisionError(f"{u} is not divisible by {v}")
-        return ExactScalar(INTEGER, quotient)
+        return ExactScalar(INTEGER, _int_quotient(u, v))
     if domain == RATIONAL:
-        n1, d1, n2, d2 = u._numerator, u._denominator, v._numerator, v._denominator
-        if not n2:
+        if not v._numerator:
             raise ZeroDivisionError("exact division by zero")
-        if not n1:
+        if not u._numerator:
             return _ZEROS[RATIONAL]
-        if n2 == d2:
+        if v._numerator == v._denominator:
             return x
         _tick_div()
-        # (n1 * d2) / (d1 * n2), cross-cancelled; only n2 carries a sign
-        g1, g2 = gcd(n1, n2), gcd(d1, d2)
-        num, den = (n1 // g1) * (d2 // g2), (d1 // g2) * (n2 // g1)
-        return ExactScalar(RATIONAL, _fraction(num, den) if den > 0 else _fraction(-num, -den))
+        return ExactScalar(RATIONAL, _rat_quotient(u, v))
     if not v._packed:
         raise ZeroDivisionError("exact division by zero")
     if not u._packed:
@@ -902,6 +895,47 @@ def exact_div(x: ExactScalar, y: ExactScalar) -> ExactScalar:
         return x
     _tick_div()
     return ExactScalar(POLYNOMIAL, u.exact_div(v))
+
+
+def _int_quotient(top: int, divisor: int) -> int:
+    """top / divisor, or InexactDivisionError when a remainder is left."""
+    quotient, residue = divmod(top, divisor)
+    if residue:
+        try:
+            message = f"{top} is not divisible by {divisor}"
+        except ValueError:  # an operand past the int-to-str digit limit
+            message = f"a {top.bit_length()}-bit int is not divisible by a {divisor.bit_length()}-bit int"
+        raise InexactDivisionError(message)
+    return quotient
+
+
+def _rat_quotient(top: Fraction, divisor: Fraction) -> Fraction:
+    """top / divisor on the Fraction slots: (n1 * d2) / (d1 * n2),
+    cross-cancelled; only n2 carries a sign."""
+    n1, d1, n2, d2 = top._numerator, top._denominator, divisor._numerator, divisor._denominator
+    g1, g2 = gcd(n1, n2), gcd(d1, d2)
+    num, den = (n1 // g1) * (d2 // g2), (d1 // g2) * (n2 // g1)
+    return _fraction(num, den) if den > 0 else _fraction(-num, -den)
+
+
+def _poly_quotient(top: Poly, divisor: Poly) -> Poly:
+    # looked up on each call, as a wrapper on Poly.exact_div expects
+    return top.exact_div(divisor)
+
+
+# Each domain's payloads as determinant's Desnanot-Jacobi step reads them:
+# (zero, one, units, quotient).  units is the pair that == and `in` test
+# zero and one against: the ints 0 and 1, which a Fraction compares with
+# on its int fast path, or the poly zero and one.  exact_div divides by
+# the same quotient, which needs a nonzero divisor and ticks nothing.
+_PAYLOADS = {
+    domain: (_ZEROS[domain].value, _ONES[domain].value, units, quotient)
+    for domain, units, quotient in (
+        (INTEGER, (0, 1), _int_quotient),
+        (RATIONAL, (0, 1), _rat_quotient),
+        (POLYNOMIAL, (_ZEROS[POLYNOMIAL].value, _ONES[POLYNOMIAL].value), _poly_quotient),
+    )
+}
 
 
 def invertible(x: ExactScalar) -> bool:

@@ -371,7 +371,7 @@ def _check_numeric_strip(diagonal, d, case):
     if (content, scale) == (1, 1):
         # no scaling: the counts are exactly the bare table's
         with ring.count_ops() as table:
-            bare = determinant._hankel_strip(values, d, determinant._PAYLOADS[domain])
+            bare = determinant._hankel_strip(values, d, ring._PAYLOADS[domain])
         assert (tuple(tuple(x.value for x in row) for row in strip.rows), strip.fallback_used) == bare, (case, domain)
         assert counts == (table.muls, table.divs), (case, domain)
         return kind, falls_back, counts
@@ -381,7 +381,7 @@ def _check_numeric_strip(diagonal, d, case):
     assert all(v.denominator == 1 for v in scaled)
     with ring.count_ops() as table:
         scaled_rows, scaled_blocked = determinant._hankel_strip(
-            [v.numerator for v in scaled], d, determinant._PAYLOADS[ring.INTEGER]
+            [v.numerator for v in scaled], d, ring._PAYLOADS[ring.INTEGER]
         )
     assert scaled_blocked == strip.fallback_used, (case, domain)
     for row, scaled_row in zip(strip.rows, scaled_rows):
@@ -516,7 +516,7 @@ def test_fibonacci_r30_strip_runs_on_smaller_entries(monkeypatch):
     monkeypatch.setattr(determinant, "_counted_steps", sized)
     (row,) = det_hankel_strip(diagonal, 31).rows
     scaled_sizes, sizes[:] = sizes[:], []
-    (bare_row,), _ = determinant._hankel_strip([x.value for x in diagonal], 31, determinant._PAYLOADS[ring.INTEGER])
+    (bare_row,), _ = determinant._hankel_strip([x.value for x in diagonal], 31, ring._PAYLOADS[ring.INTEGER])
     assert tuple(x.value for x in row) == bare_row
     assert (len(scaled_sizes), max(scaled_sizes), max(sizes)) == (900, 7636, 12013)
     # the 31 x 31 determinant divided by g^31 is a unit
@@ -524,7 +524,7 @@ def test_fibonacci_r30_strip_runs_on_smaller_entries(monkeypatch):
 
 
 def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypatch):
-    quotient = determinant._PAYLOADS[ring.INTEGER].quotient
+    zero, one, units, quotient = ring._PAYLOADS[ring.INTEGER]
     assert [quotient(t, e) for t, e in ((12, 4), (-12, 4), (12, -4), (-(2**200), 2**100))] == [3, -3, -3, -(2**100)]
     for top, divisor in ((7, 2), (-7, 2), (7, -2), (2**200 + 1, 2**100)):
         with pytest.raises(ring.InexactDivisionError):
@@ -564,7 +564,6 @@ def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypa
         return counter.muls, counter.divs
 
     assert replayed(full.div_count + 1) == (full.mul_count, full.div_count)
-    kind = determinant._PAYLOADS[ring.INTEGER]
     for k in range(1, full.div_count + 1):
         calls = []
 
@@ -574,7 +573,7 @@ def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypa
                 raise ring.InexactDivisionError("planted")
             return quotient(top, divisor)
 
-        monkeypatch.setitem(determinant._PAYLOADS, ring.INTEGER, determinant._Payloads(kind.zero, kind.one, kind.units, failing))
+        monkeypatch.setitem(ring._PAYLOADS, ring.INTEGER, (zero, one, units, failing))
         with ring.count_ops() as counter:
             with pytest.raises(ring.InexactDivisionError, match="planted"):
                 det_hankel_strip(diagonal, 4)

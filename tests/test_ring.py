@@ -70,6 +70,66 @@ def test_inexact_division_errors():
         exact_div(add(a, b), a)
 
 
+def test_inexact_int_division_raises_past_the_int_digit_limit():
+    # CPython 3.11+ refuses to print an int of over 4,300 digits; the error
+    # then names the operands' bit lengths instead of their digits
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    saved = sys.get_int_max_str_digits() if set_limit else None
+    if set_limit:
+        set_limit(4300)
+    huge = 10**5000 + 1
+    int_quotient = ring._PAYLOADS[ring.INTEGER][3]
+    try:
+        for divide in (lambda t, e: exact_div(integer(t), integer(e)).value, int_quotient):
+            with pytest.raises(InexactDivisionError, match="^-7 is not divisible by 2$"):
+                divide(-7, 2)
+            for top, divisor in ((huge, 10), (3, -huge)):
+                with pytest.raises(InexactDivisionError) as caught:
+                    divide(top, divisor)
+                if set_limit:
+                    bits = top.bit_length(), divisor.bit_length()
+                    assert str(caught.value) == "a {}-bit int is not divisible by a {}-bit int".format(*bits)
+            assert divide(huge * 10, 10) == huge
+    finally:
+        if set_limit:
+            set_limit(saved)
+
+
+def test_each_domain_payload_kind_divides_as_exact_div():
+    """ring._PAYLOADS, which determinant's Desnanot-Jacobi step reads,
+    holds each domain's zero and one, and a quotient that gives what
+    exact_div gives on exact multiples and raises on a remainder."""
+    for domain in ring.DOMAINS:
+        zero_value, one_value, units, _ = ring._PAYLOADS[domain]
+        assert (zero_value, one_value) == (zero(domain).value, one(domain).value)
+        assert units == (zero_value, one_value)
+    ints = [-1, 7, -12, 2**200 + 1, -(2**200) + 3, 3**126]
+    int_quotient = ring._PAYLOADS[ring.INTEGER][3]
+    for q in ints:
+        for e in ints:
+            assert int_quotient(q * e, e) == exact_div(integer(q * e), integer(e)).value == q
+    for top, divisor in ((7, 2), (-7, 2), (7, -2), (2**200 + 1, 2**100), (-(2**200), 3)):
+        with pytest.raises(InexactDivisionError):
+            int_quotient(top, divisor)
+    rng = random.Random(29)
+    rat_quotient = ring._PAYLOADS[ring.RATIONAL][3]
+    for i in range(500):
+        q = Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12))
+        e = Fraction(rng.randint(1, 10**12), rng.randint(1, 10**12)) * (-1 if i % 2 else 1)
+        result = rat_quotient(q * e, e)
+        assert result == exact_div(rational(q * e), rational(e)).value == q
+        assert math.gcd(result._numerator, result._denominator) == 1 and result._denominator > 0
+    cache = SequenceCache(symbolic_spec())
+    polys = [cache.term(k).value for k in (2, 5, 9)] + [cache.rising_power(1, 4).value, delta(symbolic_spec()).value]
+    poly_quotient = ring._PAYLOADS[ring.POLYNOMIAL][3]
+    for p in polys:
+        for e in polys:
+            top = ExactScalar(ring.POLYNOMIAL, p * e)
+            assert poly_quotient(p * e, e) == exact_div(top, ExactScalar(ring.POLYNOMIAL, e)).value == p
+            with pytest.raises(InexactDivisionError):
+                poly_quotient(p * e + Poly.const(1), e)
+
+
 def test_pow_signed():
     assert pow_signed(integer(2), 10) == integer(1024)
     assert pow_signed(rational(2), -2) == rational(1, 4)
