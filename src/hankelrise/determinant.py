@@ -300,7 +300,7 @@ def det_hankel_strip(diagonal: Sequence[ExactScalar], d: int) -> StripReport:
     domain = diagonal[0].domain
     for x in diagonal:
         if x.domain != domain:
-            raise ring.DomainMismatchError(f"cannot mix {domain} and {x.domain} scalars")
+            raise ring._mismatch(diagonal[0], x)
     with ring.count_ops() as counter:
         if domain == ring.POLYNOMIAL:
             rows, blocked = _hankel_strip([x.value for x in diagonal], d, ring._PAYLOADS[domain])

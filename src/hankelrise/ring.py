@@ -18,19 +18,21 @@ ints behind ``numerator`` and ``denominator`` and build each result with
 ``_fraction``, which writes a coprime pair with a positive denominator
 into a new Fraction and checks nothing.  Fraction's own operators and
 constructor normalise again in Python code, several times slower than the
-int arithmetic itself.  A reduced value is zero when its numerator is and
-one when its numerator equals its denominator, so no zero or one test
-calls a Fraction method either.  ``add``, ``sub`` and ``mul`` take one
-int operation when both denominators are 1, and otherwise cross-cancel by
-gcds as Fraction does; ``neg`` and ``pow_signed``'s powers and inverses
-need no gcd; ``exact_div`` cross-cancels; ``product`` reduces once, and
-only when its denominator is above 1.
+int arithmetic itself.  ``add``, ``sub`` and ``mul`` take one int
+operation at denominators 1, else cross-cancel by gcds as Fraction does;
+``neg`` and ``pow_signed``'s powers need no gcd; ``exact_div`` and
+``pow_signed``'s inverses cross-cancel in ``_rat_quotient``; ``product``
+reduces once, and only when its denominator is above 1.
 
 Multiplications and exact divisions performed while a ``count_ops()``
 context is active are tallied on its counter.  Shortcut cases that perform
 no payload arithmetic (an operand that is exactly zero or one, a zero
 dividend, a divisor of one) are not counted; counts are deterministic for
-a given computation.
+a given computation.  ``mul``, ``exact_div`` and ``pow_signed`` state
+each shortcut and the tick once for every domain.  A domain supplies only
+its native step and how its payload reads zero and one: a pair (n, d),
+zero when n is and one when n == d, which is an int over 1, a Fraction's
+two slots, or a poly's packed terms over the packed one.
 
 Polynomial monomials are packed exponent vectors (Monagan & Pearce,
 CASC 2007): the total degree in the top bits, then ea, eb, ec1, ec2 in
@@ -201,6 +203,8 @@ def _unpack(key: int) -> Monomial:
 
 # Poly._shape before the first kernel call; after it, a _Shape or None
 _UNSCANNED = False
+# the packed terms of the polynomial one
+_POLY_ONE = {0: 1}
 
 
 class _Terms(Mapping):
@@ -291,7 +295,7 @@ class Poly:
         return not self._packed
 
     def is_one(self) -> bool:
-        return self._packed == {0: 1}
+        return self._packed == _POLY_ONE
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self._packed == other._packed
@@ -781,47 +785,37 @@ def neg(x: ExactScalar) -> ExactScalar:
     return ExactScalar(x.domain, -x.value)
 
 
-# the packed terms of the polynomial one
-_POLY_ONE = {0: 1}
-
-
 def mul(x: ExactScalar, y: ExactScalar) -> ExactScalar:
     # zero and one are read off the payloads, and only once the domains
-    # agree: this is every closed form's hot path.  A poly is tested on its
-    # packed terms, a Fraction on its two slots (see the module docstring).
+    # agree: this is every closed form's hot path.  Each operand reads as a
+    # pair (n, d), zero when n is and one when n == d: a Fraction's two
+    # slots, an int over 1, a poly's packed terms over the packed one.
     domain = x.domain
     if domain != y.domain:
         raise _mismatch(x, y)
     u, v = x.value, y.value
     if domain == POLYNOMIAL:
-        left, right = u._packed, v._packed
-        left_unit = right_unit = _POLY_ONE
+        n1, n2 = u._packed, v._packed
+        d1 = d2 = _POLY_ONE
     elif domain == RATIONAL:
         n1, d1, n2, d2 = u._numerator, u._denominator, v._numerator, v._denominator
-        if not n1 or not n2:
-            return _ZEROS[RATIONAL]
-        if n1 == d1:
-            return y
-        if n2 == d2:
-            return x
-        for counter in _COUNTERS.get():
-            counter.muls += 1
-        if d1 == 1 and d2 == 1:
-            return ExactScalar(RATIONAL, _fraction(n1 * n2, 1))
-        g1, g2 = gcd(n1, d2), gcd(n2, d1)
-        return ExactScalar(RATIONAL, _fraction((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)))
     else:
-        left, right = u, v
-        left_unit = right_unit = 1
-    if not left or not right:
+        n1, n2 = u, v
+        d1 = d2 = 1
+    if not n1 or not n2:
         return _ZEROS[domain]
-    if left == left_unit:
+    if n1 == d1:
         return y
-    if right == right_unit:
+    if n2 == d2:
         return x
     for counter in _COUNTERS.get():
         counter.muls += 1
-    return ExactScalar(domain, u * v)
+    if domain != RATIONAL:
+        return ExactScalar(domain, u * v)
+    if d1 == 1 and d2 == 1:
+        return ExactScalar(RATIONAL, _fraction(n1 * n2, 1))
+    g1, g2 = gcd(n1, d2), gcd(n2, d1)
+    return ExactScalar(RATIONAL, _fraction((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)))
 
 
 def product(first: ExactScalar, factors: Sequence[ExactScalar]) -> ExactScalar:
@@ -863,38 +857,27 @@ def product(first: ExactScalar, factors: Sequence[ExactScalar]) -> ExactScalar:
 
 
 def exact_div(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    # each domain tests its divisor for zero and one, and its dividend for
-    # zero, on its payload as mul does, and then ticks one division
+    # the payloads read as in mul: the dividend's top, and the divisor's top
+    # and unit.  A zero divisor raises, a zero dividend and a unit divisor
+    # are free, and any other division ticks before the domain's quotient
     domain = x.domain
     if domain != y.domain:
         raise _mismatch(x, y)
     u, v = x.value, y.value
-    if domain == INTEGER:
-        if not v:
-            raise ZeroDivisionError("exact division by zero")
-        if not u:
-            return _ZEROS[INTEGER]
-        if v == 1:
-            return x
-        _tick_div()
-        return ExactScalar(INTEGER, _int_quotient(u, v))
-    if domain == RATIONAL:
-        if not v._numerator:
-            raise ZeroDivisionError("exact division by zero")
-        if not u._numerator:
-            return _ZEROS[RATIONAL]
-        if v._numerator == v._denominator:
-            return x
-        _tick_div()
-        return ExactScalar(RATIONAL, _rat_quotient(u, v))
-    if not v._packed:
+    if domain == POLYNOMIAL:
+        top, divisor, unit, quotient = u._packed, v._packed, _POLY_ONE, _poly_quotient
+    elif domain == RATIONAL:
+        top, divisor, unit, quotient = u._numerator, v._numerator, v._denominator, _rat_quotient
+    else:
+        top, divisor, unit, quotient = u, v, 1, _int_quotient
+    if not divisor:
         raise ZeroDivisionError("exact division by zero")
-    if not u._packed:
-        return _ZEROS[POLYNOMIAL]
-    if v._packed == _POLY_ONE:
+    if not top:
+        return _ZEROS[domain]
+    if divisor == unit:
         return x
     _tick_div()
-    return ExactScalar(POLYNOMIAL, u.exact_div(v))
+    return ExactScalar(domain, quotient(u, v))
 
 
 def _int_quotient(top: int, divisor: int) -> int:
@@ -966,26 +949,19 @@ def pow_signed(x: ExactScalar, k: int) -> ExactScalar:
             raise NotInvertibleError(f"negative power in non-invertible domain {domain}")
         if domain == RATIONAL:
             _tick_div()
-            # the inverse swaps the slots, with the sign moved to the top
-            top, bottom = x.value._denominator, x.value._numerator
-            x = ExactScalar(RATIONAL, _fraction(top, bottom) if bottom > 0 else _fraction(-top, -bottom))
+            x = ExactScalar(RATIONAL, _rat_quotient(_ONES[RATIONAL].value, x.value))
         k = -k
-    value = x.value
-    if domain == RATIONAL:
-        # a reduced Fraction is +-1 when its numerator is +-its denominator;
-        # the powers of a coprime pair are coprime
-        top, bottom = value._numerator, value._denominator
+    if domain != POLYNOMIAL:
+        # (top, bottom) is an int over 1 or a reduced Fraction's slots: +-1
+        # when top is +-bottom, and the powers of a coprime pair are coprime
+        value = x.value
+        top, bottom = (value, 1) if domain == INTEGER else (value._numerator, value._denominator)
         if top == bottom:
             return x
         if top and top != -bottom:
             _tick_mul(k.bit_length() + k.bit_count() - 2)
-            return ExactScalar(RATIONAL, _fraction(top**k, bottom**k))
-    elif domain == INTEGER:
-        if value == 1:
-            return x
-        if value and value != -1:
-            _tick_mul(k.bit_length() + k.bit_count() - 2)
-            return ExactScalar(INTEGER, value**k)
+            top **= k
+            return ExactScalar(domain, top if domain == INTEGER else _fraction(top, bottom**k))
     result = x
     for bit in bin(k)[3:]:
         result = mul(result, result)

@@ -422,7 +422,7 @@ def test_rational_strips_run_over_the_integers():
     mixed = ((rational(1, 2), integer(2), rational(3)), (rational(1), rational(1, 3), integer(0)))
     with ring.count_ops() as counter:
         for diagonal in mixed:
-            with pytest.raises(ring.DomainMismatchError):
+            with pytest.raises(ring.DomainMismatchError, match="^cannot mix rat and int scalars$"):
                 det_hankel_strip(diagonal, 2)
     assert (counter.muls, counter.divs) == (0, 0)
 
@@ -480,9 +480,10 @@ def test_integer_strips_run_over_their_content():
         (integer(2), integer(4), ring.poly_const(6)),
         (ring.poly_const(2), ring.variable("a"), ring.variable("b"), ring.variable("c1"), integer(1)),
     )
+    messages = ("^cannot mix int and rat scalars$", "^cannot mix int and poly scalars$", "^cannot mix poly and int scalars$")
     with ring.count_ops() as counter:
-        for diagonal in mixed:
-            with pytest.raises(ring.DomainMismatchError):
+        for diagonal, message in zip(mixed, messages):
+            with pytest.raises(ring.DomainMismatchError, match=message):
                 det_hankel_strip(diagonal, 2)
     assert (counter.muls, counter.divs) == (0, 0)
 
@@ -578,6 +579,32 @@ def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypa
             with pytest.raises(ring.InexactDivisionError, match="planted"):
                 det_hankel_strip(diagonal, 4)
         assert (counter.muls, counter.divs) == replayed(k), k
+    # the same replay in the other two kinds, one step at a time: a rat
+    # matrix given to det_bareiss runs the Fraction kind (Lcg64(3): a zero
+    # leading minor, so a row swap), and a symbolic strip whose two rows
+    # are blocked (rising powers at r = 2 have D(., 4) = 0) runs the Poly
+    # kind.  Each recorded step, run alone, returns and counts what ring's
+    # scalar step does on the wrapped payloads, and the steps' counts add
+    # up to the report's
+    rng = Lcg64(3)
+    matrix = SquareMatrix([[rational(rng.next_int(-2, 2), rng.next_int(1, 3)) for _ in range(5)] for _ in range(5)])
+    symbolic = anti_diagonal(symbolic_spec(), MatrixQuery(0, 2, 6), count=2)
+    cases = ((ring.RATIONAL, lambda: det_bareiss(matrix)), (ring.POLYNOMIAL, lambda: det_hankel_strip(symbolic, 6)))
+    for domain, run in cases:
+        steps.clear()
+        report = run()
+        kind = ring._PAYLOADS[domain]
+        totals = [0, 0]
+        for args in steps:
+            with ring.count_ops() as own, counted_steps(kind) as step:
+                value = step(*args)
+            with ring.count_ops() as scalar:
+                a, b, c, d, e = (ring.ExactScalar(domain, x) for x in args)
+                expected = ring.exact_div(ring.sub(ring.mul(a, b), ring.mul(c, d)), e)
+            assert (ring.ExactScalar(domain, value), own.muls, own.divs) == (expected, scalar.muls, scalar.divs)
+            totals = [totals[0] + own.muls, totals[1] + own.divs]
+        assert totals == [report.mul_count, report.div_count] == ([35, 5] if domain == ring.RATIONAL else [248, 40])
+    assert report.fallback_used == 2
 
 
 def test_one_row_strip_is_the_hankel_minors_triangle():

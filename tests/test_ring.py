@@ -70,6 +70,30 @@ def test_inexact_division_errors():
         exact_div(add(a, b), a)
 
 
+def test_failed_divisions_and_products_tick_by_the_one_rule():
+    # a zero divisor raises before any tick, over a zero dividend too; an
+    # inexact division and a product past the degree cap are ticked before
+    # their payload work runs, so they count although they raise
+    with count_ops() as counter:
+        for domain in ring.DOMAINS:
+            with pytest.raises(ZeroDivisionError):
+                exact_div(zero(domain), zero(domain))
+    assert (counter.muls, counter.divs) == (0, 0)
+    a, b = variable("a"), variable("b")
+    for top, divisor in ((integer(7), integer(2)), (add(a, b), a)):
+        with count_ops() as counter:
+            with pytest.raises(InexactDivisionError):
+                exact_div(top, divisor)
+        assert (counter.muls, counter.divs) == (0, 1)
+    half = 32767 // 2
+    high = ExactScalar(ring.POLYNOMIAL, Poly({(half, 0, 0, 0): 1, (0, 0, 0, 0): 1}))
+    square, tail = mul(high, high), add(mul(b, b), one(ring.POLYNOMIAL))
+    with count_ops() as counter:
+        with pytest.raises(OverflowError):
+            mul(square, tail)
+    assert (counter.muls, counter.divs) == (1, 0)
+
+
 def test_inexact_int_division_raises_past_the_int_digit_limit():
     # CPython 3.11+ refuses to print an int of over 4,300 digits; the error
     # then names the operands' bit lengths instead of their digits
