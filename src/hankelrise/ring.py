@@ -27,8 +27,9 @@ reduces once, and only when its denominator is above 1.
 Multiplications and exact divisions performed while a ``count_ops()``
 context is active are tallied on its counter.  Shortcut cases that perform
 no payload arithmetic (an operand that is exactly zero or one, a zero
-dividend, a divisor of one) are not counted; counts are deterministic for
-a given computation.  ``mul``, ``exact_div`` and ``pow_signed`` state
+dividend, a divisor of one, the inverse of +-1) are not counted; counts
+are deterministic for a given computation, and an integer value counts
+alike written as an int or as a rat.  ``mul``, ``exact_div`` and ``pow_signed`` state
 each shortcut and the tick once for every domain.  A domain supplies only
 its native step and how its payload reads zero and one: a pair (n, d),
 zero when n is and one when n == d, which is an int over 1, a Fraction's
@@ -77,9 +78,14 @@ multiply yields the product; biasing every slot by half its range makes
 the slots non-negative bytes cut from ``to_bytes``.  A square, a poly
 times itself as every strip step's c*c is, packs one image and squares
 it.  A quotient takes divmod of images whose slots are one byte wider
-than both operands need; a nonzero remainder declines, and otherwise the
-image quotient decodes to a candidate q inside the box the dividend's
-box less the divisor's allows.  An image is the value at x = 2^(8*width)
+than both operands need (``_divmod``: builtin divmod up to CPython
+3.12's own crossover, a divisor of 9,000 bits and a quotient of 4,500,
+and past it recursive division, which replaces CPython 3.11's quadratic
+long division by Karatsuba multiplications: on the grid above, 14 of the
+28 image quotients pass the crossover, and took 25 ms instead of 56 ms,
+best of 7 on CPython 3.11.7 on a shared 2-vCPU VM); a nonzero
+remainder declines, and otherwise the image quotient decodes to a
+candidate q inside the box the dividend's box less the divisor's allows.  An image is the value at x = 2^(8*width)
 of a polynomial in x, so a zero remainder says the images of
 q * divisor and of the dividend agree; when that width is above every
 coefficient of q * divisor - dividend, which max|q| * max|divisor| *
@@ -582,7 +588,7 @@ def _kronecker_div(dividend: Poly, divisor: Poly) -> Union[Poly, None]:
     # images fit; a quotient that does not fit fails the check below
     largest = max(max(map(abs, dp.values())), max(map(abs, vp.values())))
     width = _slot_bytes(largest << 8)
-    image, remainder = divmod(_image(dp, dividend_shape, stride, width), _image(vp, divisor_shape, stride, width))
+    image, remainder = _divmod(_image(dp, dividend_shape, stride, width), _image(vp, divisor_shape, stride, width))
     if remainder:
         return None
     quotient = _decode(image, shape, stride, width)
@@ -602,6 +608,117 @@ def _kronecker_div(dividend: Poly, divisor: Poly) -> Union[Poly, None]:
         if product != _image(dp, dividend_shape, stride, check):
             return None
     return Poly._wrap(quotient, shape)
+
+
+# Recursive division (Burnikel & Ziegler, "Fast Recursive Division", MPI
+# report MPI-I-98-1-022, 1998), after CPython 3.12+'s Lib/_pylong.py, whose
+# int_divmod, _divmod_pos, _div2n1n, _div3n2n, _int2digits and _digits2int
+# these follow.  CPython 3.11's divmod is schoolbook division, quadratic in
+# the quotient's length times the divisor's; recursion turns the work into
+# multiplications, which are Karatsuba.  CPython 3.12+ switches to it for a
+# divisor above 300 digits of 30 bits and a quotient above 150; _divmod
+# keeps builtin divmod up to that crossover, and _div2n1n below 4000 bits.
+_DIVMOD_DIVISOR_BITS = 9000
+_DIVMOD_QUOTIENT_BITS = 4500
+_DIV_LIMIT = 4000
+
+
+def _divmod(a: int, b: int) -> Tuple[int, int]:
+    """divmod(a, b), signs and ZeroDivisionError included, by recursive
+    division once b has more than 9,000 bits and the quotient more than
+    about 4,500 (a's bits less b's)."""
+    if b.bit_length() <= _DIVMOD_DIVISOR_BITS or a.bit_length() - b.bit_length() <= _DIVMOD_QUOTIENT_BITS:
+        return divmod(a, b)
+    # int_divmod's signs: a = q*b + r with r of b's sign, through
+    # divmod(-a, -b) for a negative b and ~a = -a - 1 for a negative a
+    sign = 1
+    if b < 0:
+        a, b, sign = -a, -b, -1
+    if a < 0:
+        q, r = _divmod_pos(~a, b)
+        q, r = ~q, b + ~r
+    else:
+        q, r = _divmod_pos(a, b)
+    return q, sign * r
+
+
+def _divmod_pos(a: int, b: int) -> Tuple[int, int]:
+    """divmod of a >= 0 by b > 0: schoolbook division in base 2**n, n the
+    bits of b, each digit step a recursive 2n-by-n division."""
+    n = b.bit_length()
+    r = 0
+    q_digits = []
+    for a_digit in reversed(_int2digits(a, n)):
+        q_digit, r = _div2n1n((r << n) + a_digit, b, n)
+        q_digits.append(q_digit)
+    q_digits.reverse()
+    return _digits2int(q_digits, n), r
+
+
+def _div2n1n(a: int, b: int, n: int) -> Tuple[int, int]:
+    """divmod of 0 <= a < 2**n * b by b of exactly n bits, halving n."""
+    if a.bit_length() - n <= _DIV_LIMIT:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:
+        a <<= 1
+        b <<= 1
+        n += 1
+    half_n = n >> 1
+    mask = (1 << half_n) - 1
+    b1, b2 = b >> half_n, b & mask
+    q1, r = _div3n2n(a >> n, (a >> half_n) & mask, b, b1, b2, half_n)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, half_n)
+    if pad:
+        r >>= 1
+    return q1 << half_n | q2, r
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> Tuple[int, int]:
+    """divmod of a12 * 2**n + a3 by b = b1 * 2**n + b2: a quotient guessed
+    from the top halves, then corrected at most twice."""
+    if a12 >> n == b1:
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = _div2n1n(a12, b1, n)
+    r = (r << n | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
+def _int2digits(a: int, n: int) -> list:
+    """The base-2**n digits of a >= 0, least significant first, split in
+    halves recursively; [] for 0."""
+    digits = [0] * ((a.bit_length() + n - 1) // n)
+
+    def inner(x: int, lo: int, hi: int) -> None:
+        if lo + 1 == hi:
+            digits[lo] = x
+            return
+        mid = (lo + hi) >> 1
+        shift = (mid - lo) * n
+        upper = x >> shift
+        inner(x ^ (upper << shift), lo, mid)
+        inner(upper, mid, hi)
+
+    if a:
+        inner(a, 0, len(digits))
+    return digits
+
+
+def _digits2int(digits: list, n: int) -> int:
+    """The int of base-2**n digits, least significant first: the inverse
+    of _int2digits."""
+
+    def inner(lo: int, hi: int) -> int:
+        if lo + 1 == hi:
+            return digits[lo]
+        mid = (lo + hi) >> 1
+        return (inner(mid, hi) << ((mid - lo) * n)) + inner(lo, mid)
+
+    return inner(0, len(digits)) if digits else 0
 
 
 # ---------------------------------------------------------------------------
@@ -932,6 +1049,8 @@ def invertible(x: ExactScalar) -> bool:
 def pow_signed(x: ExactScalar, k: int) -> ExactScalar:
     """x**k with signed k: negative k needs invertible(x), and 0**k needs k >= 0.
 
+    A negative power inverts first: a rational other than +-1 ticks one
+    division, and a unit +-1 is its own inverse, free in every domain.
     An int or rat base equal to one is returned as it is: every step of
     the square-and-multiply loop would multiply by one, which ticks
     nothing.  An int or rat base other than 0 and +-1 takes one native
@@ -947,7 +1066,9 @@ def pow_signed(x: ExactScalar, k: int) -> ExactScalar:
             raise ZeroDivisionError("zero cannot be raised to a negative power")
         if not invertible(x):
             raise NotInvertibleError(f"negative power in non-invertible domain {domain}")
-        if domain == RATIONAL:
+        # a unit +-1 is its own inverse, free in every domain, so equal
+        # values count alike over int and rat
+        if domain == RATIONAL and abs(x.value._numerator) != x.value._denominator:
             _tick_div()
             x = ExactScalar(RATIONAL, _rat_quotient(_ONES[RATIONAL].value, x.value))
         k = -k

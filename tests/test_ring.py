@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -194,7 +195,8 @@ def _reference_pow(x, k):
             raise ZeroDivisionError
         if not ring.invertible(x):
             raise NotInvertibleError
-        if x.domain == ring.RATIONAL:
+        # a unit +-1 is its own inverse and free; another rational ticks one
+        if x.domain == ring.RATIONAL and abs(x.value) != 1:
             divs, x = 1, rational(1 / x.value)
         k = -k
     result = x
@@ -288,9 +290,10 @@ def test_rational_pow_and_is_zero_read_zero_and_one_without_fraction_calls(monke
     assert powers[0] is unit
     assert [str(y) for y in powers] == ["1", "1", "-1", "1", "0", "-8/27"]
     assert zeros == [True, False, False, True, True, False]
-    # two inversions; (-1)^5 and (-1)^4 tick their first squaring only, as
-    # the rest multiply by one, 0^3 ticks nothing and (-2/3)^3 the loop's 2
-    assert (counter.muls, counter.divs) == (1 + 1 + 2, 2)
+    # the inversions of 1 and -1 are free; (-1)^5 and (-1)^4 tick their
+    # first squaring only, as the rest multiply by one, 0^3 ticks nothing
+    # and (-2/3)^3 the loop's 2
+    assert (counter.muls, counter.divs) == (1 + 1 + 2, 0)
 
 
 def test_rational_grid_makes_no_fraction_eq_or_bool_calls_in_ring_or_run_grid(monkeypatch):
@@ -1026,6 +1029,55 @@ def test_kronecker_work_on_acceptance_05(monkeypatch):
     }
     # the shared constants came through the sweep as they were
     assert one(ring.POLYNOMIAL).value._packed == {0: 1} and zero(ring.POLYNOMIAL).value._packed == {}
+
+
+def test_divmod_matches_builtin_divmod_on_both_sides_of_the_crossover():
+    # seeded divisors and quotients just below, at and past the crossover
+    # (a divisor above 9,000 bits and a quotient above 4,500), each with an
+    # exact and an inexact dividend, a zero dividend and one below the
+    # divisor, in all four sign combinations, plus all-ones and power-of-two
+    # operands; a dividend whose top digit is b - 1 reaches _div3n2n's
+    # guess for equal top halves
+    rng = random.Random(2031)
+    divisor_bits = (64, ring._DIVMOD_DIVISOR_BITS, ring._DIVMOD_DIVISOR_BITS + 1, 20_000, 45_000)
+    quotient_bits = (1, ring._DIVMOD_QUOTIENT_BITS, ring._DIVMOD_QUOTIENT_BITS + 2, 12_000, 80_000)
+    cases = []
+    for nb, nq in itertools.product(divisor_bits, quotient_bits):
+        b = rng.getrandbits(nb) | 1 << (nb - 1)
+        q = rng.getrandbits(nq) | 1 << (nq - 1)
+        cases += [(q * b, b), (q * b + rng.randrange(1, b), b), (0, b), (rng.randrange(b), b)]
+        cases += [((1 << nb + nq) - 1, (1 << nb) - 1), (q << nb - 1, 1 << nb - 1), (q * b - 1, b)]
+        cases.append(((b - 1) << nb | rng.getrandbits(nb), b))
+    past = 0
+    for (a, b), sa, sb in itertools.product(cases, (1, -1), (1, -1)):
+        x, y = sa * a, sb * b
+        assert ring._divmod(x, y) == divmod(x, y), (a.bit_length(), b.bit_length(), sa, sb)
+        past += y.bit_length() > ring._DIVMOD_DIVISOR_BITS and x.bit_length() - y.bit_length() > ring._DIVMOD_QUOTIENT_BITS
+    assert past >= 150
+    for zero_divisor in (0, -0):
+        with pytest.raises(ZeroDivisionError):
+            ring._divmod(1 << 50_000, zero_divisor)
+
+
+def test_kronecker_quotients_on_acceptance_05_pass_through_divmod(monkeypatch):
+    # every one of the 28 image quotients reaches ring._divmod, and the 14
+    # with a divisor above 9,000 bits and a quotient above 4,500 take the
+    # recursion, each with builtin divmod's quotient and remainder
+    divide, recurse = ring._divmod, ring._divmod_pos
+    seen, recursed = [], []
+
+    def spy(a, b):
+        result = divide(a, b)
+        assert result == divmod(a, b)
+        seen.append(b.bit_length() > ring._DIVMOD_DIVISOR_BITS and a.bit_length() - b.bit_length() > ring._DIVMOD_QUOTIENT_BITS)
+        return result
+
+    monkeypatch.setattr(ring, "_divmod", spy)
+    monkeypatch.setattr(ring, "_divmod_pos", lambda a, b: recursed.append(b) or recurse(a, b))
+    report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
+    assert report.passed and report.checked == 60 and report.mismatches == ()
+    assert (report.mul_count, report.div_count) == (463, 32)
+    assert (len(seen), sum(seen), len(recursed)) == (28, 14, 14)
 
 
 def test_symbolic_grid_multiplies_only_through_the_poly_methods(monkeypatch):

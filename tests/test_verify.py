@@ -296,6 +296,43 @@ def test_integer_valued_specs_count_the_same_in_both_numeric_domains():
         assert len(totals) == 1, (name, identity, totals)
 
 
+def test_integer_valued_specs_with_unit_c2_count_alike_over_int_and_rat(monkeypatch):
+    # negative n inverts c2 = +-1, which is free in both numeric domains, so
+    # each grid gives the same value at every point and the same (muls,
+    # divs) over int and over rat: theorem2 and rank-zero under every
+    # oracle and eq4, on fibonacci, lucas, pell, a c2 = -1 spec and six
+    # seeded specs whose c2 is drawn from +-1
+    specs = [(0, 1, 1, 1), (2, 1, 1, 1), (0, 1, 2, 1), (2, 1, 1, -1)]
+    rng = Lcg64(11)
+    for _ in range(6):
+        a, b, c1 = (rng.next_int(-9, 9) for _ in range(3))
+        specs.append((a, b, c1, 2 * rng.next_int(0, 1) - 1))
+    assert {spec[3] for spec in specs} == {1, -1}
+    values = []
+    real_points = verify_module._points
+
+    def points(*args):
+        for point in real_points(*args):
+            values.append(tuple(map(str, point)))
+            yield point
+
+    monkeypatch.setattr(verify_module, "_points", points)
+    grids = [("eq4", None, dict(i=(0, 4), j=(0, 4)))]
+    grids += [(name, oracle, dict(r=(0, 3))) for name in ("theorem2", "rank-zero") for oracle in verify_module.ORACLES]
+    divided = 0
+    for spec, (identity, oracle, axes) in itertools.product(specs, grids):
+        seen = []
+        for domain in (ring.INTEGER, ring.RATIONAL):
+            values.clear()
+            scalars = RecurrenceSpec(*(ring._make(domain, v) for v in spec))
+            report = run_grid(GridSpec(identity, spec=scalars, domain=domain, oracle=oracle, n=(-4, 4), **axes))
+            assert report.passed, (spec, identity, oracle, domain)
+            seen.append((report.checked, report.mul_count, report.div_count, list(values)))
+        assert seen[0] == seen[1], (spec, identity, oracle)
+        divided += seen[0][2] > 0
+    assert divided > 0
+
+
 def test_rank_zero_windows():
     report = run_grid(GridSpec(identity="rank-zero", n=(0, 2), r=(0, 2)))
     assert report.passed and report.checked == 18  # default window r+2..r+3
@@ -855,8 +892,8 @@ def test_nothing_is_carried_across_grids():
     after = run_grid(first)
     # each term, companion term and delta once per grid; pell is seeded
     # (0, 1), so its companion terms are its terms (1,009 muls when every
-    # point made its own caches)
-    assert (before.mul_count, before.div_count) == (239, 75)
+    # point made its own caches); pell's c2 = 1 inverts for free
+    assert (before.mul_count, before.div_count) == (239, 0)
     assert (before.mul_count, before.div_count) == (after.mul_count, after.div_count)
     assert before.mismatches == after.mismatches and before.checked == after.checked
 
