@@ -29,11 +29,12 @@ context is active are tallied on its counter.  Shortcut cases that perform
 no payload arithmetic (an operand that is exactly zero or one, a zero
 dividend, a divisor of one, the inverse of +-1) are not counted; counts
 are deterministic for a given computation, and an integer value counts
-alike written as an int or as a rat.  ``mul``, ``exact_div`` and ``pow_signed`` state
-each shortcut and the tick once for every domain.  A domain supplies only
-its native step and how its payload reads zero and one: a pair (n, d),
-zero when n is and one when n == d, which is an int over 1, a Fraction's
-two slots, or a poly's packed terms over the packed one.
+alike written as an int or as a rat.  ``mul``, ``exact_div`` and
+``pow_signed`` state each shortcut and the tick once for every domain.
+A domain supplies only its native step and how its payload reads zero
+and one: a pair (n, d), zero when n is and one when n == d, which is an
+int over 1, a Fraction's two slots, or a poly's packed terms over the
+packed one.
 
 Polynomial monomials are packed exponent vectors (Monagan & Pearce,
 CASC 2007): the total degree in the top bits, then ea, eb, ec1, ec2 in
@@ -78,14 +79,9 @@ multiply yields the product; biasing every slot by half its range makes
 the slots non-negative bytes cut from ``to_bytes``.  A square, a poly
 times itself as every strip step's c*c is, packs one image and squares
 it.  A quotient takes divmod of images whose slots are one byte wider
-than both operands need (``_divmod``: builtin divmod up to CPython
-3.12's own crossover, a divisor of 9,000 bits and a quotient of 4,500,
-and past it recursive division, which replaces CPython 3.11's quadratic
-long division by Karatsuba multiplications: on the grid above, 14 of the
-28 image quotients pass the crossover, and took 25 ms instead of 56 ms,
-best of 7 on CPython 3.11.7 on a shared 2-vCPU VM); a nonzero
-remainder declines, and otherwise the image quotient decodes to a
-candidate q inside the box the dividend's box less the divisor's allows.  An image is the value at x = 2^(8*width)
+than both operands need; a nonzero remainder declines, and otherwise the
+image quotient decodes to a candidate q inside the box the dividend's
+box less the divisor's allows.  An image is the value at x = 2^(8*width)
 of a polynomial in x, so a zero remainder says the images of
 q * divisor and of the dividend agree; when that width is above every
 coefficient of q * divisor - dividend, which max|q| * max|divisor| *
@@ -96,7 +92,13 @@ On the symbolic grid above, every quotient is accepted at the width it
 was divided at.  A candidate that fails, or does not decode, leaves the
 division to the dict loop, which returns the quotient or raises
 InexactDivisionError.  Either path gives the same terms, so counts and
-canonical strings do not depend on it.  A Poly is immutable, so its
+canonical strings do not depend on it.  The image division is
+``_divmod``: builtin divmod up to CPython 3.12's own crossover, a
+divisor of 9,000 bits or a quotient of 4,500, and recursive division
+past it, which replaces CPython 3.11's quadratic long division by
+Karatsuba multiplications.  On the grid above, 14 of the 28 image
+quotients pass the crossover; they took 25 ms instead of 56 ms (best of
+7, CPython 3.11.7 on a shared 2-vCPU VM).  A Poly is immutable, so its
 shape (see _bigraded) is scanned on its first kernel call and kept on it;
 a kernel product or quotient is made with its shape, which the operands'
 shapes give, and is never scanned.
@@ -611,7 +613,8 @@ def _kronecker_div(dividend: Poly, divisor: Poly) -> Union[Poly, None]:
 
 
 # Recursive division (Burnikel & Ziegler, "Fast Recursive Division", MPI
-# report MPI-I-98-1-022, 1998), after CPython 3.12+'s Lib/_pylong.py, whose
+# report MPI-I-98-1-022, 1998), after CPython 3.12+'s Lib/_pylong.py (from
+# Mark Dickinson's fast_div.py, refined by Bjorn Martinsson), whose
 # int_divmod, _divmod_pos, _div2n1n, _div3n2n, _int2digits and _digits2int
 # these follow.  CPython 3.11's divmod is schoolbook division, quadratic in
 # the quotient's length times the divisor's; recursion turns the work into

@@ -1031,6 +1031,11 @@ def test_kronecker_work_on_acceptance_05(monkeypatch):
     assert one(ring.POLYNOMIAL).value._packed == {0: 1} and zero(ring.POLYNOMIAL).value._packed == {}
 
 
+def _past_crossover(a, b):
+    """Whether ring._divmod(a, b) takes recursive division."""
+    return b.bit_length() > ring._DIVMOD_DIVISOR_BITS and a.bit_length() - b.bit_length() > ring._DIVMOD_QUOTIENT_BITS
+
+
 def test_divmod_matches_builtin_divmod_on_both_sides_of_the_crossover():
     # seeded divisors and quotients just below, at and past the crossover
     # (a divisor above 9,000 bits and a quotient above 4,500), each with an
@@ -1052,11 +1057,10 @@ def test_divmod_matches_builtin_divmod_on_both_sides_of_the_crossover():
     for (a, b), sa, sb in itertools.product(cases, (1, -1), (1, -1)):
         x, y = sa * a, sb * b
         assert ring._divmod(x, y) == divmod(x, y), (a.bit_length(), b.bit_length(), sa, sb)
-        past += y.bit_length() > ring._DIVMOD_DIVISOR_BITS and x.bit_length() - y.bit_length() > ring._DIVMOD_QUOTIENT_BITS
+        past += _past_crossover(x, y)
     assert past >= 150
-    for zero_divisor in (0, -0):
-        with pytest.raises(ZeroDivisionError):
-            ring._divmod(1 << 50_000, zero_divisor)
+    with pytest.raises(ZeroDivisionError):
+        ring._divmod(1 << 50_000, 0)
 
 
 def test_kronecker_quotients_on_acceptance_05_pass_through_divmod(monkeypatch):
@@ -1069,7 +1073,7 @@ def test_kronecker_quotients_on_acceptance_05_pass_through_divmod(monkeypatch):
     def spy(a, b):
         result = divide(a, b)
         assert result == divmod(a, b)
-        seen.append(b.bit_length() > ring._DIVMOD_DIVISOR_BITS and a.bit_length() - b.bit_length() > ring._DIVMOD_QUOTIENT_BITS)
+        seen.append(_past_crossover(a, b))
         return result
 
     monkeypatch.setattr(ring, "_divmod", spy)

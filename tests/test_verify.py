@@ -319,7 +319,6 @@ def test_integer_valued_specs_with_unit_c2_count_alike_over_int_and_rat(monkeypa
     monkeypatch.setattr(verify_module, "_points", points)
     grids = [("eq4", None, dict(i=(0, 4), j=(0, 4)))]
     grids += [(name, oracle, dict(r=(0, 3))) for name in ("theorem2", "rank-zero") for oracle in verify_module.ORACLES]
-    divided = 0
     for spec, (identity, oracle, axes) in itertools.product(specs, grids):
         seen = []
         for domain in (ring.INTEGER, ring.RATIONAL):
@@ -329,8 +328,6 @@ def test_integer_valued_specs_with_unit_c2_count_alike_over_int_and_rat(monkeypa
             assert report.passed, (spec, identity, oracle, domain)
             seen.append((report.checked, report.mul_count, report.div_count, list(values)))
         assert seen[0] == seen[1], (spec, identity, oracle)
-        divided += seen[0][2] > 0
-    assert divided > 0
 
 
 def test_rank_zero_windows():
