@@ -44,8 +44,11 @@ reduced Fractions only for a rat matrix given to det_bareiss or
 det_condensation.  The step multiplies and subtracts with the payloads'
 operators and makes one exact division.  Each domain's zero, one and
 exact quotient live in ring._PAYLOADS, and ring.exact_div divides through
-the same quotient functions.  The step counts by ring's rules, into two
-ints that are ticked once per call, on exit, even when a step raises.
+the same quotient functions.  The int quotient divides through
+ring._divmod, so a strip's int steps past CPython 3.12's crossover take
+recursive division, as the poly kernel's image quotients do.  The step
+counts by ring's rules, into two ints that are ticked once per call, on
+exit, even when a step raises.
 det_cofactor stays on ring's scalar operations: it shares no code with
 the other three, which makes it their independent reference.
 

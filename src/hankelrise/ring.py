@@ -93,15 +93,17 @@ was divided at.  A candidate that fails, or does not decode, leaves the
 division to the dict loop, which returns the quotient or raises
 InexactDivisionError.  Either path gives the same terms, so counts and
 canonical strings do not depend on it.  The image division is
-``_divmod``: builtin divmod up to CPython 3.12's own crossover, a
-divisor of 9,000 bits or a quotient of 4,500, and recursive division
-past it, which replaces CPython 3.11's quadratic long division by
-Karatsuba multiplications.  On the grid above, 14 of the 28 image
-quotients pass the crossover; they took 25 ms instead of 56 ms (best of
-7, CPython 3.11.7 on a shared 2-vCPU VM).  A Poly is immutable, so its
-shape (see _bigraded) is scanned on its first kernel call and kept on it;
-a kernel product or quotient is made with its shape, which the operands'
-shapes give, and is never scanned.
+``_divmod``, which every exact int quotient goes through: builtin divmod
+up to CPython 3.12's own crossover, a divisor of 9,000 bits or a
+quotient of 4,500, and recursive division past it, which replaces
+CPython 3.11's quadratic long division by Karatsuba multiplications.  On
+the grid above, 14 of the 28 image quotients pass the crossover; they
+took 25 ms instead of 56 ms (best of 7, CPython 3.11.7 on a shared
+2-vCPU VM), and theorem1's int strip at n = 0, r = 40 sends 592 of its
+1,521 quotients past it, which took 106 ms instead of 155 ms.  A Poly
+is immutable, so its shape (see _bigraded) is scanned on its first
+kernel call and kept on it; a kernel product or quotient is made with
+its shape, which the operands' shapes give, and is never scanned.
 """
 
 from __future__ import annotations
@@ -615,12 +617,15 @@ def _kronecker_div(dividend: Poly, divisor: Poly) -> Union[Poly, None]:
 # Recursive division (Burnikel & Ziegler, "Fast Recursive Division", MPI
 # report MPI-I-98-1-022, 1998), after CPython 3.12+'s Lib/_pylong.py (from
 # Mark Dickinson's fast_div.py, refined by Bjorn Martinsson), whose
-# int_divmod, _divmod_pos, _div2n1n, _div3n2n, _int2digits and _digits2int
-# these follow.  CPython 3.11's divmod is schoolbook division, quadratic in
-# the quotient's length times the divisor's; recursion turns the work into
-# multiplications, which are Karatsuba.  CPython 3.12+ switches to it for a
-# divisor above 300 digits of 30 bits and a quotient above 150; _divmod
-# keeps builtin divmod up to that crossover, and _div2n1n below 4000 bits.
+# int_divmod, _divmod_pos, _div2n1n and _div3n2n these follow.  CPython
+# 3.11's divmod is schoolbook division, quadratic in the quotient's length
+# times the divisor's; recursion turns the work into multiplications, which
+# are Karatsuba.  CPython 3.12+ switches to it for a divisor above 300
+# digits of 30 bits and a quotient above 150; _divmod keeps builtin divmod
+# up to that crossover, and _div2n1n below 4000 bits.  Past it a has few
+# base-2**n digits, n the divisor's bits (3 or 4 on the symbolic grids, 2
+# or 3 on theorem1's int strips at r = 33..40), so a shift per digit reads
+# them where _pylong splits and joins digits by halves.
 _DIVMOD_DIVISOR_BITS = 9000
 _DIVMOD_QUOTIENT_BITS = 4500
 _DIV_LIMIT = 4000
@@ -647,15 +652,15 @@ def _divmod(a: int, b: int) -> Tuple[int, int]:
 
 def _divmod_pos(a: int, b: int) -> Tuple[int, int]:
     """divmod of a >= 0 by b > 0: schoolbook division in base 2**n, n the
-    bits of b, each digit step a recursive 2n-by-n division."""
+    bits of b, each digit of a read by a shift from the top down and each
+    step a recursive 2n-by-n division."""
     n = b.bit_length()
-    r = 0
-    q_digits = []
-    for a_digit in reversed(_int2digits(a, n)):
-        q_digit, r = _div2n1n((r << n) + a_digit, b, n)
-        q_digits.append(q_digit)
-    q_digits.reverse()
-    return _digits2int(q_digits, n), r
+    mask = (1 << n) - 1
+    q = r = 0
+    for shift in range((a.bit_length() - 1) // n * n, -1, -n):
+        q_digit, r = _div2n1n((r << n) + ((a >> shift) & mask), b, n)
+        q = (q << n) + q_digit
+    return q, r
 
 
 def _div2n1n(a: int, b: int, n: int) -> Tuple[int, int]:
@@ -689,39 +694,6 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> Tuple[int, 
         q -= 1
         r += b
     return q, r
-
-
-def _int2digits(a: int, n: int) -> list:
-    """The base-2**n digits of a >= 0, least significant first, split in
-    halves recursively; [] for 0."""
-    digits = [0] * ((a.bit_length() + n - 1) // n)
-
-    def inner(x: int, lo: int, hi: int) -> None:
-        if lo + 1 == hi:
-            digits[lo] = x
-            return
-        mid = (lo + hi) >> 1
-        shift = (mid - lo) * n
-        upper = x >> shift
-        inner(x ^ (upper << shift), lo, mid)
-        inner(upper, mid, hi)
-
-    if a:
-        inner(a, 0, len(digits))
-    return digits
-
-
-def _digits2int(digits: list, n: int) -> int:
-    """The int of base-2**n digits, least significant first: the inverse
-    of _int2digits."""
-
-    def inner(lo: int, hi: int) -> int:
-        if lo + 1 == hi:
-            return digits[lo]
-        mid = (lo + hi) >> 1
-        return (inner(mid, hi) << ((mid - lo) * n)) + inner(lo, mid)
-
-    return inner(0, len(digits)) if digits else 0
 
 
 # ---------------------------------------------------------------------------
@@ -1001,8 +973,9 @@ def exact_div(x: ExactScalar, y: ExactScalar) -> ExactScalar:
 
 
 def _int_quotient(top: int, divisor: int) -> int:
-    """top / divisor, or InexactDivisionError when a remainder is left."""
-    quotient, residue = divmod(top, divisor)
+    """top / divisor by _divmod, looked up at each call, or
+    InexactDivisionError when a remainder is left."""
+    quotient, residue = _divmod(top, divisor)
     if residue:
         try:
             message = f"{top} is not divisible by {divisor}"

@@ -76,3 +76,9 @@ def test_submatrix_helpers():
     assert [[e.value for e in row] for row in inner.rows] == [[5]]
     with pytest.raises(ValueError):
         dropped.interior()
+
+
+def test_poly_and_matrix_reprs():
+    assert repr(ring.Poly.variable("a")) == "Poly(a)"
+    matrix = SquareMatrix([[integer(v) for v in row] for row in ((1, 2), (2, 3))])
+    assert repr(matrix) == "SquareMatrix[1, 2; 2, 3]"

@@ -95,29 +95,35 @@ def test_failed_divisions_and_products_tick_by_the_one_rule():
     assert (counter.muls, counter.divs) == (1, 0)
 
 
-def test_inexact_int_division_raises_past_the_int_digit_limit():
+def test_inexact_int_division_raises_past_the_int_digit_limit(monkeypatch):
     # CPython 3.11+ refuses to print an int of over 4,300 digits; the error
-    # then names the operands' bit lengths instead of their digits
+    # then names the operands' bit lengths instead of their digits.  huge
+    # has 16,610 bits, so huge * huge (+ 1) over huge passes the crossover
+    # and divides recursively
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     saved = sys.get_int_max_str_digits() if set_limit else None
     if set_limit:
         set_limit(4300)
     huge = 10**5000 + 1
     int_quotient = ring._PAYLOADS[ring.INTEGER][3]
+    recurse, recursed = ring._divmod_pos, []
+    monkeypatch.setattr(ring, "_divmod_pos", lambda a, b: recursed.append(b) or recurse(a, b))
     try:
         for divide in (lambda t, e: exact_div(integer(t), integer(e)).value, int_quotient):
             with pytest.raises(InexactDivisionError, match="^-7 is not divisible by 2$"):
                 divide(-7, 2)
-            for top, divisor in ((huge, 10), (3, -huge)):
+            for top, divisor in ((huge, 10), (3, -huge), (huge * huge + 1, huge)):
                 with pytest.raises(InexactDivisionError) as caught:
                     divide(top, divisor)
                 if set_limit:
                     bits = top.bit_length(), divisor.bit_length()
                     assert str(caught.value) == "a {}-bit int is not divisible by a {}-bit int".format(*bits)
             assert divide(huge * 10, 10) == huge
+            assert divide(huge * huge, huge) == huge
     finally:
         if set_limit:
             set_limit(saved)
+    assert recursed == [huge] * 4
 
 
 def test_each_domain_payload_kind_divides_as_exact_div():
@@ -1053,6 +1059,12 @@ def test_divmod_matches_builtin_divmod_on_both_sides_of_the_crossover():
         cases += [(q * b, b), (q * b + rng.randrange(1, b), b), (0, b), (rng.randrange(b), b)]
         cases += [((1 << nb + nq) - 1, (1 << nb) - 1), (q << nb - 1, 1 << nb - 1), (q * b - 1, b)]
         cases.append(((b - 1) << nb | rng.getrandbits(nb), b))
+    # quotients of 400,000 bits: 46 and 21 digits in base 2 ** (the divisor's
+    # bits), far more than the 2 to 4 of the engine's own divisions
+    for nb in (ring._DIVMOD_DIVISOR_BITS + 1, 20_000):
+        b = rng.getrandbits(nb) | 1 << (nb - 1)
+        q = rng.getrandbits(400_000) | 1 << 399_999
+        cases += [(q * b, b), (q * b + rng.randrange(1, b), b)]
     past = 0
     for (a, b), sa, sb in itertools.product(cases, (1, -1), (1, -1)):
         x, y = sa * a, sb * b
@@ -1082,6 +1094,29 @@ def test_kronecker_quotients_on_acceptance_05_pass_through_divmod(monkeypatch):
     assert report.passed and report.checked == 60 and report.mismatches == ()
     assert (report.mul_count, report.div_count) == (463, 32)
     assert (len(seen), sum(seen), len(recursed)) == (28, 14, 14)
+
+
+@pytest.mark.parametrize(
+    "r, checked, muls, divs, recursions", [(33, 34, 6426, 1090, 24), (30, 31, 5300, 901, 0)]
+)
+def test_theorem1_int_strips_divide_through_divmod(monkeypatch, r, checked, muls, divs, recursions):
+    # the int strip's quotients go through ring._divmod; from r = 33 some
+    # have a divisor above 9,000 bits and a quotient above 4,500 and take
+    # the recursion, each with builtin divmod's quotient and remainder; at
+    # r = 30 (fib-r30) the largest divisor has 7,311 bits
+    recurse, recursed = ring._divmod_pos, []
+
+    def spy(a, b):
+        result = recurse(a, b)
+        assert result == divmod(a, b)
+        recursed.append(b)
+        return result
+
+    monkeypatch.setattr(ring, "_divmod_pos", spy)
+    report = run_grid(GridSpec(identity="theorem1", n=(0, 0), r=(r, r)))
+    assert report.passed and report.checked == checked and report.mismatches == ()
+    assert (report.mul_count, report.div_count) == (muls, divs)
+    assert len(recursed) == recursions
 
 
 def test_symbolic_grid_multiplies_only_through_the_poly_methods(monkeypatch):
