@@ -41,14 +41,19 @@ The step runs on plain payloads, not on scalars: each algorithm unwraps
 its input once and wraps each minor it returns once.  The payloads are
 ints (a numeric strip's scaled diagonal, and int matrices), Polys, and
 reduced Fractions only for a rat matrix given to det_bareiss or
-det_condensation.  The step multiplies and subtracts with the payloads'
-operators and makes one exact division.  Each domain's zero, one and
-exact quotient live in ring._PAYLOADS, and ring.exact_div divides through
-the same quotient functions.  The int quotient divides through
-ring._divmod, so a strip's int steps past CPython 3.12's crossover take
-recursive division, as the poly kernel's image quotients do.  The step
-counts by ring's rules, into two ints that are ticked once per call, on
-exit, even when a step raises.
+det_condensation.  Each domain's zero, one, exact quotient and fused step
+live in ring._PAYLOADS, and ring.exact_div divides through the same
+quotient functions.  When neither product has an operand 0 or 1, a poly
+step is one fused Kronecker pass (ring._kronecker_step: two image
+products, their difference and one image quotient, and only the quotient
+decoded) unless the kernel declines it, and a Fraction step runs on
+ring's slot arithmetic (ring._rat_step); otherwise, and for ints, the
+step multiplies and subtracts with the payloads' operators and makes one
+exact division.  The int quotient divides through ring._divmod, so a
+strip's int steps past CPython 3.12's crossover take recursive division,
+as the poly kernel's image quotients do.  The step counts by ring's
+rules, into two ints that are ticked once per call, on exit, even when a
+step raises.
 det_cofactor stays on ring's scalar operations: it shares no code with
 the other three, which makes it their independent reference.
 
@@ -161,20 +166,32 @@ def _cofactor(rows, domain: str) -> ExactScalar:
 @contextmanager
 def _counted_steps(kind: tuple):
     """The Desnanot-Jacobi step on payloads of one kind, counted as ring
-    counts: step(a, b, c, d, e) = (a*b - c*d) / e by the payloads' own
-    operators and one exact division.  As in ring.mul, a product with an
-    operand 0 or 1 is not counted and not multiplied; as in
-    ring.exact_div, a division of 0 or by 1 is neither, and a division is
-    counted before it divides.  The counts are two local ints, ticked once
-    on exit, so a table that raises still counts what it did.  kind is the
-    domain's ring._PAYLOADS tuple."""
+    counts: step(a, b, c, d, e) = (a*b - c*d) / e.  As in ring.mul, a
+    product with an operand 0 or 1 is not counted and not multiplied; as
+    in ring.exact_div, a division of 0 or by 1 is neither, and a division
+    is counted before it divides.  kind is the domain's ring._PAYLOADS
+    tuple.  When both products are counted and the kind has a fused step,
+    that step computes the whole quotient in one call (the poly kernel's
+    one Kronecker pass, or rational slot arithmetic), and its result counts
+    one division unless it is 0 or e is 1; when it declines, or the kind
+    has none, the payloads' own operators multiply and subtract and the
+    kind's quotient divides.  Either way the values and counts are the
+    same.  The counts are two local ints, ticked once on exit, so a table
+    that raises still counts what it did."""
     muls = divs = 0
-    zero, _, units, quotient = kind
+    zero, _, units, quotient, fused = kind
     nought, unit = units
 
     def step(a, b, c, d, e):
         nonlocal muls, divs
         if a not in units and b not in units:
+            if fused is not None and c not in units and d not in units:
+                value = fused(a, b, c, d, e)
+                if value is not None:
+                    muls += 2
+                    if value != nought and e != unit:
+                        divs += 1
+                    return value
             muls += 1
             ab = a * b
         elif a == nought or b == nought:
@@ -226,7 +243,7 @@ def _bareiss_minors(rows, kind: tuple, step) -> Tuple[Payload, ...]:
     """The leading minors of the square payload matrix rows by Bareiss
     elimination, each of its updates one step."""
     n = len(rows)
-    zero, one, (nought, _), _ = kind
+    zero, one, (nought, _), *_ = kind
     rows = [list(row) for row in rows]
     values = [rows[0][0]]
     sign_flip = False
@@ -359,7 +376,7 @@ def _hankel_strip(diagonal, d: int, kind: tuple):
     count = len(diagonal) - 2 * d + 2
     blocked = [False] * count
     any_blocked = False
-    _, one, (nought, _), _ = kind
+    _, one, (nought, _), *_ = kind
     with _counted_steps(kind) as step:
         older = [one] * len(diagonal)  # level 0, the empty blocks
         current = list(diagonal)
@@ -412,7 +429,7 @@ def _condense(grid, kind: tuple, step):
     over each 2 x 2 block of level t-1, divided by the interior of level
     t-2.
     """
-    _, one, (nought, _), _ = kind
+    _, one, (nought, _), *_ = kind
     older = [[one] * len(grid)] * len(grid)
     while len(grid) > 1:
         size = len(grid) - 1

@@ -22,7 +22,9 @@ int arithmetic itself.  ``add``, ``sub`` and ``mul`` take one int
 operation at denominators 1, else cross-cancel by gcds as Fraction does;
 ``neg`` and ``pow_signed``'s powers need no gcd; ``exact_div`` and
 ``pow_signed``'s inverses cross-cancel in ``_rat_quotient``; ``product``
-reduces once, and only when its denominator is above 1.
+reduces once, and only when its denominator is above 1.  determinant's
+Desnanot-Jacobi step over Fractions (``_rat_step``) multiplies, subtracts
+and divides with the helpers of ``mul``, ``sub`` and ``exact_div``.
 
 Multiplications and exact divisions performed while a ``count_ops()``
 context is active are tallied on its counter.  Shortcut cases that perform
@@ -68,8 +70,22 @@ over slots, within a constant factor of the dict loop's over pairs: a
 box spread over millions of slots stays on the dict loop.  Every kernel
 product and quotient of that grid has more than 3.2 pairs per slot; at
 4, a box one slot wide per ea still ran about 3 times slower than the
-dict loop.  On its default Desnanot-Jacobi strip that grid sends 86
-products and 28 quotients to the kernel, and the kernel declines none.
+dict loop.
+
+The Desnanot-Jacobi step (a*b - c*d) / e, which determinant runs over
+polys, is one fused kernel pass (_kronecker_step) when both products
+would take the kernel by that rule, both share one grading, their union
+box holds at least 3 pairs per slot of each, and e is bi-graded and
+neither 0 nor 1.  It encodes a, b, c (once when d is c, as in a strip)
+and e at one stride and width over the union of the two products' boxes,
+forms the numerator's image as one big-int difference of the two image
+products, divides it by e's image and decodes only the quotient: neither
+product is decoded, and the numerator's terms and shape are never made.
+On its default Desnanot-Jacobi strip the grid above runs 27 steps that
+way, and sends 32 more products and 1 quotient to the kernel on their
+own: 60 decodes, 168 images and 51 shape scans.  Of the 33 strip steps
+whose products are both counted but that decline, 23 have a product of
+too few pairs and 10 divide by one.
 
 A product packs each operand into one signed big int with a byte-aligned
 slot per (ea, ec2), wide enough for max|c| * max|c'| * min(len, len'),
@@ -79,31 +95,36 @@ multiply yields the product; biasing every slot by half its range makes
 the slots non-negative bytes cut from ``to_bytes``.  A square, a poly
 times itself as every strip step's c*c is, packs one image and squares
 it.  A quotient takes divmod of images whose slots are one byte wider
-than both operands need; a nonzero remainder declines, and otherwise the
-image quotient decodes to a candidate q inside the box the dividend's
-box less the divisor's allows.  An image is the value at x = 2^(8*width)
-of a polynomial in x, so a zero remainder says the images of
-q * divisor and of the dividend agree; when that width is above every
-coefficient of q * divisor - dividend, which max|q| * max|divisor| *
-min(len q, len divisor) plus the largest operand coefficient bounds, no
-slot can carry and the difference is the zero polynomial.  If the bound
-does not fit, the images are compared again at a width where it does.
-On the symbolic grid above, every quotient is accepted at the width it
-was divided at.  A candidate that fails, or does not decode, leaves the
-division to the dict loop, which returns the quotient or raises
+than both operands need (a fused step's hold the sum of its products'
+bounds, which bounds every numerator coefficient, so a zero image is the
+zero numerator); a nonzero remainder declines, and otherwise the image
+quotient decodes to a candidate q inside the box the dividend's box less
+the divisor's allows.  An image is the value at x = 2^(8*width) of a
+polynomial in x, so a zero remainder says the images of q * divisor and
+of the dividend agree; when that width is above every coefficient of
+q * divisor - dividend, which max|q| * max|divisor| * min(len q, len
+divisor) plus a bound on the dividend's coefficients bounds, no slot can
+carry and the difference is the zero polynomial.  If the bound does not
+fit, the images are compared again at a width where it does.
+exact_div's quotients and fused steps' take that one rule
+(_exact_quotient).  On the symbolic grid above, one of the 28 quotients,
+a fused step's, is compared again, and accepted.  A candidate that
+fails, or does not decode, leaves the division to the dict loop (a fused
+step, to Poly's operators), which returns the quotient or raises
 InexactDivisionError.  Either path gives the same terms, so counts and
 canonical strings do not depend on it.  The image division is
 ``_divmod``, which every exact int quotient goes through: builtin divmod
 up to CPython 3.12's own crossover, a divisor of 9,000 bits or a
 quotient of 4,500, and recursive division past it, which replaces
 CPython 3.11's quadratic long division by Karatsuba multiplications.  On
-the grid above, 14 of the 28 image quotients pass the crossover; they
-took 25 ms instead of 56 ms (best of 7, CPython 3.11.7 on a shared
-2-vCPU VM), and theorem1's int strip at n = 0, r = 40 sends 592 of its
-1,521 quotients past it, which took 106 ms instead of 155 ms.  A Poly
-is immutable, so its shape (see _bigraded) is scanned on its first
-kernel call and kept on it; a kernel product or quotient is made with
-its shape, which the operands' shapes give, and is never scanned.
+the grid above, 15 of the 28 image quotients pass the crossover, and
+theorem1's int strip at n = 0, r = 40 sends 592 of its 1,521 quotients
+past it; measured on 14 such image quotients of that grid, recursion took
+25 ms instead of 56 ms, and on r = 40's, 106 ms instead of 155 ms (best
+of 7, CPython 3.11.7 on a shared 2-vCPU VM).  A Poly is immutable, so its shape (see
+_bigraded) is scanned on its first kernel call and kept on it; a kernel
+product or quotient comes with the shape its decode read, and is never
+scanned.
 """
 
 from __future__ import annotations
@@ -497,13 +518,15 @@ def _image(packed: Dict[int, int], shape: _Shape, stride: int, width: int) -> in
     return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
-def _decode(image: int, shape: _Shape, stride: int, width: int) -> Union[Dict[int, int], None]:
-    """The packed terms of an image laid out as _image lays out ``shape``.
+def _decode(image: int, shape: _Shape, stride: int, width: int) -> Union[Tuple[Dict[int, int], _Shape], None]:
+    """The packed terms of an image laid out as _image lays out ``shape``,
+    and their own shape: the rows and columns of the box that hold a
+    nonzero slot.
 
     Adding the bias 2**(8*width - 1) to every slot makes each slot a
     non-negative byte string, so the slots are cut from ``to_bytes``.
-    None when the image does not fit, or a slot off the shape's monomials
-    (eb or ec1 negative, or past ec2_hi) is nonzero.
+    None when the image does not fit, a slot off the shape's monomials
+    (eb or ec1 negative, or past ec2_hi) is nonzero, or no slot is.
     """
     h, w, ea_lo, ea_hi, ec2_lo, ec2_hi = shape
     slots = _slot_count(shape, stride)
@@ -514,23 +537,52 @@ def _decode(image: int, shape: _Shape, stride: int, width: int) -> Union[Dict[in
     except OverflowError:
         return None
     out: Dict[int, int] = {}
+    rows = []  # the ea of each row with a nonzero slot
+    first, last = stride, -1  # the outermost nonzero slots of any row
     for ea in range(ea_lo, ea_hi + 1):
         eb = h - ea
-        start = (ea - ea_lo) * stride * width
+        row = (ea - ea_lo) * stride  # the row's first slot
+        start = row * width
         row_end = min(start + stride * width, len(data))
         ec2_top = min(ec2_hi, (w - eb) // 2) if eb >= 0 else ec2_lo - 1
         end = start + max(0, ec2_top - ec2_lo + 1) * width
         if data[end:row_end] != pattern * ((row_end - end) // width):
             return None
-        # the monomial (ea, eb, ec1, ec2_lo) of degree ea + w - ec2_lo
-        key = ((ea + w - ec2_lo) << _DEGREE_SHIFT) + (ea << _EA_SHIFT) + (eb << _EB_SHIFT)
-        key += ((w - eb - 2 * ec2_lo) << _EC1_SHIFT) + ec2_lo
+        # trim the row's zero slots at both ends
+        while start < end and data[start:start + width] == pattern:
+            start += width
+        while end > start and data[end - width:end] == pattern:
+            end -= width
+        if start == end:
+            continue
+        rows.append(ea)
+        first, last = min(first, start // width - row), max(last, end // width - row - 1)
+        # the monomial (ea, eb, ec1, ec2) of degree ea + w - ec2
+        ec2 = ec2_lo + start // width - row
+        key = ((ea + w - ec2) << _DEGREE_SHIFT) + (ea << _EA_SHIFT) + (eb << _EB_SHIFT)
+        key += ((w - eb - 2 * ec2) << _EC1_SHIFT) + ec2
         for at in range(start, end, width):
             chunk = data[at:at + width]
             if chunk != pattern:
                 out[key] = int.from_bytes(chunk, "little") - bias
             key += _STEP_EC2
-    return out
+    if not rows:
+        return None
+    return out, (h, w, rows[0], rows[-1], ec2_lo + first, ec2_lo + last)
+
+
+def _product_bound(left: Dict[int, int], right: Dict[int, int]) -> int:
+    """max|c| * max|c'| * min(len, len'): above every coefficient of the
+    product, as a term of the shorter operand meets at most one term of
+    the other in each monomial."""
+    return max(map(abs, left.values())) * max(map(abs, right.values())) * min(len(left), len(right))
+
+
+def _product_image(left: Poly, right: Poly, stride: int, width: int) -> int:
+    """The image of left * right over the sum of their (scanned) shapes:
+    the product of their images, or one image squared when right is left."""
+    image = _image(left._packed, left._shape, stride, width)
+    return image * image if right is left else image * _image(right._packed, right._shape, stride, width)
 
 
 def _kronecker_mul(left: Poly, right: Poly) -> Union[Poly, None]:
@@ -538,80 +590,153 @@ def _kronecker_mul(left: Poly, right: Poly) -> Union[Poly, None]:
     None when either is not bi-graded or the product's box is sparse.
     A square (right is left) encodes one image and squares it.
 
-    Slots are wide enough for any product coefficient: each term of the
-    shorter operand meets at most one term of the other in a monomial.
-    The product keeps its shape, the sum of the operands' shapes: over Z
-    the terms at an edge of a box multiply to a nonzero edge of the sum.
+    Slots are wide enough for any product coefficient (_product_bound).
+    The product's shape is the sum of the operands': over Z the terms at
+    an edge of a box multiply to a nonzero edge of the sum.
     """
-    square = right is left
-    left_shape = left._kernel_shape()
-    right_shape = left_shape if square else right._kernel_shape()
+    left_shape, right_shape = left._kernel_shape(), right._kernel_shape()
     if left_shape is None or right_shape is None:
         return None
     lp, rp = left._packed, right._packed
-    (hl, wl, al, ahl, el, ehl), (hr, wr, ar, ahr, er, ehr) = left_shape, right_shape
-    stride = ehl - el + ehr - er + 1
-    shape = (hl + hr, wl + wr, al + ar, ahl + ahr, el + er, ehl + ehr)
+    shape = tuple(x + y for x, y in zip(left_shape, right_shape))
+    stride = shape[5] - shape[4] + 1
     if _slot_count(shape, stride) * _KRONECKER_PAIRS_PER_SLOT > len(lp) * len(rp):
         return None
-    bound = max(map(abs, lp.values())) * max(map(abs, rp.values())) * min(len(lp), len(rp))
-    width = _slot_bytes(bound)
-    image = _image(lp, left_shape, stride, width)
-    image = image * image if square else image * _image(rp, right_shape, stride, width)
-    product = _decode(image, shape, stride, width)
-    return None if product is None else Poly._wrap(product, shape)
+    width = _slot_bytes(_product_bound(lp, rp))
+    decoded = _decode(_product_image(left, right, stride, width), shape, stride, width)
+    return None if decoded is None else Poly._wrap(*decoded)
+
+
+def _quotient_box(box: _Shape, divisor_shape: _Shape) -> Union[_Shape, None]:
+    """The box an exact quotient of a dividend inside ``box`` lies in: box
+    less the divisor's shape, or None when that is empty or off the
+    monomials."""
+    quotient = tuple(x - y for x, y in zip(box, divisor_shape))
+    h, w, ea_lo, ea_hi, ec2_lo, ec2_hi = quotient
+    if min(h, w, ea_lo, ec2_lo) < 0 or ea_lo > ea_hi or ec2_lo > ec2_hi or h + w > _MAX_DEGREE:
+        return None
+    return quotient
+
+
+def _exact_quotient(top: int, remake, bound: int, divisor: Poly, box: _Shape, stride: int, width: int):
+    """The quotient by divisor of the poly whose image is top, or None.
+
+    top lays the dividend out at ``width`` over the quotient's ``box``
+    plus the divisor's shape, and remake(width) lays it out again at
+    another width; bound is above every coefficient of the dividend.  An
+    exact quotient's image is top's over the divisor's, so a nonzero
+    remainder declines.  Else the image quotient decodes to a candidate q,
+    and a zero remainder says q * divisor and the dividend have equal
+    images at this width: when the width is above every coefficient of
+    q * divisor - dividend, which _product_bound(q, divisor) + bound
+    bounds, no slot can carry and that difference is the zero polynomial.
+    When it is not, the images are compared again at a width that is.
+    Comparing images skips decoding q * divisor, which checking through
+    _kronecker_mul would do: that made sym-d5's 80 divisions about 10 %
+    slower.  The quotient keeps the shape its decode read.
+    """
+    vp, divisor_shape = divisor._packed, divisor._shape
+    image, remainder = _divmod(top, _image(vp, divisor_shape, stride, width))
+    if remainder:
+        return None
+    decoded = _decode(image, box, stride, width)
+    if decoded is None:
+        return None
+    quotient, shape = decoded
+    check = _slot_bytes(_product_bound(quotient, vp) + bound)
+    if check > width:
+        product = _image(quotient, box, stride, check) * _image(vp, divisor_shape, stride, check)
+        if product != remake(check):
+            return None
+    return Poly._wrap(quotient, shape)
 
 
 def _kronecker_div(dividend: Poly, divisor: Poly) -> Union[Poly, None]:
     """dividend / divisor through Kronecker images, or None when either is
-    not bi-graded, the dividend's box is sparse, or the image quotient is
-    not exact.
+    not bi-graded, the dividend's box is sparse, or _exact_quotient
+    declines.
 
     An exact quotient shares both gradings and its box is the dividend's
     box less the divisor's, so the image of the dividend is the image of
     the divisor times the image of the quotient, and integer division
-    recovers the latter: a nonzero remainder declines.  The decoded
-    candidate q is accepted only if the images of q * divisor and of the
-    dividend agree at a slot width above every coefficient of
-    q * divisor - dividend, which makes that difference the zero
-    polynomial.  The quotient keeps its shape, the dividend's less the
-    divisor's.
+    recovers the latter.
     """
     dividend_shape, divisor_shape = dividend._kernel_shape(), divisor._kernel_shape()
     if dividend_shape is None or divisor_shape is None:
         return None
-    dp, vp = dividend._packed, divisor._packed
-    shape = tuple(x - y for x, y in zip(dividend_shape, divisor_shape))
-    h, w, ea_lo, ea_hi, ec2_lo, ec2_hi = shape
-    if min(h, w, ea_lo, ec2_lo) < 0 or ea_lo > ea_hi or ec2_lo > ec2_hi or h + w > _MAX_DEGREE:
+    box = _quotient_box(dividend_shape, divisor_shape)
+    if box is None:
         return None
+    dp, vp = dividend._packed, divisor._packed
     stride = dividend_shape[5] - dividend_shape[4] + 1
     if _slot_count(dividend_shape, stride) * _KRONECKER_PAIRS_PER_SLOT > len(dp) * len(vp):
         return None
     # a guess: one byte above every coefficient of both operands, so both
-    # images fit; a quotient that does not fit fails the check below
+    # images fit; a quotient that does not fit fails _exact_quotient's check
     largest = max(max(map(abs, dp.values())), max(map(abs, vp.values())))
     width = _slot_bytes(largest << 8)
-    image, remainder = _divmod(_image(dp, dividend_shape, stride, width), _image(vp, divisor_shape, stride, width))
-    if remainder:
+
+    def image(width):
+        return _image(dp, dividend_shape, stride, width)
+
+    return _exact_quotient(image(width), image, largest, divisor, box, stride, width)
+
+
+def _kronecker_step(a: Poly, b: Poly, c: Poly, d: Poly, e: Poly) -> Union[Poly, None]:
+    """The Desnanot-Jacobi step (a*b - c*d) / e in one Kronecker pass, or
+    None, which leaves the step to Poly's operators.
+
+    Taken when each product would take the kernel in Poly.__mul__ (more
+    than 1024 term pairs, all four operands bi-graded) and both share one
+    grading, so that their union box, at least 3 pairs per slot for each,
+    lays both out; e must be bi-graded and neither zero nor one.  a, b, c
+    and d (c once when d is c) and e are encoded at one stride and width,
+    and the numerator's image is one big-int difference of the two image
+    products, each shifted to its corner of the union box.  The slots hold
+    e's coefficients and the sum of the two products' _product_bound,
+    which bounds every coefficient of the numerator, so a zero image is
+    the zero numerator, returned as it is.  Otherwise its image is divided by e's and _exact_quotient decodes
+    and checks the quotient: no product is decoded, and neither the
+    numerator's terms nor its shape are ever made.  A product that could
+    pass the degree cap declines, so the operators raise as they would.
+    """
+    ap, bp, cp, dp, ep = a._packed, b._packed, c._packed, d._packed, e._packed
+    pairs = min(len(ap) * len(bp), len(cp) * len(dp))
+    if pairs <= _KRONECKER_MIN_PAIRS or not ep or ep == _POLY_ONE:
         return None
-    quotient = _decode(image, shape, stride, width)
-    if not quotient:
+    shapes = a._kernel_shape(), b._kernel_shape(), c._kernel_shape(), d._kernel_shape(), e._kernel_shape()
+    if None in shapes:
         return None
-    # q decoded, so image is q's own image at this width, and the zero
-    # remainder says q * divisor and the dividend have equal images here.
-    # Where this width is above every coefficient of their difference, that
-    # equality is the check; else the images are compared at a width that
-    # is.  Comparing images skips decoding q * divisor, which checking
-    # through _kronecker_mul would do: that made sym-d5's 80 divisions
-    # about 10 % slower.
-    bound = max(map(abs, quotient.values())) * max(map(abs, vp.values())) * min(len(quotient), len(vp))
-    check = _slot_bytes(bound + largest)
-    if check > width:
-        product = _image(quotient, shape, stride, check) * _image(vp, divisor_shape, stride, check)
-        if product != _image(dp, dividend_shape, stride, check):
-            return None
-    return Poly._wrap(quotient, shape)
+    sa, sb, sc, sd, se = shapes
+    ab = tuple(x + y for x, y in zip(sa, sb))
+    cd = tuple(x + y for x, y in zip(sc, sd))
+    h, w, ea_lo, ea_hi, ec2_lo, ec2_hi = ab
+    if cd[:2] != (h, w):
+        return None
+    box = (h, w, min(ea_lo, cd[2]), max(ea_hi, cd[3]), min(ec2_lo, cd[4]), max(ec2_hi, cd[5]))
+    stride = box[5] - box[4] + 1
+    # every monomial of the box has degree w + ea - ec2
+    if _slot_count(box, stride) * _KRONECKER_PAIRS_PER_SLOT > pairs or w + box[3] - box[4] > _MAX_DEGREE:
+        return None
+    quotient_box = _quotient_box(box, se)
+    if quotient_box is None:
+        return None
+    bound = _product_bound(ap, bp) + _product_bound(cp, dp)
+    width = _slot_bytes(max(bound, max(map(abs, ep.values()))))
+    # each product's corner, in slots from the union box's
+    ab_at = (ea_lo - box[2]) * stride + ec2_lo - box[4]
+    cd_at = (cd[2] - box[2]) * stride + cd[4] - box[4]
+
+    def numerator(width):
+        shift = 8 * width
+        return (_product_image(a, b, stride, width) << shift * ab_at) - (
+            _product_image(c, d, stride, width) << shift * cd_at
+        )
+
+    top = numerator(width)
+    if not top:
+        return Poly._wrap({})
+    return _exact_quotient(top, numerator, bound, e, quotient_box, stride, width)
 
 
 # Recursive division (Burnikel & Ziegler, "Fast Recursive Division", MPI
@@ -786,18 +911,27 @@ def _reduced(numerator: int, denominator: int) -> Fraction:
     return _fraction(numerator // g, denominator // g)
 
 
-def _rat_sum(n1: int, d1: int, n2: int, d2: int) -> ExactScalar:
+def _rat_sum(n1: int, d1: int, n2: int, d2: int) -> Fraction:
     """n1/d1 + n2/d2 for reduced operands, reduced as Fraction reduces it:
     a gcd of the denominators, and a second one only when it is above 1."""
     if d1 == 1 and d2 == 1:
-        return ExactScalar(RATIONAL, _fraction(n1 + n2, 1))
+        return _fraction(n1 + n2, 1)
     g = gcd(d1, d2)
     if g == 1:
-        return ExactScalar(RATIONAL, _fraction(n1 * d2 + n2 * d1, d1 * d2))
+        return _fraction(n1 * d2 + n2 * d1, d1 * d2)
     s = d1 // g
     top = n1 * (d2 // g) + n2 * s
     g = gcd(top, g)
-    return ExactScalar(RATIONAL, _fraction(top // g, s * (d2 // g)))
+    return _fraction(top // g, s * (d2 // g))
+
+
+def _rat_product(n1: int, d1: int, n2: int, d2: int) -> Fraction:
+    """n1/d1 * n2/d2 for reduced operands: one int product at denominators
+    1, else cross-cancelled by two gcds, as Fraction does."""
+    if d1 == 1 and d2 == 1:
+        return _fraction(n1 * n2, 1)
+    g1, g2 = gcd(n1, d2), gcd(n2, d1)
+    return _fraction((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1))
 
 
 def integer(value: int) -> ExactScalar:
@@ -856,7 +990,7 @@ def add(x: ExactScalar, y: ExactScalar) -> ExactScalar:
         raise _mismatch(x, y)
     if domain == RATIONAL:
         u, v = x.value, y.value
-        return _rat_sum(u._numerator, u._denominator, v._numerator, v._denominator)
+        return ExactScalar(RATIONAL, _rat_sum(u._numerator, u._denominator, v._numerator, v._denominator))
     return ExactScalar(domain, x.value + y.value)
 
 
@@ -866,7 +1000,7 @@ def sub(x: ExactScalar, y: ExactScalar) -> ExactScalar:
         raise _mismatch(x, y)
     if domain == RATIONAL:
         u, v = x.value, y.value
-        return _rat_sum(u._numerator, u._denominator, -v._numerator, v._denominator)
+        return ExactScalar(RATIONAL, _rat_sum(u._numerator, u._denominator, -v._numerator, v._denominator))
     return ExactScalar(domain, x.value - y.value)
 
 
@@ -904,10 +1038,7 @@ def mul(x: ExactScalar, y: ExactScalar) -> ExactScalar:
         counter.muls += 1
     if domain != RATIONAL:
         return ExactScalar(domain, u * v)
-    if d1 == 1 and d2 == 1:
-        return ExactScalar(RATIONAL, _fraction(n1 * n2, 1))
-    g1, g2 = gcd(n1, d2), gcd(n2, d1)
-    return ExactScalar(RATIONAL, _fraction((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)))
+    return ExactScalar(RATIONAL, _rat_product(n1, d1, n2, d2))
 
 
 def product(first: ExactScalar, factors: Sequence[ExactScalar]) -> ExactScalar:
@@ -999,17 +1130,33 @@ def _poly_quotient(top: Poly, divisor: Poly) -> Poly:
     return top.exact_div(divisor)
 
 
+def _rat_step(a: Fraction, b: Fraction, c: Fraction, d: Fraction, e: Fraction) -> Fraction:
+    """The Desnanot-Jacobi step (a*b - c*d) / e on the Fraction slots, as
+    mul, sub and exact_div compute it: a zero numerator, or a divisor of
+    one, returns the numerator undivided."""
+    ab = _rat_product(a._numerator, a._denominator, b._numerator, b._denominator)
+    cd = _rat_product(c._numerator, c._denominator, d._numerator, d._denominator)
+    top = _rat_sum(ab._numerator, ab._denominator, -cd._numerator, cd._denominator)
+    if not top._numerator or e._numerator == e._denominator:
+        return top
+    return _rat_quotient(top, e)
+
+
 # Each domain's payloads as determinant's Desnanot-Jacobi step reads them:
-# (zero, one, units, quotient).  units is the pair that == and `in` test
-# zero and one against: the ints 0 and 1, which a Fraction compares with
-# on its int fast path, or the poly zero and one.  exact_div divides by
-# the same quotient, which needs a nonzero divisor and ticks nothing.
+# (zero, one, units, quotient, step).  units is the pair that == and `in`
+# test zero and one against: the ints 0 and 1, which a Fraction compares
+# with on its int fast path, or the poly zero and one.  exact_div divides
+# by the same quotient, which needs a nonzero divisor and ticks nothing.
+# step(a, b, c, d, e), for a domain that has one, is (a*b - c*d) / e in one
+# call when neither product has an operand 0 or 1, or None to leave the
+# step to the payloads' operators: the poly kernel's fused pass, or the
+# rational slots' arithmetic.  Int payloads' own operators are the step.
 _PAYLOADS = {
-    domain: (_ZEROS[domain].value, _ONES[domain].value, units, quotient)
-    for domain, units, quotient in (
-        (INTEGER, (0, 1), _int_quotient),
-        (RATIONAL, (0, 1), _rat_quotient),
-        (POLYNOMIAL, (_ZEROS[POLYNOMIAL].value, _ONES[POLYNOMIAL].value), _poly_quotient),
+    domain: (_ZEROS[domain].value, _ONES[domain].value, units, quotient, step)
+    for domain, units, quotient, step in (
+        (INTEGER, (0, 1), _int_quotient, None),
+        (RATIONAL, (0, 1), _rat_quotient, _rat_step),
+        (POLYNOMIAL, (_ZEROS[POLYNOMIAL].value, _ONES[POLYNOMIAL].value), _poly_quotient, _kronecker_step),
     )
 }
 

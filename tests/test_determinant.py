@@ -15,9 +15,9 @@ from hankelrise.determinant import (
     det_hankel_strip,
 )
 from hankelrise.matgen import MODES, RISING, MatrixQuery, SquareMatrix, anti_diagonal, build
-from hankelrise.ring import integer, rational
+from hankelrise.ring import Poly, integer, rational
 from hankelrise.sequence import RecurrenceSpec, preset, symbolic_spec
-from hankelrise.verify import Lcg64
+from hankelrise.verify import GridSpec, Lcg64, run_grid
 
 ALGORITHMS = [det_cofactor, det_bareiss, det_condensation]
 
@@ -525,7 +525,7 @@ def test_fibonacci_r30_strip_runs_on_smaller_entries(monkeypatch):
 
 
 def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypatch):
-    zero, one, units, quotient = ring._PAYLOADS[ring.INTEGER]
+    zero, one, units, quotient, fused = ring._PAYLOADS[ring.INTEGER]
     assert [quotient(t, e) for t, e in ((12, 4), (-12, 4), (12, -4), (-(2**200), 2**100))] == [3, -3, -3, -(2**100)]
     for top, divisor in ((7, 2), (-7, 2), (7, -2), (2**200 + 1, 2**100)):
         with pytest.raises(ring.InexactDivisionError):
@@ -574,7 +574,7 @@ def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypa
                 raise ring.InexactDivisionError("planted")
             return quotient(top, divisor)
 
-        monkeypatch.setitem(ring._PAYLOADS, ring.INTEGER, (zero, one, units, failing))
+        monkeypatch.setitem(ring._PAYLOADS, ring.INTEGER, (zero, one, units, failing, fused))
         with ring.count_ops() as counter:
             with pytest.raises(ring.InexactDivisionError, match="planted"):
                 det_hankel_strip(diagonal, 4)
@@ -605,6 +605,207 @@ def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypa
             totals = [totals[0] + own.muls, totals[1] + own.divs]
         assert totals == [report.mul_count, report.div_count] == ([35, 5] if domain == ring.RATIONAL else [248, 40])
     assert report.fallback_used == 2
+
+
+def _captured_steps(monkeypatch, run):
+    """The operands (a, b, c, d, e) of every step run() makes, in order."""
+    steps = []
+    counted_steps = determinant._counted_steps
+
+    @contextmanager
+    def recorded(kind):
+        with counted_steps(kind) as step:
+
+            def recording(*args):
+                steps.append(args)
+                return step(*args)
+
+            yield recording
+
+    with monkeypatch.context() as patch:
+        patch.setattr(determinant, "_counted_steps", recorded)
+        run()
+    return steps
+
+
+def _poly_step_outcomes(args):
+    """The shared step on poly payloads, and ring's scalar step
+    exact_div(sub(mul(a, b), mul(c, d)), e), each as (terms, muls, divs),
+    with an exception's type and message in place of the terms.  A
+    quotient that carries its kernel shape carries the shape a scan of its
+    terms finds."""
+    outcomes = []
+    a, b, c, d, e = (ring.ExactScalar(ring.POLYNOMIAL, x) for x in args)
+
+    def scalar():
+        return ring.exact_div(ring.sub(ring.mul(a, b), ring.mul(c, d)), e).value
+
+    def payload():
+        with determinant._counted_steps(ring._PAYLOADS[ring.POLYNOMIAL]) as step:
+            return step(*args)
+
+    for run in (payload, scalar):
+        with ring.count_ops() as counter:
+            try:
+                value = run()
+            except ArithmeticError as error:
+                value = (type(error), str(error))
+            else:
+                if value._shape is not ring._UNSCANNED:
+                    assert value._shape == ring._bigraded(value._packed)
+                value = value._packed
+        outcomes.append((value, counter.muls, counter.divs))
+    return outcomes
+
+
+def _fused_widths(monkeypatch, args):
+    """The fused step's result on args, and the width of each image it encodes."""
+    widths = []
+    image = ring._image
+    with monkeypatch.context() as patch:
+        patch.setattr(ring, "_image", lambda *image_args: widths.append(image_args[3]) or image(*image_args))
+        return ring._kronecker_step(*args), widths
+
+
+def test_fused_poly_step_matches_ring_scalar_step(monkeypatch):
+    # every step of acceptance 05's strips (c is d), and of Bareiss and
+    # condensation on its largest matrix, theorem2 at n = 3, r = 4, d = 5
+    # (c is not d), returns and counts what ring's scalar step does
+    spec = symbolic_spec()
+    matrix = build(spec, MatrixQuery(3, 4, 5))
+    grid = GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4))
+    captured = {
+        "strip": _captured_steps(monkeypatch, lambda: run_grid(grid)),
+        "bareiss": _captured_steps(monkeypatch, lambda: det_bareiss(matrix)),
+        "condensation": _captured_steps(monkeypatch, lambda: det_condensation(matrix)),
+    }
+    taken = Counter()
+    for name, steps in captured.items():
+        for args in steps:
+            payload, scalar = _poly_step_outcomes(args)
+            assert payload == scalar
+            fused, widths = _fused_widths(monkeypatch, args)
+            if fused is not None:
+                taken[name, args[2] is args[3]] += 1
+                # compared again at a wider width, and accepted
+                taken[name, "wider"] += len(set(widths)) > 1
+    assert taken == {
+        ("strip", True): 27,
+        ("strip", "wider"): 1,
+        ("bareiss", False): 14,
+        ("bareiss", "wider"): 0,
+        ("condensation", False): 14,
+        ("condensation", "wider"): 0,
+    }
+
+    # the largest fused steps with c is d and with c apart
+    def largest(steps):
+        fused = [args for args in steps if ring._kronecker_step(*args) is not None]
+        return max(fused, key=lambda args: len(args[0]._packed) * len(args[1]._packed))
+
+    square, apart = largest(captured["strip"]), largest(captured["bareiss"])
+    assert square[2] is square[3] and apart[2] is not apart[3]
+    cases = []
+    for a, b, c, d, e in (square, apart):
+        # a zero numerator: zero, from the images, with no division
+        for zero_top in ((a, b, a, b, e), (c, c, c, c, e)):
+            assert ring._kronecker_step(*zero_top) == Poly({})
+            cases.append((zero_top, ({}, 2, 0)))
+        # an inexact numerator: e with one coefficient moved keeps its
+        # shape, so the image division leaves a remainder and declines
+        key = max(e._packed)
+        moved = Poly._wrap({**e._packed, key: e._packed[key] + 1})
+        assert ring._kronecker_step(a, b, c, d, moved) is None
+        message = (ring.InexactDivisionError, "polynomial division leaves a remainder")
+        cases.append(((a, b, c, d, moved), (message, 2, 1)))
+        # an ungraded operand: a plus c1 * e leaves a's grading, and the
+        # step stays exact
+        ungraded = a + Poly.variable("c1") * e
+        assert ring._bigraded(ungraded._packed) is None
+        assert ring._kronecker_step(ungraded, b, c, d, e) is None
+        expected = (a * b - c * d).exact_div(e) + Poly.variable("c1") * b
+        cases.append(((ungraded, b, c, d, e), (expected._packed, 2, 1)))
+    for args, expected in cases:
+        assert _poly_step_outcomes(args) == [expected, expected]
+    # a zero divisor: the step counts its division before it divides, as
+    # it always has, where exact_div raises before it ticks
+    a, b, c, d, e = apart
+    by_zero = (ZeroDivisionError, "exact division by zero")
+    assert ring._kronecker_step(a, b, c, d, Poly({})) is None
+    assert _poly_step_outcomes((a, b, c, d, Poly({}))) == [(by_zero, 2, 1), (by_zero, 2, 0)]
+
+    # sparse operands: 33 bi-graded terms each over a 3201 x 1601 box, so
+    # more than 1,024 pairs but a sparse box; the step declines before it
+    # encodes any image, c is d or not
+    p = Poly({(100 * i, 3200 - 100 * i, 3200, 50 * i): i + 1 for i in range(33)})
+    q = Poly({(100 * i, 3200 - 100 * i, 3200, 50 * i): 7 - i for i in range(33)})
+    three, four = Poly.const(3), Poly.const(4)
+    for args, quotient in (((four * p, q, p, q, three), p * q), ((four * p, p, p, p, three), p * p)):
+        assert _fused_widths(monkeypatch, args) == (None, [])
+        assert _poly_step_outcomes(args) == [(quotient._packed, 2, 1)] * 2
+
+    # the wider-width check rejecting a candidate: top = T * s and
+    # e = D * s, where D = (x - 1)**10 (1 + ... + x**10) divides
+    # T = (1 + ... + x**10) times the product of the x**p - 1 for the
+    # primes below 30 with a quotient whose coefficients pass 10**8 (see
+    # tests/test_ring.py).  a = T + c and b = d = s, with c large enough
+    # that no term of a cancels, so both products have 1,540 term pairs;
+    # their coefficients fit 2-byte slots, where the image quotient has a
+    # zero remainder and decodes to a wrong candidate, which the images
+    # at a wider width reject
+    def homogenised(coeffs):
+        top = len(coeffs) - 1
+        return Poly({(i, top - i, i, 0): v for i, v in enumerate(coeffs)})
+
+    def convolve(left, right):
+        out = [0] * (len(left) + len(right) - 1)
+        for i, x in enumerate(left):
+            for j, y in enumerate(right):
+                out[i + j] += x * y
+        return out
+
+    quotient, dividend = [1], [1] * 11
+    for prime in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+        quotient = convolve(quotient, [1] * prime)
+        dividend = convolve(dividend, [-1] + [0] * (prime - 1) + [1])
+    divisor = convolve([(-1) ** (10 - i) * math.comb(10, i) for i in range(11)], [1] * 11)
+    s, c = homogenised([1] * 11), homogenised([1000] * len(dividend))
+    args = (homogenised(dividend) + c, s, c, s, homogenised(divisor) * s)
+    assert min(len(args[0].terms), len(c.terms)) * len(s.terms) == 1540
+    assert _fused_widths(monkeypatch, args) == (None, [2] * 5 + [4] * 6)
+    quotient = homogenised(quotient)
+    assert max(map(abs, quotient.terms.values())) > 10**8
+    assert _poly_step_outcomes(args) == [(quotient._packed, 2, 1)] * 2
+
+
+def test_fused_rational_step_matches_ring_scalar_step():
+    # the Fraction kind's step runs on ring's slot arithmetic: reduced
+    # operands with denominators 1 and above, a zero numerator (a*b equal
+    # to c*d), a divisor of one and of -1, and operands 0 and 1, each with
+    # the value, slots and counts of ring's scalar step
+    rng = random.Random(33)
+    kind = ring._PAYLOADS[ring.RATIONAL]
+
+    def value():
+        return Fraction(rng.randint(-(10**6), 10**6), rng.choice((1, 1, rng.randint(1, 10**6))))
+
+    cases = []
+    for _ in range(400):
+        a, b, c, d = (value() for _ in range(4))
+        e = rng.choice((value() or Fraction(7, 3), Fraction(1), Fraction(-1)))
+        cases += [(a, b, c, d, e), (a, b, b, a, e), (a, b, a * b, Fraction(1), e), (a, Fraction(0), c, d, e)]
+    fused = 0
+    for args in cases:
+        with ring.count_ops() as own, determinant._counted_steps(kind) as step:
+            result = step(*args)
+        with ring.count_ops() as scalar:
+            a, b, c, d, e = (rational(x) for x in args)
+            expected = ring.exact_div(ring.sub(ring.mul(a, b), ring.mul(c, d)), e).value
+        assert (result._numerator, result._denominator) == (expected.numerator, expected.denominator)
+        assert math.gcd(result._numerator, result._denominator) == 1 and result._denominator > 0
+        assert (own.muls, own.divs) == (scalar.muls, scalar.divs)
+        fused += own.muls == 2
+    assert fused == 800
 
 
 def test_one_row_strip_is_the_hankel_minors_triangle():

@@ -131,7 +131,7 @@ def test_each_domain_payload_kind_divides_as_exact_div():
     holds each domain's zero and one, and a quotient that gives what
     exact_div gives on exact multiples and raises on a remainder."""
     for domain in ring.DOMAINS:
-        zero_value, one_value, units, _ = ring._PAYLOADS[domain]
+        zero_value, one_value, units, _, _ = ring._PAYLOADS[domain]
         assert (zero_value, one_value) == (zero(domain).value, one(domain).value)
         assert units == (zero_value, one_value)
     ints = [-1, 7, -12, 2**200 + 1, -(2**200) + 3, 3**126]
@@ -945,7 +945,7 @@ def test_kronecker_quotient_wider_than_its_division_is_checked_again():
     # the candidate the 2-byte division decodes: one slot per ea, as ec2 = 0
     shapes = dividend._kernel_shape(), divisor._kernel_shape()
     image, remainder = divmod(*(ring._image(p._packed, shape, 1, 2) for p, shape in zip((dividend, divisor), shapes)))
-    candidate = ring._decode(image, tuple(x - y for x, y in zip(*shapes)), 1, 2)
+    candidate, _ = ring._decode(image, tuple(x - y for x, y in zip(*shapes)), 1, 2)
     assert remainder == 0 and candidate and candidate != quotient._packed
     assert ring._kronecker_div(dividend, divisor) is None
     assert dividend.exact_div(divisor) == quotient
@@ -976,7 +976,8 @@ def test_kronecker_decode_rejects_an_image_that_does_not_fit():
     packed = SequenceCache(symbolic_spec()).term(9).value._packed
     shape = ring._bigraded(packed)
     assert shape == (1, 9, 0, 1, 0, 4) and ring._slot_count(shape, 5) == 10
-    assert ring._decode(ring._image(packed, shape, 5, 2), shape, 5, 2) == packed
+    # the terms come back with their shape, here the whole box
+    assert ring._decode(ring._image(packed, shape, 5, 2), shape, 5, 2) == (packed, shape)
     # past either end of the 160 bits the slots hold
     assert ring._decode(1 << 160, shape, 5, 2) is None
     assert ring._decode(-(1 << 160), shape, 5, 2) is None
@@ -1005,9 +1006,14 @@ def test_kronecker_square_encodes_one_image(symbolic_operands, monkeypatch):
 
 
 def test_kronecker_work_on_acceptance_05(monkeypatch):
-    # 86 products, 38 of them squares of one strip entry, and 28 quotients;
-    # one image per square and per quotient operand, one scan per poly that
-    # no kernel call made (101 scans before kernel results kept their shape)
+    # 60 strip steps have both products real and try the fused step; 27
+    # take it, each encoding a, b, c (c is d in a strip) and e and
+    # decoding only its quotient, and one of those compares its images
+    # again at a wider width (5 more images).  The 33 others leave both
+    # products to Poly.__mul__: 23 have a product of too few term pairs
+    # and 10 divide by one.  So 32 products (11 squares) and 1 quotient
+    # still take the kernel on their own, and only they and the fused
+    # steps' quotients decode
     calls = Counter()
     for name in ("_image", "_bigraded", "_decode", "_kronecker_mul", "_kronecker_div"):
         function = getattr(ring, name)
@@ -1022,16 +1028,28 @@ def test_kronecker_work_on_acceptance_05(monkeypatch):
             return result
 
         monkeypatch.setattr(ring, name, counted)
+    kind = ring._PAYLOADS[ring.POLYNOMIAL]
+
+    def fused(*args):
+        calls["_kronecker_step"] += 1
+        result = kind[4](*args)
+        if result is None:
+            calls["_kronecker_step declined"] += 1
+        return result
+
+    monkeypatch.setitem(ring._PAYLOADS, ring.POLYNOMIAL, kind[:4] + (fused,))
     report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
     assert report.passed and report.checked == 60
     assert (report.mul_count, report.div_count) == (463, 32)
     assert calls == {
-        "_kronecker_mul": 86,
-        "squares": 38,
-        "_kronecker_div": 28,
-        "_image": 190,
-        "_bigraded": 78,
-        "_decode": 114,
+        "_kronecker_step": 60,
+        "_kronecker_step declined": 33,
+        "_kronecker_mul": 32,
+        "squares": 11,
+        "_kronecker_div": 1,
+        "_image": 168,
+        "_bigraded": 51,
+        "_decode": 60,
     }
     # the shared constants came through the sweep as they were
     assert one(ring.POLYNOMIAL).value._packed == {0: 1} and zero(ring.POLYNOMIAL).value._packed == {}
@@ -1076,9 +1094,10 @@ def test_divmod_matches_builtin_divmod_on_both_sides_of_the_crossover():
 
 
 def test_kronecker_quotients_on_acceptance_05_pass_through_divmod(monkeypatch):
-    # every one of the 28 image quotients reaches ring._divmod, and the 14
-    # with a divisor above 9,000 bits and a quotient above 4,500 take the
-    # recursion, each with builtin divmod's quotient and remainder
+    # every one of the 28 image quotients (27 fused steps' and one
+    # exact_div's) reaches ring._divmod, and the 15 with a divisor above
+    # 9,000 bits and a quotient above 4,500 take the recursion, each with
+    # builtin divmod's quotient and remainder
     divide, recurse = ring._divmod, ring._divmod_pos
     seen, recursed = [], []
 
@@ -1093,7 +1112,7 @@ def test_kronecker_quotients_on_acceptance_05_pass_through_divmod(monkeypatch):
     report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
     assert report.passed and report.checked == 60 and report.mismatches == ()
     assert (report.mul_count, report.div_count) == (463, 32)
-    assert (len(seen), sum(seen), len(recursed)) == (28, 14, 14)
+    assert (len(seen), sum(seen), len(recursed)) == (28, 15, 15)
 
 
 @pytest.mark.parametrize(
@@ -1120,8 +1139,13 @@ def test_theorem1_int_strips_divide_through_divmod(monkeypatch, r, checked, muls
 
 
 def test_symbolic_grid_multiplies_only_through_the_poly_methods(monkeypatch):
-    # the kernel's quotient check multiplies images, not Polys, so a wrapper
-    # on these methods (as a tracer installs) sees acceptance 05's own calls
+    # every counted poly product and quotient goes through exactly one entry
+    # point: Poly.__mul__, Poly.exact_div, or the fused step, which makes
+    # two products and one quotient (none of acceptance 05's has a zero
+    # numerator).  The kernel's quotient check multiplies images, not
+    # Polys, and a fused step that declines leaves its products and its
+    # quotient to the methods, so a wrapper on the three (as a tracer
+    # might install) sees acceptance 05's own calls
     calls = Counter()
     for name in ("__mul__", "exact_div"):
         method = getattr(Poly, name)
@@ -1131,7 +1155,18 @@ def test_symbolic_grid_multiplies_only_through_the_poly_methods(monkeypatch):
             return method(self, other)
 
         monkeypatch.setattr(Poly, name, counted)
+    kind = ring._PAYLOADS[ring.POLYNOMIAL]
+
+    def fused(*args):
+        result = kind[4](*args)
+        if result is not None:
+            calls["fused"] += 1
+            calls["fused zero"] += not result._packed
+        return result
+
+    monkeypatch.setitem(ring._PAYLOADS, ring.POLYNOMIAL, kind[:4] + (fused,))
     report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
     assert report.passed and report.checked == 60
-    assert calls == {"__mul__": 463, "exact_div": 32}
-    assert (calls["__mul__"], calls["exact_div"]) == (report.mul_count, report.div_count)
+    assert calls == {"__mul__": 409, "exact_div": 5, "fused": 27, "fused zero": 0}
+    assert calls["__mul__"] + 2 * calls["fused"] == report.mul_count == 463
+    assert calls["exact_div"] + calls["fused"] - calls["fused zero"] == report.div_count == 32
