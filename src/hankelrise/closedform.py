@@ -16,8 +16,11 @@ own: the grids compare them with theorem1 and with the oracle, which
 checks something only while they stay independent.
 
 An evaluator that reads a spec makes one sequence.cache_for call and reads the
-terms, rising powers, companion cache, delta and theorem2's n-free
-factors off the SequenceCache it returns.
+terms, rising powers, companion cache and delta off the SequenceCache it
+returns, and the factors theorem2 and eq4 share across points off its
+tables: c2's powers by exponent, theorem2's n-free factors by (r, d),
+and eq4's delta * c2^n by n and U_i * U_j by (i, j).  Within a
+shared_sequences() scope each entry is made, and counted, once.
 
 The square-case evaluators accept 1 <= d <= r+1.  Beyond that window the
 matrices are rank-deficient and the determinant is zero, which
@@ -65,14 +68,16 @@ def theorem2_rhs(spec: RecurrenceSpec, n: int, r: int, d: int) -> ExactScalar:
 
     with U the companion sequence (seeds 0, 1).  Negative c2 exponents
     need ring.invertible(c2).  The n-free factor, delta's power times the
-    U-staircase, is kept once per (r, d) on the spec's SequenceCache, so
-    a grid's later n pay only for the c2 power and the d rising powers,
-    multiplied by one ring.product.
+    U-staircase, is kept once per (r, d) on the spec's SequenceCache, and
+    the c2 power once per exponent, shared with eq4, so a grid's later
+    points pay only for the d rising powers, multiplied by one
+    ring.product.  The sign is applied to that product, so a factor of
+    one multiplies nothing.
     """
     _check_window(r, d)
     pairs = comb(d, 2)
-    power = ring.pow_signed(spec.c2, (n + d - 2) * pairs)
     cache = cache_for(spec)
+    power = cache.c2_power((n + d - 2) * pairs)
     constant = cache.theorem2.get((r, d))
     if constant is None:
         constant = cache.theorem2[r, d] = _theorem2_constant(cache, r, d)
@@ -155,14 +160,22 @@ def generalized_vajda_lhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> Exact
 def generalized_vajda_rhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> ExactScalar:
     """(-1) * (-c2)^n * delta * U_i * U_j = (-1)^(n+1) * c2^n * delta * U_i * U_j.
 
-    Negative n needs ring.invertible(c2).
+    Negative n needs ring.invertible(c2).  Evaluated as (U_i * U_j) *
+    (delta * c2^n), the two factors read off the spec's SequenceCache
+    tables by (i, j) and by n, and the sign applied to the product: within
+    a scope a point costs at most that one multiplication once its (i, j)
+    and its n have been seen.
     """
     cache = cache_for(spec)
-    units = cache.companion
-    # folded as (U_i * U_j) * delta * c2^n, so each step ticks where the
-    # nested products did
-    value = ring.product(units.term(i), [units.term(j), cache.delta, ring.pow_signed(spec.c2, n)])
-    return _apply_sign(value, n + 1)
+    # the lead is kept unsigned, so a lead of 1 multiplies nothing
+    lead = cache.eq4_leads.get(n)
+    if lead is None:
+        lead = cache.eq4_leads[n] = ring.mul(cache.delta, cache.c2_power(n))
+    units = cache.unit_products.get((i, j))
+    if units is None:
+        companion = cache.companion
+        units = cache.unit_products[i, j] = ring.mul(companion.term(i), companion.term(j))
+    return _apply_sign(ring.mul(units, lead), n + 1)
 
 
 def hankel_rank_bound_value(spec: RecurrenceSpec, n: int, r: int, d: int) -> ExactScalar:

@@ -46,7 +46,9 @@ live in ring._PAYLOADS, and ring.exact_div divides through the same
 quotient functions.  When neither product has an operand 0 or 1, a poly
 step is one fused Kronecker pass (ring._kronecker_step: two image
 products, their difference and one image quotient, and only the quotient
-decoded) unless the kernel declines it, and a Fraction step runs on
+decoded; by a divisor of one, as at the triangle's and condensation's
+first level and Bareiss's first pivot, only the difference is decoded)
+unless the kernel declines it, and a Fraction step runs on
 ring's slot arithmetic (ring._rat_step); otherwise, and for ints, the
 step multiplies and subtracts with the payloads' operators and makes one
 exact division.  The int quotient divides through ring._divmod, so a

@@ -75,17 +75,21 @@ dict loop.
 The Desnanot-Jacobi step (a*b - c*d) / e, which determinant runs over
 polys, is one fused kernel pass (_kronecker_step) when both products
 would take the kernel by that rule, both share one grading, their union
-box holds at least 3 pairs per slot of each, and e is bi-graded and
-neither 0 nor 1.  It encodes a, b, c (once when d is c, as in a strip)
-and e at one stride and width over the union of the two products' boxes,
-forms the numerator's image as one big-int difference of the two image
-products, divides it by e's image and decodes only the quotient: neither
-product is decoded, and the numerator's terms and shape are never made.
-On its default Desnanot-Jacobi strip the grid above runs 27 steps that
-way, and sends 32 more products and 1 quotient to the kernel on their
-own: 60 decodes, 168 images and 51 shape scans.  Of the 33 strip steps
-whose products are both counted but that decline, 23 have a product of
-too few pairs and 10 divide by one.
+box holds at least 3 pairs per slot of each, and e is bi-graded and not
+0.  It encodes a, b, c (once when d is c, as in a strip) and e at one
+stride and width over the union of the two products' boxes, forms the
+numerator's image as one big-int difference of the two image products,
+divides it by e's image and decodes only the quotient: neither product
+is decoded, and the numerator's terms and shape are never made.  When e
+is 1, as at the strip's t = 2 level, which divides by D(k, 0), e is not
+encoded and the numerator's image itself decodes over the union box,
+whose slots bound every numerator coefficient; determinant counts such
+a step as two products and no division, as the operators would.  On its
+default Desnanot-Jacobi strip the grid above runs 37 steps that way, 10
+of them by one, and sends 12 more products and 1 quotient to the kernel
+on their own: 50 decodes, 168 images and 41 shape scans.  The 23 strip
+steps whose products are both counted but that decline each have a
+product of too few pairs.
 
 A product packs each operand into one signed big int with a byte-aligned
 slot per (ea, ec2), wide enough for max|c| * max|c'| * min(len, len'),
@@ -689,22 +693,28 @@ def _kronecker_step(a: Poly, b: Poly, c: Poly, d: Poly, e: Poly) -> Union[Poly, 
     Taken when each product would take the kernel in Poly.__mul__ (more
     than 1024 term pairs, all four operands bi-graded) and both share one
     grading, so that their union box, at least 3 pairs per slot for each,
-    lays both out; e must be bi-graded and neither zero nor one.  a, b, c
-    and d (c once when d is c) and e are encoded at one stride and width,
-    and the numerator's image is one big-int difference of the two image
+    lays both out; e must be bi-graded and not zero.  a, b, c and d (c
+    once when d is c) and e are encoded at one stride and width, and the
+    numerator's image is one big-int difference of the two image
     products, each shifted to its corner of the union box.  The slots hold
     e's coefficients and the sum of the two products' _product_bound,
     which bounds every coefficient of the numerator, so a zero image is
-    the zero numerator, returned as it is.  Otherwise its image is divided by e's and _exact_quotient decodes
-    and checks the quotient: no product is decoded, and neither the
-    numerator's terms nor its shape are ever made.  A product that could
-    pass the degree cap declines, so the operators raise as they would.
+    the zero numerator, returned as it is.  A divisor of one is read as
+    the constant's shape, not encoded, and the numerator's image decodes
+    over the union box.  Otherwise its image is divided by e's and
+    _exact_quotient decodes and checks the quotient: no product is
+    decoded, and neither the numerator's terms nor its shape are ever
+    made.  A product that could pass the degree cap declines, so the
+    operators raise as they would.
     """
     ap, bp, cp, dp, ep = a._packed, b._packed, c._packed, d._packed, e._packed
     pairs = min(len(ap) * len(bp), len(cp) * len(dp))
-    if pairs <= _KRONECKER_MIN_PAIRS or not ep or ep == _POLY_ONE:
+    if pairs <= _KRONECKER_MIN_PAIRS or not ep:
         return None
-    shapes = a._kernel_shape(), b._kernel_shape(), c._kernel_shape(), d._kernel_shape(), e._kernel_shape()
+    by_one = ep == _POLY_ONE
+    # one, the constant of degree and weight 0, is read as that shape, not scanned
+    se = (0,) * 6 if by_one else e._kernel_shape()
+    shapes = a._kernel_shape(), b._kernel_shape(), c._kernel_shape(), d._kernel_shape(), se
     if None in shapes:
         return None
     sa, sb, sc, sd, se = shapes
@@ -736,6 +746,9 @@ def _kronecker_step(a: Poly, b: Poly, c: Poly, d: Poly, e: Poly) -> Union[Poly, 
     top = numerator(width)
     if not top:
         return Poly._wrap({})
+    if by_one:
+        decoded = _decode(top, box, stride, width)
+        return None if decoded is None else Poly._wrap(*decoded)
     return _exact_quotient(top, numerator, bound, e, quotient_box, stride, width)
 
 

@@ -109,9 +109,19 @@ class SequenceCache:
     term(k) keeps every W_k it computes, in both directions, and
     rising_power(m, r) every prefix chain W_m, W_m*W_{m+1}, ... it builds,
     by first index m.  companion, the cache of the spec's (0, 1)-seeded
-    companion as cache_for gives it, and delta are made on first read;
-    theorem2 holds closedform.theorem2_rhs's n-free factor by (r, d).  All
-    of it lives as long as the cache.  Within a shared_sequences() scope
+    companion as cache_for gives it, and delta are made on first read.
+    Four tables hold the factors of the closed forms in closedform:
+
+      c2_powers      c2^k by signed exponent k, made by c2_power and read
+                     by theorem2 and eq4
+      theorem2       theorem2_rhs's n-free factor by (r, d)
+      eq4_leads      generalized_vajda_rhs's delta * c2^n by n, unsigned
+      unit_products  generalized_vajda_rhs's U_i * U_j by (i, j), U the
+                     companion's terms
+
+    Each entry is made, and its multiplications counted, on first use; an
+    entry whose making raises is not kept.  All of it lives as long as the
+    cache.  Within a shared_sequences() scope
     cache_for shares one cache per spec value until the scope exits;
     outside one it makes a new cache on every call.  A cache is
     single-writer: share a spec across threads or workers, not a cache.
@@ -122,7 +132,10 @@ class SequenceCache:
         self._forward = [spec.a, spec.b]
         self._backward: list[ExactScalar] = []  # index i holds W_{-1-i}
         self._chains: Dict[int, list[ExactScalar]] = {}  # chain[s - 1] = W_m^(s)
+        self.c2_powers: Dict[int, ExactScalar] = {}
         self.theorem2: Dict[Tuple[int, int], ExactScalar] = {}
+        self.eq4_leads: Dict[int, ExactScalar] = {}
+        self.unit_products: Dict[Tuple[int, int], ExactScalar] = {}
 
     def term(self, k: int) -> ExactScalar:
         if k >= 0:
@@ -161,6 +174,14 @@ class SequenceCache:
         while len(chain) < r:
             chain.append(ring.mul(chain[-1], self.term(m + len(chain))))
         return chain[r - 1]
+
+    def c2_power(self, k: int) -> ExactScalar:
+        """c2^k for signed k, made by ring.pow_signed on first use and kept
+        in c2_powers; a k that raises keeps nothing."""
+        power = self.c2_powers.get(k)
+        if power is None:
+            power = self.c2_powers[k] = ring.pow_signed(self.spec.c2, k)
+        return power
 
     @cached_property
     def companion(self) -> SequenceCache:

@@ -69,8 +69,8 @@ fraction-free elimination each.  A failure in a memo marks every point
 of its r.  The cofactor oracle and the random grid read DetReport.value,
 one call per matrix.  Every build and closed form in one
 run_grid call reads the same SequenceCache per spec, with its chains,
-companion cache, delta and theorem2 factors (sequence.shared_sequences),
-released when the call returns.
+companion cache, delta and the closed forms' factor tables
+(sequence.shared_sequences), released when the call returns.
 The scope is per context: run separate grids in separate threads or
 processes, not the rows of one grid, and merge their counts.
 """

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -17,7 +18,7 @@ from hankelrise.closedform import (
 from hankelrise.determinant import det_bareiss
 from hankelrise.matgen import MatrixQuery, build
 from hankelrise.ring import integer
-from hankelrise.sequence import PRESETS, RecurrenceSpec, delta, preset, shared_sequences, symbolic_spec
+from hankelrise.sequence import PRESETS, RecurrenceSpec, cache_for, delta, preset, shared_sequences, symbolic_spec
 from hankelrise.verify import Lcg64
 
 
@@ -355,3 +356,80 @@ def test_closed_forms_use_no_division_on_int_grids():
         theorem2_rhs(preset("lucas"), 2, 4, 3)
     assert counter.divs == 0
     assert counter.muls > 0
+
+
+def _table_points(spec, ns):
+    """theorem2's (n, r, d) on r 0..3 and eq4's (n, i, j) on i, j 0..4."""
+    return [(theorem2_rhs, n, r, d) for n in ns for r in range(0, 4) for d in range(1, r + 2)] + [
+        (generalized_vajda_rhs, n, i, j) for n in ns for i in range(0, 5) for j in range(0, 5)
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, ns",
+    [
+        (preset("pell"), range(-3, 4)),
+        (preset("jacobsthal"), range(0, 4)),
+        (preset("jacobsthal", ring.RATIONAL), range(-3, 4)),
+        (RecurrenceSpec(*(ring.rational(v) for v in (1, 2, 3, Fraction(-2, 3)))), range(-3, 4)),
+        (symbolic_spec(), range(0, 3)),
+    ],
+    ids=["int-pell", "int-jacobsthal", "rat-jacobsthal", "rat-c2=-2/3", "poly"],
+)
+def test_factor_tables_give_fresh_evaluation_values(spec, ns):
+    # theorem2 and eq4 read c2's powers, eq4's delta * c2^n and U_i * U_j
+    # off the scope's tables; each value is the one a fresh cache gives
+    points = _table_points(spec, ns)
+    alone = [rhs(spec, *point) for rhs, *point in points]
+    with shared_sequences():
+        assert [rhs(spec, *point) for rhs, *point in points] == alone
+
+
+def test_factor_tables_make_each_entry_once_per_scope(monkeypatch):
+    # within a scope each c2 power is made once, by ring.pow_signed, and
+    # shared by theorem2 and eq4; a second sweep makes no entry again.
+    # Outside a scope every call makes its c2 power afresh
+    powers = []
+    pow_signed = ring.pow_signed
+    monkeypatch.setattr(ring, "pow_signed", lambda x, k: powers.append((x, k)) or pow_signed(x, k))
+    spec = preset("jacobsthal", ring.RATIONAL)
+    ns = range(-3, 4)
+    points = _table_points(spec, ns)
+    with shared_sequences():
+        cache = cache_for(spec)
+        for rhs, *point in points:
+            rhs(spec, *point)
+        c2_powers = [k for x, k in powers if x is spec.c2]
+        wanted = set(ns) | {(n + d - 2) * comb(d, 2) for n in ns for d in range(1, 5)}
+        assert sorted(c2_powers) == sorted(wanted)
+        assert set(cache.c2_powers) == wanted
+        assert set(cache.eq4_leads) == set(ns)
+        assert set(cache.unit_products) == {(i, j) for i in range(0, 5) for j in range(0, 5)}
+        tables = [dict(table) for table in (cache.c2_powers, cache.eq4_leads, cache.unit_products)]
+        made = len(powers)
+        for rhs, *point in points:
+            rhs(spec, *point)
+        assert len(powers) == made
+        for kept, table in zip(tables, (cache.c2_powers, cache.eq4_leads, cache.unit_products)):
+            assert kept.keys() == table.keys() and all(table[key] is value for key, value in kept.items())
+    powers.clear()
+    for _ in range(2):
+        theorem2_rhs(spec, -3, 2, 2)
+        generalized_vajda_rhs(spec, -3, 1, 1)
+    assert [k for x, k in powers if x is spec.c2] == [-3, -3, -3, -3]
+
+
+def test_a_c2_power_that_raises_is_not_kept(monkeypatch):
+    # jacobsthal's int c2 = 2 has no inverse: theorem2 at n = -3, d = 2
+    # needs c2^-3, which raises on every call and leaves no entry
+    powers = []
+    pow_signed = ring.pow_signed
+    monkeypatch.setattr(ring, "pow_signed", lambda x, k: powers.append(k) or pow_signed(x, k))
+    spec = preset("jacobsthal")
+    with shared_sequences():
+        for _ in range(2):
+            with pytest.raises(ring.NotInvertibleError):
+                theorem2_rhs(spec, -3, 2, 2)
+        assert powers == [-3, -3]
+        cache = cache_for(spec)
+        assert cache.c2_powers == {} and cache.eq4_leads == {} and cache.theorem2 == {}

@@ -690,11 +690,13 @@ def test_fused_poly_step_matches_ring_scalar_step(monkeypatch):
                 # compared again at a wider width, and accepted
                 taken[name, "wider"] += len(set(widths)) > 1
     assert taken == {
-        ("strip", True): 27,
+        ("strip", True): 37,
         ("strip", "wider"): 1,
-        ("bareiss", False): 14,
+        ("bareiss", False): 26,
+        ("bareiss", True): 4,
         ("bareiss", "wider"): 0,
         ("condensation", False): 14,
+        ("condensation", True): 16,
         ("condensation", "wider"): 0,
     }
 
@@ -725,6 +727,21 @@ def test_fused_poly_step_matches_ring_scalar_step(monkeypatch):
         assert ring._kronecker_step(ungraded, b, c, d, e) is None
         expected = (a * b - c * d).exact_div(e) + Poly.variable("c1") * b
         cases.append(((ungraded, b, c, d, e), (expected._packed, 2, 1)))
+    # a divisor of one: the largest of the strip's t = 2 steps, which
+    # divide by D(k, 0) = 1, encodes a, b and c (c is d) and no divisor,
+    # and decodes its numerator's image over the union box; a zero
+    # numerator is zero, from the images.  Neither counts a division
+    unit = Poly.const(1)
+    by_one = max(
+        (args for args in captured["strip"] if args[4] == unit),
+        key=lambda args: len(args[0]._packed) * len(args[1]._packed),
+    )
+    fused, widths = _fused_widths(monkeypatch, by_one)
+    assert fused is not None and len(widths) == 3 and by_one[2] is by_one[3]
+    a, b, c, d, _ = by_one
+    cases.append((by_one, ((a * b - c * d)._packed, 2, 0)))
+    assert ring._kronecker_step(a, b, a, b, unit) == Poly({})
+    cases.append(((a, b, a, b, unit), ({}, 2, 0)))
     for args, expected in cases:
         assert _poly_step_outcomes(args) == [expected, expected]
     # a zero divisor: the step counts its division before it divides, as

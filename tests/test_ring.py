@@ -1006,14 +1006,14 @@ def test_kronecker_square_encodes_one_image(symbolic_operands, monkeypatch):
 
 
 def test_kronecker_work_on_acceptance_05(monkeypatch):
-    # 60 strip steps have both products real and try the fused step; 27
-    # take it, each encoding a, b, c (c is d in a strip) and e and
-    # decoding only its quotient, and one of those compares its images
-    # again at a wider width (5 more images).  The 33 others leave both
-    # products to Poly.__mul__: 23 have a product of too few term pairs
-    # and 10 divide by one.  So 32 products (11 squares) and 1 quotient
-    # still take the kernel on their own, and only they and the fused
-    # steps' quotients decode
+    # 60 strip steps have both products real and try the fused step; 37
+    # take it.  27 encode a, b, c (c is d in a strip) and e and decode
+    # only their quotient, and one of those compares its images again at
+    # a wider width (5 more images); 10 divide by one, encode no divisor
+    # and decode their numerator.  The 23 others have a product of too
+    # few term pairs and leave both products to Poly.__mul__.  So 12
+    # products (1 square) and 1 quotient still take the kernel on their
+    # own, and only they and the fused steps decode
     calls = Counter()
     for name in ("_image", "_bigraded", "_decode", "_kronecker_mul", "_kronecker_div"):
         function = getattr(ring, name)
@@ -1040,16 +1040,16 @@ def test_kronecker_work_on_acceptance_05(monkeypatch):
     monkeypatch.setitem(ring._PAYLOADS, ring.POLYNOMIAL, kind[:4] + (fused,))
     report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
     assert report.passed and report.checked == 60
-    assert (report.mul_count, report.div_count) == (463, 32)
+    assert (report.mul_count, report.div_count) == (394, 32)
     assert calls == {
         "_kronecker_step": 60,
-        "_kronecker_step declined": 33,
-        "_kronecker_mul": 32,
-        "squares": 11,
+        "_kronecker_step declined": 23,
+        "_kronecker_mul": 12,
+        "squares": 1,
         "_kronecker_div": 1,
         "_image": 168,
-        "_bigraded": 51,
-        "_decode": 60,
+        "_bigraded": 41,
+        "_decode": 50,
     }
     # the shared constants came through the sweep as they were
     assert one(ring.POLYNOMIAL).value._packed == {0: 1} and zero(ring.POLYNOMIAL).value._packed == {}
@@ -1111,7 +1111,7 @@ def test_kronecker_quotients_on_acceptance_05_pass_through_divmod(monkeypatch):
     monkeypatch.setattr(ring, "_divmod_pos", lambda a, b: recursed.append(b) or recurse(a, b))
     report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
     assert report.passed and report.checked == 60 and report.mismatches == ()
-    assert (report.mul_count, report.div_count) == (463, 32)
+    assert (report.mul_count, report.div_count) == (394, 32)
     assert (len(seen), sum(seen), len(recursed)) == (28, 15, 15)
 
 
@@ -1141,11 +1141,11 @@ def test_theorem1_int_strips_divide_through_divmod(monkeypatch, r, checked, muls
 def test_symbolic_grid_multiplies_only_through_the_poly_methods(monkeypatch):
     # every counted poly product and quotient goes through exactly one entry
     # point: Poly.__mul__, Poly.exact_div, or the fused step, which makes
-    # two products and one quotient (none of acceptance 05's has a zero
-    # numerator).  The kernel's quotient check multiplies images, not
-    # Polys, and a fused step that declines leaves its products and its
-    # quotient to the methods, so a wrapper on the three (as a tracer
-    # might install) sees acceptance 05's own calls
+    # two products and one quotient, or none when it divides by one (none
+    # of acceptance 05's has a zero numerator).  The kernel's quotient
+    # check multiplies images, not Polys, and a fused step that declines
+    # leaves its products and its quotient to the methods, so a wrapper on
+    # the three (as a tracer might install) sees acceptance 05's own calls
     calls = Counter()
     for name in ("__mul__", "exact_div"):
         method = getattr(Poly, name)
@@ -1162,11 +1162,13 @@ def test_symbolic_grid_multiplies_only_through_the_poly_methods(monkeypatch):
         if result is not None:
             calls["fused"] += 1
             calls["fused zero"] += not result._packed
+            calls["fused by one"] += args[4] == Poly.const(1)
         return result
 
     monkeypatch.setitem(ring._PAYLOADS, ring.POLYNOMIAL, kind[:4] + (fused,))
     report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
     assert report.passed and report.checked == 60
-    assert calls == {"__mul__": 409, "exact_div": 5, "fused": 27, "fused zero": 0}
-    assert calls["__mul__"] + 2 * calls["fused"] == report.mul_count == 463
-    assert calls["exact_div"] + calls["fused"] - calls["fused zero"] == report.div_count == 32
+    assert calls == {"__mul__": 320, "exact_div": 5, "fused": 37, "fused zero": 0, "fused by one": 10}
+    assert calls["__mul__"] + 2 * calls["fused"] == report.mul_count == 394
+    divided = calls["fused"] - calls["fused zero"] - calls["fused by one"]
+    assert calls["exact_div"] + divided == report.div_count == 32
