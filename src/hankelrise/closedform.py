@@ -160,21 +160,26 @@ def generalized_vajda_lhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> Exact
 def generalized_vajda_rhs(spec: RecurrenceSpec, n: int, i: int, j: int) -> ExactScalar:
     """(-1) * (-c2)^n * delta * U_i * U_j = (-1)^(n+1) * c2^n * delta * U_i * U_j.
 
-    Negative n needs ring.invertible(c2).  Evaluated as (U_i * U_j) *
-    (delta * c2^n), the two factors read off the spec's SequenceCache
-    tables by (i, j) and by n, and the sign applied to the product: within
-    a scope a point costs at most that one multiplication once its (i, j)
-    and its n have been seen.
+    Negative n needs ring.invertible(c2), also where U_i * U_j is zero.
+    Evaluated as (U_i * U_j) * (delta * c2^n), the two factors read off
+    the spec's SequenceCache tables by (i, j) and by n, and the sign
+    applied to the product: within a scope a point costs at most that one
+    multiplication once its (i, j) and its n have been seen.  A zero
+    U_i * U_j makes no lead.
     """
     cache = cache_for(spec)
-    # the lead is kept unsigned, so a lead of 1 multiplies nothing
-    lead = cache.eq4_leads.get(n)
-    if lead is None:
-        lead = cache.eq4_leads[n] = ring.mul(cache.delta, cache.c2_power(n))
     units = cache.unit_products.get((i, j))
     if units is None:
         companion = cache.companion
         units = cache.unit_products[i, j] = ring.mul(companion.term(i), companion.term(j))
+    # the lead is kept unsigned, so a lead of 1 multiplies nothing
+    lead = cache.eq4_leads.get(n)
+    if lead is None:
+        # c2^n first, so a c2 with no inverse raises whatever U_i * U_j is
+        power = cache.c2_power(n)
+        if units.is_zero():
+            return units
+        lead = cache.eq4_leads[n] = ring.mul(cache.delta, power)
     return _apply_sign(ring.mul(units, lead), n + 1)
 
 

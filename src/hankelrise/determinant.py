@@ -44,11 +44,8 @@ reduced Fractions only for a rat matrix given to det_bareiss or
 det_condensation.  Each domain's zero, one, exact quotient and fused step
 live in ring._PAYLOADS, and ring.exact_div divides through the same
 quotient functions.  When neither product has an operand 0 or 1, a poly
-step is one fused Kronecker pass (ring._kronecker_step: two image
-products, their difference and one image quotient, and only the quotient
-decoded; by a divisor of one, as at the triangle's and condensation's
-first level and Bareiss's first pivot, only the difference is decoded)
-unless the kernel declines it, and a Fraction step runs on
+step is ring's one Kronecker pass (ring._kronecker, which Poly's product
+also calls) unless the pass declines it, and a Fraction step runs on
 ring's slot arithmetic (ring._rat_step); otherwise, and for ints, the
 step multiplies and subtracts with the payloads' operators and makes one
 exact division.  The int quotient divides through ring._divmod, so a
@@ -173,7 +170,7 @@ def _counted_steps(kind: tuple):
     in ring.exact_div, a division of 0 or by 1 is neither, and a division
     is counted before it divides.  kind is the domain's ring._PAYLOADS
     tuple.  When both products are counted and the kind has a fused step,
-    that step computes the whole quotient in one call (the poly kernel's
+    that step computes the whole quotient in one call (the poly kind's
     one Kronecker pass, or rational slot arithmetic), and its result counts
     one division unless it is 0 or e is 1; when it declines, or the kind
     has none, the payloads' own operators multiply and subtract and the

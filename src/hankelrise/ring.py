@@ -53,82 +53,79 @@ inside a monomial in the order c1, c2, a, b.  The discriminant-like
 quantity b*b - c1*a*b - c2*a*a therefore prints as
 ``b^2 - c1*a*b - c2*a^2``.
 
-Large products and quotients take a bi-graded Kronecker kernel (Kronecker
-1882; Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", JSC 2009).  A poly is bi-graded when all its terms share
-one (a, b)-degree ea + eb and one weight eb + ec1 + 2*ec2; every value of
-the symbolic pipeline is, since W_k has weight k, and given both sums the
-pair (ea, ec2) fixes the monomial.  Rule: a product or exact division
-whose operands' term counts multiply to more than 1024 pairs, with both
-operands bi-graded and at least 3 pairs per slot of the image box (the
-product's, or the dividend's), runs through the kernel; everything else
-runs the dict loop.  That crossover was measured on the operands of the
-symbolic theorem2 grid n = 0..3, r = 0..4: the kernel won 7 of 18
-products of 700 to 850 pairs, 24 of 29 of 1,000 to 1,500, and every one
-above 3,000.  The density bound keeps the kernel's Python work, a loop
-over slots, within a constant factor of the dict loop's over pairs: a
-box spread over millions of slots stays on the dict loop.  Every kernel
-product and quotient of that grid has more than 3.2 pairs per slot; at
-4, a box one slot wide per ea still ran about 3 times slower than the
-dict loop.
+Large products and Desnanot-Jacobi steps take one bi-graded Kronecker
+pass, ``_kronecker(a, b, c, d, e)`` (Kronecker 1882; Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", JSC
+2009).  It computes a*b - c*d and divides by e unless e is absent or one.
+``Poly.__mul__`` calls it as (a, b), and it is the poly kind's fused step
+in ``_PAYLOADS``, which determinant runs; ``Poly.exact_div`` is the dict
+loop alone.  A poly is bi-graded when all its terms share one
+(a, b)-degree ea + eb and one weight eb + ec1 + 2*ec2; every value of the
+symbolic pipeline is, since W_k has weight k, and given both sums the
+pair (ea, ec2) fixes the monomial.  The pass's rules, each checked once:
 
-The Desnanot-Jacobi step (a*b - c*d) / e, which determinant runs over
-polys, is one fused kernel pass (_kronecker_step) when both products
-would take the kernel by that rule, both share one grading, their union
-box holds at least 3 pairs per slot of each, and e is bi-graded and not
-0.  It encodes a, b, c (once when d is c, as in a strip) and e at one
-stride and width over the union of the two products' boxes, forms the
-numerator's image as one big-int difference of the two image products,
-divides it by e's image and decodes only the quotient: neither product
-is decoded, and the numerator's terms and shape are never made.  When e
-is 1, as at the strip's t = 2 level, which divides by D(k, 0), e is not
-encoded and the numerator's image itself decodes over the union box,
-whose slots bound every numerator coefficient; determinant counts such
-a step as two products and no division, as the operators would.  On its
-default Desnanot-Jacobi strip the grid above runs 37 steps that way, 10
-of them by one, and sends 12 more products and 1 quotient to the kernel
-on their own: 50 decodes, 168 images and 41 shape scans.  The 23 strip
-steps whose products are both counted but that decline each have a
-product of too few pairs.
+  * gate: each product has more than 1024 term pairs, every operand is
+    bi-graded, the two products share one grading, and e is bi-graded
+    and not 0.  Else it declines, and Poly's operators do the work.
+    Poly.__mul__ tests the pair count before it calls, so a small
+    product makes no call.
+  * density: the box, the union of the products' (ea, ec2) boxes, holds
+    at least 3 pairs per slot of each product.  The pass's Python work
+    is a loop over slots and the dict loop's over pairs, so a box spread
+    over millions of slots stays on the dict loop.
+  * degree: a box with a monomial past the degree cap declines, so no
+    decoded key can pass it; Poly's operators then raise where the value
+    itself passes the cap.
+  * width: every operand is encoded at one stride and one slot width,
+    which holds the sum of the products' _product_bound and e's
+    coefficients.  _product_bound, max|c| * max|c'| * min(len, len'),
+    bounds every product coefficient (a term of the shorter operand
+    meets at most one term of the other in each monomial), so the sum
+    bounds every numerator coefficient.
+  * numerator: each product is one CPython multiply of two images (a
+    square, as every strip step's c*c is, packs one image and squares
+    it); with c and d, the numerator's image is the difference of the two
+    image products, each shifted to its corner of the box.  Neither
+    product is decoded, and the numerator's terms and shape are never
+    made.  A zero image is the zero numerator, returned undivided.
+  * quotient: without a divisor the image decodes over the box.  Else
+    it is divided by e's image; a nonzero remainder declines, and the
+    image quotient decodes to a candidate q inside the box less e's
+    shape.  An image is the value at x = 2^(8*width) of a polynomial in
+    x, so a zero remainder says the images of q * e and of the numerator
+    agree; when the width is above every coefficient of their
+    difference, which _product_bound(q, e) plus the numerator's bound
+    bounds, no slot can carry and the two are equal.  If the bound does
+    not fit, the images are compared again at a width where it does;
+    comparing images skips decoding q * e.
 
-A product packs each operand into one signed big int with a byte-aligned
-slot per (ea, ec2), wide enough for max|c| * max|c'| * min(len, len'),
-which bounds every product coefficient (a term of the shorter operand
-meets at most one term of the other in each monomial), so one CPython
-multiply yields the product; biasing every slot by half its range makes
-the slots non-negative bytes cut from ``to_bytes``.  A square, a poly
-times itself as every strip step's c*c is, packs one image and squares
-it.  A quotient takes divmod of images whose slots are one byte wider
-than both operands need (a fused step's hold the sum of its products'
-bounds, which bounds every numerator coefficient, so a zero image is the
-zero numerator); a nonzero remainder declines, and otherwise the image
-quotient decodes to a candidate q inside the box the dividend's box less
-the divisor's allows.  An image is the value at x = 2^(8*width) of a
-polynomial in x, so a zero remainder says the images of q * divisor and
-of the dividend agree; when that width is above every coefficient of
-q * divisor - dividend, which max|q| * max|divisor| * min(len q, len
-divisor) plus a bound on the dividend's coefficients bounds, no slot can
-carry and the difference is the zero polynomial.  If the bound does not
-fit, the images are compared again at a width where it does.
-exact_div's quotients and fused steps' take that one rule
-(_exact_quotient).  On the symbolic grid above, one of the 28 quotients,
-a fused step's, is compared again, and accepted.  A candidate that
-fails, or does not decode, leaves the division to the dict loop (a fused
-step, to Poly's operators), which returns the quotient or raises
-InexactDivisionError.  Either path gives the same terms, so counts and
-canonical strings do not depend on it.  The image division is
-``_divmod``, which every exact int quotient goes through: builtin divmod
-up to CPython 3.12's own crossover, a divisor of 9,000 bits or a
-quotient of 4,500, and recursive division past it, which replaces
-CPython 3.11's quadratic long division by Karatsuba multiplications.  On
-the grid above, 15 of the 28 image quotients pass the crossover, and
-theorem1's int strip at n = 0, r = 40 sends 592 of its 1,521 quotients
-past it; measured on 14 such image quotients of that grid, recursion took
-25 ms instead of 56 ms, and on r = 40's, 106 ms instead of 155 ms (best
-of 7, CPython 3.11.7 on a shared 2-vCPU VM).  A Poly is immutable, so its shape (see
-_bigraded) is scanned on its first kernel call and kept on it; a kernel
-product or quotient comes with the shape its decode read, and is never
-scanned.
+Biasing every slot by half its range makes the slots non-negative bytes,
+cut from ``to_bytes``.  A decline, or a candidate that fails, leaves the
+work to Poly's operators, which return the same terms or raise
+InexactDivisionError; counts and canonical strings do not depend on the
+path.  The crossover was measured on the operands of the symbolic
+theorem2 grid n = 0..3, r = 0..4: the pass won 7 of 18 products of 700
+to 850 pairs, 24 of 29 of 1,000 to 1,500, and every one above 3,000.
+Every product and quotient the pass takes on that grid has more than 3.2
+pairs per slot; at 4, a box one slot wide per ea still ran about 3 times
+slower than the dict loop.  On its default Desnanot-Jacobi strip the grid calls
+the pass 72 times: 60 steps, of which 37 take it (10 of them by one, and
+one compared again at a wider width, and accepted) and 23 decline with a
+product of too few pairs, and 12 products on their own, 1 a square.
+That is 49 decodes, 166 images and 40 shape scans.
+
+The image division is ``_divmod``, which every exact int quotient goes
+through: builtin divmod up to CPython 3.12's own crossover, a divisor of
+9,000 bits or a quotient of 4,500, and recursive division past it, which
+replaces CPython 3.11's quadratic long division by Karatsuba
+multiplications.  On the grid above, 15 of the 27 image quotients pass
+the crossover, and theorem1's int strip at n = 0, r = 40 sends 592 of its
+1,521 quotients past it; measured on 14 such image quotients of that
+grid, recursion took 25 ms instead of 56 ms, and on r = 40's, 106 ms
+instead of 155 ms (best of 7, CPython 3.11.7 on a shared 2-vCPU VM).  A
+Poly is immutable, so its shape (see _bigraded) is scanned on its first
+call to the pass and kept on it; a result of the pass comes with the shape its
+decode read, and is never scanned.
 """
 
 from __future__ import annotations
@@ -281,9 +278,9 @@ class Poly:
     OverflowError, whether given to the constructor or made by a product.
 
     Treated as immutable after construction; zero coefficients are never
-    stored.  So the Kronecker kernel's shape of a poly (see _bigraded) is
-    scanned once, on the poly's first kernel call, and kept in a slot; a
-    kernel result comes with its shape already in the slot.
+    stored.  So the Kronecker pass's shape of a poly (see _bigraded) is
+    scanned once, on the poly's first call to the pass, and kept in a
+    slot; a result of the pass comes with its shape already in the slot.
     """
 
     __slots__ = ("_packed", "_shape")
@@ -363,7 +360,7 @@ class Poly:
         if (max(left) >> _DEGREE_SHIFT) + (max(right) >> _DEGREE_SHIFT) > _MAX_DEGREE:
             raise OverflowError(f"product degree exceeds the packed degree limit {_MAX_DEGREE}")
         if len(left) * len(right) > _KRONECKER_MIN_PAIRS:
-            product = _kronecker_mul(self, other)
+            product = _kronecker(self, other)
             if product is not None:
                 return product
         out: Dict[int, int] = {}
@@ -375,8 +372,7 @@ class Poly:
         return Poly._wrap({key: c for key, c in out.items() if c})
 
     def exact_div(self, divisor: "Poly") -> "Poly":
-        """Exact quotient: the Kronecker kernel for large bi-graded operands
-        (see the module docstring), else repeated leading-term elimination.
+        """Exact quotient by repeated leading-term elimination.
 
         Raises InexactDivisionError unless divisor divides self exactly
         (coefficients included: the quotient must stay over Z), and
@@ -384,10 +380,6 @@ class Poly:
         """
         if not divisor._packed:
             raise ZeroDivisionError("exact division by zero")
-        if len(self._packed) * len(divisor._packed) > _KRONECKER_MIN_PAIRS:
-            quotient = _kronecker_div(self, divisor)
-            if quotient is not None:
-                return quotient
         divisor_terms = divisor._packed.items()
         lead = max(divisor._packed)
         lead_coeff = divisor._packed[lead]
@@ -458,15 +450,14 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# the bi-graded Kronecker kernel for large products and quotients
+# the bi-graded Kronecker pass for large products and Desnanot-Jacobi steps
 
-# Products and quotients of more term pairs than this take the kernel when
-# both operands are bi-graded; below it the dict loop is faster (see the
-# module docstring).
+# The pass's gate: each product has more than this many term pairs; below
+# it the dict loop is faster (see the module docstring).
 _KRONECKER_MIN_PAIRS = 1024
-# The kernel decodes every slot of its image in a Python loop, where the
+# The pass decodes every slot of its image in a Python loop, where the
 # dict loop visits every term pair, so it also needs at most one slot per
-# this many pairs; a sparse box stays on the dict loop.
+# this many pairs of each product; a sparse box stays on the dict loop.
 _KRONECKER_PAIRS_PER_SLOT = 3
 
 _EA_SHIFT, _EB_SHIFT, _EC1_SHIFT, _EC2_SHIFT = _SHIFTS
@@ -589,28 +580,6 @@ def _product_image(left: Poly, right: Poly, stride: int, width: int) -> int:
     return image * image if right is left else image * _image(right._packed, right._shape, stride, width)
 
 
-def _kronecker_mul(left: Poly, right: Poly) -> Union[Poly, None]:
-    """left * right as one big-int product of two Kronecker images, or
-    None when either is not bi-graded or the product's box is sparse.
-    A square (right is left) encodes one image and squares it.
-
-    Slots are wide enough for any product coefficient (_product_bound).
-    The product's shape is the sum of the operands': over Z the terms at
-    an edge of a box multiply to a nonzero edge of the sum.
-    """
-    left_shape, right_shape = left._kernel_shape(), right._kernel_shape()
-    if left_shape is None or right_shape is None:
-        return None
-    lp, rp = left._packed, right._packed
-    shape = tuple(x + y for x, y in zip(left_shape, right_shape))
-    stride = shape[5] - shape[4] + 1
-    if _slot_count(shape, stride) * _KRONECKER_PAIRS_PER_SLOT > len(lp) * len(rp):
-        return None
-    width = _slot_bytes(_product_bound(lp, rp))
-    decoded = _decode(_product_image(left, right, stride, width), shape, stride, width)
-    return None if decoded is None else Poly._wrap(*decoded)
-
-
 def _quotient_box(box: _Shape, divisor_shape: _Shape) -> Union[_Shape, None]:
     """The box an exact quotient of a dividend inside ``box`` lies in: box
     less the divisor's shape, or None when that is empty or off the
@@ -622,134 +591,73 @@ def _quotient_box(box: _Shape, divisor_shape: _Shape) -> Union[_Shape, None]:
     return quotient
 
 
-def _exact_quotient(top: int, remake, bound: int, divisor: Poly, box: _Shape, stride: int, width: int):
-    """The quotient by divisor of the poly whose image is top, or None.
-
-    top lays the dividend out at ``width`` over the quotient's ``box``
-    plus the divisor's shape, and remake(width) lays it out again at
-    another width; bound is above every coefficient of the dividend.  An
-    exact quotient's image is top's over the divisor's, so a nonzero
-    remainder declines.  Else the image quotient decodes to a candidate q,
-    and a zero remainder says q * divisor and the dividend have equal
-    images at this width: when the width is above every coefficient of
-    q * divisor - dividend, which _product_bound(q, divisor) + bound
-    bounds, no slot can carry and that difference is the zero polynomial.
-    When it is not, the images are compared again at a width that is.
-    Comparing images skips decoding q * divisor, which checking through
-    _kronecker_mul would do: that made sym-d5's 80 divisions about 10 %
-    slower.  The quotient keeps the shape its decode read.
-    """
-    vp, divisor_shape = divisor._packed, divisor._shape
-    image, remainder = _divmod(top, _image(vp, divisor_shape, stride, width))
-    if remainder:
+def _kronecker(a: Poly, b: Poly, c: Poly = None, d: Poly = None, e: Poly = None) -> Union[Poly, None]:
+    """a*b - c*d, divided by e unless e is absent or one, in one Kronecker
+    pass by the rules the module docstring states; without c and d, the
+    product a*b.  None declines, which leaves the work to Poly's
+    operators.  A result keeps the shape its decode read."""
+    ap, bp = a._packed, b._packed
+    pairs = len(ap) * len(bp)
+    if c is not None:
+        pairs = min(pairs, len(c._packed) * len(d._packed))
+    divide = e is not None and e._packed != _POLY_ONE
+    if pairs <= _KRONECKER_MIN_PAIRS or (divide and not e._packed):
         return None
-    decoded = _decode(image, box, stride, width)
-    if decoded is None:
-        return None
-    quotient, shape = decoded
-    check = _slot_bytes(_product_bound(quotient, vp) + bound)
-    if check > width:
-        product = _image(quotient, box, stride, check) * _image(vp, divisor_shape, stride, check)
-        if product != remake(check):
-            return None
-    return Poly._wrap(quotient, shape)
-
-
-def _kronecker_div(dividend: Poly, divisor: Poly) -> Union[Poly, None]:
-    """dividend / divisor through Kronecker images, or None when either is
-    not bi-graded, the dividend's box is sparse, or _exact_quotient
-    declines.
-
-    An exact quotient shares both gradings and its box is the dividend's
-    box less the divisor's, so the image of the dividend is the image of
-    the divisor times the image of the quotient, and integer division
-    recovers the latter.
-    """
-    dividend_shape, divisor_shape = dividend._kernel_shape(), divisor._kernel_shape()
-    if dividend_shape is None or divisor_shape is None:
-        return None
-    box = _quotient_box(dividend_shape, divisor_shape)
-    if box is None:
-        return None
-    dp, vp = dividend._packed, divisor._packed
-    stride = dividend_shape[5] - dividend_shape[4] + 1
-    if _slot_count(dividend_shape, stride) * _KRONECKER_PAIRS_PER_SLOT > len(dp) * len(vp):
-        return None
-    # a guess: one byte above every coefficient of both operands, so both
-    # images fit; a quotient that does not fit fails _exact_quotient's check
-    largest = max(max(map(abs, dp.values())), max(map(abs, vp.values())))
-    width = _slot_bytes(largest << 8)
-
-    def image(width):
-        return _image(dp, dividend_shape, stride, width)
-
-    return _exact_quotient(image(width), image, largest, divisor, box, stride, width)
-
-
-def _kronecker_step(a: Poly, b: Poly, c: Poly, d: Poly, e: Poly) -> Union[Poly, None]:
-    """The Desnanot-Jacobi step (a*b - c*d) / e in one Kronecker pass, or
-    None, which leaves the step to Poly's operators.
-
-    Taken when each product would take the kernel in Poly.__mul__ (more
-    than 1024 term pairs, all four operands bi-graded) and both share one
-    grading, so that their union box, at least 3 pairs per slot for each,
-    lays both out; e must be bi-graded and not zero.  a, b, c and d (c
-    once when d is c) and e are encoded at one stride and width, and the
-    numerator's image is one big-int difference of the two image
-    products, each shifted to its corner of the union box.  The slots hold
-    e's coefficients and the sum of the two products' _product_bound,
-    which bounds every coefficient of the numerator, so a zero image is
-    the zero numerator, returned as it is.  A divisor of one is read as
-    the constant's shape, not encoded, and the numerator's image decodes
-    over the union box.  Otherwise its image is divided by e's and
-    _exact_quotient decodes and checks the quotient: no product is
-    decoded, and neither the numerator's terms nor its shape are ever
-    made.  A product that could pass the degree cap declines, so the
-    operators raise as they would.
-    """
-    ap, bp, cp, dp, ep = a._packed, b._packed, c._packed, d._packed, e._packed
-    pairs = min(len(ap) * len(bp), len(cp) * len(dp))
-    if pairs <= _KRONECKER_MIN_PAIRS or not ep:
-        return None
-    by_one = ep == _POLY_ONE
-    # one, the constant of degree and weight 0, is read as that shape, not scanned
-    se = (0,) * 6 if by_one else e._kernel_shape()
-    shapes = a._kernel_shape(), b._kernel_shape(), c._kernel_shape(), d._kernel_shape(), se
+    shapes = [a._kernel_shape(), b._kernel_shape()]
+    if c is not None:
+        shapes += c._kernel_shape(), d._kernel_shape()
+    if divide:
+        shapes.append(e._kernel_shape())
     if None in shapes:
         return None
-    sa, sb, sc, sd, se = shapes
-    ab = tuple(x + y for x, y in zip(sa, sb))
-    cd = tuple(x + y for x, y in zip(sc, sd))
-    h, w, ea_lo, ea_hi, ec2_lo, ec2_hi = ab
-    if cd[:2] != (h, w):
-        return None
-    box = (h, w, min(ea_lo, cd[2]), max(ea_hi, cd[3]), min(ec2_lo, cd[4]), max(ec2_hi, cd[5]))
-    stride = box[5] - box[4] + 1
+    box = ab = tuple(x + y for x, y in zip(shapes[0], shapes[1]))
+    if c is not None:
+        cd = tuple(x + y for x, y in zip(shapes[2], shapes[3]))
+        if cd[:2] != ab[:2]:
+            return None
+        box = ab[:2] + (min(ab[2], cd[2]), max(ab[3], cd[3]), min(ab[4], cd[4]), max(ab[5], cd[5]))
+    h, w, ea_lo, ea_hi, ec2_lo, ec2_hi = box
+    stride = ec2_hi - ec2_lo + 1
     # every monomial of the box has degree w + ea - ec2
-    if _slot_count(box, stride) * _KRONECKER_PAIRS_PER_SLOT > pairs or w + box[3] - box[4] > _MAX_DEGREE:
+    if _slot_count(box, stride) * _KRONECKER_PAIRS_PER_SLOT > pairs or w + ea_hi - ec2_lo > _MAX_DEGREE:
         return None
-    quotient_box = _quotient_box(box, se)
-    if quotient_box is None:
-        return None
-    bound = _product_bound(ap, bp) + _product_bound(cp, dp)
-    width = _slot_bytes(max(bound, max(map(abs, ep.values()))))
-    # each product's corner, in slots from the union box's
-    ab_at = (ea_lo - box[2]) * stride + ec2_lo - box[4]
-    cd_at = (cd[2] - box[2]) * stride + cd[4] - box[4]
+    out_box = box
+    if divide:
+        ep, se = e._packed, shapes[-1]
+        out_box = _quotient_box(box, se)
+        if out_box is None:
+            return None
+    bound = _product_bound(ap, bp)
+    if c is not None:
+        bound += _product_bound(c._packed, d._packed)
+    width = _slot_bytes(max(bound, max(map(abs, ep.values()))) if divide else bound)
 
     def numerator(width):
+        image = _product_image(a, b, stride, width)
+        if c is None:
+            return image
+        # each product's corner, in slots from the union box's
         shift = 8 * width
-        return (_product_image(a, b, stride, width) << shift * ab_at) - (
-            _product_image(c, d, stride, width) << shift * cd_at
-        )
+        ab_at = (ab[2] - ea_lo) * stride + ab[4] - ec2_lo
+        cd_at = (cd[2] - ea_lo) * stride + cd[4] - ec2_lo
+        return (image << shift * ab_at) - (_product_image(c, d, stride, width) << shift * cd_at)
 
     top = numerator(width)
     if not top:
         return Poly._wrap({})
-    if by_one:
-        decoded = _decode(top, box, stride, width)
-        return None if decoded is None else Poly._wrap(*decoded)
-    return _exact_quotient(top, numerator, bound, e, quotient_box, stride, width)
+    if divide:
+        top, remainder = _divmod(top, _image(ep, se, stride, width))
+        if remainder:
+            return None
+    decoded = _decode(top, out_box, stride, width)
+    if decoded is None:
+        return None
+    terms, shape = decoded
+    if divide:
+        check = _slot_bytes(_product_bound(terms, ep) + bound)
+        if check > width and _image(terms, out_box, stride, check) * _image(ep, se, stride, check) != numerator(check):
+            return None
+    return Poly._wrap(terms, shape)
 
 
 # Recursive division (Burnikel & Ziegler, "Fast Recursive Division", MPI
@@ -1162,14 +1070,15 @@ def _rat_step(a: Fraction, b: Fraction, c: Fraction, d: Fraction, e: Fraction) -
 # by the same quotient, which needs a nonzero divisor and ticks nothing.
 # step(a, b, c, d, e), for a domain that has one, is (a*b - c*d) / e in one
 # call when neither product has an operand 0 or 1, or None to leave the
-# step to the payloads' operators: the poly kernel's fused pass, or the
-# rational slots' arithmetic.  Int payloads' own operators are the step.
+# step to the payloads' operators: the Kronecker pass that Poly.__mul__
+# also calls, or the rational slots' arithmetic.  Int payloads' own
+# operators are the step.
 _PAYLOADS = {
     domain: (_ZEROS[domain].value, _ONES[domain].value, units, quotient, step)
     for domain, units, quotient, step in (
         (INTEGER, (0, 1), _int_quotient, None),
         (RATIONAL, (0, 1), _rat_quotient, _rat_step),
-        (POLYNOMIAL, (_ZEROS[POLYNOMIAL].value, _ONES[POLYNOMIAL].value), _poly_quotient, _kronecker_step),
+        (POLYNOMIAL, (_ZEROS[POLYNOMIAL].value, _ONES[POLYNOMIAL].value), _poly_quotient, _kronecker),
     )
 }
 

@@ -302,6 +302,24 @@ def test_theorem2_and_eq4_share_one_delta_within_a_scope():
         assert cost(*order) == (apart[0] - 5, apart[1]), order
 
 
+def test_eq4_rhs_makes_no_lead_for_a_zero_unit_product():
+    # outside a scope, at n = 3 and (i, j) = (0, 3) or (3, 0): U_0 = 0
+    # makes U_i * U_j zero, and the rhs costs only c2^3 (2 muls) and U_3
+    # (1 mul), not delta (5) or delta * c2^3 (1)
+    spec = RecurrenceSpec(*(ring.rational(v) for v in (2, 3, 5, 7)))
+    for i, j in ((0, 3), (3, 0)):
+        with ring.count_ops() as counter:
+            value = generalized_vajda_rhs(spec, 3, i, j)
+        assert value == ring.zero(ring.RATIONAL) == generalized_vajda_lhs(spec, 3, i, j)
+        assert (counter.muls, counter.divs) == (3, 0)
+    with shared_sequences():
+        generalized_vajda_rhs(spec, 3, 0, 3)
+        assert cache_for(spec).eq4_leads == {}
+    # a c2 with no inverse still raises at negative n where U_i * U_j is zero
+    with pytest.raises(ring.NotInvertibleError):
+        generalized_vajda_rhs(preset("jacobsthal"), -1, 0, 2)
+
+
 def test_bilinear_negative_base_rational():
     spec = preset("jacobsthal", ring.RATIONAL)
     for n in range(-5, 0):

@@ -664,7 +664,7 @@ def _fused_widths(monkeypatch, args):
     image = ring._image
     with monkeypatch.context() as patch:
         patch.setattr(ring, "_image", lambda *image_args: widths.append(image_args[3]) or image(*image_args))
-        return ring._kronecker_step(*args), widths
+        return ring._kronecker(*args), widths
 
 
 def test_fused_poly_step_matches_ring_scalar_step(monkeypatch):
@@ -702,7 +702,7 @@ def test_fused_poly_step_matches_ring_scalar_step(monkeypatch):
 
     # the largest fused steps with c is d and with c apart
     def largest(steps):
-        fused = [args for args in steps if ring._kronecker_step(*args) is not None]
+        fused = [args for args in steps if ring._kronecker(*args) is not None]
         return max(fused, key=lambda args: len(args[0]._packed) * len(args[1]._packed))
 
     square, apart = largest(captured["strip"]), largest(captured["bareiss"])
@@ -711,20 +711,20 @@ def test_fused_poly_step_matches_ring_scalar_step(monkeypatch):
     for a, b, c, d, e in (square, apart):
         # a zero numerator: zero, from the images, with no division
         for zero_top in ((a, b, a, b, e), (c, c, c, c, e)):
-            assert ring._kronecker_step(*zero_top) == Poly({})
+            assert ring._kronecker(*zero_top) == Poly({})
             cases.append((zero_top, ({}, 2, 0)))
         # an inexact numerator: e with one coefficient moved keeps its
         # shape, so the image division leaves a remainder and declines
         key = max(e._packed)
         moved = Poly._wrap({**e._packed, key: e._packed[key] + 1})
-        assert ring._kronecker_step(a, b, c, d, moved) is None
+        assert ring._kronecker(a, b, c, d, moved) is None
         message = (ring.InexactDivisionError, "polynomial division leaves a remainder")
         cases.append(((a, b, c, d, moved), (message, 2, 1)))
         # an ungraded operand: a plus c1 * e leaves a's grading, and the
         # step stays exact
         ungraded = a + Poly.variable("c1") * e
         assert ring._bigraded(ungraded._packed) is None
-        assert ring._kronecker_step(ungraded, b, c, d, e) is None
+        assert ring._kronecker(ungraded, b, c, d, e) is None
         expected = (a * b - c * d).exact_div(e) + Poly.variable("c1") * b
         cases.append(((ungraded, b, c, d, e), (expected._packed, 2, 1)))
     # a divisor of one: the largest of the strip's t = 2 steps, which
@@ -740,7 +740,7 @@ def test_fused_poly_step_matches_ring_scalar_step(monkeypatch):
     assert fused is not None and len(widths) == 3 and by_one[2] is by_one[3]
     a, b, c, d, _ = by_one
     cases.append((by_one, ((a * b - c * d)._packed, 2, 0)))
-    assert ring._kronecker_step(a, b, a, b, unit) == Poly({})
+    assert ring._kronecker(a, b, a, b, unit) == Poly({})
     cases.append(((a, b, a, b, unit), ({}, 2, 0)))
     for args, expected in cases:
         assert _poly_step_outcomes(args) == [expected, expected]
@@ -748,7 +748,7 @@ def test_fused_poly_step_matches_ring_scalar_step(monkeypatch):
     # it always has, where exact_div raises before it ticks
     a, b, c, d, e = apart
     by_zero = (ZeroDivisionError, "exact division by zero")
-    assert ring._kronecker_step(a, b, c, d, Poly({})) is None
+    assert ring._kronecker(a, b, c, d, Poly({})) is None
     assert _poly_step_outcomes((a, b, c, d, Poly({}))) == [(by_zero, 2, 1), (by_zero, 2, 0)]
 
     # sparse operands: 33 bi-graded terms each over a 3201 x 1601 box, so

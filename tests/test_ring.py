@@ -763,14 +763,14 @@ def test_poly_terms_view():
 # -- bi-graded Kronecker kernel against the same references -------------------
 
 
-def _images(p, q, method=Poly.__mul__):
-    """The Kronecker images method(p, q) builds, as _image's arguments
-    (packed terms, shape, stride, width)."""
+def _images(*operands, method=Poly.__mul__):
+    """The Kronecker images method(*operands) builds, as _image's
+    arguments (packed terms, shape, stride, width)."""
     built = []
     image = ring._image
     ring._image = lambda *args: built.append(args) or image(*args)
     try:
-        method(p, q)
+        method(*operands)
     except InexactDivisionError:
         pass
     finally:
@@ -778,13 +778,15 @@ def _images(p, q, method=Poly.__mul__):
     return built
 
 
-def _takes_kernel(p, q, method=Poly.__mul__):
-    """Whether method(p, q) builds Kronecker images."""
-    return bool(_images(p, q, method))
+def _takes_kernel(p, q):
+    """Whether p * q builds Kronecker images."""
+    return bool(_images(p, q))
 
 
-def _divides_in_kernel(p, q):
-    return _takes_kernel(p, q, Poly.exact_div)
+def _pass_divide(p, q, e):
+    """The pass's quotient of p * q by e, as the step (p * 2q - p * q) / e:
+    both products have len(p) * len(q) term pairs and one box."""
+    return ring._kronecker(p, q + q, p, q, e)
 
 
 @pytest.fixture(scope="module")
@@ -810,8 +812,9 @@ def test_kronecker_kernel_matches_tuple_reference_on_symbolic_operands(symbolic_
     for p, q in pairs:
         product = p * q
         assert product.terms == _ref_mul(p.terms, q.terms)
-        assert _divides_in_kernel(product, q)
-        quotient = product.exact_div(q)
+        assert product.exact_div(q) == p
+        # the pass divides the same numerator p * q by q: (p * 2q - p * q) / q
+        quotient = _pass_divide(p, q, q)
         assert quotient == p
         # kernel results carry the shape a scan of their terms would find
         assert product._shape == ring._bigraded(product._packed)
@@ -821,22 +824,32 @@ def test_kronecker_kernel_matches_tuple_reference_on_symbolic_operands(symbolic_
         for changed in ({**product._packed, key: product._packed[key] + 1}, {**product._packed, 0: 1}):
             with pytest.raises(InexactDivisionError):
                 Poly._wrap(changed).exact_div(q)
+        # a divisor with one coefficient off keeps q's shape, and the pass declines
+        moved = Poly._wrap({**q._packed, max(q._packed): q._packed[max(q._packed)] + 1})
+        assert _pass_divide(p, q, moved) is None
     # the two largest pivots, 800 x 878 terms
     p, q = symbolic_operands["pivots"][-2:]
-    assert _takes_kernel(p, q) and _divides_in_kernel(p * q, p) and (p * q).exact_div(p) == q
+    assert _takes_kernel(p, q) and _pass_divide(q, p, p) == q and (p * q).exact_div(p) == q
     small, rising = symbolic_operands["delta"][0], symbolic_operands["rising"][0]
-    assert _divides_in_kernel(small * rising, small)
+    assert _pass_divide(rising, small, small) == rising
     assert _ref_exact_div((small * rising).terms, small.terms) == (small * rising).exact_div(small).terms
 
 
 def test_kronecker_division_by_a_non_divisor_raises(symbolic_operands):
+    # exact_div's dict loop raises, and the pass declines the same quotient
+    # with its numerator and divisor times rising: the image division
+    # leaves a remainder, or the candidate fails its check
     pivot, rising = symbolic_operands["pivots"][3], symbolic_operands["rising"][0]
-    assert _divides_in_kernel(pivot, rising)
+    square = rising * rising
+    assert _images(pivot, rising, square, method=_pass_divide) and _pass_divide(pivot, rising, square) is None
     with pytest.raises(InexactDivisionError):
         pivot.exact_div(rising)
     with pytest.raises(InexactDivisionError):
         _ref_exact_div(pivot.terms, rising.terms)
-    # a divisor of larger grades leaves no quotient box
+    # a divisor of larger grades leaves no quotient box: the pass declines
+    # before it encodes any image
+    square = pivot * pivot
+    assert _images(rising, pivot, square, method=_pass_divide) == [] and _pass_divide(rising, pivot, square) is None
     with pytest.raises(InexactDivisionError):
         rising.exact_div(pivot)
 
@@ -848,7 +861,7 @@ def test_kronecker_slots_hold_the_largest_possible_coefficient():
     p = Poly({(i, n - i, i, 0): big for i in range(n + 1)})
     alternating = Poly({(i, n - i, i, 0): (-1) ** i * big for i in range(n + 1)})
     for left, right in ((p, p), (p, -p), (alternating, alternating), (alternating, p)):
-        assert _takes_kernel(left, right) and _divides_in_kernel(left * right, right)
+        assert _takes_kernel(left, right) and _pass_divide(left, right, right) == left
         product = left * right
         assert product.terms == _ref_mul(left.terms, right.terms)
         assert product.exact_div(right) == left
@@ -873,7 +886,7 @@ def test_kronecker_kernel_leaves_ungraded_operands_to_the_dict_loop():
     cases += list(zip(randoms, randoms[1:]))
     for p, q in cases:
         assert len(p.terms) * len(q.terms) > ring._KRONECKER_MIN_PAIRS and not _takes_kernel(p, q)
-        assert not _divides_in_kernel(p * q, q)
+        assert not _images(p, q, q, method=_pass_divide) and _pass_divide(p, q, q) is None
         product = p * q
         assert product.terms == _ref_mul(p.terms, q.terms)
         assert product.exact_div(q) == p
@@ -904,18 +917,23 @@ def test_kronecker_division_by_a_divisor_with_larger_coefficients():
         dividend_coeffs = _convolve(dividend_coeffs, [-1] + [0] * (p - 1) + [1])
     dividend, divisor = _homogenised(dividend_coeffs), _homogenised(divisor_coeffs)
     assert max(map(abs, divisor.terms.values())) > 256 * max(map(abs, dividend.terms.values()))
-    # the quotient is accepted at the width it was divided at, one byte
-    # above the divisor's largest coefficient: no second image product
-    largest = max(map(abs, divisor.terms.values()))
-    assert [args[3] for args in _images(dividend, divisor, Poly.exact_div)] == [ring._slot_bytes(largest << 8)] * 2
     quotient = _homogenised([(-1) ** (len(primes) - i) * math.comb(len(primes), i) for i in range(len(primes) + 1)])
-    kernel = ring._kronecker_div(dividend, divisor)
-    assert kernel == quotient and kernel._shape == ring._bigraded(quotient._packed)
     assert dividend.exact_div(divisor) == quotient
     assert _ref_exact_div(dividend.terms, divisor.terms) == quotient.terms
+    # the pass divides dividend * s (32 x 33 term pairs a product) by the
+    # divisor: the slots hold the divisor's largest coefficient, 3 bytes
+    # where the numerator needs 1, so every image fits; the candidate's
+    # bound needs 4, where the images are compared again, and agree
+    s = _homogenised([1] * 33)
+    largest = max(map(abs, divisor.terms.values()))
+    assert [args[3] for args in _images(dividend, s, divisor, method=_pass_divide)] == [3] * 5 + [4] * 6
+    assert ring._slot_bytes(largest) == 3
+    kernel = _pass_divide(dividend, s, divisor)
+    assert kernel == quotient * s and kernel._shape == ring._bigraded(kernel._packed)
     # a divisor whose coefficients outgrow the dividend's without dividing it
     dividend, divisor = _homogenised([1] * 41), _homogenised([10**6] * 26)
-    assert _divides_in_kernel(dividend, divisor)
+    s = _homogenised([1] * 26)
+    assert _images(dividend, s, divisor, method=_pass_divide) and _pass_divide(dividend, s, divisor) is None
     with pytest.raises(InexactDivisionError):
         dividend.exact_div(divisor)
     with pytest.raises(InexactDivisionError):
@@ -925,12 +943,15 @@ def test_kronecker_division_by_a_divisor_with_larger_coefficients():
 def test_kronecker_quotient_wider_than_its_division_is_checked_again():
     # (x - 1)**10 divides the product of the x**p - 1 for the primes below
     # 30, and the quotient, the product of their cofactors 1 + ... + x**(p-1),
-    # has coefficients past 10**8.  Both sides times 1 + ... + x**10 give
-    # enough term pairs for the kernel, whose operands' coefficients are at
-    # most 126, so it divides in 2-byte slots: the image quotient has a
-    # zero remainder, yet decodes to a wrong candidate.  The bound on
-    # candidate * divisor - dividend does not fit 2 bytes, so the images
-    # are compared again at a width that holds it, and differ.
+    # has coefficients past 10**8.  Both sides times 1 + ... + x**10 have
+    # coefficients of at most 126, and in 2-byte slots the image quotient
+    # has a zero remainder, yet decodes to a wrong candidate.  exact_div
+    # builds no image.  The pass, on that numerator times s = 1 + ... +
+    # x**10 (98 x 11 pairs a product), divides in 2-byte slots; the bound
+    # on candidate * divisor - numerator does not fit them, so the images
+    # are compared again at a width that holds it, and differ.  (The same
+    # re-compare on a step of the determinant's shape is pinned in
+    # tests/test_determinant.py::test_fused_poly_step_matches_ring_scalar_step.)
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
     quotient_coeffs, dividend_coeffs = [1], [1] * 11
     for p in primes:
@@ -940,14 +961,16 @@ def test_kronecker_quotient_wider_than_its_division_is_checked_again():
     dividend, divisor = _homogenised(dividend_coeffs), _homogenised(divisor_coeffs)
     quotient = _homogenised(quotient_coeffs)
     assert max(map(abs, quotient.terms.values())) > 10**8
-    widths = [args[3] for args in _images(dividend, divisor, Poly.exact_div)]
-    assert widths[:2] == [2, 2] and len(widths) == 5 and widths[2] == widths[3] == widths[4] > 2
+    assert _images(dividend, divisor, method=Poly.exact_div) == []
+    s = _homogenised([1] * 11)
+    widths = [args[3] for args in _images(dividend, s, divisor * s, method=_pass_divide)]
+    assert widths[:5] == [2] * 5 and len(widths) == 11 and set(widths[5:]) == {4}
     # the candidate the 2-byte division decodes: one slot per ea, as ec2 = 0
     shapes = dividend._kernel_shape(), divisor._kernel_shape()
     image, remainder = divmod(*(ring._image(p._packed, shape, 1, 2) for p, shape in zip((dividend, divisor), shapes)))
     candidate, _ = ring._decode(image, tuple(x - y for x, y in zip(*shapes)), 1, 2)
     assert remainder == 0 and candidate and candidate != quotient._packed
-    assert ring._kronecker_div(dividend, divisor) is None
+    assert _pass_divide(dividend, s, divisor * s) is None
     assert dividend.exact_div(divisor) == quotient
     assert quotient * divisor == dividend
 
@@ -963,11 +986,51 @@ def test_kronecker_kernel_leaves_sparse_boxes_to_the_dict_loop(monkeypatch):
     q = Poly({(100 * i, 3200 - 100 * i, 3200, 50 * i): 7 - i for i in range(33)})
     assert ring._bigraded(p._packed) and ring._bigraded(q._packed)
     assert len(p.terms) * len(q.terms) > ring._KRONECKER_MIN_PAIRS
-    assert ring._kronecker_mul(p, q) is None
+    assert ring._kronecker(p, q) is None
     product = p * q
     assert product.terms == _ref_mul(p.terms, q.terms)
-    assert ring._kronecker_div(product, q) is None
+    assert _pass_divide(p, q, q) is None
     assert product.exact_div(q) == p
+
+
+def _graded_block(w, corner=True):
+    """A bi-graded poly of (a, b)-degree 5 and weight w: one term for each
+    ea and ec2 in 0..5, of degree w + ea - ec2, so the (5, 0) corner has
+    the top degree w + 5; corner=False leaves that term out."""
+    return Poly({
+        (ea, 5 - ea, w - 5 + ea - 2 * ec2, ec2): (-1) ** ea * (1 + ea + 6 * ec2)
+        for ea in range(6)
+        for ec2 in range(6)
+        if corner or (ea, ec2) != (5, 0)
+    })
+
+
+def test_kronecker_products_near_the_degree_cap(monkeypatch):
+    # 36 x 36 (or 35 x 35) term pairs over an 11 x 11 product box, dense
+    # enough for the pass.  Every slot of the box has degree 2w + ea - ec2,
+    # so its top is 2w + 10.  With the corners, the product reaches it:
+    # at 2w + 10 = 32,766 the pass takes the product, and at 32,768
+    # Poly.__mul__ raises before the pass is called.  Without them the
+    # product stops at 2w + 8 but the box still reaches 2w + 10: at
+    # 2w = 32,758 the pass declines by its degree rule, and the dict loop
+    # makes the product, of degree 32,766
+    taken = _graded_block(16378)
+    assert len(taken.terms) ** 2 > ring._KRONECKER_MIN_PAIRS and ring._bigraded(taken._packed)
+    assert _takes_kernel(taken, taken)
+    product = taken * taken
+    assert product.terms == _ref_mul(taken.terms, taken.terms)
+    assert max(map(sum, product.terms)) == ring._MAX_DEGREE - 1
+    cornerless = _graded_block(16379, corner=False)
+    assert ring._bigraded(cornerless._packed)
+    assert ring._kronecker(cornerless, cornerless) is None and not _takes_kernel(cornerless, cornerless)
+    product = cornerless * cornerless
+    assert product.terms == _ref_mul(cornerless.terms, cornerless.terms)
+    assert max(map(sum, product.terms)) == ring._MAX_DEGREE - 1
+    past = _graded_block(16379)
+    # with no pass to call, only Poly.__mul__'s own degree check can raise
+    monkeypatch.setattr(ring, "_kronecker", None)
+    with pytest.raises(OverflowError):
+        past * past
 
 
 def test_kronecker_decode_rejects_an_image_that_does_not_fit():
@@ -1006,50 +1069,43 @@ def test_kronecker_square_encodes_one_image(symbolic_operands, monkeypatch):
 
 
 def test_kronecker_work_on_acceptance_05(monkeypatch):
-    # 60 strip steps have both products real and try the fused step; 37
-    # take it.  27 encode a, b, c (c is d in a strip) and e and decode
-    # only their quotient, and one of those compares its images again at
-    # a wider width (5 more images); 10 divide by one, encode no divisor
+    # 60 strip steps have both products real and call the pass; 37 take
+    # it.  27 encode a, b, c (c is d in a strip) and e and decode only
+    # their quotient, and one of those compares its images again at a
+    # wider width (5 more images); 10 divide by one, encode no divisor
     # and decode their numerator.  The 23 others have a product of too
     # few term pairs and leave both products to Poly.__mul__.  So 12
-    # products (1 square) and 1 quotient still take the kernel on their
-    # own, and only they and the fused steps decode
+    # products (1 square) still call the pass on their own, and only they
+    # and the fused steps decode; every quotient off the pass runs
+    # exact_div's dict loop.  The poly kind's fused step is the pass that
+    # Poly.__mul__ calls, and both callers' calls are counted
+    kind = ring._PAYLOADS[ring.POLYNOMIAL]
+    assert kind[4] is ring._kronecker
     calls = Counter()
-    for name in ("_image", "_bigraded", "_decode", "_kronecker_mul", "_kronecker_div"):
+    for name in ("_image", "_bigraded", "_decode", "_kronecker"):
         function = getattr(ring, name)
 
         def counted(*args, function=function, name=name):
             calls[name] += 1
-            if name == "_kronecker_mul" and args[0] is args[1]:
+            if name == "_kronecker" and len(args) == 2 and args[0] is args[1]:
                 calls["squares"] += 1
             result = function(*args)
-            if result is None and name.startswith("_kronecker"):
+            if result is None and name == "_kronecker":
                 calls[name + " declined"] += 1
             return result
 
         monkeypatch.setattr(ring, name, counted)
-    kind = ring._PAYLOADS[ring.POLYNOMIAL]
-
-    def fused(*args):
-        calls["_kronecker_step"] += 1
-        result = kind[4](*args)
-        if result is None:
-            calls["_kronecker_step declined"] += 1
-        return result
-
-    monkeypatch.setitem(ring._PAYLOADS, ring.POLYNOMIAL, kind[:4] + (fused,))
+    monkeypatch.setitem(ring._PAYLOADS, ring.POLYNOMIAL, kind[:4] + (ring._kronecker,))
     report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
     assert report.passed and report.checked == 60
     assert (report.mul_count, report.div_count) == (394, 32)
     assert calls == {
-        "_kronecker_step": 60,
-        "_kronecker_step declined": 23,
-        "_kronecker_mul": 12,
+        "_kronecker": 72,
+        "_kronecker declined": 23,
         "squares": 1,
-        "_kronecker_div": 1,
-        "_image": 168,
-        "_bigraded": 41,
-        "_decode": 50,
+        "_image": 166,
+        "_bigraded": 40,
+        "_decode": 49,
     }
     # the shared constants came through the sweep as they were
     assert one(ring.POLYNOMIAL).value._packed == {0: 1} and zero(ring.POLYNOMIAL).value._packed == {}
@@ -1094,8 +1150,8 @@ def test_divmod_matches_builtin_divmod_on_both_sides_of_the_crossover():
 
 
 def test_kronecker_quotients_on_acceptance_05_pass_through_divmod(monkeypatch):
-    # every one of the 28 image quotients (27 fused steps' and one
-    # exact_div's) reaches ring._divmod, and the 15 with a divisor above
+    # every one of the 27 image quotients, one per fused step that
+    # divides, reaches ring._divmod, and the 15 with a divisor above
     # 9,000 bits and a quotient above 4,500 take the recursion, each with
     # builtin divmod's quotient and remainder
     divide, recurse = ring._divmod, ring._divmod_pos
@@ -1112,7 +1168,7 @@ def test_kronecker_quotients_on_acceptance_05_pass_through_divmod(monkeypatch):
     report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
     assert report.passed and report.checked == 60 and report.mismatches == ()
     assert (report.mul_count, report.div_count) == (394, 32)
-    assert (len(seen), sum(seen), len(recursed)) == (28, 15, 15)
+    assert (len(seen), sum(seen), len(recursed)) == (27, 15, 15)
 
 
 @pytest.mark.parametrize(
