@@ -37,22 +37,22 @@ the level two back, and the triangle by D(k+2, t-2).  Condensation
 starts, as the triangle does, from a level of ones, so its first
 division is by one and is not charged.
 
-The step runs on plain payloads, not on scalars: each algorithm unwraps
-its input once and wraps each minor it returns once.  The payloads are
-ints (a numeric strip's scaled diagonal, and int matrices), Polys, and
-reduced Fractions only for a rat matrix given to det_bareiss or
-det_condensation.  Each domain's zero, one, exact quotient and fused step
-live in ring._PAYLOADS, and ring.exact_div divides through the same
-quotient functions.  When neither product has an operand 0 or 1, a poly
-step is ring's one Kronecker pass (ring._kronecker, which Poly's product
-also calls) unless the pass declines it, and a Fraction step runs on
-ring's slot arithmetic (ring._rat_step); otherwise, and for ints, the
-step multiplies and subtracts with the payloads' operators and makes one
+Over ints and polys the step runs on plain payloads, not on scalars:
+each algorithm unwraps its input once and wraps each minor it returns
+once.  The payloads are a numeric strip's scaled diagonal and int or
+poly matrices; each kind's zero, one, exact quotient and fused step live
+in ring._PAYLOADS, and ring.exact_div divides through the same quotient
+functions.  When neither product has an operand 0 or 1, a poly step is
+ring's one Kronecker pass (ring._kronecker, which Poly's product also
+calls) unless the pass declines it; otherwise, and for ints, the step
+multiplies and subtracts with the payloads' operators and makes one
 exact division.  The int quotient divides through ring._divmod, so a
 strip's int steps past CPython 3.12's crossover take recursive division,
 as the poly kernel's image quotients do.  The step counts by ring's
 rules, into two ints that are ticked once per call, on exit, even when a
-step raises.
+step raises.  A rat matrix given to det_bareiss or det_condensation steps
+through its scalars with ring.mul, ring.sub and ring.exact_div, so its
+values and counts are ring's by construction.
 det_cofactor stays on ring's scalar operations: it shares no code with
 the other three, which makes it their independent reference.
 
@@ -91,12 +91,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from math import gcd, lcm
-from operator import floordiv
+from operator import floordiv, neg
 from typing import NamedTuple, Sequence, Tuple
 
 from . import ring
-from .ring import ExactScalar, Payload
+from .ring import ExactScalar
 from .matgen import SquareMatrix
 
 COFACTOR = "cofactor"
@@ -164,22 +165,22 @@ def _cofactor(rows, domain: str) -> ExactScalar:
 
 @contextmanager
 def _counted_steps(kind: tuple):
-    """The Desnanot-Jacobi step on payloads of one kind, counted as ring
+    """The Desnanot-Jacobi step on int or poly payloads, counted as ring
     counts: step(a, b, c, d, e) = (a*b - c*d) / e.  As in ring.mul, a
     product with an operand 0 or 1 is not counted and not multiplied; as
     in ring.exact_div, a division of 0 or by 1 is neither, and a division
     is counted before it divides.  kind is the domain's ring._PAYLOADS
-    tuple.  When both products are counted and the kind has a fused step,
-    that step computes the whole quotient in one call (the poly kind's
-    one Kronecker pass, or rational slot arithmetic), and its result counts
-    one division unless it is 0 or e is 1; when it declines, or the kind
-    has none, the payloads' own operators multiply and subtract and the
-    kind's quotient divides.  Either way the values and counts are the
-    same.  The counts are two local ints, ticked once on exit, so a table
-    that raises still counts what it did."""
+    tuple, whose zero and one the operands are tested against.  When both
+    products are counted and the kind has a fused step (the poly kind's one
+    Kronecker pass), that step computes the whole quotient in one call, and
+    its result counts one division unless it is 0 or e is 1; when it
+    declines, or the kind has none, the payloads' own operators multiply
+    and subtract and the kind's quotient divides.  Either way the values
+    and counts are the same.  The counts are two local ints, ticked once on
+    exit, so a table that raises still counts what it did."""
     muls = divs = 0
-    zero, _, units, quotient, fused = kind
-    nought, unit = units
+    zero, one, quotient, fused = kind
+    units = zero, one
 
     def step(a, b, c, d, e):
         nonlocal muls, divs
@@ -188,24 +189,24 @@ def _counted_steps(kind: tuple):
                 value = fused(a, b, c, d, e)
                 if value is not None:
                     muls += 2
-                    if value != nought and e != unit:
+                    if value != zero and e != one:
                         divs += 1
                     return value
             muls += 1
             ab = a * b
-        elif a == nought or b == nought:
+        elif a == zero or b == zero:
             ab = zero
         else:
-            ab = b if a == unit else a
+            ab = b if a == one else a
         if c not in units and d not in units:
             muls += 1
             cd = c * d
-        elif c == nought or d == nought:
+        elif c == zero or d == zero:
             cd = zero
         else:
-            cd = d if c == unit else c
+            cd = d if c == one else c
         top = ab - cd
-        if top == nought or e == unit:
+        if top == zero or e == one:
             return top
         divs += 1
         return quotient(top, e)
@@ -217,8 +218,24 @@ def _counted_steps(kind: tuple):
         ring._tick_div(divs)
 
 
-def _payload_rows(matrix: SquareMatrix):
-    return [[x.value for x in row] for row in matrix.rows]
+@contextmanager
+def _matrix_steps(matrix: SquareMatrix):
+    """(rows, zero, one, step, negate, read) for det_bareiss and
+    det_condensation.  An int or poly matrix steps through its payloads
+    with _counted_steps of its ring._PAYLOADS kind, and read wraps a result
+    back into a scalar.  A rat matrix steps through its scalars with ring's
+    operations, which count, and read keeps a scalar as it is."""
+    domain = matrix.domain
+    if domain == ring.RATIONAL:
+
+        def step(a, b, c, d, e):
+            return ring.exact_div(ring.sub(ring.mul(a, b), ring.mul(c, d)), e)
+
+        yield matrix.rows, ring.zero(domain), ring.one(domain), step, ring.neg, lambda x: x
+        return
+    zero, one, *_ = kind = ring._PAYLOADS[domain]
+    with _counted_steps(kind) as step:
+        yield [[x.value for x in row] for row in matrix.rows], zero, one, step, neg, partial(ExactScalar, domain)
 
 
 def det_bareiss(matrix: SquareMatrix) -> DetReport:
@@ -230,26 +247,23 @@ def det_bareiss(matrix: SquareMatrix) -> DetReport:
     block's own search stops at row k+1, finds nothing, and returns zero.
     A failed search at step k likewise zeroes every block beyond k+1.
     """
-    domain = matrix.domain
-    kind = ring._PAYLOADS[domain]
-    with ring.count_ops() as counter, _counted_steps(kind) as step:
-        minors = _bareiss_minors(_payload_rows(matrix), kind, step)
-    minors = tuple(ExactScalar(domain, y) for y in minors)
+    with ring.count_ops() as counter, _matrix_steps(matrix) as (rows, zero, one, step, negate, read):
+        minors = tuple(map(read, _bareiss_minors(rows, zero, one, step, negate)))
     return DetReport(minors[-1], BAREISS, counter.muls, counter.divs, minors=minors)
 
 
-def _bareiss_minors(rows, kind: tuple, step) -> Tuple[Payload, ...]:
-    """The leading minors of the square payload matrix rows by Bareiss
-    elimination, each of its updates one step."""
+def _bareiss_minors(rows, zero, one, step, negate=neg) -> tuple:
+    """The leading minors of the square matrix rows by Bareiss
+    elimination, each of its updates one step; a minor after an odd number
+    of row swaps is negated."""
     n = len(rows)
-    zero, one, (nought, _), *_ = kind
     rows = [list(row) for row in rows]
     values = [rows[0][0]]
     sign_flip = False
     zero_through = 0  # blocks up to this size are singular
     previous = one
     for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if rows[i][k] != nought), None)
+        pivot_row = next((i for i in range(k, n) if rows[i][k] != zero), None)
         if pivot_row is None:
             values.extend([zero] * (n - len(values)))
             break
@@ -266,7 +280,7 @@ def _bareiss_minors(rows, kind: tuple, step) -> Tuple[Payload, ...]:
             values.append(zero)
         else:
             value = rows[k + 1][k + 1]
-            values.append(-value if sign_flip else value)
+            values.append(negate(value) if sign_flip else value)
     return tuple(values)
 
 
@@ -310,9 +324,10 @@ def det_hankel_strip(diagonal: Sequence[ExactScalar], d: int) -> StripReport:
     Unless g = s = 1 the counts include the scaling's and the read-back's
     ticks: one div per nonzero value and one mul per entry D''(m, t),
     t >= 2, other than 0 and 1.  So an integer-valued diagonal counts the
-    same in both domains.  A poly diagonal runs as it is.  A value whose
-    domain is not the first value's raises DomainMismatchError before any
-    tick.
+    same in both domains.  A poly diagonal runs as it is, and at d = 1 the
+    rows are the diagonal's values, with no scaling and no tick.  A value
+    whose domain is not the first value's raises DomainMismatchError
+    before any tick.
     """
     if d < 1 or len(diagonal) < 2 * d - 1:
         raise ValueError(f"a {d} x {d} Hankel strip needs at least {2 * d - 1} anti-diagonal values")
@@ -321,7 +336,9 @@ def det_hankel_strip(diagonal: Sequence[ExactScalar], d: int) -> StripReport:
         if x.domain != domain:
             raise ring._mismatch(diagonal[0], x)
     with ring.count_ops() as counter:
-        if domain == ring.POLYNOMIAL:
+        if d == 1:
+            rows, blocked = tuple((x,) for x in diagonal), 0
+        elif domain == ring.POLYNOMIAL:
             rows, blocked = _hankel_strip([x.value for x in diagonal], d, ring._PAYLOADS[domain])
             rows = tuple(
                 (diagonal[m], *(ExactScalar(domain, y) for y in row[1:])) for m, row in enumerate(rows)
@@ -375,7 +392,7 @@ def _hankel_strip(diagonal, d: int, kind: tuple):
     count = len(diagonal) - 2 * d + 2
     blocked = [False] * count
     any_blocked = False
-    _, one, (nought, _), *_ = kind
+    zero, one, *_ = kind
     with _counted_steps(kind) as step:
         older = [one] * len(diagonal)  # level 0, the empty blocks
         current = list(diagonal)
@@ -388,7 +405,7 @@ def _hankel_strip(diagonal, d: int, kind: tuple):
                     level.append(None)
                     continue
                 divisor = older[k + 2]
-                if divisor == nought:
+                if divisor == zero:
                     for m in range(max(k - reach, 0), min(k + 1, count)):
                         blocked[m] = True
                     any_blocked = True
@@ -399,7 +416,7 @@ def _hankel_strip(diagonal, d: int, kind: tuple):
             older, current = current, level
             levels.append(current[:count])
         rows = tuple(
-            _bareiss_minors([diagonal[m + i:m + i + d] for i in range(d)], kind, step)
+            _bareiss_minors([diagonal[m + i:m + i + d] for i in range(d)], zero, one, step)
             if blocked[m]
             else tuple(level[m] for level in levels)
             for m in range(count)
@@ -408,27 +425,24 @@ def _hankel_strip(diagonal, d: int, kind: tuple):
 
 
 def det_condensation(matrix: SquareMatrix) -> DetReport:
-    domain = matrix.domain
-    kind = ring._PAYLOADS[domain]
-    rows = _payload_rows(matrix)
-    with ring.count_ops() as counter, _counted_steps(kind) as step:
-        value = _condense(rows, kind, step)
+    with ring.count_ops() as counter, _matrix_steps(matrix) as (rows, zero, one, step, negate, read):
+        value = _condense(rows, zero, one, step)
         fallback = value is None
         if fallback:
-            value = _bareiss_minors(rows, kind, step)[-1]
+            value = _bareiss_minors(rows, zero, one, step, negate)[-1]
+        value = read(value)
     algorithm = CONDENSATION_FALLBACK if fallback else CONDENSATION
-    return DetReport(ExactScalar(domain, value), algorithm, counter.muls, counter.divs, fallback)
+    return DetReport(value, algorithm, counter.muls, counter.divs, fallback)
 
 
-def _condense(grid, kind: tuple, step):
-    """Condensed determinant of the square payload matrix grid, or None
-    when an interior divisor is zero.
+def _condense(grid, zero, one, step):
+    """Condensed determinant of the square matrix grid, or None when an
+    interior divisor is zero.
 
     Level 0 is all ones and level 1 is the matrix; level t is one step
     over each 2 x 2 block of level t-1, divided by the interior of level
     t-2.
     """
-    _, one, (nought, _), *_ = kind
     older = [[one] * len(grid)] * len(grid)
     while len(grid) > 1:
         size = len(grid) - 1
@@ -437,7 +451,7 @@ def _condense(grid, kind: tuple, step):
             row = []
             for j in range(size):
                 divisor = older[i + 1][j + 1]
-                if divisor == nought:
+                if divisor == zero:
                     return None
                 row.append(step(grid[i][j], grid[i + 1][j + 1], grid[i][j + 1], grid[i + 1][j], divisor))
             nxt.append(row)

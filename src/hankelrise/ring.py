@@ -23,8 +23,8 @@ operation at denominators 1, else cross-cancel by gcds as Fraction does;
 ``neg`` and ``pow_signed``'s powers need no gcd; ``exact_div`` and
 ``pow_signed``'s inverses cross-cancel in ``_rat_quotient``; ``product``
 reduces once, and only when its denominator is above 1.  determinant's
-Desnanot-Jacobi step over Fractions (``_rat_step``) multiplies, subtracts
-and divides with the helpers of ``mul``, ``sub`` and ``exact_div``.
+Desnanot-Jacobi step over a rat matrix is ``mul``, ``sub`` and
+``exact_div`` on its scalars.
 
 Multiplications and exact divisions performed while a ``count_ops()``
 context is active are tallied on its counter.  Shortcut cases that perform
@@ -1051,35 +1051,19 @@ def _poly_quotient(top: Poly, divisor: Poly) -> Poly:
     return top.exact_div(divisor)
 
 
-def _rat_step(a: Fraction, b: Fraction, c: Fraction, d: Fraction, e: Fraction) -> Fraction:
-    """The Desnanot-Jacobi step (a*b - c*d) / e on the Fraction slots, as
-    mul, sub and exact_div compute it: a zero numerator, or a divisor of
-    one, returns the numerator undivided."""
-    ab = _rat_product(a._numerator, a._denominator, b._numerator, b._denominator)
-    cd = _rat_product(c._numerator, c._denominator, d._numerator, d._denominator)
-    top = _rat_sum(ab._numerator, ab._denominator, -cd._numerator, cd._denominator)
-    if not top._numerator or e._numerator == e._denominator:
-        return top
-    return _rat_quotient(top, e)
-
-
-# Each domain's payloads as determinant's Desnanot-Jacobi step reads them:
-# (zero, one, units, quotient, step).  units is the pair that == and `in`
-# test zero and one against: the ints 0 and 1, which a Fraction compares
-# with on its int fast path, or the poly zero and one.  exact_div divides
-# by the same quotient, which needs a nonzero divisor and ticks nothing.
-# step(a, b, c, d, e), for a domain that has one, is (a*b - c*d) / e in one
-# call when neither product has an operand 0 or 1, or None to leave the
-# step to the payloads' operators: the Kronecker pass that Poly.__mul__
-# also calls, or the rational slots' arithmetic.  Int payloads' own
-# operators are the step.
+# Each payload kind as determinant's Desnanot-Jacobi step reads it, for
+# ints and polys: (zero, one, quotient, step).  The step tests its operands
+# against the kind's own zero and one.  exact_div divides by the same
+# quotient, which needs a nonzero divisor and ticks nothing.  step(a, b, c,
+# d, e), where a kind has one, is (a*b - c*d) / e in one call when neither
+# product has an operand 0 or 1, or None to leave the step to the payloads'
+# operators: the poly kind's is the Kronecker pass that Poly.__mul__ also
+# calls, and int payloads' own operators are the step.  A rat matrix has
+# no kind: determinant steps through its scalars with mul, sub and
+# exact_div.
 _PAYLOADS = {
-    domain: (_ZEROS[domain].value, _ONES[domain].value, units, quotient, step)
-    for domain, units, quotient, step in (
-        (INTEGER, (0, 1), _int_quotient, None),
-        (RATIONAL, (0, 1), _rat_quotient, _rat_step),
-        (POLYNOMIAL, (_ZEROS[POLYNOMIAL].value, _ONES[POLYNOMIAL].value), _poly_quotient, _kronecker),
-    )
+    INTEGER: (0, 1, _int_quotient, None),
+    POLYNOMIAL: (_ZEROS[POLYNOMIAL].value, _ONES[POLYNOMIAL].value, _poly_quotient, _kronecker),
 }
 
 

@@ -368,10 +368,15 @@ def _check_numeric_strip(diagonal, d, case):
     sizes = f"g {'>' if content > 1 else '='} 1, s {'>' if scale > 1 else '='} 1"
     kind = sizes if any(values) else "zero"
     counts = (strip.mul_count, strip.div_count)
+    if d == 1:
+        # a depth-one strip is its diagonal: nothing is scaled or ticked
+        assert strip.rows == tuple((x,) for x in diagonal) and counts == (0, 0), (case, domain)
+        return kind, falls_back, counts
     if (content, scale) == (1, 1):
-        # no scaling: the counts are exactly the bare table's
+        # no scaling: the values and counts are exactly the bare int
+        # table's on the numerators
         with ring.count_ops() as table:
-            bare = determinant._hankel_strip(values, d, ring._PAYLOADS[domain])
+            bare = determinant._hankel_strip([v.numerator for v in values], d, ring._PAYLOADS[ring.INTEGER])
         assert (tuple(tuple(x.value for x in row) for row in strip.rows), strip.fallback_used) == bare, (case, domain)
         assert counts == (table.muls, table.divs), (case, domain)
         return kind, falls_back, counts
@@ -525,7 +530,7 @@ def test_fibonacci_r30_strip_runs_on_smaller_entries(monkeypatch):
 
 
 def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypatch):
-    zero, one, units, quotient, fused = ring._PAYLOADS[ring.INTEGER]
+    zero, one, quotient, fused = ring._PAYLOADS[ring.INTEGER]
     assert [quotient(t, e) for t, e in ((12, 4), (-12, 4), (12, -4), (-(2**200), 2**100))] == [3, -3, -3, -(2**100)]
     for top, divisor in ((7, 2), (-7, 2), (7, -2), (2**200 + 1, 2**100)):
         with pytest.raises(ring.InexactDivisionError):
@@ -574,36 +579,30 @@ def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypa
                 raise ring.InexactDivisionError("planted")
             return quotient(top, divisor)
 
-        monkeypatch.setitem(ring._PAYLOADS, ring.INTEGER, (zero, one, units, failing, fused))
+        monkeypatch.setitem(ring._PAYLOADS, ring.INTEGER, (zero, one, failing, fused))
         with ring.count_ops() as counter:
             with pytest.raises(ring.InexactDivisionError, match="planted"):
                 det_hankel_strip(diagonal, 4)
         assert (counter.muls, counter.divs) == replayed(k), k
-    # the same replay in the other two kinds, one step at a time: a rat
-    # matrix given to det_bareiss runs the Fraction kind (Lcg64(3): a zero
-    # leading minor, so a row swap), and a symbolic strip whose two rows
-    # are blocked (rising powers at r = 2 have D(., 4) = 0) runs the Poly
-    # kind.  Each recorded step, run alone, returns and counts what ring's
-    # scalar step does on the wrapped payloads, and the steps' counts add
-    # up to the report's
-    rng = Lcg64(3)
-    matrix = SquareMatrix([[rational(rng.next_int(-2, 2), rng.next_int(1, 3)) for _ in range(5)] for _ in range(5)])
+    # the same replay in the poly kind, one step at a time: a symbolic
+    # strip whose two rows are blocked (rising powers at r = 2 have
+    # D(., 4) = 0).  Each recorded step, run alone, returns and counts what
+    # ring's scalar step does on the wrapped payloads, and the steps'
+    # counts add up to the report's
     symbolic = anti_diagonal(symbolic_spec(), MatrixQuery(0, 2, 6), count=2)
-    cases = ((ring.RATIONAL, lambda: det_bareiss(matrix)), (ring.POLYNOMIAL, lambda: det_hankel_strip(symbolic, 6)))
-    for domain, run in cases:
-        steps.clear()
-        report = run()
-        kind = ring._PAYLOADS[domain]
-        totals = [0, 0]
-        for args in steps:
-            with ring.count_ops() as own, counted_steps(kind) as step:
-                value = step(*args)
-            with ring.count_ops() as scalar:
-                a, b, c, d, e = (ring.ExactScalar(domain, x) for x in args)
-                expected = ring.exact_div(ring.sub(ring.mul(a, b), ring.mul(c, d)), e)
-            assert (ring.ExactScalar(domain, value), own.muls, own.divs) == (expected, scalar.muls, scalar.divs)
-            totals = [totals[0] + own.muls, totals[1] + own.divs]
-        assert totals == [report.mul_count, report.div_count] == ([35, 5] if domain == ring.RATIONAL else [248, 40])
+    steps.clear()
+    report = det_hankel_strip(symbolic, 6)
+    kind = ring._PAYLOADS[ring.POLYNOMIAL]
+    totals = [0, 0]
+    for args in steps:
+        with ring.count_ops() as own, counted_steps(kind) as step:
+            value = step(*args)
+        with ring.count_ops() as scalar:
+            a, b, c, d, e = (ring.ExactScalar(ring.POLYNOMIAL, x) for x in args)
+            expected = ring.exact_div(ring.sub(ring.mul(a, b), ring.mul(c, d)), e)
+        assert (ring.ExactScalar(ring.POLYNOMIAL, value), own.muls, own.divs) == (expected, scalar.muls, scalar.divs)
+        totals = [totals[0] + own.muls, totals[1] + own.divs]
+    assert totals == [report.mul_count, report.div_count] == [248, 40]
     assert report.fallback_used == 2
 
 
@@ -727,6 +726,15 @@ def test_fused_poly_step_matches_ring_scalar_step(monkeypatch):
         assert ring._kronecker(ungraded, b, c, d, e) is None
         expected = (a * b - c * d).exact_div(e) + Poly.variable("c1") * b
         cases.append(((ungraded, b, c, d, e), (expected._packed, 2, 1)))
+    # two gradings: every operand is bi-graded, but the second product
+    # has one more (a, b)-degree than the first, so the pass declines and
+    # Poly's operators divide e out of each product exactly
+    a, b, c, d, e = apart
+    x = Poly.variable("a")
+    graded = (a * e, b, c * e, d * x, e)
+    assert None not in [ring._bigraded(p._packed) for p in graded]
+    assert ring._kronecker(*graded) is None
+    cases.append((graded, ((a * b - c * d * x)._packed, 2, 1)))
     # a divisor of one: the largest of the strip's t = 2 steps, which
     # divide by D(k, 0) = 1, encodes a, b and c (c is d) and no divisor,
     # and decodes its numerator's image over the union box; a zero
@@ -795,34 +803,50 @@ def test_fused_poly_step_matches_ring_scalar_step(monkeypatch):
     assert _poly_step_outcomes(args) == [(quotient._packed, 2, 1)] * 2
 
 
-def test_fused_rational_step_matches_ring_scalar_step():
-    # the Fraction kind's step runs on ring's slot arithmetic: reduced
-    # operands with denominators 1 and above, a zero numerator (a*b equal
-    # to c*d), a divisor of one and of -1, and operands 0 and 1, each with
-    # the value, slots and counts of ring's scalar step
-    rng = random.Random(33)
-    kind = ring._PAYLOADS[ring.RATIONAL]
+def test_rational_bareiss_and_condensation_make_no_fraction_calls(monkeypatch):
+    # the 175 rat matrices of the CI bench line, rising powers of the spec
+    # (1, 2, 3, -2/3) at n = -2..4, r = 0..4, d = 1..5, 21 of them with a
+    # condensation fallback, and a Lcg64(3) matrix whose zero leading minor
+    # makes Bareiss swap rows and negate later minors: each step is ring's
+    # mul, sub and exact_div on the scalars, and each negation ring.neg,
+    # which read a Fraction's two slots, so no Python-level Fraction method
+    # runs.  The values agree with cofactor expansion, every minor is a
+    # reduced Fraction with a positive denominator, and the counts are the
+    # CI pins' and the swapped matrix's own
+    spec = RecurrenceSpec(rational(1), rational(2), rational(3), rational(-2, 3))
+    matrices = [build(spec, MatrixQuery(n, r, d)) for n in range(-2, 5) for r in range(5) for d in range(1, 6)]
+    rng = Lcg64(3)
+    matrices.append(SquareMatrix([[rational(rng.next_int(-2, 2), rng.next_int(1, 3)) for _ in range(5)] for _ in range(5)]))
+    expected = [det_cofactor(matrix).value for matrix in matrices]
+    called = Counter()
+    for name in ("__eq__", "__mul__", "__sub__", "__new__"):
+        method = getattr(Fraction, name)
 
-    def value():
-        return Fraction(rng.randint(-(10**6), 10**6), rng.choice((1, 1, rng.randint(1, 10**6))))
+        def spy(*args, method=method, name=name, **kwargs):
+            called[name] += 1
+            return method(*args, **kwargs)
 
-    cases = []
-    for _ in range(400):
-        a, b, c, d = (value() for _ in range(4))
-        e = rng.choice((value() or Fraction(7, 3), Fraction(1), Fraction(-1)))
-        cases += [(a, b, c, d, e), (a, b, b, a, e), (a, b, a * b, Fraction(1), e), (a, Fraction(0), c, d, e)]
-    fused = 0
-    for args in cases:
-        with ring.count_ops() as own, determinant._counted_steps(kind) as step:
-            result = step(*args)
-        with ring.count_ops() as scalar:
-            a, b, c, d, e = (rational(x) for x in args)
-            expected = ring.exact_div(ring.sub(ring.mul(a, b), ring.mul(c, d)), e).value
-        assert (result._numerator, result._denominator) == (expected.numerator, expected.denominator)
-        assert math.gcd(result._numerator, result._denominator) == 1 and result._denominator > 0
-        assert (own.muls, own.divs) == (scalar.muls, scalar.divs)
-        fused += own.muls == 2
-    assert fused == 800
+        monkeypatch.setattr(Fraction, name, staticmethod(spy) if name == "__new__" else spy)
+    bareiss = [det_bareiss(matrix) for matrix in matrices]
+    condensed = [det_condensation(matrix) for matrix in matrices]
+    assert called == {}
+    # the spies are live
+    assert Fraction(1, 2) * Fraction(2, 3) - Fraction(1, 3) == 0
+    assert set(called) == {"__eq__", "__mul__", "__sub__", "__new__"}
+    assert [report.value for report in bareiss] == [report.value for report in condensed] == expected
+    for report in bareiss:
+        for minor in report.minors:
+            assert math.gcd(minor.value._numerator, minor.value._denominator) == 1 and minor.value._denominator > 0
+    swapped = bareiss.pop()
+    assert (swapped.mul_count, swapped.div_count) == (35, 5)
+    assert swapped.minors == tuple(det_cofactor(_leading(matrices[-1], t)).value for t in range(1, 6))
+    condensed.pop()
+    totals = [
+        sum(getattr(report, field) for report in reports)
+        for reports in (bareiss, condensed)
+        for field in ("mul_count", "div_count", "fallback_used")
+    ]
+    assert totals == [2637, 371, 0, 2990, 371, 21]
 
 
 def test_one_row_strip_is_the_hankel_minors_triangle():
@@ -878,7 +902,7 @@ def test_operation_totals_on_the_recurrence_builds():
     # Hankel minors D(k+2, t-2) that the one-row strip divides by, so the
     # two fall back on exactly the same builds.  The strip runs a numeric
     # diagonal on its primitive integer part, and its totals include the
-    # scaling and the read-back.
+    # scaling and the read-back; at d = 1 it is the diagonal, with neither.
     algorithms = (det_bareiss, det_condensation, det_hankel_minors)
     totals = {det: [0, 0, 0] for det in algorithms}
     builds = 0
@@ -895,4 +919,4 @@ def test_operation_totals_on_the_recurrence_builds():
     assert builds == 3636
     assert totals[det_bareiss] == [69421, 11694, 0]
     assert totals[det_condensation] == [98643, 14985, 1055]
-    assert totals[det_hankel_minors] == [62867, 14389, 1055]
+    assert totals[det_hankel_minors] == [62867, 14093, 1055]

@@ -105,7 +105,7 @@ def test_inexact_int_division_raises_past_the_int_digit_limit(monkeypatch):
     if set_limit:
         set_limit(4300)
     huge = 10**5000 + 1
-    int_quotient = ring._PAYLOADS[ring.INTEGER][3]
+    int_quotient = ring._PAYLOADS[ring.INTEGER][2]
     recurse, recursed = ring._divmod_pos, []
     monkeypatch.setattr(ring, "_divmod_pos", lambda a, b: recursed.append(b) or recurse(a, b))
     try:
@@ -128,14 +128,14 @@ def test_inexact_int_division_raises_past_the_int_digit_limit(monkeypatch):
 
 def test_each_domain_payload_kind_divides_as_exact_div():
     """ring._PAYLOADS, which determinant's Desnanot-Jacobi step reads,
-    holds each domain's zero and one, and a quotient that gives what
-    exact_div gives on exact multiples and raises on a remainder."""
-    for domain in ring.DOMAINS:
-        zero_value, one_value, units, _, _ = ring._PAYLOADS[domain]
+    holds the int and poly kinds' zero and one, and a quotient that gives
+    what exact_div gives on exact multiples and raises on a remainder.  A
+    rational quotient is reduced with a positive denominator."""
+    assert set(ring._PAYLOADS) == {ring.INTEGER, ring.POLYNOMIAL}
+    for domain, (zero_value, one_value, _, _) in ring._PAYLOADS.items():
         assert (zero_value, one_value) == (zero(domain).value, one(domain).value)
-        assert units == (zero_value, one_value)
     ints = [-1, 7, -12, 2**200 + 1, -(2**200) + 3, 3**126]
-    int_quotient = ring._PAYLOADS[ring.INTEGER][3]
+    int_quotient = ring._PAYLOADS[ring.INTEGER][2]
     for q in ints:
         for e in ints:
             assert int_quotient(q * e, e) == exact_div(integer(q * e), integer(e)).value == q
@@ -143,16 +143,15 @@ def test_each_domain_payload_kind_divides_as_exact_div():
         with pytest.raises(InexactDivisionError):
             int_quotient(top, divisor)
     rng = random.Random(29)
-    rat_quotient = ring._PAYLOADS[ring.RATIONAL][3]
     for i in range(500):
         q = Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12))
         e = Fraction(rng.randint(1, 10**12), rng.randint(1, 10**12)) * (-1 if i % 2 else 1)
-        result = rat_quotient(q * e, e)
-        assert result == exact_div(rational(q * e), rational(e)).value == q
+        result = exact_div(rational(q * e), rational(e)).value
+        assert result == q
         assert math.gcd(result._numerator, result._denominator) == 1 and result._denominator > 0
     cache = SequenceCache(symbolic_spec())
     polys = [cache.term(k).value for k in (2, 5, 9)] + [cache.rising_power(1, 4).value, delta(symbolic_spec()).value]
-    poly_quotient = ring._PAYLOADS[ring.POLYNOMIAL][3]
+    poly_quotient = ring._PAYLOADS[ring.POLYNOMIAL][2]
     for p in polys:
         for e in polys:
             top = ExactScalar(ring.POLYNOMIAL, p * e)
@@ -1044,6 +1043,12 @@ def test_kronecker_decode_rejects_an_image_that_does_not_fit():
     # past either end of the 160 bits the slots hold
     assert ring._decode(1 << 160, shape, 5, 2) is None
     assert ring._decode(-(1 << 160), shape, 5, 2) is None
+    # at weight 8 the row ea = 0 (eb = 1) holds monomials up to ec2 = 3,
+    # so a nonzero slot at ec2 = 4 there would read ec1 = -1; the same slot
+    # of the row ea = 1 (eb = 0) is the monomial c2^4*a
+    low = (1, 8, 0, 1, 0, 4)
+    assert ring._decode(1 << 16 * 4, low, 5, 2) is None
+    assert ring._decode(1 << 16 * 9, low, 5, 2) == ({ring._pack((1, 0, 0, 4)): 1}, (1, 8, 1, 1, 4, 4))
 
 
 def test_kronecker_square_encodes_one_image(symbolic_operands, monkeypatch):
@@ -1080,7 +1085,7 @@ def test_kronecker_work_on_acceptance_05(monkeypatch):
     # exact_div's dict loop.  The poly kind's fused step is the pass that
     # Poly.__mul__ calls, and both callers' calls are counted
     kind = ring._PAYLOADS[ring.POLYNOMIAL]
-    assert kind[4] is ring._kronecker
+    assert kind[3] is ring._kronecker
     calls = Counter()
     for name in ("_image", "_bigraded", "_decode", "_kronecker"):
         function = getattr(ring, name)
@@ -1095,7 +1100,7 @@ def test_kronecker_work_on_acceptance_05(monkeypatch):
             return result
 
         monkeypatch.setattr(ring, name, counted)
-    monkeypatch.setitem(ring._PAYLOADS, ring.POLYNOMIAL, kind[:4] + (ring._kronecker,))
+    monkeypatch.setitem(ring._PAYLOADS, ring.POLYNOMIAL, kind[:3] + (ring._kronecker,))
     report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
     assert report.passed and report.checked == 60
     assert (report.mul_count, report.div_count) == (394, 32)
@@ -1214,14 +1219,14 @@ def test_symbolic_grid_multiplies_only_through_the_poly_methods(monkeypatch):
     kind = ring._PAYLOADS[ring.POLYNOMIAL]
 
     def fused(*args):
-        result = kind[4](*args)
+        result = kind[3](*args)
         if result is not None:
             calls["fused"] += 1
             calls["fused zero"] += not result._packed
             calls["fused by one"] += args[4] == Poly.const(1)
         return result
 
-    monkeypatch.setitem(ring._PAYLOADS, ring.POLYNOMIAL, kind[:4] + (fused,))
+    monkeypatch.setitem(ring._PAYLOADS, ring.POLYNOMIAL, kind[:3] + (fused,))
     report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
     assert report.passed and report.checked == 60
     assert calls == {"__mul__": 320, "exact_div": 5, "fused": 37, "fused zero": 0, "fused by one": 10}
