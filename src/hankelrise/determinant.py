@@ -40,19 +40,11 @@ division is by one and is not charged.
 Over ints and polys the step runs on plain payloads, not on scalars:
 each algorithm unwraps its input once and wraps each minor it returns
 once.  The payloads are a numeric strip's scaled diagonal and int or
-poly matrices; each kind's zero, one, exact quotient and fused step live
-in ring._PAYLOADS, and ring.exact_div divides through the same quotient
-functions.  When neither product has an operand 0 or 1, a poly step is
-ring's one Kronecker pass (ring._kronecker, which Poly's product also
-calls) unless the pass declines it; otherwise, and for ints, the step
-multiplies and subtracts with the payloads' operators and makes one
-exact division.  The int quotient divides through ring._divmod, so a
-strip's int steps past CPython 3.12's crossover take recursive division,
-as the poly kernel's image quotients do.  The step counts by ring's
-rules, into two ints that are ticked once per call, on exit, even when a
-step raises.  A rat matrix given to det_bareiss or det_condensation steps
-through its scalars with ring.mul, ring.sub and ring.exact_div, so its
-values and counts are ring's by construction.
+poly matrices, and the step is ring._counted_steps, which holds its
+counting rules and each domain's arithmetic.  A rat matrix given to
+det_bareiss or det_condensation steps through its scalars with ring.mul,
+ring.sub and ring.exact_div, so its values and counts are ring's by
+construction.
 det_cofactor stays on ring's scalar operations: it shares no code with
 the other three, which makes it their independent reference.
 
@@ -164,67 +156,12 @@ def _cofactor(rows, domain: str) -> ExactScalar:
 
 
 @contextmanager
-def _counted_steps(kind: tuple):
-    """The Desnanot-Jacobi step on int or poly payloads, counted as ring
-    counts: step(a, b, c, d, e) = (a*b - c*d) / e.  As in ring.mul, a
-    product with an operand 0 or 1 is not counted and not multiplied; as
-    in ring.exact_div, a division of 0 or by 1 is neither, and a division
-    is counted before it divides.  kind is the domain's ring._PAYLOADS
-    tuple, whose zero and one the operands are tested against.  When both
-    products are counted and the kind has a fused step (the poly kind's one
-    Kronecker pass), that step computes the whole quotient in one call, and
-    its result counts one division unless it is 0 or e is 1; when it
-    declines, or the kind has none, the payloads' own operators multiply
-    and subtract and the kind's quotient divides.  Either way the values
-    and counts are the same.  The counts are two local ints, ticked once on
-    exit, so a table that raises still counts what it did."""
-    muls = divs = 0
-    zero, one, quotient, fused = kind
-    units = zero, one
-
-    def step(a, b, c, d, e):
-        nonlocal muls, divs
-        if a not in units and b not in units:
-            if fused is not None and c not in units and d not in units:
-                value = fused(a, b, c, d, e)
-                if value is not None:
-                    muls += 2
-                    if value != zero and e != one:
-                        divs += 1
-                    return value
-            muls += 1
-            ab = a * b
-        elif a == zero or b == zero:
-            ab = zero
-        else:
-            ab = b if a == one else a
-        if c not in units and d not in units:
-            muls += 1
-            cd = c * d
-        elif c == zero or d == zero:
-            cd = zero
-        else:
-            cd = d if c == one else c
-        top = ab - cd
-        if top == zero or e == one:
-            return top
-        divs += 1
-        return quotient(top, e)
-
-    try:
-        yield step
-    finally:
-        ring._tick_mul(muls)
-        ring._tick_div(divs)
-
-
-@contextmanager
 def _matrix_steps(matrix: SquareMatrix):
     """(rows, zero, one, step, negate, read) for det_bareiss and
     det_condensation.  An int or poly matrix steps through its payloads
-    with _counted_steps of its ring._PAYLOADS kind, and read wraps a result
-    back into a scalar.  A rat matrix steps through its scalars with ring's
-    operations, which count, and read keeps a scalar as it is."""
+    with ring._counted_steps, and read wraps a result back into a scalar.
+    A rat matrix steps through its scalars with ring's operations, which
+    count, and read keeps a scalar as it is."""
     domain = matrix.domain
     if domain == ring.RATIONAL:
 
@@ -233,8 +170,7 @@ def _matrix_steps(matrix: SquareMatrix):
 
         yield matrix.rows, ring.zero(domain), ring.one(domain), step, ring.neg, lambda x: x
         return
-    zero, one, *_ = kind = ring._PAYLOADS[domain]
-    with _counted_steps(kind) as step:
+    with ring._counted_steps(domain) as (step, zero, one):
         yield [[x.value for x in row] for row in matrix.rows], zero, one, step, neg, partial(ExactScalar, domain)
 
 
@@ -339,7 +275,7 @@ def det_hankel_strip(diagonal: Sequence[ExactScalar], d: int) -> StripReport:
         if d == 1:
             rows, blocked = tuple((x,) for x in diagonal), 0
         elif domain == ring.POLYNOMIAL:
-            rows, blocked = _hankel_strip([x.value for x in diagonal], d, ring._PAYLOADS[domain])
+            rows, blocked = _hankel_strip([x.value for x in diagonal], d, domain)
             rows = tuple(
                 (diagonal[m], *(ExactScalar(domain, y) for y in row[1:])) for m, row in enumerate(rows)
             )
@@ -362,7 +298,7 @@ def _primitive_strip(diagonal: Sequence[ExactScalar], d: int, domain: str):
     content = gcd(*tops) or 1
     scale = lcm(*bottoms)
     scaled = [top * (scale // bottom) // content for top, bottom in zip(tops, bottoms)]
-    rows, blocked = _hankel_strip(scaled, d, ring._PAYLOADS[ring.INTEGER])
+    rows, blocked = _hankel_strip(scaled, d, ring.INTEGER)
     if content != 1 or scale != 1:
         ring._tick_div(len(tops) - tops.count(0))
         ring._tick_mul(sum(1 for row in rows for y in row[1:] if y not in (0, 1)))
@@ -378,7 +314,7 @@ def _primitive_strip(diagonal: Sequence[ExactScalar], d: int, domain: str):
     return rows, blocked
 
 
-def _hankel_strip(diagonal, d: int, kind: tuple):
+def _hankel_strip(diagonal, d: int, domain: str):
     """The payload rows (D(m, 1), ..., D(m, d)) for m = 0..len(diagonal)-2d+1
     of a payload diagonal, each blocked one from _bareiss_minors of its own
     matrix, and the number of blocked rows.
@@ -392,8 +328,7 @@ def _hankel_strip(diagonal, d: int, kind: tuple):
     count = len(diagonal) - 2 * d + 2
     blocked = [False] * count
     any_blocked = False
-    zero, one, *_ = kind
-    with _counted_steps(kind) as step:
+    with ring._counted_steps(domain) as (step, zero, one):
         older = [one] * len(diagonal)  # level 0, the empty blocks
         current = list(diagonal)
         levels = [current[:count]]

@@ -36,7 +36,9 @@ alike written as an int or as a rat.  ``mul``, ``exact_div`` and
 A domain supplies only its native step and how its payload reads zero
 and one: a pair (n, d), zero when n is and one when n == d, which is an
 int over 1, a Fraction's two slots, or a poly's packed terms over the
-packed one.
+packed one.  ``_counted_steps`` states them once for determinant's
+Desnanot-Jacobi step (a*b - c*d) / e on int and poly payloads, and
+chooses each of those domains' quotient and fused pass.
 
 Polynomial monomials are packed exponent vectors (Monagan & Pearce,
 CASC 2007): the total degree in the top bits, then ea, eb, ec1, ec2 in
@@ -57,12 +59,12 @@ Large products and Desnanot-Jacobi steps take one bi-graded Kronecker
 pass, ``_kronecker(a, b, c, d, e)`` (Kronecker 1882; Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", JSC
 2009).  It computes a*b - c*d and divides by e unless e is absent or one.
-``Poly.__mul__`` calls it as (a, b), and it is the poly kind's fused step
-in ``_PAYLOADS``, which determinant runs; ``Poly.exact_div`` is the dict
-loop alone.  A poly is bi-graded when all its terms share one
-(a, b)-degree ea + eb and one weight eb + ec1 + 2*ec2; every value of the
-symbolic pipeline is, since W_k has weight k, and given both sums the
-pair (ea, ec2) fixes the monomial.  The pass's rules, each checked once:
+``Poly.__mul__`` calls it as (a, b), and ``_counted_steps`` as the poly
+step's one pass; ``Poly.exact_div`` is the dict loop alone.  A poly is
+bi-graded when all its terms share one (a, b)-degree ea + eb and one
+weight eb + ec1 + 2*ec2; every value of the symbolic pipeline is, since
+W_k has weight k, and given both sums the pair (ea, ec2) fixes the
+monomial.  The pass's rules, each checked once:
 
   * gate: each product has more than 1024 term pairs, every operand is
     bi-graded, the two products share one grading, and e is bi-graded
@@ -1009,7 +1011,7 @@ def exact_div(x: ExactScalar, y: ExactScalar) -> ExactScalar:
         raise _mismatch(x, y)
     u, v = x.value, y.value
     if domain == POLYNOMIAL:
-        top, divisor, unit, quotient = u._packed, v._packed, _POLY_ONE, _poly_quotient
+        top, divisor, unit, quotient = u._packed, v._packed, _POLY_ONE, Poly.exact_div
     elif domain == RATIONAL:
         top, divisor, unit, quotient = u._numerator, v._numerator, v._denominator, _rat_quotient
     else:
@@ -1046,25 +1048,63 @@ def _rat_quotient(top: Fraction, divisor: Fraction) -> Fraction:
     return _fraction(num, den) if den > 0 else _fraction(-num, -den)
 
 
-def _poly_quotient(top: Poly, divisor: Poly) -> Poly:
-    # looked up on each call, as a wrapper on Poly.exact_div expects
-    return top.exact_div(divisor)
+@contextmanager
+def _counted_steps(domain: str) -> Iterator[tuple]:
+    """(step, zero, one): the Desnanot-Jacobi step on int or poly
+    payloads, step(a, b, c, d, e) = (a*b - c*d) / e, and the payload zero
+    and one it tests its operands against.  It counts as mul and exact_div
+    do: a product with an operand 0 or 1 is not counted and not
+    multiplied, a division of 0 or by 1 is neither, and a division is
+    counted before it divides.  Ints divide by _int_quotient and have no
+    fused step; polys divide by Poly.exact_div, and when both products are
+    counted the Kronecker pass computes the whole quotient in one call, its
+    result counting one division unless it is 0 or e is 1.  When the pass
+    declines, the payloads' own operators multiply and subtract and the
+    quotient divides; either way the values and counts are the same.  The
+    functions are looked up when the context is entered.  The counts are
+    two local ints, ticked once on exit, so a table that raises still
+    counts what it did."""
+    muls = divs = 0
+    if domain == POLYNOMIAL:
+        zero, one, quotient, fused = _ZEROS[domain].value, _ONES[domain].value, Poly.exact_div, _kronecker
+    else:
+        zero, one, quotient, fused = 0, 1, _int_quotient, None
+    units = zero, one
 
+    def step(a, b, c, d, e):
+        nonlocal muls, divs
+        if a not in units and b not in units:
+            if fused is not None and c not in units and d not in units:
+                value = fused(a, b, c, d, e)
+                if value is not None:
+                    muls += 2
+                    if value != zero and e != one:
+                        divs += 1
+                    return value
+            muls += 1
+            ab = a * b
+        elif a == zero or b == zero:
+            ab = zero
+        else:
+            ab = b if a == one else a
+        if c not in units and d not in units:
+            muls += 1
+            cd = c * d
+        elif c == zero or d == zero:
+            cd = zero
+        else:
+            cd = d if c == one else c
+        top = ab - cd
+        if top == zero or e == one:
+            return top
+        divs += 1
+        return quotient(top, e)
 
-# Each payload kind as determinant's Desnanot-Jacobi step reads it, for
-# ints and polys: (zero, one, quotient, step).  The step tests its operands
-# against the kind's own zero and one.  exact_div divides by the same
-# quotient, which needs a nonzero divisor and ticks nothing.  step(a, b, c,
-# d, e), where a kind has one, is (a*b - c*d) / e in one call when neither
-# product has an operand 0 or 1, or None to leave the step to the payloads'
-# operators: the poly kind's is the Kronecker pass that Poly.__mul__ also
-# calls, and int payloads' own operators are the step.  A rat matrix has
-# no kind: determinant steps through its scalars with mul, sub and
-# exact_div.
-_PAYLOADS = {
-    INTEGER: (0, 1, _int_quotient, None),
-    POLYNOMIAL: (_ZEROS[POLYNOMIAL].value, _ONES[POLYNOMIAL].value, _poly_quotient, _kronecker),
-}
+    try:
+        yield step, zero, one
+    finally:
+        _tick_mul(muls)
+        _tick_div(divs)
 
 
 def invertible(x: ExactScalar) -> bool:

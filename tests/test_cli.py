@@ -200,6 +200,18 @@ def test_closed_prints_exact_values_past_the_int_digit_limit(capsys):
     assert len(expected) > 4300 and out == f"{expected}\n"
 
 
+def test_commands_run_on_an_interpreter_without_a_digit_limit(capsys, monkeypatch):
+    # before CPython 3.11 sys has no set_int_max_str_digits, and the
+    # limit is left alone
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    code, out, err = run_cli(capsys, "seq", "--from", "0", "--to", "3")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 4
+    assert get_limit() == limit
+
+
 # one point per closed-form identity, and the preset it runs on (None: the
 # default Fibonacci spec)
 _CLOSED_POINTS = {

@@ -376,7 +376,7 @@ def _check_numeric_strip(diagonal, d, case):
         # no scaling: the values and counts are exactly the bare int
         # table's on the numerators
         with ring.count_ops() as table:
-            bare = determinant._hankel_strip([v.numerator for v in values], d, ring._PAYLOADS[ring.INTEGER])
+            bare = determinant._hankel_strip([v.numerator for v in values], d, ring.INTEGER)
         assert (tuple(tuple(x.value for x in row) for row in strip.rows), strip.fallback_used) == bare, (case, domain)
         assert counts == (table.muls, table.divs), (case, domain)
         return kind, falls_back, counts
@@ -385,9 +385,7 @@ def _check_numeric_strip(diagonal, d, case):
     scaled = [Fraction(v) * scale / content for v in values]
     assert all(v.denominator == 1 for v in scaled)
     with ring.count_ops() as table:
-        scaled_rows, scaled_blocked = determinant._hankel_strip(
-            [v.numerator for v in scaled], d, ring._PAYLOADS[ring.INTEGER]
-        )
+        scaled_rows, scaled_blocked = determinant._hankel_strip([v.numerator for v in scaled], d, ring.INTEGER)
     assert scaled_blocked == strip.fallback_used, (case, domain)
     for row, scaled_row in zip(strip.rows, scaled_rows):
         assert {x.domain for x in row} == {domain}
@@ -506,23 +504,23 @@ def test_fibonacci_r30_strip_runs_on_smaller_entries(monkeypatch):
         fibonacci.append(fibonacci[-1] + fibonacci[-2])
     assert content == math.prod(fibonacci[1:]) and content.bit_length() == 289
     sizes = []
-    counted_steps = determinant._counted_steps
+    counted_steps = ring._counted_steps
 
     @contextmanager
-    def sized(kind):
-        with counted_steps(kind) as step:
+    def sized(domain):
+        with counted_steps(domain) as (step, zero, one):
 
             def sized_step(*args):
                 entry = step(*args)
                 sizes.append(abs(entry).bit_length())
                 return entry
 
-            yield sized_step
+            yield sized_step, zero, one
 
-    monkeypatch.setattr(determinant, "_counted_steps", sized)
+    monkeypatch.setattr(ring, "_counted_steps", sized)
     (row,) = det_hankel_strip(diagonal, 31).rows
     scaled_sizes, sizes[:] = sizes[:], []
-    (bare_row,), _ = determinant._hankel_strip([x.value for x in diagonal], 31, ring._PAYLOADS[ring.INTEGER])
+    (bare_row,), _ = determinant._hankel_strip([x.value for x in diagonal], 31, ring.INTEGER)
     assert tuple(x.value for x in row) == bare_row
     assert (len(scaled_sizes), max(scaled_sizes), max(sizes)) == (900, 7636, 12013)
     # the 31 x 31 determinant divided by g^31 is a unit
@@ -530,7 +528,7 @@ def test_fibonacci_r30_strip_runs_on_smaller_entries(monkeypatch):
 
 
 def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypatch):
-    zero, one, quotient, fused = ring._PAYLOADS[ring.INTEGER]
+    quotient = ring._int_quotient
     assert [quotient(t, e) for t, e in ((12, 4), (-12, 4), (12, -4), (-(2**200), 2**100))] == [3, -3, -3, -(2**100)]
     for top, divisor in ((7, 2), (-7, 2), (7, -2), (2**200 + 1, 2**100)):
         with pytest.raises(ring.InexactDivisionError):
@@ -542,19 +540,19 @@ def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypa
     rng = Lcg64(1)
     diagonal = [integer(rng.next_int(-3, 3)) for _ in range(12)]
     steps = []
-    counted_steps = determinant._counted_steps
+    counted_steps = ring._counted_steps
 
     @contextmanager
-    def recorded(kind):
-        with counted_steps(kind) as step:
+    def recorded(domain):
+        with counted_steps(domain) as (step, zero, one):
 
             def recording(*args):
                 steps.append(args)
                 return step(*args)
 
-            yield recording
+            yield recording, zero, one
 
-    monkeypatch.setattr(determinant, "_counted_steps", recorded)
+    monkeypatch.setattr(ring, "_counted_steps", recorded)
     full = det_hankel_strip(diagonal, 4)
     assert (full.fallback_used, full.mul_count, full.div_count) == (4, 84, 26)
     full_steps = list(steps)
@@ -570,7 +568,10 @@ def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypa
         return counter.muls, counter.divs
 
     assert replayed(full.div_count + 1) == (full.mul_count, full.div_count)
-    for k in range(1, full.div_count + 1):
+    # exact_div divides ints by the same quotient, so the replays are made
+    # before it is patched
+    replays = [replayed(k) for k in range(1, full.div_count + 1)]
+    for k, replay in enumerate(replays, 1):
         calls = []
 
         def failing(top, divisor):
@@ -579,12 +580,12 @@ def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypa
                 raise ring.InexactDivisionError("planted")
             return quotient(top, divisor)
 
-        monkeypatch.setitem(ring._PAYLOADS, ring.INTEGER, (zero, one, failing, fused))
-        with ring.count_ops() as counter:
+        with monkeypatch.context() as patch, ring.count_ops() as counter:
+            patch.setattr(ring, "_int_quotient", failing)
             with pytest.raises(ring.InexactDivisionError, match="planted"):
                 det_hankel_strip(diagonal, 4)
-        assert (counter.muls, counter.divs) == replayed(k), k
-    # the same replay in the poly kind, one step at a time: a symbolic
+        assert (counter.muls, counter.divs) == replay, k
+    # the same replay over polys, one step at a time: a symbolic
     # strip whose two rows are blocked (rising powers at r = 2 have
     # D(., 4) = 0).  Each recorded step, run alone, returns and counts what
     # ring's scalar step does on the wrapped payloads, and the steps'
@@ -592,10 +593,9 @@ def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypa
     symbolic = anti_diagonal(symbolic_spec(), MatrixQuery(0, 2, 6), count=2)
     steps.clear()
     report = det_hankel_strip(symbolic, 6)
-    kind = ring._PAYLOADS[ring.POLYNOMIAL]
     totals = [0, 0]
     for args in steps:
-        with ring.count_ops() as own, counted_steps(kind) as step:
+        with ring.count_ops() as own, counted_steps(ring.POLYNOMIAL) as (step, _, _):
             value = step(*args)
         with ring.count_ops() as scalar:
             a, b, c, d, e = (ring.ExactScalar(ring.POLYNOMIAL, x) for x in args)
@@ -609,20 +609,20 @@ def test_int_step_division_is_exact_and_a_failed_strip_keeps_its_counts(monkeypa
 def _captured_steps(monkeypatch, run):
     """The operands (a, b, c, d, e) of every step run() makes, in order."""
     steps = []
-    counted_steps = determinant._counted_steps
+    counted_steps = ring._counted_steps
 
     @contextmanager
-    def recorded(kind):
-        with counted_steps(kind) as step:
+    def recorded(domain):
+        with counted_steps(domain) as (step, zero, one):
 
             def recording(*args):
                 steps.append(args)
                 return step(*args)
 
-            yield recording
+            yield recording, zero, one
 
     with monkeypatch.context() as patch:
-        patch.setattr(determinant, "_counted_steps", recorded)
+        patch.setattr(ring, "_counted_steps", recorded)
         run()
     return steps
 
@@ -640,7 +640,7 @@ def _poly_step_outcomes(args):
         return ring.exact_div(ring.sub(ring.mul(a, b), ring.mul(c, d)), e).value
 
     def payload():
-        with determinant._counted_steps(ring._PAYLOADS[ring.POLYNOMIAL]) as step:
+        with ring._counted_steps(ring.POLYNOMIAL) as (step, _, _):
             return step(*args)
 
     for run in (payload, scalar):

@@ -105,7 +105,7 @@ def test_inexact_int_division_raises_past_the_int_digit_limit(monkeypatch):
     if set_limit:
         set_limit(4300)
     huge = 10**5000 + 1
-    int_quotient = ring._PAYLOADS[ring.INTEGER][2]
+    int_quotient = ring._int_quotient
     recurse, recursed = ring._divmod_pos, []
     monkeypatch.setattr(ring, "_divmod_pos", lambda a, b: recursed.append(b) or recurse(a, b))
     try:
@@ -127,15 +127,16 @@ def test_inexact_int_division_raises_past_the_int_digit_limit(monkeypatch):
 
 
 def test_each_domain_payload_kind_divides_as_exact_div():
-    """ring._PAYLOADS, which determinant's Desnanot-Jacobi step reads,
-    holds the int and poly kinds' zero and one, and a quotient that gives
-    what exact_div gives on exact multiples and raises on a remainder.  A
-    rational quotient is reduced with a positive denominator."""
-    assert set(ring._PAYLOADS) == {ring.INTEGER, ring.POLYNOMIAL}
-    for domain, (zero_value, one_value, _, _) in ring._PAYLOADS.items():
-        assert (zero_value, one_value) == (zero(domain).value, one(domain).value)
+    """ring._counted_steps, the Desnanot-Jacobi step on int and poly
+    payloads, yields each domain's zero and one, and divides by
+    ring._int_quotient and Poly.exact_div, which give what exact_div gives
+    on exact multiples and raise on a remainder.  A rational quotient is
+    reduced with a positive denominator."""
+    for domain in (ring.INTEGER, ring.POLYNOMIAL):
+        with ring._counted_steps(domain) as (_, zero_value, one_value):
+            assert (zero_value, one_value) == (zero(domain).value, one(domain).value)
     ints = [-1, 7, -12, 2**200 + 1, -(2**200) + 3, 3**126]
-    int_quotient = ring._PAYLOADS[ring.INTEGER][2]
+    int_quotient = ring._int_quotient
     for q in ints:
         for e in ints:
             assert int_quotient(q * e, e) == exact_div(integer(q * e), integer(e)).value == q
@@ -151,7 +152,7 @@ def test_each_domain_payload_kind_divides_as_exact_div():
         assert math.gcd(result._numerator, result._denominator) == 1 and result._denominator > 0
     cache = SequenceCache(symbolic_spec())
     polys = [cache.term(k).value for k in (2, 5, 9)] + [cache.rising_power(1, 4).value, delta(symbolic_spec()).value]
-    poly_quotient = ring._PAYLOADS[ring.POLYNOMIAL][2]
+    poly_quotient = Poly.exact_div
     for p in polys:
         for e in polys:
             top = ExactScalar(ring.POLYNOMIAL, p * e)
@@ -834,7 +835,7 @@ def test_kronecker_kernel_matches_tuple_reference_on_symbolic_operands(symbolic_
     assert _ref_exact_div((small * rising).terms, small.terms) == (small * rising).exact_div(small).terms
 
 
-def test_kronecker_division_by_a_non_divisor_raises(symbolic_operands):
+def test_kronecker_division_by_a_non_divisor_raises(symbolic_operands, monkeypatch):
     # exact_div's dict loop raises, and the pass declines the same quotient
     # with its numerator and divisor times rising: the image division
     # leaves a remainder, or the candidate fails its check
@@ -851,6 +852,18 @@ def test_kronecker_division_by_a_non_divisor_raises(symbolic_operands):
     assert _images(rising, pivot, square, method=_pass_divide) == [] and _pass_divide(rising, pivot, square) is None
     with pytest.raises(InexactDivisionError):
         rising.exact_div(pivot)
+    # 2 ** (8 * width) is 1 mod 3, so an image is its coefficients' sum mod
+    # 3: the coefficients of rising * rising sum to a multiple of 3, though
+    # not each is one, so its image divides by the image of 3 with no
+    # remainder.  That image quotient carries a third into every lower
+    # slot, so it does not decode in the box, and the pass declines
+    three, square = Poly.const(3), rising * rising
+    assert square.evaluate(1, 1, 1, 1) % 3 == 0 and any(c % 3 for c in square.terms.values())
+    decoded, decode = [], ring._decode
+    monkeypatch.setattr(ring, "_decode", lambda *args: decoded.append(decode(*args)) or decoded[-1])
+    assert _pass_divide(rising, rising, three) is None and decoded == [None]
+    with pytest.raises(InexactDivisionError):
+        square.exact_div(three)
 
 
 def test_kronecker_slots_hold_the_largest_possible_coefficient():
@@ -1043,6 +1056,8 @@ def test_kronecker_decode_rejects_an_image_that_does_not_fit():
     # past either end of the 160 bits the slots hold
     assert ring._decode(1 << 160, shape, 5, 2) is None
     assert ring._decode(-(1 << 160), shape, 5, 2) is None
+    # an image whose slots are all zero holds no term
+    assert ring._decode(0, shape, 5, 2) is None
     # at weight 8 the row ea = 0 (eb = 1) holds monomials up to ec2 = 3,
     # so a nonzero slot at ec2 = 4 there would read ec1 = -1; the same slot
     # of the row ea = 1 (eb = 0) is the monomial c2^4*a
@@ -1082,10 +1097,8 @@ def test_kronecker_work_on_acceptance_05(monkeypatch):
     # few term pairs and leave both products to Poly.__mul__.  So 12
     # products (1 square) still call the pass on their own, and only they
     # and the fused steps decode; every quotient off the pass runs
-    # exact_div's dict loop.  The poly kind's fused step is the pass that
+    # exact_div's dict loop.  The poly step's fused pass is the one that
     # Poly.__mul__ calls, and both callers' calls are counted
-    kind = ring._PAYLOADS[ring.POLYNOMIAL]
-    assert kind[3] is ring._kronecker
     calls = Counter()
     for name in ("_image", "_bigraded", "_decode", "_kronecker"):
         function = getattr(ring, name)
@@ -1100,7 +1113,6 @@ def test_kronecker_work_on_acceptance_05(monkeypatch):
             return result
 
         monkeypatch.setattr(ring, name, counted)
-    monkeypatch.setitem(ring._PAYLOADS, ring.POLYNOMIAL, kind[:3] + (ring._kronecker,))
     report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
     assert report.passed and report.checked == 60
     assert (report.mul_count, report.div_count) == (394, 32)
@@ -1216,17 +1228,18 @@ def test_symbolic_grid_multiplies_only_through_the_poly_methods(monkeypatch):
             return method(self, other)
 
         monkeypatch.setattr(Poly, name, counted)
-    kind = ring._PAYLOADS[ring.POLYNOMIAL]
+    kronecker = ring._kronecker
 
     def fused(*args):
-        result = kind[3](*args)
-        if result is not None:
+        # a product alone calls the pass with two arguments, the step with five
+        result = kronecker(*args)
+        if result is not None and len(args) == 5:
             calls["fused"] += 1
             calls["fused zero"] += not result._packed
             calls["fused by one"] += args[4] == Poly.const(1)
         return result
 
-    monkeypatch.setitem(ring._PAYLOADS, ring.POLYNOMIAL, kind[:3] + (fused,))
+    monkeypatch.setattr(ring, "_kronecker", fused)
     report = run_grid(GridSpec(identity="theorem2", domain=ring.POLYNOMIAL, n=(0, 3), r=(0, 4)))
     assert report.passed and report.checked == 60
     assert calls == {"__mul__": 320, "exact_div": 5, "fused": 37, "fused zero": 0, "fused by one": 10}

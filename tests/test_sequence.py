@@ -38,6 +38,8 @@ def test_preset_names():
         preset("tribonacci")
     with pytest.raises(ValueError, match="symbolic_spec"):
         preset("fibonacci", ring.POLYNOMIAL)
+    with pytest.raises(ValueError, match="'real'"):
+        preset("lucas", "real")
 
 
 def test_negative_indices_fibonacci():

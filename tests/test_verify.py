@@ -436,20 +436,18 @@ def test_sign_flipped_triangle_fails_theorem1(monkeypatch):
     # step, (a*b - c*d) / e, is handed -c in place of c
     from contextlib import contextmanager
 
-    from hankelrise import determinant
-
     # n >= 1 keeps F_0 off the anti-diagonals, so no divisor is zero and
     # no row falls back to Bareiss
     grid = GridSpec(identity="theorem1", n=(1, 3), r=(0, 3))
     assert run_grid(grid).passed
-    counted_steps = determinant._counted_steps
+    counted_steps = ring._counted_steps
 
     @contextmanager
-    def sign_flipped(kind):
-        with counted_steps(kind) as step:
-            yield lambda a, b, c, d, e: step(a, b, -c, d, e)
+    def sign_flipped(domain):
+        with counted_steps(domain) as (step, zero, one):
+            yield (lambda a, b, c, d, e: step(a, b, -c, d, e)), zero, one
 
-    monkeypatch.setattr(determinant, "_counted_steps", sign_flipped)
+    monkeypatch.setattr(ring, "_counted_steps", sign_flipped)
     report = run_grid(grid)
     assert not report.passed and report.checked == 30
     # d = 1 is h_0 itself; every larger d meets the mutated square
